@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: ci fmt vet build test test-race test-faults test-full bench bench-smoke bench-diff shard-smoke daemon-smoke figures clean
+.PHONY: ci fmt vet build test test-race test-faults test-full bench bench-smoke bench-diff daemon-smoke figures clean
 
 # ci is the tier the workflow runs: formatting, static checks, build, and
 # the fast test tier (slow shape sweeps are skipped under -short).
@@ -34,8 +34,9 @@ test-race:
 # test-faults compiles the deterministic fault-injection hooks in
 # (-tags faultinject) and runs the fast tier under the race detector:
 # every recovery path — worker panic, forced fast-forward decline,
-# stalled shard, step-budget cancel — executes with real goroutine
-# interleavings instead of staying dead code behind the build tag.
+# step-budget cancel, the daemon's service faults — executes with real
+# goroutine interleavings instead of staying dead code behind the build
+# tag.
 test-faults:
 	$(GO) test -race -short -tags faultinject ./...
 
@@ -75,24 +76,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5SegmentedOverhead' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_smoke.json
 	rm -f BENCH_smoke.json
-
-# shard-smoke runs a small fig4 slice sequentially, again on the sharded
-# engine with four run workers, and a third time with -speculate, printing
-# all three wall times. The conservative-vs-speculative contrast is
-# informational only — shared CI runners make wall-clock gating flaky —
-# but each leg itself is the smoke: the batched epoch loop under real
-# parallelism, the -shards and -speculate flag plumbing, and the
-# rounds/busy-shard/speculation telemetry lines all execute end to end.
-# -jobs 1 on every leg so run-level sharding is the only parallelism in
-# play and the contrasts mean something.
-shard-smoke:
-	@echo "== fig4 slice, sequential engine =="
-	time $(GO) run ./cmd/figures -scale small -fig 4 -jobs 1 -json=false -out shard-smoke-out
-	@echo "== fig4 slice, sharded engine (4 workers, conservative) =="
-	time $(GO) run ./cmd/figures -scale small -fig 4 -jobs 1 -shards 4 -json=false -out shard-smoke-out
-	@echo "== fig4 slice, sharded engine (4 workers, speculative) =="
-	time $(GO) run ./cmd/figures -scale small -fig 4 -jobs 1 -shards 4 -speculate -json=false -out shard-smoke-out
-	rm -rf shard-smoke-out
 
 # daemon-smoke boots the t2simd service daemon end to end: submit a small
 # fig2 sweep twice over HTTP, assert the repeat is a cache hit and that

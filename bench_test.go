@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/bench"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/phys"
 	"repro/internal/segarray"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // The benchmarks regenerate each figure of the paper at test scale and
@@ -32,29 +30,19 @@ func mean(ys []float64) float64 { return stats.Summarize(ys).Mean }
 // second, plus the fraction of simulated cycles the steady-state
 // fast-forward covered analytically.
 type simTotals struct {
-	cycles     int64
-	accesses   int64
-	ffCycles   int64
-	ffJumps    int64
-	ffSkipped  int64
-	shards     int64
-	width      int64
-	epochs     int64
-	microEp    int64
-	stalls     int64
-	busyRounds int64
-	specEp     int64
-	specCommit int64
-	specRoll   int64
+	cycles    int64
+	accesses  int64
+	ffCycles  int64
+	ffJumps   int64
+	ffSkipped int64
 
-	// Robustness telemetry (exp.Outcome's resilience counters plus directly
-	// observed watchdog trips). Zero on every fault-free sweep, so the
-	// figure benchmarks report nothing new; only BenchmarkResilience, which
-	// provokes the recovery paths on purpose, populates these.
-	retries       int64
-	pointErrors   int64
-	watchdogTrips int64
-	cancelMS      float64
+	// Robustness telemetry (exp.Outcome's resilience counters). Zero on
+	// every fault-free sweep, so the figure benchmarks report nothing new;
+	// only BenchmarkResilience, which provokes the recovery paths on
+	// purpose, populates these.
+	retries     int64
+	pointErrors int64
+	cancelMS    float64
 }
 
 // run executes the experiment, folds its telemetry into the totals, and
@@ -75,23 +63,8 @@ func (st *simTotals) fold(out exp.Outcome) {
 	st.ffCycles += fc
 	st.ffJumps += fj
 	st.ffSkipped += fs
-	t := out.ShardTotals()
-	if t.Shards > st.shards {
-		st.shards = t.Shards
-	}
-	if t.Width > st.width {
-		st.width = t.Width
-	}
-	st.epochs += t.Epochs
-	st.microEp += t.BatchedEpochs
-	st.stalls += t.Stalls
-	st.busyRounds += t.BusyRounds
-	st.specEp += t.SpecEpochs
-	st.specCommit += t.SpecCommits
-	st.specRoll += t.SpecRollbacks
 	st.retries += out.Retries
 	st.pointErrors += out.PointErrors
-	st.watchdogTrips += out.WatchdogTrips
 	if out.CancelLatencyMS > st.cancelMS {
 		st.cancelMS = out.CancelLatencyMS
 	}
@@ -112,39 +85,12 @@ func (st *simTotals) report(b *testing.B) {
 		b.ReportMetric(float64(st.ffJumps)/float64(b.N), "ff-jumps")
 		b.ReportMetric(float64(st.ffSkipped)/float64(b.N), "ff-skipped-epochs")
 	}
-	if st.shards > 0 {
-		// Sharded-engine scaling telemetry: the decomposition (domains),
-		// the epoch width the engine actually used (reported by the runs,
-		// not re-derived here), synchronization rounds per iteration and
-		// micro-epochs per wallclock second (the batched loop's throughput),
-		// how often shards hit an epoch with no work, and what fraction of
-		// (shard, round) pairs did real work — the load-balance headline.
-		b.ReportMetric(float64(st.shards), "shards")
-		b.ReportMetric(float64(st.width), "epoch-width")
-		b.ReportMetric(float64(st.epochs)/float64(b.N), "epochs")
-		b.ReportMetric(float64(st.microEp)/secs, "batched-epochs/s")
-		b.ReportMetric(float64(st.stalls)/secs, "barrier-stalls/s")
-		if st.epochs > 0 {
-			b.ReportMetric(100*float64(st.busyRounds)/float64(st.shards*st.epochs), "busy-shard-%")
-		}
-		if st.specCommit > 0 || st.specRoll > 0 {
-			// Speculation telemetry (informational, never gated — like
-			// epoch-width): micro-epochs executed inside committed bursts per
-			// iteration, the fraction of bursts that validated, and rollbacks
-			// per wallclock second. Non-speculative sweeps attempt no bursts
-			// and report none of this, keeping their metric sets unchanged.
-			b.ReportMetric(float64(st.specEp)/float64(b.N), "spec-epochs")
-			b.ReportMetric(100*float64(st.specCommit)/float64(st.specCommit+st.specRoll), "spec-commit-%")
-			b.ReportMetric(float64(st.specRoll)/secs, "rollbacks/s")
-		}
-	}
-	if st.retries > 0 || st.pointErrors > 0 || st.watchdogTrips > 0 || st.cancelMS > 0 {
+	if st.retries > 0 || st.pointErrors > 0 || st.cancelMS > 0 {
 		// Robustness telemetry, per iteration (deterministic counts): how
 		// much recovery machinery the sweep actually exercised. Fault-free
 		// sweeps report none of this, keeping their metric sets unchanged.
 		b.ReportMetric(float64(st.retries)/float64(b.N), "retries")
 		b.ReportMetric(float64(st.pointErrors)/float64(b.N), "point-errors")
-		b.ReportMetric(float64(st.watchdogTrips)/float64(b.N), "watchdog-trips")
 		b.ReportMetric(st.cancelMS, "cancel-latency-ms")
 	}
 }
@@ -215,39 +161,6 @@ func BenchmarkFig6Jacobi(b *testing.B) {
 	st.report(b)
 }
 
-// BenchmarkFig4ShardedEngine regenerates the Fig. 4 sweep on the
-// controller-domain sharded engine (parallel.go), tracking the sharded
-// trajectory — shards, epoch-width and barrier-stalls/s — next to the
-// sequential BenchmarkFig4VectorTriadAlignment so the engine's scaling is
-// recorded in BENCH_perf.json. The per-run worker budget shares cores
-// with the sweep pool (exp.ShardBudget), and the measured results are
-// invariant under it.
-func BenchmarkFig4ShardedEngine(b *testing.B) {
-	o := bench.Small()
-	o.Shards = exp.ShardBudget(-1, 0)
-	o.Speculate = true // execution budget only: results identical, spec-* telemetry recorded
-	var st simTotals
-	for i := 0; i < b.N; i++ {
-		st.run(o.Fig4Exp())
-	}
-	st.report(b)
-}
-
-// BenchmarkFig6ShardedEngine regenerates the Fig. 6 Jacobi sweep on the
-// sharded engine — the engine's target workload: a stencil whose reuse
-// keeps it out of steady-state fast-forward, so intra-run parallelism is
-// the only lever left.
-func BenchmarkFig6ShardedEngine(b *testing.B) {
-	o := bench.Small()
-	o.Shards = exp.ShardBudget(-1, 0)
-	o.Speculate = true
-	var st simTotals
-	for i := 0; i < b.N; i++ {
-		st.run(o.Fig6Exp())
-	}
-	st.report(b)
-}
-
 // BenchmarkFig7LBM regenerates Fig. 7 and reports the fused IvJK level and
 // the thrash-size dip.
 func BenchmarkFig7LBM(b *testing.B) {
@@ -267,32 +180,12 @@ func BenchmarkFig7LBM(b *testing.B) {
 
 // ---- resilience ---------------------------------------------------------------
 
-// benchWedge wraps one generator of an otherwise healthy program and
-// sleeps once mid-stream, wedging that strand's shard long enough for the
-// epoch-barrier watchdog to trip.
-type benchWedge struct {
-	inner trace.Generator
-	calls int
-	slept bool
-	dur   time.Duration
-}
-
-func (g *benchWedge) Next(it *trace.Item) bool {
-	g.calls++
-	if !g.slept && g.calls > 50 {
-		g.slept = true
-		time.Sleep(g.dur)
-	}
-	return g.inner.Next(it)
-}
-
-// BenchmarkResilience drives all four recovery paths of the resilient
+// BenchmarkResilience drives the three recovery paths of the resilient
 // execution layer on purpose — transient point failures absorbed by the
-// retry budget, a panicking point isolated into a structured PointError, a
-// sweep cancelled mid-run with partial telemetry, and a wedged shard
-// converted into a watchdog trip — and reports the robustness telemetry
-// (retries, point-errors, watchdog-trips, cancel-latency-ms) that stays
-// zero for every other benchmark in this file.
+// retry budget, a panicking point isolated into a structured PointError,
+// and a sweep cancelled mid-run with partial telemetry — and reports the
+// robustness telemetry (retries, point-errors, cancel-latency-ms) that
+// stays zero for every other benchmark in this file.
 func BenchmarkResilience(b *testing.B) {
 	base := machine.MustGet("t2").Config
 	kernelExp := func(name string) exp.Experiment {
@@ -376,19 +269,6 @@ func BenchmarkResilience(b *testing.B) {
 			b.Fatalf("cancelled sweep: err=%v cancelled=%v, want an aborted partial outcome", err, out2.Cancelled)
 		}
 		st.fold(out2)
-
-		// Wedged shard: one strand sleeps mid-epoch; the barrier watchdog
-		// converts the former infinite spin into a structured WatchdogError.
-		_, k := triadProg(0, 1)
-		prog := k.Program(omp.StaticBlock{}, 16)
-		prog.Gens[0] = &benchWedge{inner: prog.Gens[0], dur: 200 * time.Millisecond}
-		_, err = chip.New(base).RunShardedCtx(context.Background(), prog,
-			chip.ShardOptions{Workers: 2, Watchdog: 25 * time.Millisecond})
-		var we *chip.WatchdogError
-		if !errors.As(err, &we) {
-			b.Fatalf("wedged sharded run returned %v, want a WatchdogError", err)
-		}
-		st.watchdogTrips++
 	}
 	st.report(b)
 }

@@ -22,15 +22,8 @@
 // they are listed in an explicit "added"/"removed" section, so growing or
 // retiring a benchmark is a reviewed diff line instead of a manual repair.
 // The same applies to metrics present on only one side of a shared
-// benchmark (a newly reported unit, a retired one), and to the
-// informational metric set — epoch-width (configuration: a change means
-// the derivation moved or one side was measured relaxed) and the
-// speculation telemetry spec-epochs, spec-commit-% and rollbacks/s (how
-// the run was executed, never what it computed): each is reported as an
-// explicit informational line when it changes but never gated. On failure
-// the tool prints a per-benchmark delta table of every gated metric, with
-// the informational metrics appended as dimmed rows so they stay visible
-// without reading as regressions.
+// benchmark (a newly reported unit, a retired one). On failure the tool
+// prints a per-benchmark delta table of every gated metric.
 //
 // Exit codes separate the failure classes so CI can react differently to
 // each (see doc.go for the repo-wide conventions — 0/1/2 follow them; 3
@@ -100,30 +93,7 @@ type row struct {
 	ffFresh    float64
 	hasFF      bool
 	failed     bool
-	info       []infoDelta // informational metrics present on both sides
 }
-
-// infoDelta is one informational (never-gated) metric shared by both
-// trajectories, kept so the failure table can show it dimmed instead of
-// silently dropping it.
-type infoDelta struct {
-	name        string
-	base, fresh float64
-}
-
-// informationalMetrics are never gated: they describe how a run was
-// executed, not how fast or how leanly. The note explains why a change is
-// review-worthy. Order is the report order.
-var informationalMetrics = []struct{ name, note string }{
-	{"epoch-width", "trajectories may not be comparable"},
-	{"spec-epochs", "speculation telemetry"},
-	{"spec-commit-%", "speculation telemetry"},
-	{"rollbacks/s", "speculation telemetry"},
-}
-
-// dim wraps a report line in the ANSI faint attribute so informational
-// rows in the delta table read as context, not regressions.
-func dim(s string) string { return "\x1b[2m" + s + "\x1b[0m" }
 
 // allocSlack is the absolute allocation-count slack added on top of the
 // fractional budget, so tiny benchmarks are not gated on single-digit
@@ -186,26 +156,6 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth, maxFFDrop float64, w io.Writer
 				fmt.Fprintf(w, "%-40s allocs/op  %12.0f -> %12.0f %s\n", n, balloc, falloc, status)
 			}
 		}
-		// Informational metrics are configuration and execution telemetry,
-		// not performance: epoch-width changes when the conservative
-		// derivation changes or a trajectory was measured relaxed
-		// (-epoch-width); the spec-* metrics describe how much of the run
-		// speculative bursts covered, which never changes a result byte.
-		// Either way the right reaction is review, not a red build, so a
-		// change is an explicit informational line and never a gated
-		// regression.
-		for _, im := range informationalMetrics {
-			bv, bok := b[im.name]
-			fv, fok := f[im.name]
-			if !bok || !fok {
-				continue
-			}
-			if fv != bv {
-				fmt.Fprintf(w, "%-40s %-11s %10.4g -> %10.4g (informational, never gated: %s)\n",
-					n, im.name, bv, fv, im.note)
-			}
-			r.info = append(r.info, infoDelta{im.name, bv, fv})
-		}
 		// One-sided metrics within a shared benchmark are informational:
 		// they appear when a benchmark starts (or stops) reporting a unit.
 		for _, mn := range oneSided(b, f) {
@@ -259,13 +209,6 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth, maxFFDrop float64, w io.Writer
 			}
 			fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %8s %8s %s\n",
 				r.name, acc[0], acc[1], acc[2], al[0], al[1], ffc[0], ffc[1], verdict)
-			// Informational metrics ride along dimmed: visible next to the
-			// gated columns, but typographically marked as never-gated
-			// context rather than silently dropped from the table.
-			for _, d := range r.info {
-				fmt.Fprintln(w, dim(fmt.Sprintf("%-40s %-13s %12.4g -> %12.4g (informational)",
-					r.name, d.name, d.base, d.fresh)))
-			}
 		}
 	}
 	return failed

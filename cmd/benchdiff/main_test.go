@@ -128,94 +128,31 @@ func TestCompareToleratesOneSidedBenchmarks(t *testing.T) {
 	}
 }
 
-// TestCompareEpochWidthInformational pins the epoch-width contract: a
-// changed width between trajectories (relaxed run, or a derivation
-// change) is reported as an informational line but never fails the gate,
-// while an unchanged width stays silent.
-func TestCompareEpochWidthInformational(t *testing.T) {
-	base := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3})
-	fresh := bm(map[string]float64{"accesses/s": 100, "epoch-width": 12})
-	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("epoch-width change failed the gate:\n%s", sb.String())
-	}
-	out := sb.String()
-	if !strings.Contains(out, "epoch-width") || !strings.Contains(out, "never gated") {
-		t.Errorf("report missing the informational epoch-width line:\n%s", out)
-	}
-
-	same := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3})
-	sb.Reset()
-	if compare(base, same, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("identical epoch-width failed the gate:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "epoch-width") {
-		t.Errorf("unchanged epoch-width produced a report line:\n%s", sb.String())
-	}
-}
-
-// TestCompareSpeculationInformational pins the speculation-telemetry
-// contract: spec-epochs, spec-commit-% and rollbacks/s describe how a run
-// was executed, never what it computed, so arbitrary changes — commit
-// rate collapsing, rollbacks appearing — are informational lines, never
-// gated regressions.
+// TestCompareSpeculationInformational: baselines recorded before the
+// sharded engine was removed still carry its telemetry (spec-epochs,
+// spec-commit-%, rollbacks/s, epoch-width). Comparing one against a fresh
+// run without those metrics must pass the gate and report each as retired,
+// while the gated metrics are still compared.
 func TestCompareSpeculationInformational(t *testing.T) {
 	base := bm(map[string]float64{
-		"accesses/s": 100, "spec-epochs": 50000, "spec-commit-%": 95, "rollbacks/s": 0,
+		"accesses/s": 100, "spec-epochs": 50000, "spec-commit-%": 95, "rollbacks/s": 0, "epoch-width": 3,
 	})
-	fresh := bm(map[string]float64{
-		"accesses/s": 100, "spec-epochs": 100, "spec-commit-%": 5, "rollbacks/s": 900,
-	})
+	fresh := bm(map[string]float64{"accesses/s": 100})
 	var sb strings.Builder
 	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("speculation telemetry change failed the gate:\n%s", sb.String())
+		t.Fatalf("retired speculation telemetry failed the gate:\n%s", sb.String())
 	}
 	out := sb.String()
-	for _, metric := range []string{"spec-epochs", "spec-commit-%", "rollbacks/s"} {
-		if !strings.Contains(out, metric) {
-			t.Errorf("report missing informational line for %q:\n%s", metric, out)
+	for _, metric := range []string{"spec-epochs", "spec-commit-%", "rollbacks/s", "epoch-width"} {
+		if !strings.Contains(out, `"`+metric+`" only in baseline`) {
+			t.Errorf("report missing the retired line for %q:\n%s", metric, out)
 		}
 	}
-	if !strings.Contains(out, "never gated") {
-		t.Errorf("speculation lines not marked never-gated:\n%s", out)
-	}
 
-	same := bm(map[string]float64{
-		"accesses/s": 100, "spec-epochs": 50000, "spec-commit-%": 95, "rollbacks/s": 0,
-	})
+	slower := bm(map[string]float64{"accesses/s": 50})
 	sb.Reset()
-	if compare(base, same, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("identical speculation telemetry failed the gate:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "spec-") {
-		t.Errorf("unchanged speculation telemetry produced report lines:\n%s", sb.String())
-	}
-}
-
-// TestDeltaTableShowsInformationalDimmed is the regression for the delta
-// table silently dropping informational metrics: on a gated failure the
-// table must carry the informational metrics as dimmed (ANSI faint) rows
-// next to the gated columns.
-func TestDeltaTableShowsInformationalDimmed(t *testing.T) {
-	base := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3, "spec-commit-%": 90})
-	fresh := bm(map[string]float64{"accesses/s": 50, "epoch-width": 3, "spec-commit-%": 40})
-	var sb strings.Builder
-	if !compare(base, fresh, 0.20, 0.02, 5, &sb) {
-		t.Fatal("50% throughput drop passed the gate")
-	}
-	out := sb.String()
-	tableAt := strings.Index(out, "delta table")
-	if tableAt < 0 {
-		t.Fatalf("no delta table in failure output:\n%s", out)
-	}
-	table := out[tableAt:]
-	for _, want := range []string{"epoch-width", "spec-commit-%"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("delta table dropped informational metric %q:\n%s", want, table)
-		}
-	}
-	if !strings.Contains(table, "\x1b[2m") || !strings.Contains(table, "\x1b[0m") {
-		t.Errorf("informational rows in the delta table are not dimmed:\n%q", table)
+	if !compare(base, slower, 0.20, 0.02, 5, &sb) {
+		t.Fatalf("50%% throughput drop passed the gate next to retired metrics:\n%s", sb.String())
 	}
 }
 

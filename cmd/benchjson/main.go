@@ -1,9 +1,8 @@
 // Command benchjson converts `go test -bench` output piped to stdin into a
 // machine-readable BENCH_perf.json trajectory: benchmark name → metric →
 // value, covering ns/op, B/op, allocs/op and every custom b.ReportMetric
-// unit (simcycles/s, accesses/s, GB/s, ff-coverage-%, and the sharded
-// engine's shards / epoch-width / barrier-stalls/s scaling telemetry).
-// Input lines are echoed to stdout so the tool is transparent in a
+// unit (simcycles/s, accesses/s, GB/s, ff-coverage-%, ff-jumps and the
+// BenchmarkResilience recovery counters). Input lines are echoed to stdout so the tool is transparent in a
 // pipeline:
 //
 //	go test -run '^$' -bench 'BenchmarkFig' -benchtime 1x -benchmem . \

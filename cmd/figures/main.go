@@ -12,8 +12,7 @@
 // Usage:
 //
 //	figures [-fig all|2|4|5|6|7|scaling|comma-list] [-scale full|small]
-//	        [-machine NAME] [-jobs N] [-shards N] [-timeout DUR]
-//	        [-epoch-width N [-relaxed-ok]] [-epoch-batch=false] [-speculate]
+//	        [-machine NAME] [-jobs N] [-timeout DUR]
 //	        [-json=false] [-out DIR] [-cpuprofile FILE] [-memprofile FILE]
 //	figures -list
 //
@@ -21,23 +20,6 @@
 // every in-flight simulation aborts cooperatively, no partial figure files
 // are written, and the exit code is 3 (distinct from shape-check failures,
 // which exit 1).
-//
-// -shards runs every point on the chip's controller-domain sharded engine
-// (N intra-run workers at most, -1 for auto); the worker count shares the
-// core budget with -jobs and never changes a result byte, but the sharded
-// engine's epoch semantics differ slightly from the sequential default, so
-// committed BENCH trajectories are always regenerated with -shards 0.
-//
-// -epoch-width overrides the sharded engine's epoch width: values above
-// the machine's conservative bound run relaxed wide epochs, which are
-// deterministic but trade bounded timing drift for speed and therefore
-// must not silently enter JSON trajectories — combining a relaxed width
-// with -json requires the explicit -relaxed-ok. -epoch-batch=false selects
-// the engine's classic rendezvous-per-epoch loop (byte-identical results,
-// only slower), mainly for differential measurements. -speculate turns on
-// the batched loop's optimistic speculative bursts (requires -shards and
-// is incompatible with -epoch-batch=false): a pure execution budget that
-// never changes a result byte, so trajectories need no opt-in.
 //
 // -machine reruns the sweeps on another profile from the internal/machine
 // registry; the profile name is stamped into the JSON trajectories. The
@@ -52,8 +34,7 @@
 //
 //	0  figures regenerated; every selected shape check passed or was skipped
 //	1  runtime failure: simulation error, unwritable output, shape-check FAIL
-//	2  flag misuse: unknown figure, scale or machine; shard or epoch-width
-//	   misconfiguration
+//	2  flag misuse: unknown figure, scale or machine
 //	3  -timeout expired before the regeneration finished
 package main
 
@@ -69,7 +50,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/chip"
 	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/profiling"
@@ -82,11 +62,6 @@ func main() {
 	machineName := flag.String("machine", machine.DefaultName,
 		"machine profile to simulate: "+strings.Join(machine.Names(), ", "))
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "worker goroutines for the sweep pool (<=0: GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "run each point on the controller-domain sharded engine with up to N workers (0: sequential engine, -1: auto — share GOMAXPROCS with -jobs); results are invariant under N")
-	epochWidth := flag.Int64("epoch-width", 0, "override the sharded engine's epoch width in cycles (0: conservative bound; wider values run relaxed epochs whose results differ — see -relaxed-ok)")
-	relaxedOK := flag.Bool("relaxed-ok", false, "allow -json trajectories from a relaxed -epoch-width run (they are NOT comparable to conservative trajectories)")
-	epochBatch := flag.Bool("epoch-batch", true, "use the sharded engine's batched epoch loop (false: classic rendezvous-per-epoch loop; results are byte-identical either way)")
-	speculate := flag.Bool("speculate", false, "run the sharded engine with optimistic speculative bursts (requires -shards and the batched loop; results are byte-identical on or off)")
 	jsonOut := flag.Bool("json", true, "also write BENCH_<fig>.json trajectories")
 	out := flag.String("out", "figures-out", "output directory for CSV/JSON files")
 	list := flag.Bool("list", false, "print the figure and machine-profile registries and exit")
@@ -124,52 +99,6 @@ func main() {
 		fail(2)
 	}
 	o = o.WithProfile(prof)
-	// An explicit -shards beyond the selected machine's controller-domain
-	// count cannot buy anything (the domain is the unit of decomposition);
-	// reject it up front instead of silently running degraded for hours.
-	if d := prof.Config.Mapping.Controllers(); *shards > d {
-		fmt.Fprintf(os.Stderr, "figures: %v: -shards %d, machine %s has %d controller domains\n",
-			chip.ErrShardOversubscribed, *shards, prof.Name, d)
-		fail(2)
-	}
-	// Run-level and sweep-level parallelism share the core budget: with J
-	// sweep jobs each sharded run gets GOMAXPROCS/J workers at most.
-	o.Shards = exp.ShardBudget(*shards, *jobs)
-	o.EpochWidth = *epochWidth
-	o.NoBatch = !*epochBatch
-	o.Speculate = *speculate
-	// Speculation is a pure execution budget for the sharded batched loop:
-	// it never changes a result byte, but it needs both prerequisites.
-	if *speculate {
-		if *shards == 0 {
-			fmt.Fprintln(os.Stderr, "figures: -speculate only applies to the sharded engine; set -shards too")
-			fail(2)
-		}
-		if !*epochBatch {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", chip.ErrSpeculateNoBatch)
-			fail(2)
-		}
-	}
-	// Relaxed wide epochs trade timing fidelity for speed; their results are
-	// deterministic but NOT comparable to conservative trajectories, so
-	// writing BENCH_*.json from a relaxed run needs an explicit opt-in.
-	if *epochWidth != 0 {
-		if *shards == 0 {
-			fmt.Fprintln(os.Stderr, "figures: -epoch-width only applies to the sharded engine; set -shards too")
-			fail(2)
-		}
-		m := chip.New(prof.Config)
-		if *epochWidth < m.EpochWidth() {
-			fmt.Fprintf(os.Stderr, "figures: %v: -epoch-width %d, machine %s derives %d\n",
-				chip.ErrEpochWidthTooNarrow, *epochWidth, prof.Name, m.EpochWidth())
-			fail(2)
-		}
-		if *epochWidth > m.EpochWidth() && *jsonOut && !*relaxedOK {
-			fmt.Fprintf(os.Stderr, "figures: -epoch-width %d is relaxed (conservative bound %d): refusing to write -json trajectories without -relaxed-ok\n",
-				*epochWidth, m.EpochWidth())
-			fail(2)
-		}
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -233,22 +162,9 @@ func main() {
 		elapsed := time.Since(start)
 		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s ==\n",
 			f.Title, prof.Name, len(outcome.Points), *jobs, elapsed.Round(time.Millisecond))
-		if t := outcome.ShardTotals(); t.Shards > 0 {
-			workers := int64(o.Shards)
-			if t.Shards < workers {
-				workers = t.Shards // the engine caps workers at the domain count
-			}
-			fmt.Printf("   sharded engine: %d domains, %d run workers, width %d, %d rounds (%d micro-epochs), %.1f%% busy shards\n",
-				t.Shards, workers, t.Width, t.Epochs, t.BatchedEpochs, t.BusyShardPct())
-			if t.SpecCommits > 0 || t.SpecRollbacks > 0 {
-				fmt.Printf("   speculation: %d bursts committed, %d rolled back (%.1f%% commit), %d micro-epochs speculative\n",
-					t.SpecCommits, t.SpecRollbacks,
-					100*float64(t.SpecCommits)/float64(t.SpecCommits+t.SpecRollbacks), t.SpecEpochs)
-			}
-		}
 		if outcome.Retries > 0 || outcome.PointErrors > 0 {
-			fmt.Printf("   resilience: %d retries, %d point errors, %d watchdog trips\n",
-				outcome.Retries, outcome.PointErrors, outcome.WatchdogTrips)
+			fmt.Printf("   resilience: %d retries, %d point errors\n",
+				outcome.Retries, outcome.PointErrors)
 		}
 		series := outcome.Series()
 

@@ -28,7 +28,7 @@
 //	0  run or sweep completed
 //	1  runtime failure: simulation error, unwritable -json output
 //	2  flag misuse: unknown kernel, machine, schedule, layout or sweep
-//	   axis; shard or epoch-width misconfiguration
+//	   axis
 //	3  -timeout expired before the run or sweep finished
 package main
 
@@ -88,11 +88,6 @@ func main() {
 	runAhead := flag.Int64("runahead", 2, "strand run-ahead window in items; 0 = unbounded")
 	sweep := flag.String("sweep", "", "sweep one parameter: {offset|arrayoffset|n|threads}=lo:hi:step (hi inclusive)")
 	jobs := flag.Int("jobs", 0, "worker goroutines for -sweep (<=0: GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "run on the controller-domain sharded engine with up to N workers (0: sequential engine, -1: auto); results are invariant under N")
-	epochWidth := flag.Int64("epoch-width", 0, "override the sharded engine's epoch width in cycles (0: conservative bound; wider values run relaxed epochs whose results differ — see -relaxed-ok)")
-	relaxedOK := flag.Bool("relaxed-ok", false, "allow -json trajectories from a relaxed -epoch-width run (they are NOT comparable to conservative trajectories)")
-	epochBatch := flag.Bool("epoch-batch", true, "use the sharded engine's batched epoch loop (false: classic rendezvous-per-epoch loop; results are byte-identical either way)")
-	speculate := flag.Bool("speculate", false, "run the sharded engine with optimistic speculative bursts (requires -shards and the batched loop; results are byte-identical on or off)")
 	jsonOut := flag.String("json", "", "with -sweep: write the JSON trajectory to this file ('-' for stdout)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run or sweep; on expiry the simulation aborts cooperatively and the exit code is 3 (0: no deadline)")
 	flag.Parse()
@@ -105,39 +100,6 @@ func main() {
 	cfg.MSHRPerStrand = *msar
 	cfg.RunAhead = *runAhead
 
-	// An explicit -shards beyond the machine's controller-domain count is a
-	// misconfiguration, not a bigger budget; reject it before simulating.
-	if d := cfg.Mapping.Controllers(); *shards > d {
-		fail("%v: -shards %d, machine %q has %d controller domains",
-			chip.ErrShardOversubscribed, *shards, prof.Name, d)
-	}
-	sopt := chip.ShardOptions{EpochWidth: *epochWidth, NoBatch: !*epochBatch, Speculate: *speculate}
-	if *speculate {
-		if *shards == 0 {
-			fail("-speculate only applies to the sharded engine; set -shards too")
-		}
-		if !*epochBatch {
-			fail("%v", chip.ErrSpeculateNoBatch)
-		}
-	}
-	if *epochWidth != 0 {
-		if *shards == 0 {
-			fail("-epoch-width only applies to the sharded engine; set -shards too")
-		}
-		derived := chip.New(cfg).EpochWidth()
-		if *epochWidth < derived {
-			fail("%v: -epoch-width %d, machine %q derives %d",
-				chip.ErrEpochWidthTooNarrow, *epochWidth, prof.Name, derived)
-		}
-		// Relaxed wide epochs are deterministic but not comparable to
-		// conservative results; a JSON trajectory from one needs an explicit
-		// opt-in.
-		if *epochWidth > derived && *jsonOut != "" && !*relaxedOK {
-			fail("-epoch-width %d is relaxed (conservative bound %d): refusing to write -json without -relaxed-ok",
-				*epochWidth, derived)
-		}
-	}
-
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -146,12 +108,10 @@ func main() {
 	}
 
 	if *sweep == "" {
-		sopt.Workers = exp.ShardBudget(*shards, 1)
-		runSingle(ctx, prof, cfg, p, sopt)
+		runSingle(ctx, prof, cfg, p)
 		return
 	}
-	sopt.Workers = exp.ShardBudget(*shards, *jobs)
-	runSweep(ctx, prof, cfg, p, *sweep, *jobs, sopt, *jsonOut)
+	runSweep(ctx, prof, cfg, p, *sweep, *jobs, *jsonOut)
 }
 
 // failTimeout reports a run cut short by -timeout; exit code 3 separates
@@ -258,18 +218,12 @@ func (p params) build(cfg chip.Config) (*trace.Program, error) {
 }
 
 // runSingle simulates one point and prints the detailed report.
-func runSingle(ctx context.Context, prof machine.Profile, cfg chip.Config, p params, sopt chip.ShardOptions) {
+func runSingle(ctx context.Context, prof machine.Profile, cfg chip.Config, p params) {
 	prog, err := p.build(cfg)
 	if err != nil {
 		fail("%v", err)
 	}
-	m := chip.New(cfg)
-	var r chip.Result
-	if sopt.Workers != 0 {
-		r, err = m.RunShardedCtx(ctx, prog, sopt)
-	} else {
-		r, err = m.RunCtx(ctx, prog)
-	}
+	r, err := chip.New(cfg).RunCtx(ctx, prog)
 	if err != nil {
 		var ce *chip.CancelError
 		if errors.As(err, &ce) {
@@ -279,17 +233,6 @@ func runSingle(ctx context.Context, prof machine.Profile, cfg chip.Config, p par
 	}
 
 	fmt.Printf("machine:   %s (%s)\n", prof.Name, prof.Doc)
-	if r.Shards > 0 {
-		fmt.Printf("engine:    sharded — %d controller domains, epoch width %d cycles, %d rounds (%d micro-epochs), %.1f%% busy shards\n",
-			r.Shards, r.EpochWidth, r.Epochs, r.BatchedEpochs, r.BusyShardPct)
-		if r.SpecCommits > 0 || r.SpecRollbacks > 0 {
-			fmt.Printf("engine:    speculation — %d bursts committed, %d rolled back (%.1f%% commit), %d micro-epochs speculative\n",
-				r.SpecCommits, r.SpecRollbacks,
-				100*float64(r.SpecCommits)/float64(r.SpecCommits+r.SpecRollbacks), r.SpecEpochs)
-		}
-	} else if sopt.Workers != 0 {
-		fmt.Printf("engine:    sequential (sharded engine requested but the run is not decomposable)\n")
-	}
 	fmt.Printf("program:   %s\n", r.Label)
 	fmt.Printf("cycles:    %d (%.3f ms at %.1f GHz)\n", r.Cycles, r.Seconds*1e3, cfg.ClockHz/1e9)
 	fmt.Printf("reported:  %8.2f GB/s\n", r.GBps)
@@ -335,7 +278,7 @@ func parseSweep(spec string) (axis string, lo, hi, step int64, err error) {
 
 // runSweep fans the one-axis sweep out over the worker pool and prints a
 // table plus the optional JSON trajectory.
-func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base params, spec string, jobs int, sopt chip.ShardOptions, jsonOut string) {
+func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base params, spec string, jobs int, jsonOut string) {
 	axis, lo, hi, step, err := parseSweep(spec)
 	if err != nil {
 		fail("%v", err)
@@ -369,12 +312,7 @@ func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base p
 			if err != nil {
 				return exp.Result{}, err
 			}
-			var r chip.Result
-			if sopt.Workers != 0 {
-				r, err = chip.New(cfg).RunShardedCtx(sc.Context(), prog, sopt)
-			} else {
-				r, err = chip.New(cfg).RunCtx(sc.Context(), prog)
-			}
+			r, err := chip.New(cfg).RunCtx(sc.Context(), prog)
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -423,8 +361,8 @@ func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base p
 			pr.Result.Metrics["mups"], pr.Result.Metrics["balance"])
 	}
 	if out.Retries > 0 || out.PointErrors > 0 {
-		fmt.Printf("resilience: %d retries, %d point errors, %d watchdog trips\n",
-			out.Retries, out.PointErrors, out.WatchdogTrips)
+		fmt.Printf("resilience: %d retries, %d point errors\n",
+			out.Retries, out.PointErrors)
 	}
 
 	if jsonOut != "" {

@@ -11,7 +11,9 @@
 // t2simd service daemon), the runnable examples under examples/, and the
 // benchmarks in bench_test.go. Every figure sweep runs as a declarative
 // experiment on the internal/exp worker pool, so regeneration
-// parallelizes across GOMAXPROCS with byte-identical output. Machines are
+// parallelizes across GOMAXPROCS with byte-identical output; each point
+// runs on the one sequential timing engine in internal/chip, and the
+// sweep pool's -jobs is the only execution parallelism. Machines are
 // named profiles in internal/machine (the calibrated t2 default plus
 // controller-scaling and interleave-granularity variants); every CLI
 // takes -machine and the analyzer plans placements from the selected

@@ -14,7 +14,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/chip"
@@ -40,40 +39,6 @@ type Options struct {
 	// means the default t2 machine (and keeps historical BENCH_*.json
 	// byte-identical); WithProfile sets it for every other profile.
 	Machine string
-	// Shards selects the chip's controller-domain sharded engine for every
-	// run of the sweep: 0 (the default) keeps the sequential engine and
-	// every historical trajectory byte-identical; a positive value runs
-	// each point on the sharded engine with at most that many worker
-	// goroutines. Sharded results are invariant under the worker count
-	// (the engine's core contract, pinned by the shard determinism tests),
-	// so Shards=1 and Shards=N trajectories are byte-identical too; CLIs
-	// resolve the actual budget through exp.ShardBudget so sweep jobs and
-	// run workers share the cores. Shards is a budget, not a demand: values
-	// above the profile's controller-domain count are capped per machine.
-	Shards int
-	// Watchdog arms the sharded engine's epoch-barrier watchdog for every
-	// sharded run of the sweep: a run making no epoch progress for this
-	// long fails with a chip.WatchdogError instead of spinning forever. 0
-	// (the default) disables it, keeping the fault-free hot path — and
-	// every trajectory — untouched.
-	Watchdog time.Duration
-	// EpochWidth overrides the sharded engine's epoch width
-	// (chip.ShardOptions.EpochWidth): 0 derives the conservative bound; a
-	// wider value runs relaxed epochs, whose results are deterministic but
-	// differ from conservative ones and must never be mixed into
-	// byte-identity trajectories (the CLIs gate this behind -relaxed-ok).
-	EpochWidth int64
-	// NoBatch selects the sharded engine's classic rendezvous-per-epoch
-	// loop instead of the default batched one. Simulation output is
-	// byte-identical either way; the switch exists for differential tests
-	// and measurements.
-	NoBatch bool
-	// Speculate turns on the sharded engine's optimistic speculative
-	// bursts (chip.ShardOptions.Speculate). Pure execution budget:
-	// simulation output — and therefore every trajectory — is
-	// byte-identical with it on or off; only wall-clock and the spec-*
-	// telemetry change. Requires the batched loop and Shards > 0.
-	Speculate bool
 
 	// Fig. 2
 	StreamN      int64
@@ -188,28 +153,13 @@ func machineFor(sc *exp.Scratch, cfg chip.Config) *chip.Machine {
 }
 
 // runProg runs one program on the worker's cached machine for the point's
-// configuration; every experiment closure funnels through it, and the
-// options' Shards setting decides which engine executes it. The sweep's
+// configuration; every experiment closure funnels through it. The sweep's
 // context (exp.Scratch.Context) rides along so a cancelled or timed-out
 // sweep aborts each in-flight run cooperatively; with a background context
-// and no watchdog this is exactly the legacy fault-free path.
-func (o Options) runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program, warm int64) (chip.Result, error) {
+// this is exactly the fault-free path.
+func runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program, warm int64) (chip.Result, error) {
 	p.WarmLines = warm
-	m := machineFor(sc, cfg)
-	if o.Shards != 0 {
-		workers := o.Shards
-		if d := cfg.Mapping.Controllers(); workers > d {
-			workers = d // Shards is a core budget; each machine caps at its domains
-		}
-		return m.RunShardedCtx(sc.Context(), p, chip.ShardOptions{
-			Workers:    workers,
-			Watchdog:   o.Watchdog,
-			EpochWidth: o.EpochWidth,
-			NoBatch:    o.NoBatch,
-			Speculate:  o.Speculate,
-		})
-	}
-	return m.RunCtx(sc.Context(), p)
+	return machineFor(sc, cfg).RunCtx(sc.Context(), p)
 }
 
 // bwMetrics exposes the secondary metrics every bandwidth trajectory
@@ -234,15 +184,6 @@ func measured(res exp.Result, r chip.Result) exp.Result {
 	res.FFCycles = r.FFCycles
 	res.FFJumps = r.FFJumps
 	res.FFSkippedEpochs = r.FFSkippedEpochs
-	res.Shards = r.Shards
-	res.EpochWidth = r.EpochWidth
-	res.Epochs = r.Epochs
-	res.BatchedEpochs = r.BatchedEpochs
-	res.BarrierStalls = r.BarrierStalls
-	res.BusyShardRounds = r.BusyShardRounds
-	res.SpecEpochs = r.SpecEpochs
-	res.SpecCommits = r.SpecCommits
-	res.SpecRollbacks = r.SpecRollbacks
 	return res
 }
 
@@ -290,7 +231,7 @@ func (o Options) Fig2Exp() exp.Experiment {
 			}
 			th := p.Int("threads")
 			off := p.Int64("offset")
-			r, err := o.runProg(cfg, sc, o.streamProg(sc, kind, off, th), o.warmLines())
+			r, err := runProg(cfg, sc, o.streamProg(sc, kind, off, th), o.warmLines())
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -418,7 +359,7 @@ func (o Options) Fig4Exp() exp.Experiment {
 					series = fmt.Sprintf("align8k+%d", off)
 				}
 			}
-			r, err := o.runProg(cfg, sc, prog, o.warmLines())
+			r, err := runProg(cfg, sc, prog, o.warmLines())
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -480,7 +421,7 @@ func (o Options) Fig5Exp(threads int) exp.Experiment {
 				prog = k.Program(omp.StaticBlock{}, threads)
 				series = fmt.Sprintf("%dT non-segmented", threads)
 			}
-			r, err := o.runProg(cfg, sc, prog, o.warmLines())
+			r, err := runProg(cfg, sc, prog, o.warmLines())
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -560,7 +501,7 @@ func (o Options) Fig6Exp() exp.Experiment {
 				spec.Dst = func(i int64) phys.Addr { return dstL.Segs[i].Start }
 				series = fmt.Sprintf("%dT", th)
 			}
-			r, err := o.runProg(cfg, sc, spec.Program(th), o.warmLines())
+			r, err := runProg(cfg, sc, spec.Program(th), o.warmLines())
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -630,7 +571,7 @@ func (o Options) Fig7Exp() exp.Experiment {
 				MaskBase: sp.Malloc(lbm.MaskBytes(n, v.layout)),
 				Fused:    v.fused, Sched: omp.StaticBlock{}, Sweeps: o.LBMSweeps,
 			}
-			r, err := o.runProg(cfg, sc, spec.Program(v.threads), o.warmLines())
+			r, err := runProg(cfg, sc, spec.Program(v.threads), o.warmLines())
 			if err != nil {
 				return exp.Result{}, err
 			}

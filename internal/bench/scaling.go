@@ -100,7 +100,7 @@ func (o Options) ScalingExp() exp.Experiment {
 
 			k := kernels.LoadSum(bases, n)
 			prog := k.Program(omp.StaticBlock{}, threads)
-			r, err := o.runProg(prof.Config, sc, prog, prof.Config.L2.SizeBytes/phys.LineSize)
+			r, err := runProg(prof.Config, sc, prog, prof.Config.L2.SizeBytes/phys.LineSize)
 			if err != nil {
 				return exp.Result{}, err
 			}

@@ -104,9 +104,7 @@ type Banked struct {
 	// clocks are per-bank LRU stamp counters. LRU only ever compares stamps
 	// within one set, and a set's commits are a subsequence of its bank's,
 	// so per-bank clocks preserve exactly the victim choices a single global
-	// clock would make — while giving the sharded engine's bank-partitioned
-	// concurrency a clock it can advance without cross-bank traffic. All
-	// counters are per-bank for the same reason; Stats sums them.
+	// clock would make. Counters are per-bank too; Stats sums them.
 	clocks    []uint64
 	bankStats []Stats
 }

@@ -120,28 +120,6 @@ type Result struct {
 	FFPeriod        int64 // last detected steady-state period in cycles (0: none)
 	FFJumps         int64 // committed analytic jumps (item- or iteration-periodic)
 	FFSkippedEpochs int64 // engine event steps covered analytically instead of simulated
-
-	// Sharded-engine telemetry (see parallel.go), zero for sequential runs.
-	// Like the FF fields these are deterministic descriptions of the run —
-	// invariant under the worker count, which never appears here because it
-	// is an execution detail that must not change a single result byte.
-	Shards          int64   // controller domains the run was partitioned into
-	EpochWidth      int64   // epoch width in cycles (conservative bound, or the relaxed override)
-	Epochs          int64   // synchronization rounds: serial merges (classic loop) or batched rounds
-	BatchedEpochs   int64   // micro-epochs executed (== Epochs under the classic loop)
-	BarrierStalls   int64   // (shard, micro-epoch) pairs where a shard had no event to run
-	BusyShardRounds int64   // (shard, round) pairs where the shard executed at least one event
-	BusyShardPct    float64 // 100 * BusyShardRounds / (Shards * Epochs)
-
-	// Speculation telemetry (see speculate.go), zero unless
-	// ShardOptions.Speculate. Deterministic and worker-invariant like the
-	// fields above: every burst decision folds machine-wide aggregates.
-	// Simulation results are byte-identical with speculation on or off;
-	// these counters (and the loop telemetry above) are the only fields
-	// that may differ between the two modes.
-	SpecEpochs    int64 // micro-epochs executed inside committed bursts
-	SpecCommits   int64 // speculative bursts that validated and committed
-	SpecRollbacks int64 // speculative bursts rolled back and re-executed
 }
 
 // Balance returns min/max controller utilization, the paper's notion of
@@ -174,10 +152,8 @@ func (r Result) Balance() float64 {
 // of megabytes of reconstruction. A Machine may be reused freely but not
 // concurrently; sweep harnesses keep one per worker (see exp.Scratch).
 type Machine struct {
-	cfg     Config
-	rs      *runState
-	pps     *parState // sharded-engine run state (see parallel.go)
-	shardOK int8      // memoized Shardable verdict: 0 unknown, 1 yes, -1 no
+	cfg Config
+	rs  *runState
 	// Warm-up L2 image: PrefillSequential over WarmLines is identical for
 	// every run of a machine, so it is replayed once and restored by
 	// memcpy afterwards.
@@ -540,9 +516,7 @@ func (m *Machine) validateTeam(prog *trace.Program) {
 // warmL2 pre-fills l2 with dirty lines of an address range no kernel uses,
 // so the first sweep already evicts and writes back at the steady-state
 // rate. The warmed tag store is identical for every run of a machine, so
-// it is simulated once and restored from a snapshot on reuse; both engines
-// (sequential and sharded) share the snapshot, since their caches have
-// identical geometry.
+// it is simulated once and restored from a snapshot on reuse.
 func (m *Machine) warmL2(l2 *cache.Banked, warmLines int64) {
 	if warmLines <= 0 {
 		return

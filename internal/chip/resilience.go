@@ -1,13 +1,11 @@
-// Resilient-execution support for both engines: context cancellation wired
-// into the sim engine's cooperative stop flag, the structured errors a run
-// can fail with (cancellation, a wedged shard, an oversubscribed shard
-// request), and the per-shard diagnostics the barrier watchdog reports.
+// Resilient-execution support: context cancellation wired into the sim
+// engine's cooperative stop flag, and the structured error a cancelled run
+// fails with.
 //
 // Design rule: the fault-free hot path must not change. A run with no
 // deadline, no cancelable context and no armed fault plan takes the same
-// code path as before this layer existed — armCancel returns nil, the
-// engine's stop flag stays nil (two compares per tie group), and the
-// sharded engine's watchdog goroutine is never started.
+// code path as before this layer existed — armCancel returns nil and the
+// engine's stop flag stays nil (two compares per tie group).
 package chip
 
 import (
@@ -20,26 +18,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
-
-// ErrShardOversubscribed is returned (wrapped, with the counts) when an
-// explicit worker request exceeds the machine's controller-domain count —
-// the unit of decomposition, and therefore the maximum useful parallelism.
-var ErrShardOversubscribed = errors.New("chip: shard workers exceed the machine's controller domains")
-
-// ErrEpochWidthTooNarrow is returned (wrapped, with both widths) when an
-// explicit ShardOptions.EpochWidth lies below the machine's conservative
-// bound: epochs narrower than the minimum cross-shard latency cannot
-// preserve the delivery invariant, so the request is a configuration error
-// rather than a stricter mode.
-var ErrEpochWidthTooNarrow = errors.New("chip: epoch width below the machine's conservative bound")
-
-// ErrSpeculateNoBatch is returned when ShardOptions requests speculation
-// together with the classic loop: the burst protocol is built on the
-// batched loop's published aggregates (the slot ring generalizes its
-// parity slots), so the classic one-merge-per-epoch loop has nothing for
-// the validator to read. The combination is a configuration error, not a
-// silent fallback.
-var ErrSpeculateNoBatch = errors.New("chip: speculation requires the batched epoch loop (incompatible with NoBatch)")
 
 // errStepBudget is the cancellation cause when an injected step budget
 // (faults.Plan.CancelStep), rather than the caller's context, halted the
@@ -61,79 +39,6 @@ func (e *CancelError) Error() string {
 }
 
 func (e *CancelError) Unwrap() error { return e.Cause }
-
-// ShardDiag is one shard's state snapshot at the moment the watchdog
-// tripped, taken from the per-shard progress atomics the shards publish at
-// every epoch barrier.
-type ShardDiag struct {
-	Shard         int
-	Epoch         int64 // epochs this shard has completed
-	Pending       int   // events on the shard's wheel at its last barrier
-	Mailbox       int   // undelivered outgoing messages at its last barrier
-	BarrierStalls int64 // epochs the shard arrived with no event to run
-}
-
-func (d ShardDiag) String() string {
-	return fmt.Sprintf("shard %d: epoch %d, %d pending, %d mailed, %d barrier stalls",
-		d.Shard, d.Epoch, d.Pending, d.Mailbox, d.BarrierStalls)
-}
-
-// WatchdogError reports a sharded run aborted because no shard completed
-// an epoch for a full watchdog deadline — the failure mode that previously
-// spun at the epoch barrier forever. Shards carries every shard's last
-// published diagnostics so the wedged one is identifiable: it is the one
-// whose epoch count stopped.
-type WatchdogError struct {
-	Deadline time.Duration
-	Epochs   int64 // globally merged epochs at the trip
-	Shards   []ShardDiag
-}
-
-func (e *WatchdogError) Error() string {
-	s := fmt.Sprintf("chip: barrier watchdog tripped: no epoch progress for %s (global epoch %d)", e.Deadline, e.Epochs)
-	for _, d := range e.Shards {
-		s += "\n  " + d.String()
-	}
-	return s
-}
-
-// ShardOptions configures RunShardedCtx.
-type ShardOptions struct {
-	// Workers is the goroutine count; <= 0 means GOMAXPROCS capped at the
-	// domain count. An explicit value above the domain count is an
-	// ErrShardOversubscribed error — use RunSharded for the legacy
-	// silently-capping behavior.
-	Workers int
-	// Watchdog aborts the run with a WatchdogError when no shard completes
-	// an epoch for this long. 0 disables the watchdog (fault-free runs pay
-	// nothing for it).
-	Watchdog time.Duration
-	// EpochWidth overrides the epoch width. 0 (the default) derives the
-	// conservative bound from the machine (Machine.EpochWidth); a smaller
-	// value is an ErrEpochWidthTooNarrow error; a larger value runs relaxed
-	// wide epochs — cross-shard messages whose nominal arrival falls inside
-	// the wider epoch are clamped to its boundary, trading a bounded timing
-	// drift for fewer synchronization points. Relaxed results remain
-	// deterministic and worker-invariant but differ from conservative ones;
-	// they must never be mixed into byte-identity trajectories.
-	EpochWidth sim.Time
-	// Speculate enables optimistic speculative epochs (speculate.go):
-	// shards checkpoint at boundaries whose epoch sent no cross-shard
-	// mail, run bursts of epochs with no exchange, validate at a single
-	// rendezvous and roll back on conflict. Simulation output is
-	// byte-identical with speculation on or off, at any worker count —
-	// only wall-clock time and loop telemetry (epoch counts, barrier
-	// stalls, the Spec* counters) change — so speculation is an execution
-	// budget, not part of any result's identity. Requires the batched
-	// loop; combining it with NoBatch is an ErrSpeculateNoBatch error.
-	Speculate bool
-	// NoBatch selects the classic loop: a full rendezvous (two spin
-	// barriers and a serial merge) per epoch instead of the decentralized
-	// batched exchange. Simulation output is byte-identical either way —
-	// the classic loop is retained as the reference the batched loop is
-	// differentially tested against, and as a fallback.
-	NoBatch bool
-}
 
 // cancelWatch couples a context (and, under fault injection, a
 // deterministic step budget) to one engine's cooperative stop flag. It

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/phys"
 	"repro/internal/trace"
@@ -25,21 +24,18 @@ func (g *signalGen) Next(it *trace.Item) bool {
 	return g.marching.Next(it)
 }
 
-// wedgeGen simulates a wedged shard: after a few items its Next blocks for
-// dur of wall-clock time, stalling the epoch barrier for every shard.
-type wedgeGen struct {
-	marching
-	after int
-	dur   time.Duration
-	slept bool
-}
-
-func (g *wedgeGen) Next(it *trace.Item) bool {
-	if !g.slept && g.pos >= g.after {
-		g.slept = true
-		time.Sleep(g.dur)
+// marchingProg builds a fresh synthetic-triad program (generators are
+// stateful, so every run needs its own): threads strands streaming loads
+// and stores across all controllers, heavy enough to drive misses, dirty
+// evictions, NACK retries and the run-ahead window.
+func marchingProg(threads, items int) *trace.Program {
+	gens := make([]trace.Generator, threads)
+	for i := range gens {
+		gens[i] = &marching{n: items, addr: phys.Addr(i) << 24}
 	}
-	return g.marching.Next(it)
+	p := prog(gens...)
+	p.WarmLines = 2048
+	return p
 }
 
 // TestRunCtxMatchesRun pins the zero-cost contract: a background context
@@ -105,101 +101,5 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	}
 	if res.Cycles <= 0 || res.Threads != threads {
 		t.Fatalf("partial result has no telemetry horizon: %+v", res)
-	}
-}
-
-// TestRunShardedCtxCancelMidRun is the sharded half of the clean-abort
-// contract: every worker exits, the partial Result carries the sharding
-// telemetry, and the machine stays reusable.
-func TestRunShardedCtxCancelMidRun(t *testing.T) {
-	cfg := t2cfg()
-	const threads, items = 16, 1 << 20
-	gens := make([]trace.Generator, threads)
-	started := make(chan struct{})
-	gens[0] = &signalGen{marching: marching{n: items}, started: started}
-	for i := 1; i < threads; i++ {
-		gens[i] = &marching{n: items, addr: phys.Addr(i) << 24}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { <-started; cancel() }()
-	m := New(cfg)
-	res, err := m.RunShardedCtx(ctx, prog(gens...), ShardOptions{Workers: 2})
-	var ce *CancelError
-	if !errors.As(err, &ce) {
-		t.Fatalf("cancelled RunShardedCtx returned %v, want *CancelError", err)
-	}
-	if res.Shards == 0 {
-		t.Fatalf("partial sharded result lost its sharding telemetry: %+v", res)
-	}
-	got := m.RunSharded(marchingProg(8, 40), 2)
-	want := New(cfg).RunSharded(marchingProg(8, 40), 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("machine state leaked across a cancelled sharded run:\n got:  %+v\n want: %+v", got, want)
-	}
-}
-
-// TestRunShardedCtxArmedStaysByteIdentical: arming the resilience envelope
-// (cancelable context + watchdog) on a healthy run must not change one
-// result byte relative to the bare engine.
-func TestRunShardedCtxArmedStaysByteIdentical(t *testing.T) {
-	cfg := t2cfg()
-	want := New(cfg).RunSharded(marchingProg(16, 120), 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	got, err := New(cfg).RunShardedCtx(ctx, marchingProg(16, 120), ShardOptions{Workers: 2, Watchdog: time.Minute})
-	if err != nil {
-		t.Fatalf("armed healthy run failed: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("armed run diverged from bare run:\n armed: %+v\n bare:  %+v", got, want)
-	}
-}
-
-// TestRunShardedCtxOversubscribed pins the named up-front validation: an
-// explicit worker request beyond the controller-domain count fails fast
-// with ErrShardOversubscribed (the legacy RunSharded keeps capping).
-func TestRunShardedCtxOversubscribed(t *testing.T) {
-	cfg := t2cfg() // 4 controller domains
-	_, err := New(cfg).RunShardedCtx(context.Background(), marchingProg(8, 40), ShardOptions{Workers: 5})
-	if !errors.Is(err, ErrShardOversubscribed) {
-		t.Fatalf("workers=5 on a 4-domain machine returned %v, want ErrShardOversubscribed", err)
-	}
-	// The legacy API's documented behavior is a silent cap, not an error.
-	r := New(cfg).RunSharded(marchingProg(8, 40), 64)
-	if r.Shards != 4 {
-		t.Fatalf("legacy RunSharded with workers=64 reported Shards=%d, want 4", r.Shards)
-	}
-}
-
-// TestWatchdogTripOnWedgedShard wedges one shard's generator mid-epoch and
-// asserts the barrier watchdog converts the former infinite spin into a
-// WatchdogError with per-shard diagnostics, leaving the machine reusable.
-func TestWatchdogTripOnWedgedShard(t *testing.T) {
-	cfg := t2cfg()
-	const threads, items = 8, 4000
-	gens := make([]trace.Generator, threads)
-	gens[0] = &wedgeGen{marching: marching{n: items}, after: 50, dur: 500 * time.Millisecond}
-	for i := 1; i < threads; i++ {
-		gens[i] = &marching{n: items, addr: phys.Addr(i) << 24}
-	}
-	p := prog(gens...)
-	p.WarmLines = 2048
-	m := New(cfg)
-	_, err := m.RunShardedCtx(context.Background(), p, ShardOptions{Workers: 2, Watchdog: 30 * time.Millisecond})
-	var we *WatchdogError
-	if !errors.As(err, &we) {
-		t.Fatalf("wedged shard returned %v, want *WatchdogError", err)
-	}
-	if len(we.Shards) != 4 {
-		t.Fatalf("watchdog diagnostics cover %d shards, want 4:\n%v", len(we.Shards), we)
-	}
-	if m.pps != nil {
-		t.Fatal("watchdog trip left the (possibly still referenced) sharded run state cached")
-	}
-	got := m.RunSharded(marchingProg(8, 40), 2)
-	want := New(cfg).RunSharded(marchingProg(8, 40), 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("machine unusable after watchdog trip:\n got:  %+v\n want: %+v", got, want)
 	}
 }

@@ -142,18 +142,6 @@ func (c *Cores) ForEachCursor(f func(cur *sim.Cursor)) {
 	}
 }
 
-// CoreCursors visits one core's pipeline cursors in a fixed order (its
-// issue groups, its FPU, its memory pipes). It exists for per-core
-// checkpointing: the sharded engine assigns whole cores to shards, and a
-// speculating shard snapshots and restores exactly the cores it owns.
-func (c *Cores) CoreCursors(core int, f func(cur *sim.Cursor)) {
-	for g := 0; g < c.cfg.GroupsPerCore; g++ {
-		f(&c.issue[core*c.cfg.GroupsPerCore+g])
-	}
-	f(&c.fpu[core])
-	f(&c.lsu[core])
-}
-
 // Reset clears all pipeline cursors.
 func (c *Cores) Reset() {
 	for i := range c.issue {

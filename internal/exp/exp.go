@@ -196,20 +196,6 @@ type Result struct {
 	FFCycles        int64 `json:"-"`
 	FFJumps         int64 `json:"-"`
 	FFSkippedEpochs int64 `json:"-"`
-	// Sharded-engine telemetry (the matching chip.Result fields): how the
-	// run was partitioned, the epoch width it actually used, how many
-	// synchronization rounds and micro-epochs it executed, and how busy the
-	// shards were. Deterministic descriptions of the computation, excluded
-	// from JSON like the rest of the telemetry.
-	Shards          int64 `json:"-"`
-	EpochWidth      int64 `json:"-"`
-	Epochs          int64 `json:"-"` // synchronization rounds (merges, or batched rounds)
-	BatchedEpochs   int64 `json:"-"` // micro-epochs executed (== Epochs without batching)
-	BarrierStalls   int64 `json:"-"`
-	BusyShardRounds int64 `json:"-"` // (shard, round) pairs that executed at least one event
-	SpecEpochs      int64 `json:"-"` // micro-epochs executed inside committed speculative bursts
-	SpecCommits     int64 `json:"-"` // speculative bursts that validated and committed
-	SpecRollbacks   int64 `json:"-"` // speculative bursts rolled back and re-executed
 }
 
 // Scratch is a per-worker reuse arena. Every point a worker evaluates
@@ -225,8 +211,8 @@ type Scratch struct {
 	vals map[any]any
 
 	// Ctx is the sweep's context, set by the runner so point closures can
-	// thread cancellation into chip.Machine.RunCtx/RunShardedCtx. Closures
-	// should read it through Context, which never returns nil.
+	// thread cancellation into chip.Machine.RunCtx. Closures should read it
+	// through Context, which never returns nil.
 	Ctx context.Context
 }
 
@@ -296,14 +282,12 @@ type Outcome struct {
 	// on a fault-free run every field is zero, so BENCH_*.json trajectories
 	// stay byte-stable. Retries counts attempts beyond each point's first
 	// (including retries that recovered); PointErrors counts points that
-	// exhausted their attempt budget; WatchdogTrips counts point failures
-	// carrying a chip.WatchdogError; CancelLatencyMS is the largest
+	// exhausted their attempt budget; CancelLatencyMS is the largest
 	// observed cancel→halt latency among aborted points; Cancelled marks a
 	// sweep cut short by its context, in which case Points holds only the
 	// points that completed (at their original indices).
 	Retries         int64   `json:"-"`
 	PointErrors     int64   `json:"-"`
-	WatchdogTrips   int64   `json:"-"`
 	CancelLatencyMS float64 `json:"-"`
 	Cancelled       bool    `json:"-"`
 }
@@ -356,53 +340,6 @@ func (o Outcome) FastForwardJumpTotals() (jumps, skipped int64) {
 		skipped += pr.Result.FFSkippedEpochs
 	}
 	return jumps, skipped
-}
-
-// ShardTotals aggregates the sharded-engine telemetry over a sweep.
-// Shards and Width are the maximum domain count and epoch width seen (0
-// when every point ran sequentially) — ground truth from the engine, not a
-// mirror of its derivation; the counters are sums over all points.
-type ShardTotals struct {
-	Shards        int64 // max controller domains over the points
-	Width         int64 // max epoch width over the points
-	Epochs        int64 // synchronization rounds executed
-	BatchedEpochs int64 // micro-epochs executed
-	Stalls        int64 // (shard, micro-epoch) pairs with no local work
-	BusyRounds    int64 // (shard, round) pairs that executed at least one event
-	SpecEpochs    int64 // micro-epochs executed inside committed speculative bursts
-	SpecCommits   int64 // speculative bursts committed
-	SpecRollbacks int64 // speculative bursts rolled back
-}
-
-// BusyShardPct is the sweep-level busy-shard percentage: of all
-// (shard, synchronization round) pairs, how many saw the shard execute at
-// least one event. 0 when nothing ran sharded.
-func (t ShardTotals) BusyShardPct() float64 {
-	if t.Shards == 0 || t.Epochs == 0 {
-		return 0
-	}
-	return 100 * float64(t.BusyRounds) / float64(t.Shards*t.Epochs)
-}
-
-// ShardTotals sums the sharded-engine telemetry over every point.
-func (o Outcome) ShardTotals() ShardTotals {
-	var t ShardTotals
-	for _, pr := range o.Points {
-		if pr.Result.Shards > t.Shards {
-			t.Shards = pr.Result.Shards
-		}
-		if pr.Result.EpochWidth > t.Width {
-			t.Width = pr.Result.EpochWidth
-		}
-		t.Epochs += pr.Result.Epochs
-		t.BatchedEpochs += pr.Result.BatchedEpochs
-		t.Stalls += pr.Result.BarrierStalls
-		t.BusyRounds += pr.Result.BusyShardRounds
-		t.SpecEpochs += pr.Result.SpecEpochs
-		t.SpecCommits += pr.Result.SpecCommits
-		t.SpecRollbacks += pr.Result.SpecRollbacks
-	}
-	return t
 }
 
 // JSON marshals the outcome canonically (indented, map keys sorted by

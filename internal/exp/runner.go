@@ -21,10 +21,10 @@ import (
 //
 // Retries re-evaluates a failed point up to that many extra times before
 // recording it as failed; points are deterministic in their parameters, so
-// this only ever recovers environmental faults (an injected fault plan, a
-// watchdog trip on a loaded host), never masks a harness bug — a point
-// that fails deterministically fails all its attempts identically. Backoff
-// is the pause before the first retry, doubling each further attempt.
+// this only ever recovers environmental faults (an injected fault plan),
+// never masks a harness bug — a point that fails deterministically fails
+// all its attempts identically. Backoff is the pause before the first
+// retry, doubling each further attempt.
 // Pool, when set, supplies the workers' Scratch arenas from a shared
 // bounded free list instead of building one per worker per sweep, so a
 // long-running caller (the t2simd service) reuses cached machines across
@@ -142,12 +142,6 @@ feed:
 		}
 	}
 	out.PointErrors = int64(len(errs))
-	for _, pe := range errs {
-		var we *chip.WatchdogError
-		if errors.As(pe.Err, &we) {
-			out.WatchdogTrips++
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		out.Cancelled = true
 		out.noteCancelLatency(errs)
@@ -253,32 +247,6 @@ func describeParams(params map[string]any) string {
 		parts[i] = fmt.Sprintf("%s=%v", n, params[n])
 	}
 	return strings.Join(parts, " ")
-}
-
-// ShardBudget resolves the intra-run worker count for the chip's sharded
-// engine so sweep-level and run-level parallelism share one core budget
-// instead of oversubscribing: with jobs sweep workers each run gets
-// max(1, GOMAXPROCS/jobs) goroutines, and an explicit positive request
-// caps that further. requested == 0 keeps the sequential engine (returns
-// 0); requested < 0 is "auto" (the full per-run budget). The returned
-// worker count only ever changes wall-clock time — the sharded engine's
-// results are invariant under it — so deriving it from the host's core
-// count never leaks into a trajectory.
-func ShardBudget(requested, jobs int) int {
-	if requested == 0 {
-		return 0
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	budget := runtime.GOMAXPROCS(0) / jobs
-	if budget < 1 {
-		budget = 1
-	}
-	if requested > 0 && requested < budget {
-		budget = requested
-	}
-	return budget
 }
 
 // Run executes the experiment with the default runner (GOMAXPROCS

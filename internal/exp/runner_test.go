@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -187,34 +186,5 @@ func TestScratchContextDefault(t *testing.T) {
 	var sc Scratch
 	if sc.Context() == nil || sc.Context().Err() != nil {
 		t.Fatal("zero Scratch does not default to a live background context")
-	}
-}
-
-// TestShardBudgetEdgeCases pins the budget arithmetic at its boundaries:
-// sequential stays sequential, "auto" fills the per-run budget, explicit
-// requests only ever shrink it, and degenerate jobs counts (zero,
-// negative, more jobs than cores) all collapse to a sane floor of one
-// worker instead of oversubscribing or dividing by zero.
-func TestShardBudgetEdgeCases(t *testing.T) {
-	maxprocs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		name            string
-		requested, jobs int
-		want            int
-	}{
-		{"sequential", 0, 4, 0},
-		{"sequential ignores degenerate jobs", 0, -3, 0},
-		{"auto with zero jobs (defaults to GOMAXPROCS)", -1, 0, 1},
-		{"auto with negative jobs", -1, -8, 1},
-		{"auto with one job gets everything", -1, 1, maxprocs},
-		{"jobs beyond cores floor at one worker", -1, maxprocs * 4, 1},
-		{"explicit request caps the budget", 1, 1, 1},
-		{"oversubscribed request is clamped", maxprocs * 16, 1, maxprocs},
-		{"request larger than per-job share is clamped", maxprocs * 16, maxprocs * 2, 1},
-	}
-	for _, c := range cases {
-		if got := ShardBudget(c.requested, c.jobs); got != c.want {
-			t.Errorf("%s: ShardBudget(%d, %d) = %d, want %d", c.name, c.requested, c.jobs, got, c.want)
-		}
 	}
 }

@@ -1,25 +1,25 @@
 // Package faults is a deterministic, seed-driven fault-injection harness
 // for the execution stack. The simulator's recovery machinery — per-point
 // panic isolation and retry in exp, the fast-forward rollback checkpoint in
-// chip/forward.go, the epoch-barrier watchdog in chip/parallel.go, and
-// cooperative engine cancellation — would otherwise only run when something
-// is genuinely broken, which is exactly when it must not be exercised for
-// the first time. This package lets tests inject each failure class on
+// chip/forward.go, cooperative engine cancellation, and the t2simd
+// service's recovery paths — would otherwise only run when something is
+// genuinely broken, which is exactly when it must not be exercised for the
+// first time. This package lets tests inject each failure class on
 // demand, reproducibly.
 //
-// The hooks (PointFault, FFDecline, ShardStall, CancelStep) are compiled to
-// empty inlineable stubs unless the build tag `faultinject` is set
-// (BuildEnabled reports which build this is), so production binaries and
-// the default test tier carry zero overhead and zero behavior change. Under
-// the tag, a test arms a Plan with Arm; unarmed hooks still do nothing, so
-// the whole test suite passes under `-tags faultinject` with only the
-// fault-injection tests observing injected failures.
+// The hooks (PointFault, FFDecline, CancelStep and the service hooks) are
+// compiled to empty inlineable stubs unless the build tag `faultinject` is
+// set (BuildEnabled reports which build this is), so production binaries
+// and the default test tier carry zero overhead and zero behavior change.
+// Under the tag, a test arms a Plan with Arm; unarmed hooks still do
+// nothing, so the whole test suite passes under `-tags faultinject` with
+// only the fault-injection tests observing injected failures.
 //
 // Determinism: every injected fault is a pure function of the Plan — which
-// points panic, which epoch stalls, which step cancels — and the Plan's
-// fields are derived from a single Seed through a splitmix64 stream
-// (Rand/PickPoints), never from wall clock or runtime randomness. A failing
-// injected run reproduces from its seed.
+// points panic, which step cancels — and the Plan's fields are derived
+// from a single Seed through a splitmix64 stream (Rand/PickPoints), never
+// from wall clock or runtime randomness. A failing injected run reproduces
+// from its seed.
 package faults
 
 import (
@@ -55,28 +55,6 @@ type Plan struct {
 	// committed. Results must be byte-identical anyway; that is the test.
 	DeclineJumps bool
 
-	// Shard stall (hook: ShardStall, called by the sharded engine's epoch
-	// loop): delay StallShard by StallFor of wall-clock time once its epoch
-	// ordinal reaches StallEpoch, to trip the barrier watchdog. StallOnce
-	// limits the injection to a single epoch so a retried run succeeds.
-	StallShard int
-	StallEpoch int64
-	StallFor   time.Duration
-	StallOnce  bool
-
-	// Speculation conflicts (hook: SpecConflict, called by the sharded
-	// engine's burst validator with the burst ordinal — commits plus
-	// rollbacks so far). A matching ordinal forces the burst's validation
-	// to fail, rolling every shard back to its checkpoint. Every worker
-	// calls the hook with the same ordinal and gets the same verdict, so
-	// injected conflicts preserve the engine's determinism. Ordinals >=
-	// SpecConflictFrom with (ordinal - SpecConflictFrom) divisible by
-	// SpecConflictEvery are injected; SpecConflictEvery == 0 injects
-	// nothing, SpecConflictEvery == 1 is a rollback storm: every burst
-	// fails until the throttle collapses speculation entirely.
-	SpecConflictFrom  int64
-	SpecConflictEvery int64
-
 	// CancelStep arms the sequential engine's deterministic step budget
 	// (hook: CancelStep → sim.Engine.StopAt): the run halts cooperatively
 	// at ~this event step, standing in for a context cancelled mid-run at a
@@ -98,7 +76,6 @@ type Plan struct {
 	CorruptCachePuts int
 	ServiceStallFor  time.Duration
 
-	stallsDone   atomic.Int64
 	corruptsDone atomic.Int64
 }
 
@@ -160,8 +137,6 @@ type Counters struct {
 	PointPanics      int64 // injected panics delivered
 	PointFails       int64 // injected transient errors returned
 	FFDeclines       int64 // validated fast-forward jumps forcibly declined
-	ShardStalls      int64 // shard epoch delays injected
-	SpecConflicts    int64 // speculative-burst validations forced to fail (per worker per burst)
 	StepCancels      int64 // engine halts caused by an armed step budget
 	RequestPanics    int64 // injected mid-request handler panics
 	CacheCorruptions int64 // cache entries corrupted after insertion
@@ -172,8 +147,6 @@ var counters struct {
 	pointPanics      atomic.Int64
 	pointFails       atomic.Int64
 	ffDeclines       atomic.Int64
-	shardStalls      atomic.Int64
-	specConflicts    atomic.Int64
 	stepCancels      atomic.Int64
 	requestPanics    atomic.Int64
 	cacheCorruptions atomic.Int64
@@ -186,8 +159,6 @@ func Stats() Counters {
 		PointPanics:      counters.pointPanics.Load(),
 		PointFails:       counters.pointFails.Load(),
 		FFDeclines:       counters.ffDeclines.Load(),
-		ShardStalls:      counters.shardStalls.Load(),
-		SpecConflicts:    counters.specConflicts.Load(),
 		StepCancels:      counters.stepCancels.Load(),
 		RequestPanics:    counters.requestPanics.Load(),
 		CacheCorruptions: counters.cacheCorruptions.Load(),
@@ -200,8 +171,6 @@ func ResetStats() {
 	counters.pointPanics.Store(0)
 	counters.pointFails.Store(0)
 	counters.ffDeclines.Store(0)
-	counters.shardStalls.Store(0)
-	counters.specConflicts.Store(0)
 	counters.stepCancels.Store(0)
 	counters.requestPanics.Store(0)
 	counters.cacheCorruptions.Store(0)

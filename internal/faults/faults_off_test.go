@@ -21,7 +21,6 @@ func TestProductionBuildIsInert(t *testing.T) {
 	if FFDecline() {
 		t.Fatal("FFDecline returned true")
 	}
-	ShardStall(0, 0)
 	RequestFault(1)
 	if CacheCorrupt() {
 		t.Fatal("CacheCorrupt returned true")

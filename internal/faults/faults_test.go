@@ -5,7 +5,6 @@ package faults
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestPointFaultInjection pins the point-fault contract: listed points
@@ -53,27 +52,11 @@ func TestDisarmedHooksAreInert(t *testing.T) {
 	if FFDecline() {
 		t.Fatal("disarmed FFDecline returned true")
 	}
-	ShardStall(0, 0)
 	if CancelStep() != 0 {
 		t.Fatal("disarmed CancelStep returned nonzero")
 	}
 	if st := Stats(); st != (Counters{}) {
 		t.Fatalf("disarmed hooks moved counters: %+v", st)
-	}
-}
-
-// TestShardStallOnce pins the single-fire contract used by
-// watchdog-then-retry tests.
-func TestShardStallOnce(t *testing.T) {
-	p := &Plan{StallShard: 1, StallEpoch: 2, StallFor: time.Microsecond, StallOnce: true}
-	Arm(p)
-	defer Disarm()
-	ShardStall(0, 5) // wrong shard
-	ShardStall(1, 1) // too early
-	ShardStall(1, 2) // fires
-	ShardStall(1, 3) // StallOnce: spent
-	if st := Stats(); st.ShardStalls != 1 {
-		t.Fatalf("ShardStalls = %d, want 1", st.ShardStalls)
 	}
 }
 

@@ -17,12 +17,6 @@ func PointFault(index, attempt int) error { return nil }
 // FFDecline injects nothing in a production build.
 func FFDecline() bool { return false }
 
-// ShardStall injects nothing in a production build.
-func ShardStall(shard int, epoch int64) {}
-
-// SpecConflict injects nothing in a production build.
-func SpecConflict(burst int64) bool { return false }
-
 // RequestFault injects nothing in a production build.
 func RequestFault(ordinal int) {}
 

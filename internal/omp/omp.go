@@ -35,9 +35,9 @@ type Schedule interface {
 	// for the self-scheduling policies (dynamic, guided), whose shared grab
 	// counter makes the assignment depend on the cross-thread order of
 	// Next calls. Kernels propagate this to trace.Program.SharedSched; the
-	// chip's sharded engine runs only per-thread programs, because shards
-	// consume their strands' generators in an order that differs from
-	// global simulation-time order.
+	// chip's iteration-periodic fast-forward runs only per-thread programs,
+	// because skipping one strand's iterations would reorder the shared
+	// grab sequence the other strands see.
 	PerThread() bool
 }
 

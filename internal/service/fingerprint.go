@@ -13,31 +13,22 @@ import (
 
 // fingerprint computes the canonical content address of a resolved sweep.
 // The simulator is deterministic — a grid point's result is a pure
-// function of (machine profile, program, placement, engine kind, epoch
-// width) — so two requests with equal fingerprints are guaranteed
-// byte-identical responses, which is what makes the result cache and the
-// singleflight group safe rather than merely probabilistic.
+// function of (machine profile, program, placement) — so two requests
+// with equal fingerprints are guaranteed byte-identical responses, which
+// is what makes the result cache and the singleflight group safe rather
+// than merely probabilistic.
 //
 // What enters the hash, and why:
 //
 //   - the figure name and every expanded grid point, each rendered
 //     canonically (sorted parameter names, type-tagged scalar values) —
 //     the program and placement axis;
-//   - the resolved machine profile name — the machine axis;
-//   - the engine kind ("seq" or "sharded") — the sharded engine's epoch
-//     semantics differ slightly from the sequential engine's, so the two
-//     may not share cache entries;
-//   - the relaxed epoch width when one is armed (the normalized request
-//     has already folded "explicitly conservative" into 0) — relaxed
-//     results differ by design.
+//   - the resolved machine profile name — the machine axis.
 //
-// What stays out, and why: the sweep-pool job count, the shard worker
-// count, the request deadline and the speculate flag are execution
-// budget — the engines' results are invariant under all four (pinned by
-// the repo's determinism, shard-invariance and speculative-equivalence
-// tests; speculation commits only bursts that validate as byte-identical
-// to conservative execution), so hashing them would only split the cache
-// and defeat dedup. JSON field order and default-filled
+// What stays out, and why: the sweep-pool job count and the request
+// deadline are execution budget — results are invariant under both
+// (pinned by the repo's determinism tests), so hashing them would only
+// split the cache and defeat dedup. JSON field order and default-filled
 // optional fields never reach the hash at all: requests are parsed into
 // a struct and normalized before fingerprinting. All of this is pinned
 // by the property tests in fingerprint_test.go.
@@ -45,14 +36,6 @@ func fingerprint(r *Resolved) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "figure=%s\n", r.Figure.Name)
 	fmt.Fprintf(h, "machine=%s\n", r.Profile.Name)
-	engine := "seq"
-	if r.Req.Shards != 0 {
-		engine = "sharded"
-	}
-	fmt.Fprintf(h, "engine=%s\n", engine)
-	if r.Req.EpochWidth != 0 {
-		fmt.Fprintf(h, "epoch-width=%d\n", r.Req.EpochWidth)
-	}
 	writePoints(h, r.Figure.Exp.Points())
 	return hex.EncodeToString(h.Sum(nil))
 }

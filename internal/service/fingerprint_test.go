@@ -2,14 +2,11 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/chip"
 	"repro/internal/exp"
-	"repro/internal/machine"
 )
 
 // resolveBody parses a raw JSON request body (so field order and explicit
@@ -36,9 +33,9 @@ func TestFingerprintFieldOrderAndDefaultsInvariant(t *testing.T) {
 		`{"figure":"fig2"}`,
 		`{"scale":"full","figure":"fig2"}`,
 		`{"machine":"t2","figure":"fig2"}`,
-		`{"figure":"fig2","scale":"full","machine":"t2","jobs":0,"shards":0,"epoch_width":0,"relaxed_ok":false,"timeout_ms":0}`,
-		`{"timeout_ms":0,"relaxed_ok":false,"epoch_width":0,"shards":0,"jobs":0,"machine":"t2","scale":"full","figure":"fig2"}`,
-		`{"jobs":0,"figure":"fig2","timeout_ms":0,"machine":"t2","shards":0,"scale":"full"}`,
+		`{"figure":"fig2","scale":"full","machine":"t2","jobs":0,"timeout_ms":0}`,
+		`{"timeout_ms":0,"jobs":0,"machine":"t2","scale":"full","figure":"fig2"}`,
+		`{"jobs":0,"figure":"fig2","timeout_ms":0,"machine":"t2","scale":"full"}`,
 	}
 	want := resolveBody(t, bodies[0]).Key
 	for _, b := range bodies[1:] {
@@ -48,66 +45,25 @@ func TestFingerprintFieldOrderAndDefaultsInvariant(t *testing.T) {
 	}
 }
 
-// TestFingerprintExecutionBudgetExcluded: jobs, the shard worker count and
-// the timeout never change a result byte, so they must not split the
-// cache. The engine *kind* (seq vs sharded) is result-relevant and must.
+// TestFingerprintExecutionBudgetExcluded: jobs and the timeout never change
+// a result byte, so they must not split the cache.
 func TestFingerprintExecutionBudgetExcluded(t *testing.T) {
-	seq := resolveBody(t, `{"figure":"fig4"}`).Key
+	base := resolveBody(t, `{"figure":"fig4"}`).Key
 	for _, b := range []string{
 		`{"figure":"fig4","jobs":1}`,
 		`{"figure":"fig4","jobs":7}`,
 		`{"figure":"fig4","timeout_ms":60000}`,
 		`{"figure":"fig4","jobs":3,"timeout_ms":1500}`,
 	} {
-		if got := resolveBody(t, b).Key; got != seq {
-			t.Errorf("execution budget leaked into fingerprint: %s -> %s, base %s", b, got, seq)
+		if got := resolveBody(t, b).Key; got != base {
+			t.Errorf("execution budget leaked into fingerprint: %s -> %s, base %s", b, got, base)
 		}
-	}
-
-	sharded := resolveBody(t, `{"figure":"fig4","shards":1}`).Key
-	for _, b := range []string{
-		`{"figure":"fig4","shards":2}`,
-		`{"figure":"fig4","shards":4}`,
-		`{"figure":"fig4","shards":-1}`,
-		`{"figure":"fig4","shards":1,"jobs":2,"timeout_ms":9000}`,
-	} {
-		if got := resolveBody(t, b).Key; got != sharded {
-			t.Errorf("shard worker count leaked into fingerprint: %s -> %s, base %s", b, got, sharded)
-		}
-	}
-
-	if seq == sharded {
-		t.Errorf("engine kind missing from fingerprint: seq and sharded share key %s", seq)
-	}
-}
-
-// TestFingerprintSpeculateExcluded: speculation is execution budget — the
-// engine commits only bursts that validate as byte-identical to
-// conservative execution — so two requests differing only in the
-// speculate flag (at any worker count) must share a fingerprint: a
-// speculative request may be served a conservative run's cached result
-// and vice versa. A speculative request without shards is a validation
-// error, mirroring the CLI gate.
-func TestFingerprintSpeculateExcluded(t *testing.T) {
-	conservative := resolveBody(t, `{"figure":"fig4","shards":2}`).Key
-	for _, b := range []string{
-		`{"figure":"fig4","shards":2,"speculate":true}`,
-		`{"figure":"fig4","shards":4,"speculate":true}`,
-		`{"figure":"fig4","shards":-1,"speculate":true,"jobs":2}`,
-	} {
-		if got := resolveBody(t, b).Key; got != conservative {
-			t.Errorf("speculate flag leaked into fingerprint: %s -> %s, base %s", b, got, conservative)
-		}
-	}
-
-	if _, err := Resolve(SweepRequest{Figure: "fig4", Speculate: true}, nil, 4, time.Minute); err == nil {
-		t.Error("speculate without shards resolved; want a validation error")
 	}
 }
 
 // TestFingerprintDistinguishesResultAxes: anything that changes what is
-// simulated — figure, grid scale, machine profile, a placement axis value,
-// a relaxed epoch width — must change the key.
+// simulated — figure, grid scale, machine profile, a placement axis value —
+// must change the key.
 func TestFingerprintDistinguishesResultAxes(t *testing.T) {
 	base := resolveBody(t, `{"figure":"fig2"}`).Key
 	for name, body := range map[string]string{
@@ -147,36 +103,6 @@ func TestFingerprintPlacementDistinct(t *testing.T) {
 	}
 	if plain.Key == seg.Key {
 		t.Errorf("placement axis value missing from fingerprint: both keys %s", plain.Key)
-	}
-}
-
-// TestFingerprintEpochWidthNormalization: explicitly requesting the
-// machine-derived conservative epoch width is the default-filled spelling
-// of leaving it 0 — same results, same key — while a genuinely relaxed
-// width is result-relevant and gets its own key.
-func TestFingerprintEpochWidthNormalization(t *testing.T) {
-	prof, err := machine.Get(machine.DefaultName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived := int64(chip.New(prof.Config).EpochWidth())
-
-	conservative := resolveBody(t, `{"figure":"fig4","shards":2}`)
-	explicit := resolveBody(t, fmt.Sprintf(`{"figure":"fig4","shards":2,"epoch_width":%d}`, derived))
-	if explicit.Key != conservative.Key {
-		t.Errorf("explicit conservative width %d not folded: key %s vs %s", derived, explicit.Key, conservative.Key)
-	}
-	if explicit.Req.EpochWidth != 0 {
-		t.Errorf("normalized request kept epoch_width %d, want 0", explicit.Req.EpochWidth)
-	}
-
-	relaxed := resolveBody(t, fmt.Sprintf(`{"figure":"fig4","shards":2,"epoch_width":%d,"relaxed_ok":true}`, 2*derived))
-	if relaxed.Key == conservative.Key {
-		t.Errorf("relaxed width shares key with conservative run: %s", relaxed.Key)
-	}
-	wider := resolveBody(t, fmt.Sprintf(`{"figure":"fig4","shards":2,"epoch_width":%d,"relaxed_ok":true}`, 4*derived))
-	if wider.Key == relaxed.Key {
-		t.Errorf("distinct relaxed widths share key %s", wider.Key)
 	}
 }
 

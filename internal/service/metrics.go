@@ -21,7 +21,6 @@ type metrics struct {
 	requestPanics atomic.Int64 // handler panics converted to 500s
 	retries       atomic.Int64 // point retries spent across all sweeps
 	pointErrors   atomic.Int64 // points that exhausted their attempt budget
-	watchdogTrips atomic.Int64 // sweeps that tripped the epoch-barrier watchdog
 	cancelled     atomic.Int64 // sweeps aborted by deadline, client or drain
 	drainCancels  atomic.Int64 // in-flight sweeps cancelled by the drain deadline
 }
@@ -51,7 +50,6 @@ func (s *Server) renderMetrics(w io.Writer) {
 		{"t2simd_request_panics_total", s.m.requestPanics.Load()},
 		{"t2simd_retries_total", s.m.retries.Load()},
 		{"t2simd_point_errors_total", s.m.pointErrors.Load()},
-		{"t2simd_watchdog_trips_total", s.m.watchdogTrips.Load()},
 		{"t2simd_cancelled_total", s.m.cancelled.Load()},
 		{"t2simd_drain_cancels_total", s.m.drainCancels.Load()},
 		{"t2simd_queue_depth", s.waiting.Load()},

@@ -19,19 +19,15 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/chip"
-	"repro/internal/exp"
 	"repro/internal/machine"
 )
 
 // SweepRequest is the wire shape of one sweep submission: which figure
 // experiment to run, on which machine profile, and with what execution
-// budget. Only the result-relevant fields (figure, scale, machine, the
-// engine kind implied by shards, a relaxed epoch width) enter the cache
-// fingerprint; jobs, the shard worker count, the timeout and the
-// speculate flag are execution budget and never change a result byte, so
-// they are deliberately excluded (pinned by the fingerprint property
-// tests).
+// budget. Only the result-relevant fields (figure, scale, machine) enter
+// the cache fingerprint; jobs and the timeout are execution budget and
+// never change a result byte, so they are deliberately excluded (pinned by
+// the fingerprint property tests).
 type SweepRequest struct {
 	// Figure names an experiment in the figure registry: fig2, fig4, fig5,
 	// fig6, fig7 or scaling. Required.
@@ -43,27 +39,6 @@ type SweepRequest struct {
 	// Jobs caps the sweep-pool worker goroutines for this request; 0 or
 	// negative accepts the server's budget. Execution-only.
 	Jobs int `json:"jobs,omitempty"`
-	// Shards selects the engine: 0 (default) runs the sequential engine,
-	// a positive value runs the controller-domain sharded engine with up
-	// to that many workers, -1 is sharded with the full per-run budget.
-	// The engine kind is result-relevant (the sharded engine's epoch
-	// semantics differ slightly from the sequential default); the worker
-	// count is not (sharded results are invariant under it).
-	Shards int `json:"shards,omitempty"`
-	// EpochWidth overrides the sharded engine's epoch width in cycles.
-	// 0 derives the conservative bound. A wider value runs relaxed epochs
-	// whose results differ and, because every response is a JSON
-	// trajectory, requires RelaxedOK — the same gate the CLIs put behind
-	// -relaxed-ok.
-	EpochWidth int64 `json:"epoch_width,omitempty"`
-	RelaxedOK  bool  `json:"relaxed_ok,omitempty"`
-	// Speculate runs the sharded engine's optimistic speculative bursts.
-	// Requires Shards. Execution-only: results are byte-identical with
-	// speculation on or off (the engine's speculation contract), so like
-	// Jobs and the worker count it never enters the cache fingerprint — a
-	// speculative request may be served a conservative run's cached result
-	// and vice versa.
-	Speculate bool `json:"speculate,omitempty"`
 	// TimeoutMS bounds the request's execution in wall-clock milliseconds;
 	// 0 accepts the server's ceiling. Execution-only.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -78,13 +53,13 @@ type Registry func(bench.Options) []bench.Figure
 // and scaled options it runs on, the figure experiment, the canonical
 // fingerprint addressing its result, and the execution budget.
 type Resolved struct {
-	Req     SweepRequest // normalized: defaults filled, width canonicalized
+	Req     SweepRequest // normalized: defaults filled
 	Profile machine.Profile
 	Options bench.Options
 	Figure  bench.Figure
 	// Key is the canonical content address of this sweep's result: a
-	// stable hash over the figure, profile, engine kind, relaxed epoch
-	// width and every normalized grid point. See fingerprint.go.
+	// stable hash over the figure, profile and every normalized grid
+	// point. See fingerprint.go.
 	Key string
 	// Jobs is the resolved sweep-pool worker count; Timeout the resolved
 	// execution deadline. Both are execution budget, absent from Key.
@@ -127,14 +102,6 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 	}
 	o = o.WithProfile(prof)
 
-	// Engine selection mirrors the cmd/figures flag validation: shards
-	// beyond the profile's controller domains is a misconfiguration, and a
-	// relaxed epoch width must be opted into because the response is a
-	// JSON trajectory.
-	if d := prof.Config.Mapping.Controllers(); req.Shards > d {
-		return nil, fmt.Errorf("service: %w: shards %d, machine %s has %d controller domains",
-			chip.ErrShardOversubscribed, req.Shards, prof.Name, d)
-	}
 	if req.Jobs < 0 {
 		req.Jobs = 0
 	}
@@ -144,30 +111,6 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 	if jobs < 1 {
 		jobs = 1
 	}
-	o.Shards = exp.ShardBudget(req.Shards, jobs)
-	if req.EpochWidth != 0 {
-		if req.Shards == 0 {
-			return nil, fmt.Errorf("service: epoch_width only applies to the sharded engine; set shards too")
-		}
-		derived := int64(chip.New(prof.Config).EpochWidth())
-		if req.EpochWidth < derived {
-			return nil, fmt.Errorf("service: %w: epoch_width %d, machine %s derives %d",
-				chip.ErrEpochWidthTooNarrow, req.EpochWidth, prof.Name, derived)
-		}
-		if req.EpochWidth == derived {
-			// Spelling out the conservative bound is the default-filled
-			// form of leaving it 0: same results, same fingerprint.
-			req.EpochWidth = 0
-		} else if !req.RelaxedOK {
-			return nil, fmt.Errorf("service: epoch_width %d is relaxed (conservative bound %d): refusing a JSON trajectory without relaxed_ok",
-				req.EpochWidth, derived)
-		}
-	}
-	o.EpochWidth = req.EpochWidth
-	if req.Speculate && req.Shards == 0 {
-		return nil, fmt.Errorf("service: speculate only applies to the sharded engine; set shards too")
-	}
-	o.Speculate = req.Speculate
 
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)

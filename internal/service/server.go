@@ -280,7 +280,6 @@ func (s *Server) admitAndRun(res *Resolved) ([]byte, error) {
 	out, err := runner.RunContext(ctx, res.Figure.Exp)
 	s.m.retries.Add(out.Retries)
 	s.m.pointErrors.Add(out.PointErrors)
-	s.m.watchdogTrips.Add(out.WatchdogTrips)
 	if err != nil {
 		s.m.execErrors.Add(1)
 		if out.Cancelled {

@@ -447,10 +447,13 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown figure", `{"figure":"fig99"}`, http.StatusBadRequest},
 		{"unknown scale", `{"figure":"fig2","scale":"medium"}`, http.StatusBadRequest},
 		{"unknown machine", `{"figure":"fig2","machine":"cray1"}`, http.StatusBadRequest},
+		// The retired sharded-engine fields are unknown fields now: a
+		// request that still carries any of them is refused, not ignored.
+		{"unknown shards field", `{"figure":"fig2","shards":2}`, http.StatusBadRequest},
 		{"oversubscribed shards", `{"figure":"fig2","shards":999}`, http.StatusBadRequest},
 		{"epoch width without shards", `{"figure":"fig2","epoch_width":4096}`, http.StatusBadRequest},
 		{"too narrow epoch width", `{"figure":"fig2","shards":2,"epoch_width":1}`, http.StatusBadRequest},
-		{"relaxed width without opt-in", `{"figure":"fig2","shards":2,"epoch_width":1000000000}`, http.StatusBadRequest},
+		{"relaxed width without opt-in", `{"figure":"fig2","epoch_width":1000000000,"relaxed_ok":false}`, http.StatusBadRequest},
 		{"negative timeout", `{"figure":"fig2","timeout_ms":-5}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

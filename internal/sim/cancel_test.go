@@ -58,22 +58,6 @@ func TestStopAtBudgetIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestStopFlagHaltsRunUntil covers the bounded-run loop used by the
-// sharded engine's epochs.
-func TestStopFlagHaltsRunUntil(t *testing.T) {
-	e := chainEngine()
-	var stop atomic.Bool
-	stop.Store(true)
-	e.SetStop(&stop)
-	e.RunUntil(1 << 20)
-	if !e.Interrupted() {
-		t.Fatal("Interrupted() = false after a stopped RunUntil")
-	}
-	if e.Now() == 1<<20 {
-		t.Fatal("stopped RunUntil still fast-forwarded the clock to the bound")
-	}
-}
-
 // TestResetDisarmsStop proves Reset returns the engine to the unarmed
 // zero-cost path.
 func TestResetDisarmsStop(t *testing.T) {

@@ -151,9 +151,9 @@ func (e *Engine) SetHandler(h Handler) { e.handler = h }
 // a millisecond of wall clock (a tie-group drain is microseconds at most).
 const stopPollInterval = 1024
 
-// SetStop installs (or, with nil, removes) a cancellation flag. Run and
-// RunUntil poll it cooperatively and return early once it is set, leaving
-// pending events in place; Interrupted reports whether that happened.
+// SetStop installs (or, with nil, removes) a cancellation flag. Run polls
+// it cooperatively and returns early once it is set, leaving pending
+// events in place; Interrupted reports whether that happened.
 // The flag may be set from another goroutine — it is the engine's only
 // cross-goroutine input.
 func (e *Engine) SetStop(stop *atomic.Bool) {
@@ -172,7 +172,7 @@ func (e *Engine) StopAt(steps uint64) {
 	e.halted = false
 }
 
-// Interrupted reports whether the last Run/RunUntil returned early because
+// Interrupted reports whether the last Run returned early because
 // the stop flag or the step budget fired.
 func (e *Engine) Interrupted() bool { return e.halted }
 
@@ -584,88 +584,6 @@ func (e *Engine) Run() {
 			// the past is impossible.
 		}
 	}
-}
-
-// peek returns the earliest pending timestamp.
-func (e *Engine) peek() (Time, bool) {
-	if e.heapMode {
-		if len(e.events) == 0 {
-			return 0, false
-		}
-		return e.events[0].when, true
-	}
-	if e.count == 0 {
-		return 0, false
-	}
-	b := &e.slots[e.earliestSlot()]
-	return b.evs[b.head].when, true
-}
-
-// PeekTime returns the earliest pending timestamp without executing or
-// removing anything, and ok=false when no events are pending. The sharded
-// engine's epoch scheduler uses it to skip empty epochs deterministically.
-func (e *Engine) PeekTime() (Time, bool) { return e.peek() }
-
-// RunUntil executes events with timestamps <= t, then sets the clock to t
-// if it has not advanced that far. It returns the number of events run.
-// Like Run, it drains each earliest bucket's whole tie group without
-// re-searching the occupancy bitmap between events — the sharded engine
-// calls RunUntil once per shard per epoch, so this is its hottest loop.
-// The same invariants protect the drain: a bucket can only be refilled
-// with its own timestamp mid-drain (a timestamp one wheel revolution
-// later forces a growth, which bumps the generation and breaks out).
-func (e *Engine) RunUntil(t Time) int {
-	n := 0
-	if e.heapMode {
-		for {
-			when, ok := e.peek()
-			if !ok || when > t || e.stopPoll() {
-				break
-			}
-			e.Step()
-			n++
-		}
-		if e.halted {
-			return n
-		}
-		if e.now < t {
-			e.now = t
-		}
-		return n
-	}
-	for e.count > 0 {
-		if e.stopPoll() {
-			return n
-		}
-		s := e.earliestSlot()
-		b := &e.slots[s]
-		if b.evs[b.head].when > t {
-			break
-		}
-		g := e.gen
-		for {
-			ev := b.evs[b.head]
-			b.head++
-			if b.head == len(b.evs) {
-				e.release(b)
-				e.clearBit(s)
-			}
-			e.count--
-			e.dispatch(ev)
-			n++
-			if e.gen != g {
-				break // the wheel was rebuilt under us
-			}
-			b = &e.slots[s]
-			if b.head >= len(b.evs) {
-				break // bucket drained (possibly refilled and re-drained)
-			}
-		}
-	}
-	if e.now < t {
-		e.now = t
-	}
-	return n
 }
 
 // ---- fast-forward support --------------------------------------------------

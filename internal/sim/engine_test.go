@@ -67,23 +67,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.At(5, func() {})
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
-	n := e.RunUntil(15)
-	if n != 1 || ran != 1 {
-		t.Errorf("RunUntil(15) ran %d events", ran)
-	}
-	if e.Now() != 15 {
-		t.Errorf("time %d, want 15", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending %d", e.Pending())
-	}
-}
-
 func TestTypedEventsDispatchInOrder(t *testing.T) {
 	var e Engine
 	var got []int32
@@ -235,6 +218,26 @@ func TestCursorFCFS(t *testing.T) {
 	}
 	if c.Ops() != 3 {
 		t.Errorf("ops %d", c.Ops())
+	}
+}
+
+// TestCursorStateRoundTrip pins the transplant the iteration-periodic
+// fast-forward performs when a jump rotates the interleave: reading a
+// cursor's state through FreeAt/Busy/Ops and writing it into another with
+// SetState yields an identical cursor that schedules identically.
+func TestCursorStateRoundTrip(t *testing.T) {
+	var c Cursor
+	c.Acquire(10, 7)
+	c.Acquire(12, 3)
+	var d Cursor
+	d.SetState(c.FreeAt(), c.Busy(), c.Ops())
+	if d != c {
+		t.Fatalf("state round trip: got %+v want %+v", d, c)
+	}
+	s1, e1 := c.Acquire(15, 4)
+	s2, e2 := d.Acquire(15, 4)
+	if s1 != s2 || e1 != e2 || d != c {
+		t.Fatalf("transplanted cursor scheduled (%d, %d), original (%d, %d)", s2, e2, s1, e1)
 	}
 }
 
@@ -486,81 +489,5 @@ func TestEngineResetReuse(t *testing.T) {
 	}
 	if e.Steps() != stepsA {
 		t.Fatalf("replay steps %d, want %d", e.Steps(), stepsA)
-	}
-}
-
-// TestRunUntilWheelHeapDifferential pins RunUntil's tie-group drain (the
-// sharded engine's per-epoch hot loop) against the reference heap: the
-// same schedule advanced in fixed-width horizons must execute the same
-// events in the same order with the same per-chunk counts and the same
-// final clock, including horizons that split tie groups, trigger growth
-// mid-drain, and cover empty spans.
-func TestRunUntilWheelHeapDifferential(t *testing.T) {
-	f := func(seeds []byte, delays []byte, width byte) bool {
-		if len(seeds) == 0 {
-			return true
-		}
-		if len(seeds) > 48 {
-			seeds = seeds[:48]
-		}
-		if len(delays) > 256 {
-			delays = delays[:256]
-		}
-		w := Time(width%7) + 1
-		type rec struct {
-			now  Time
-			arg  int32
-			kind Kind
-		}
-		run := func(heap bool) ([]rec, []int, Time) {
-			var e Engine
-			if heap {
-				e.UseReferenceHeap()
-			}
-			var trace []rec
-			var counts []int
-			di := 0
-			e.SetHandler(func(k Kind, arg int32) {
-				trace = append(trace, rec{e.Now(), arg, k})
-				if di < len(delays) {
-					d := Time(delays[di]) * Time(delays[di])
-					k2 := Kind(delays[di] % 3)
-					di++
-					e.Schedule(e.Now()+d, k2, arg+1)
-					if d%5 == 0 {
-						e.Schedule(e.Now(), k2, -arg)
-					}
-				}
-			})
-			for i, s := range seeds {
-				e.Schedule(Time(s%64), Kind(s%3), int32(i))
-			}
-			for horizon := w; e.Pending() > 0 && horizon < 1<<21; horizon += w {
-				counts = append(counts, e.RunUntil(horizon-1))
-			}
-			return trace, counts, e.Now()
-		}
-		wt, wc, wn := run(false)
-		ht, hc, hn := run(true)
-		if len(wt) != len(ht) || wn != hn {
-			t.Errorf("wheel ran %d events to %d, heap %d to %d", len(wt), wn, len(ht), hn)
-			return false
-		}
-		for i := range wt {
-			if wt[i] != ht[i] {
-				t.Errorf("event %d diverged: wheel %+v, heap %+v", i, wt[i], ht[i])
-				return false
-			}
-		}
-		for i := range wc {
-			if wc[i] != hc[i] {
-				t.Errorf("chunk %d diverged: wheel ran %d, heap %d", i, wc[i], hc[i])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }

@@ -163,9 +163,9 @@ type Program struct {
 	// SharedSched marks programs whose generators pull work from shared,
 	// order-sensitive scheduler state (OpenMP dynamic/guided
 	// self-scheduling). Such generators must be consumed in global
-	// simulation-time order; the chip's sharded engine, which drains each
-	// shard's generators independently, falls back to the sequential engine
-	// when this is set. Kernels set it from omp.Schedule.PerThread.
+	// simulation-time order, so the chip's iteration-periodic fast-forward,
+	// which skips iterations on one strand at a time, refuses programs with
+	// this set. Kernels set it from omp.Schedule.PerThread.
 	SharedSched bool
 }
 
