@@ -88,7 +88,9 @@ func TestShardDeterminismAcrossProfiles(t *testing.T) {
 // period, then committed or rolled back — so it may only cost or save
 // time: fig2, fig4 and (on the t2) fig6 BENCH JSON must be byte-identical
 // with the detector armed or disabled, across structurally distinct
-// profiles (1, 4 and 8 controllers, XOR interleave).
+// profiles (1, 4 and 8 controllers, XOR interleave). The streams are
+// lengthened so the detector locks onto fig2's low-contention points
+// (detection plus two validation periods) and the identity is not vacuous.
 func TestSpeculativeJSONIdentity(t *testing.T) {
 	forwarded := false
 	for _, name := range []string{"t2", "t2-1mc", "mc8", "xor"} {
@@ -98,6 +100,7 @@ func TestSpeculativeJSONIdentity(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			o := profileTestOptions(prof)
+			o.StreamN = 1 << 15
 			figs := []string{"fig2", "fig4"}
 			if name == "t2" {
 				figs = append(figs, "fig6")

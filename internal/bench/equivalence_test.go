@@ -78,35 +78,37 @@ func TestFigureFastForwardEquivalence(t *testing.T) {
 }
 
 // TestFig7FastForwardEquivalence is the dedicated stencil leg: every point
-// of the Fig. 7 LBM sweep (all four layout/fusion variants) evaluated both
-// with the fast-forward detector armed and with it disabled, at a scale
-// small enough for the race-detector CI job. On the LBM access pattern the
-// detector observes, probes, and declines to commit (the writeback stream
-// is quasi-periodic — see DESIGN.md), so this pins the expensive half of
-// the contract: an armed detector that never jumps must still be
-// invisible, byte for byte, in every result field.
+// of the Fig. 7 LBM sweep (all four layout/fusion variants) and of the
+// Fig. 6 Jacobi sweep, evaluated with the fast-forward detector armed and
+// with it disabled, at a scale small enough for the race-detector CI job.
+// Stencil generators re-touch lines across neighbouring items, so they do
+// not implement trace.Forwardable and the detector must never arm on them:
+// the armed run must report zero fast-forward telemetry and equal the
+// disabled run in every field, telemetry included.
 func TestFig7FastForwardEquivalence(t *testing.T) {
 	o := tiny()
 	o.LBMNs = []int64{16, 24}
-	e := o.Fig7Exp()
-	for i, p := range e.Points() {
-		cfgOn := e.Cfg
-		cfgOff := e.Cfg
-		cfgOff.DisableFastForward = true
-		on, err := e.Run(cfgOn, p, &exp.Scratch{})
-		if err != nil {
-			t.Fatalf("fig7 point %d (ff on): %v", i, err)
-		}
-		off, err := e.Run(cfgOff, p, &exp.Scratch{})
-		if err != nil {
-			t.Fatalf("fig7 point %d (ff off): %v", i, err)
-		}
-		if off.FFItems != 0 {
-			t.Fatalf("fig7 point %d: disabled run fast-forwarded %d items", i, off.FFItems)
-		}
-		if !reflect.DeepEqual(stripFFExp(on), stripFFExp(off)) {
-			t.Errorf("fig7 point %d (%v): fast-forward diverged:\n ff:   %+v\n full: %+v",
-				i, p.Params, on, off)
+	for _, e := range []exp.Experiment{o.Fig7Exp(), o.Fig6Exp()} {
+		for i, p := range e.Points() {
+			cfgOn := e.Cfg
+			cfgOff := e.Cfg
+			cfgOff.DisableFastForward = true
+			on, err := e.Run(cfgOn, p, &exp.Scratch{})
+			if err != nil {
+				t.Fatalf("%s point %d (ff on): %v", e.Name, i, err)
+			}
+			off, err := e.Run(cfgOff, p, &exp.Scratch{})
+			if err != nil {
+				t.Fatalf("%s point %d (ff off): %v", e.Name, i, err)
+			}
+			if on.FFItems != 0 || on.FFCycles != 0 || on.FFJumps != 0 || on.FFSkippedEpochs != 0 {
+				t.Fatalf("%s point %d (%v): stencil run fast-forwarded: items %d cycles %d jumps %d steps %d",
+					e.Name, i, p.Params, on.FFItems, on.FFCycles, on.FFJumps, on.FFSkippedEpochs)
+			}
+			if !reflect.DeepEqual(on, off) {
+				t.Errorf("%s point %d (%v): armed run diverged:\n armed:    %+v\n disabled: %+v",
+					e.Name, i, p.Params, on, off)
+			}
 		}
 	}
 }

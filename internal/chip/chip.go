@@ -118,7 +118,7 @@ type Result struct {
 	FFItems         int64 // work items covered by steady-state fast-forward
 	FFCycles        int64 // cycles covered by steady-state fast-forward
 	FFPeriod        int64 // last detected steady-state period in cycles (0: none)
-	FFJumps         int64 // committed analytic jumps (item- or iteration-periodic)
+	FFJumps         int64 // committed analytic jumps
 	FFSkippedEpochs int64 // engine event steps covered analytically instead of simulated
 }
 
@@ -328,7 +328,7 @@ func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe) sim.Time {
 	bankStart, bankDone := rs.banks[p.Bank].Acquire(arrive, rs.cfg.L2BankService)
 	res := rs.l2.Commit(p, false)
 	if rs.ff.recOn {
-		rs.recAccess(line, false, res.Hit, res.VictimDirty, res.Victim)
+		rs.recAccess(line, false, res.Hit, res.VictimDirty)
 	}
 	var dataAt sim.Time
 	if res.Hit {
@@ -354,7 +354,7 @@ func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe) (proceed, f
 	_, bankDone := rs.banks[p.Bank].Acquire(arrive, rs.cfg.L2BankService)
 	res := rs.l2.Commit(p, true)
 	if rs.ff.recOn {
-		rs.recAccess(line, true, res.Hit, res.VictimDirty, res.Victim)
+		rs.recAccess(line, true, res.Hit, res.VictimDirty)
 	}
 	fill = bankDone
 	if !res.Hit {

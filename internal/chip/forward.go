@@ -22,8 +22,10 @@
 //     interleave period, the pending event queue relative to now, every
 //     FCFS cursor's backlog, and the run-ahead window. A repeated
 //     fingerprint yields a candidate period; the candidate must then
-//     reproduce the exact counter deltas of its defining period over one
-//     further simulated period before any state is touched.
+//     reproduce the exact counter deltas of its defining period over two
+//     further simulated periods (the second also yields the per-access
+//     address strides the tag-store replay uses) before any state is
+//     touched.
 //
 //  3. Bounds. The jump multiplier is capped so the skipped span (a) stays
 //     inside every generator's uniform region — no chunk edge, partial
@@ -37,24 +39,6 @@
 // regardless) or revalidated each period (per-bank traffic, victim
 // dirtiness). The equivalence tests in chip and bench run every figure
 // family and machine profile both ways and require deep equality.
-//
-// Iteration granularity. Stencil kernels (Jacobi, LBM) are never uniform
-// per work item — neighbouring row-steps re-touch each other's lines — but
-// whole outer iterations translate by a constant byte stride, so the same
-// machinery runs at a second granularity: samples are taken only at the
-// leader's iteration boundaries (trace.IterForwardable), addresses are
-// folded relative to the leader's iteration reference, and bank/controller
-// cursors are enumerated rotation-canonically. The reference-relative fold
-// is what makes strides that are NOT multiples of the interleave period
-// recur: after P iterations the machine state repeats as a pure
-// bank/controller ROTATION (P*stride mod period, when that offset is a
-// multiple of the controller span), and the jump applies the validated
-// per-period deltas through that rotation — rotated cursor permutation,
-// rotated controller credits, and a per-victim controller-rotation check
-// in the replay. The replay itself uses real addresses against the real
-// tag store, which is exactly why reuse-ful kernels are eligible at this
-// granularity: skipped iterations' installs, evictions and hits are
-// computed, not extrapolated (DESIGN.md Sect. 11).
 package chip
 
 import (
@@ -72,23 +56,9 @@ import (
 // thread microstates never recur at any horizon — see DESIGN.md Sect. 9),
 // so a small budget keeps the detector's cost negligible on runs it cannot
 // help. A committed jump refunds the budget: post-jump regimes (a new
-// plane, a post-turnover victim population) are new steady states worth a
+// sweep, a post-turnover victim population) are new steady states worth a
 // fresh search.
 const ffSampleBudget = 128
-
-// ffIterSampleBudget is the iteration-granular budget. Samples are much
-// rarer here — one per leader x-row rather than one per work item — and
-// rotation periods can reach the controller count times the natural
-// period, so the detector may legitimately need a few hundred boundaries
-// to lock.
-const ffIterSampleBudget = 512
-
-// Detector granularities: per leader work item (PR 4's reuse-free
-// streaming mode) or per leader outer iteration (stencil mode).
-const (
-	ffModeItem = iota
-	ffModeIter
-)
 
 // ffCapacityZoneSets widens the protected window around an L2 capacity
 // turnover, in per-set insert counts. The turnover is not a point: each
@@ -100,9 +70,9 @@ const (
 const ffCapacityZoneSets = 4
 
 // cursorSnap is one FCFS cursor's accounting at a sample (and, in deltas,
-// its per-period advance).
+// its per-period advance). The free horizon is not kept: a jump shifts it
+// by the period's dt.
 type cursorSnap struct {
-	free sim.Time
 	busy sim.Time
 	ops  int64
 }
@@ -148,46 +118,20 @@ type ffDelta struct {
 	l2    cache.Stats
 	l2B   []cache.Stats
 	mc    []mem.CtlStats
-	cur   []cursorSnap // busy/ops advances; free is implied by dt
+	cur   []cursorSnap
 }
 
-// ffSighting remembers where a fingerprint was recently seen. Two
-// sightings are kept because consecutive repeats can be locked to a
-// misaligned spacing forever (e.g. a 4-iteration coincidence whose byte
-// shift cuts a controller span) while the doubled spacing is aligned;
-// measuring the period against both the last and the one-before sighting
-// lets the detector escape such a cascade.
-type ffSighting struct {
-	old  *ffSnap // sighting before last (nil until the fingerprint repeats)
-	last *ffSnap
-}
-
-// ffCandidate is a detected-but-unvalidated period. In item mode,
-// validation takes two further simulated periods: the first re-proves the
-// counter deltas, the second does so again while yielding the per-access
-// address strides between two consecutively recorded period traces. In
-// iteration mode one further period suffices — the address stride is known
-// analytically from the generators' iteration stride, so the single leg
-// both re-proves the (rotated) counter deltas and records the trace the
-// jump will replay.
+// ffCandidate is a detected-but-unvalidated period. Validation takes two
+// further simulated periods: the first re-proves the counter deltas, the
+// second does so again while yielding the per-access address strides
+// between two consecutively recorded period traces.
 type ffCandidate struct {
 	fp     uint64
-	period int64 // in leader items (item mode) or leader iteration boundaries
+	period int64 // in leader items
 	at     int64 // sample index of the next validation checkpoint
 	stage  int   // 1: first validation pending, 2: second (stride) pending
 	base   *ffSnap
 	d      ffDelta
-
-	// Iteration mode only: the per-period translation and its interleave
-	// rotation. Each strand completes iters whole iterations per period,
-	// every access address advances by stride = iters * istride bytes, and
-	// the machine's bank/controller pattern rotates by rotB banks / rotC
-	// controllers per period.
-	iters   int64
-	istride int64
-	stride  int64
-	rotB    int
-	rotC    int
 }
 
 // ffAccess is one recorded cache access of a validation period, including
@@ -202,51 +146,26 @@ type ffAccess struct {
 	write  bool
 	hit    bool
 	vdirty bool
-	// vctl is the victim line's memory controller when vdirty. Iteration-
-	// mode jumps credit controller writeback traffic through the period's
-	// rotation, so the replay must prove every victim's controller rotates
-	// with the pattern — an aggregate count match alone could hide two
-	// victims swapping controllers.
-	vctl int8
 }
 
 // ffRecLimit caps the recorded trace length; a period with more accesses
 // than this is too long to replay profitably and is not fast-forwarded.
 const ffRecLimit = 1 << 15
 
-// ffIterRecLimit is the iteration-mode cap. Whole-iteration periods of a
-// large stencil run reach hundreds of thousands of accesses (a full
-// controller rotation of a 192^3 LBM plane is ~8 rows x ~38 lines x 25
-// items); replaying them is still far cheaper than event simulation, so
-// the cap is correspondingly higher.
-const ffIterRecLimit = 1 << 20
-
 // ffState is the per-run fast-forward machinery, embedded in runState so
 // its maps, pools and slices persist across a reused machine's runs.
 type ffState struct {
 	on      bool
 	pending bool // leader completed an item: sample at end of this event
-	mode    int  // ffModeItem or ffModeIter
 	window  int64
 	budget  int
 	leader  *strand
 	gens    []trace.Forwardable
-	igens   []trace.IterForwardable // iteration mode only
-	bidx    int64                   // leader iteration boundaries seen (iter-mode sample index)
-
-	// Interleave geometry for the rotation-canonical fingerprint (iter
-	// mode): window = granule*nbanks = ctlSpan*nctls, verified affine in
-	// ffInit.
-	nbanks  int
-	nctls   int
-	granule int64
-	ctlSpan int64
-	curs    []*sim.Cursor // canonical cursor order, cached per run
 
 	capLines int64 // L2 capacity in lines
 	warm     int64 // pre-filled warm lines
 
-	seen    map[uint64]ffSighting
+	seen    map[uint64]*ffSnap // last sample taken at each fingerprint
 	pool    []*ffSnap
 	cand    ffCandidate
 	candSet bool
@@ -259,13 +178,8 @@ type ffState struct {
 	rec      []ffAccess
 	recPrev  []ffAccess
 	strides  []int64
-	l2BPre   []cache.Stats // replay verification scratch
-	l2BPost  []cache.Stats
-	rollback cache.Image // pre-replay checkpoint for declined jumps
-
-	// Rotation-jump scratch (iter mode).
-	rotSnap []cursorSnap
-	mcAdd   []mem.CtlStats
+	l2BPre   []cache.Stats // pre-replay per-bank counters for declined jumps
+	rollback cache.Image   // pre-replay checkpoint for declined jumps
 
 	// Telemetry surfaced in Result.
 	items   int64    // work items covered analytically
@@ -278,10 +192,7 @@ type ffState struct {
 // clearSeen recycles every remembered sighting into the snapshot pool.
 func (ff *ffState) clearSeen() {
 	for h, s := range ff.seen {
-		if s.old != nil {
-			ff.pool = append(ff.pool, s.old)
-		}
-		ff.pool = append(ff.pool, s.last)
+		ff.pool = append(ff.pool, s)
 		delete(ff.seen, h)
 	}
 }
@@ -300,17 +211,10 @@ func (rs *runState) ffReset() {
 	ff.jumps, ff.skipped = 0, 0
 	ff.leader = nil
 	ff.gens = ff.gens[:0]
-	ff.igens = ff.igens[:0]
-	ff.curs = ff.curs[:0]
-	ff.mode, ff.bidx = ffModeItem, 0
 }
 
 // ffInit arms the detector if the run qualifies: fast-forward not disabled,
-// a field mapping with a spatial period, and every generator Forwardable
-// (item granularity) or, failing that, IterForwardable (iteration
-// granularity — which additionally requires per-thread scheduling and an
-// affine modular interleave, since rotated jumps permute banks and
-// controllers arithmetically).
+// a field mapping with a spatial period, and every generator Forwardable.
 func (rs *runState) ffInit(prog *trace.Program) {
 	if rs.cfg.DisableFastForward {
 		return
@@ -320,86 +224,23 @@ func (rs *runState) ffInit(prog *trace.Program) {
 		return // hashed interleave: no spatial phase to fingerprint against
 	}
 	ff := &rs.ff
-	itemOK := true
 	for _, g := range prog.Gens {
 		fg, ok := g.(trace.Forwardable)
 		if !ok {
-			itemOK = false
 			ff.gens = ff.gens[:0]
-			break
+			return
 		}
 		ff.gens = append(ff.gens, fg)
 	}
-	if itemOK {
-		ff.mode = ffModeItem
-		ff.budget = ffSampleBudget
-	} else {
-		if !rs.ffInitIter(prog, w) {
-			return
-		}
-	}
 	ff.on = true
+	ff.budget = ffSampleBudget
 	ff.window = w
 	ff.leader = rs.strands[0]
 	ff.capLines = rs.cfg.L2.SizeBytes / rs.cfg.L2.LineSize
 	ff.warm = prog.WarmLines
 	if ff.seen == nil {
-		ff.seen = make(map[uint64]ffSighting)
+		ff.seen = make(map[uint64]*ffSnap)
 	}
-}
-
-// ffInitIter checks iteration-granularity eligibility and, on success,
-// fills the rotation geometry. The interleave must be affine modular —
-// bank(a) = (a/granule) mod banks, ctl(a) = (a/ctlSpan) mod ctls — for a
-// rotation to BE a permutation of equals; this is verified by sampling,
-// not assumed, so an exotic Mapping silently falls back to full
-// simulation. Shared-order schedules are refused: SkipIters on one strand
-// would reorder the global grab sequence the remaining strands see.
-func (rs *runState) ffInitIter(prog *trace.Program, w int64) bool {
-	ff := &rs.ff
-	if prog.SharedSched {
-		return false
-	}
-	if w&(w-1) != 0 {
-		return false // reference-relative folds need the pow2 wraparound
-	}
-	for _, g := range prog.Gens {
-		ig, ok := g.(trace.IterForwardable)
-		if !ok {
-			ff.igens = ff.igens[:0]
-			return false
-		}
-		ff.igens = append(ff.igens, ig)
-	}
-	m := rs.cfg.Mapping
-	nb, nc := m.Banks(), m.Controllers()
-	if nb <= 0 || nc <= 0 || w%int64(nb) != 0 || w%int64(nc) != 0 {
-		ff.igens = ff.igens[:0]
-		return false
-	}
-	granule, ctlSpan := w/int64(nb), w/int64(nc)
-	if ctlSpan%granule != 0 {
-		ff.igens = ff.igens[:0]
-		return false
-	}
-	for _, base := range []phys.Addr{0, 1 << 40} {
-		for off := int64(0); off < w; off += granule {
-			a := base + phys.Addr(off)
-			if m.Bank(a) != int(uint64(a)/uint64(granule)%uint64(nb)) ||
-				m.Controller(a) != int(uint64(a)/uint64(ctlSpan)%uint64(nc)) {
-				ff.igens = ff.igens[:0]
-				return false
-			}
-		}
-	}
-	ff.mode = ffModeIter
-	ff.budget = ffIterSampleBudget
-	ff.bidx = 0
-	ff.nbanks, ff.nctls = nb, nc
-	ff.granule, ff.ctlSpan = granule, ctlSpan
-	ff.curs = ff.curs[:0]
-	rs.ffCursors(func(c *sim.Cursor) { ff.curs = append(ff.curs, c) })
-	return true
 }
 
 // ffDisarm turns the detector off and recycles its snapshots.
@@ -512,110 +353,6 @@ func (rs *runState) ffFingerprint() (uint64, bool) {
 	return uint64(f), !closures
 }
 
-// ffFingerprintIter is the iteration-boundary fingerprint: the same state
-// walk as ffFingerprint, but every address folds relative to the leader's
-// iteration reference, generators contribute IterPhase instead of
-// PatternPhase, and the bank/controller cursors are enumerated starting at
-// the bank and controller the reference itself maps to. Two equal
-// fingerprints then assert equality of machine state up to one global
-// interleave ROTATION — which is exactly the recurrence left when the
-// per-period translation is not a multiple of the interleave period.
-func (rs *runState) ffFingerprintIter() (uint64, bool) {
-	ff := &rs.ff
-	f := trace.NewFingerprint()
-	now := rs.eng.Now()
-	ref := ff.igens[ff.leader.id].IterRef()
-	leadItems := ff.leader.items
-	for _, s := range rs.strands {
-		var flags uint64
-		if s.active {
-			flags |= 1
-		}
-		if s.parked {
-			flags |= 2
-		}
-		f.Fold(flags)
-		f.Fold(uint64(s.accIdx))
-		f.Fold(uint64(s.items - leadItems))
-		for j := s.sbPos; j < len(s.sb); j++ {
-			v := s.sb[j] - now
-			if v < 0 {
-				v = 0
-			}
-			f.Fold(uint64(v))
-		}
-		for j := 0; j < s.sbPos; j++ {
-			v := s.sb[j] - now
-			if v < 0 {
-				v = 0
-			}
-			f.Fold(uint64(v))
-		}
-		for j := range s.slots {
-			v := s.slots[j] - now
-			if v < 0 {
-				v = 0
-			}
-			f.Fold(uint64(v))
-		}
-		if s.active {
-			f.Fold(uint64(len(s.item.Acc) - s.accIdx))
-			for _, a := range s.item.Acc[s.accIdx:] {
-				f.FoldAddr(a.Addr-ref, ff.window)
-				if a.Write {
-					f.Fold(1)
-				} else {
-					f.Fold(0)
-				}
-			}
-			f.Fold(uint64(s.item.Demand.MemOps))
-			f.Fold(uint64(s.item.Demand.Flops))
-			f.Fold(uint64(s.item.Demand.IntOps))
-			f.Fold(uint64(s.item.Units))
-			f.Fold(uint64(s.item.RepBytes))
-		}
-		ff.igens[s.id].IterPhase(&f, ff.window, ref)
-	}
-	for _, p := range rs.parked {
-		f.Fold(uint64(p.id))
-	}
-	if rs.runAhead > 0 {
-		f.Fold(uint64(rs.minItems - leadItems))
-	}
-	closures := false
-	rs.eng.ForEachPending(func(dt sim.Time, kind sim.Kind, arg int32, closure bool) {
-		if closure {
-			closures = true
-			return
-		}
-		f.Fold(uint64(dt))
-		f.Fold(uint64(kind))
-		f.Fold(uint64(uint32(arg)))
-	})
-	nb, nc := ff.nbanks, ff.nctls
-	b0 := int(uint64(ref) / uint64(ff.granule) % uint64(nb))
-	c0 := int(uint64(ref) / uint64(ff.ctlSpan) % uint64(nc))
-	fold := func(c *sim.Cursor) {
-		v := c.FreeAt() - now
-		if v < 0 {
-			v = 0
-		}
-		f.Fold(uint64(v))
-	}
-	for j := 0; j < nb; j++ {
-		fold(ff.curs[(b0+j)%nb])
-	}
-	for j := 0; j < nc; j++ {
-		c := (c0 + j) % nc
-		fold(ff.curs[nb+2*c])   // northbound channel
-		fold(ff.curs[nb+2*c+1]) // southbound channel
-	}
-	for i := nb + 2*nc; i < len(ff.curs); i++ {
-		fold(ff.curs[i]) // core pipelines: untouched by the rotation
-	}
-	return uint64(f), !closures
-}
-
 // ffTakeSnap captures the current counters into a pooled snapshot.
 func (rs *runState) ffTakeSnap(idx int64) *ffSnap {
 	ff := &rs.ff
@@ -653,7 +390,7 @@ func (rs *runState) ffTakeSnap(idx int64) *ffSnap {
 	rs.mc.StatsInto(s.mc)
 	s.cur = s.cur[:0]
 	rs.ffCursors(func(c *sim.Cursor) {
-		s.cur = append(s.cur, cursorSnap{free: c.FreeAt(), busy: c.Busy(), ops: c.Ops()})
+		s.cur = append(s.cur, cursorSnap{busy: c.Busy(), ops: c.Ops()})
 	})
 	return s
 }
@@ -741,62 +478,6 @@ func ffDeltaEqual(a, b *ffDelta) bool {
 	return true
 }
 
-// ffDeltaEqualRot is the iteration-mode validation criterion: the
-// validation period's delta a must equal the defining period's delta b
-// under one interleave rotation — what landed on bank j in the defining
-// period lands on bank (j+rotB) mod nbanks in the next, and likewise for
-// controllers. Scalars, per-strand item counts and the global L2 counters
-// are rotation-invariant and must match exactly; per-bank L2 stats,
-// per-controller stats and the bank/controller cursor advances must match
-// under the rotation; core cursors are untouched by it.
-func (ff *ffState) ffDeltaEqualRot(a, b *ffDelta, rotB, rotC int) bool {
-	if a.dt != b.dt || a.steps != b.steps ||
-		a.units != b.units || a.repBytes != b.repBytes ||
-		a.loadStall != b.loadStall || a.storeStall != b.storeStall ||
-		a.computeStall != b.computeStall || a.retryStall != b.retryStall ||
-		a.retries != b.retries ||
-		a.l2 != b.l2 ||
-		len(a.items) != len(b.items) ||
-		len(a.l2B) != ff.nbanks || len(b.l2B) != ff.nbanks ||
-		len(a.mc) != ff.nctls || len(b.mc) != ff.nctls ||
-		len(a.cur) != len(b.cur) || len(a.cur) < ff.nbanks+2*ff.nctls {
-		return false
-	}
-	for i := range a.items {
-		if a.items[i] != b.items[i] {
-			return false
-		}
-	}
-	nb, nc := ff.nbanks, ff.nctls
-	for i := 0; i < nb; i++ {
-		j := (i - rotB%nb + nb) % nb
-		if a.l2B[i] != b.l2B[j] {
-			return false
-		}
-		if a.cur[i].busy != b.cur[j].busy || a.cur[i].ops != b.cur[j].ops {
-			return false
-		}
-	}
-	for c := 0; c < nc; c++ {
-		j := (c - rotC%nc + nc) % nc
-		if a.mc[c] != b.mc[j] {
-			return false
-		}
-		for s := 0; s < 2; s++ {
-			if a.cur[nb+2*c+s].busy != b.cur[nb+2*j+s].busy ||
-				a.cur[nb+2*c+s].ops != b.cur[nb+2*j+s].ops {
-				return false
-			}
-		}
-	}
-	for i := nb + 2*nc; i < len(a.cur); i++ {
-		if a.cur[i].busy != b.cur[i].busy || a.cur[i].ops != b.cur[i].ops {
-			return false
-		}
-	}
-	return true
-}
-
 // ffSample is the once-per-leader-item detector tick, invoked between
 // events (after the current event's handler has fully run). It walks the
 // search → candidate → validate → jump ladder described in the package
@@ -805,10 +486,6 @@ func (rs *runState) ffSample() {
 	ff := &rs.ff
 	if rs.running != len(rs.strands) {
 		rs.ffDisarm() // a strand retired: the tail is never periodic
-		return
-	}
-	if ff.mode == ffModeIter {
-		rs.ffSampleIter()
 		return
 	}
 	if ff.budget <= 0 {
@@ -883,12 +560,11 @@ func (rs *runState) ffSample() {
 // joins the search map.
 func (rs *runState) ffObserve(h uint64, cur *ffSnap) {
 	ff := &rs.ff
-	sg, seen := ff.seen[h]
+	prev, seen := ff.seen[h]
 	if !seen {
-		ff.seen[h] = ffSighting{last: cur}
+		ff.seen[h] = cur
 		return
 	}
-	prev := sg.last
 	period := cur.idx - prev.idx
 	if period <= 0 || cur.now <= prev.now {
 		ff.pool = append(ff.pool, cur)
@@ -903,139 +579,6 @@ func (rs *runState) ffObserve(h uint64, cur *ffSnap) {
 	ff.candSet = true
 	ff.rec = ff.rec[:0]
 	ff.recOn = true
-}
-
-// ffSampleIter is the iteration-granularity detector tick: invoked like
-// ffSample once per completed leader item, but it only samples when the
-// leader sits at an iteration boundary. Validation is a single further
-// simulated period — the rotated counter-delta check — because iteration
-// mode needs no stride-extraction leg: the per-period address shift is
-// known analytically from the generators' iteration stride.
-func (rs *runState) ffSampleIter() {
-	ff := &rs.ff
-	if !ff.igens[ff.leader.id].AtIterBoundary() {
-		return
-	}
-	ff.bidx++
-	idx := ff.bidx
-	if ff.budget <= 0 {
-		rs.ffDisarm()
-		return
-	}
-	if ff.candSet && idx < ff.cand.at {
-		return // waiting for the validation checkpoint: no sample taken
-	}
-	ff.budget--
-	h, ok := rs.ffFingerprintIter()
-	if !ok {
-		rs.ffDisarm() // closure events pending: state not typed-representable
-		return
-	}
-	if ff.candSet {
-		cur := rs.ffTakeSnap(idx)
-		ok := h == ff.cand.fp && len(ff.rec) <= ffIterRecLimit
-		if ok {
-			ffComputeDelta(&ff.vd, ff.cand.base, cur)
-			ok = ff.ffDeltaEqualRot(&ff.vd, &ff.cand.d, ff.cand.rotB, ff.cand.rotC)
-		}
-		if ok {
-			// The validated delta ff.vd is the period the recording covers
-			// (candidate creation -> now), which is what the jump replays.
-			rs.ffJumpIter(&ff.vd)
-			ff.pool = append(ff.pool, ff.cand.base, cur)
-			ff.candSet = false
-			ff.recOn = false
-			ff.clearSeen()
-			return
-		}
-		ff.pool = append(ff.pool, ff.cand.base)
-		ff.candSet = false
-		ff.recOn = false
-		rs.ffObserveIter(h, cur)
-		return
-	}
-	rs.ffObserveIter(h, rs.ffTakeSnap(idx))
-}
-
-// ffObserveIter files an iteration-boundary sample. A repeated fingerprint
-// establishes a rotation candidate if a repeat spacing passes the
-// eligibility arithmetic: every generator reports the same nonzero
-// iteration stride, every strand completed the same whole number of
-// iterations over the period, and the per-period byte shift lands on a
-// controller-span boundary of the interleave (so banks and controllers are
-// PERMUTED, not cut mid-granule). Both remembered sightings are tried —
-// the consecutive spacing first, then the older one — and when neither
-// yields an admissible period the sightings march forward, so a cascade of
-// misaligned coincidences can never pin the detector to a dead phase.
-func (rs *runState) ffObserveIter(h uint64, cur *ffSnap) {
-	ff := &rs.ff
-	sg, seen := ff.seen[h]
-	if !seen {
-		ff.seen[h] = ffSighting{last: cur}
-		return
-	}
-	if rs.ffTryIterCandidate(h, sg.last, cur) || rs.ffTryIterCandidate(h, sg.old, cur) {
-		return
-	}
-	if sg.old != nil {
-		ff.pool = append(ff.pool, sg.old)
-	}
-	ff.seen[h] = ffSighting{old: sg.last, last: cur}
-}
-
-// ffTryIterCandidate checks one repeat spacing (prev -> cur) against the
-// iteration-translation eligibility rules and, if admissible, installs the
-// rotation candidate and starts the validation-period access recording.
-func (rs *runState) ffTryIterCandidate(h uint64, prev, cur *ffSnap) bool {
-	ff := &rs.ff
-	if prev == nil {
-		return false
-	}
-	period := cur.idx - prev.idx
-	if period <= 0 || cur.now <= prev.now {
-		return false
-	}
-	ffComputeDelta(&ff.vd, prev, cur)
-	istride := ff.igens[0].IterStride()
-	iters := int64(0)
-	if istride == 0 {
-		return false
-	}
-	for i, ig := range ff.igens {
-		ii := ig.IterItems()
-		if ig.IterStride() != istride || ii <= 0 || ff.vd.items[i] <= 0 || ff.vd.items[i]%ii != 0 {
-			return false
-		}
-		n := ff.vd.items[i] / ii
-		if i == 0 {
-			iters = n
-		} else if n != iters {
-			return false
-		}
-	}
-	stride := iters * istride
-	delta := stride % ff.window
-	if delta < 0 {
-		delta += ff.window
-	}
-	if delta%ff.ctlSpan != 0 {
-		return false
-	}
-	ff.cand.fp = h
-	ff.cand.period = period
-	ff.cand.at = cur.idx + period
-	ff.cand.stage = 1
-	ffComputeDelta(&ff.cand.d, prev, cur)
-	ff.cand.iters = iters
-	ff.cand.istride = istride
-	ff.cand.stride = stride
-	ff.cand.rotB = int(delta / ff.granule)
-	ff.cand.rotC = int(delta / ff.ctlSpan)
-	ff.cand.base = cur
-	ff.candSet = true
-	ff.rec = ff.rec[:0]
-	ff.recOn = true
-	return true
 }
 
 // ffCapacityRoom returns how many further misses may be credited before
@@ -1172,164 +715,11 @@ func (rs *runState) ffRebuildWindow() {
 	rs.minItems = min
 }
 
-// ffJumpIter applies k validated iteration periods analytically. It is the
-// rotated counterpart of ffJump: the per-period translation advances the
-// interleave pattern by rotB banks and rotC controllers, so bank-cursor and
-// controller-cursor state is not merely shifted in time but permuted — the
-// cursor that will be in phase j after the jump is the one that was in
-// phase j-k*rot before it. Per-cursor busy/ops advances accumulate along
-// the rotation orbit, and stationarity of the fingerprint guarantees the
-// per-period delta seen from phase u is the validated delta rotated by u.
-func (rs *runState) ffJumpIter(d *ffDelta) {
-	ff := &rs.ff
-	cand := &ff.cand
-	// The generators' iteration stride must still be the one the candidate
-	// was built from: a generator may legitimately re-derive its stride when
-	// its uniform region changed between candidate creation and now, and a
-	// jump would then shift machine addresses by a different amount than
-	// SkipIters shifts the generators.
-	for _, ig := range ff.igens {
-		if ig.IterStride() != cand.istride {
-			return
-		}
-	}
-	k := int64(-1)
-	for _, ig := range ff.igens {
-		ki := ig.ItersRemaining() / cand.iters
-		if k < 0 || ki < k {
-			k = ki
-		}
-	}
-	if d.l2.Misses > 0 {
-		zone := ffCapacityZoneSets * ff.capLines / int64(rs.cfg.L2.Ways)
-		kc := ff.ffCapacityRoom(rs.l2.Stats().Misses, zone) / d.l2.Misses
-		if k < 0 || kc < k {
-			k = kc
-		}
-	}
-	if k <= 0 {
-		return
-	}
-	if !rs.ffReplayCacheIter(k, d, cand) {
-		return
-	}
-	dt := d.dt * k
-
-	rs.eng.FastForward(dt, uint64(k)*d.steps)
-
-	nb, nc := ff.nbanks, ff.nctls
-	ncur := nb + 2*nc
-	if cap(ff.rotSnap) < len(ff.curs) {
-		ff.rotSnap = make([]cursorSnap, len(ff.curs))
-	}
-	ff.rotSnap = ff.rotSnap[:len(ff.curs)]
-	for i, c := range ff.curs {
-		ff.rotSnap[i] = cursorSnap{free: c.FreeAt(), busy: c.Busy(), ops: c.Ops()}
-	}
-	// Banks: the cursor at bank j inherits the free time of the bank that
-	// rotates into phase j (its in-flight occupancy follows the pattern),
-	// while busy/ops are that cursor's own accumulators, advanced by the
-	// orbit sum of the per-period deltas it experiences.
-	rotB, rotC := int64(cand.rotB), int64(cand.rotC)
-	for j := 0; j < nb; j++ {
-		src := int(((int64(j)-k*rotB)%int64(nb) + int64(nb)) % int64(nb))
-		var ab sim.Time
-		var ao int64
-		for u := int64(1); u <= k; u++ {
-			p := ((int64(j)-u*rotB)%int64(nb) + int64(nb)) % int64(nb)
-			ab += d.cur[p].busy
-			ao += d.cur[p].ops
-		}
-		ff.curs[j].SetState(ff.rotSnap[src].free+dt, ff.rotSnap[j].busy+ab, ff.rotSnap[j].ops+ao)
-	}
-	// Memory-controller cursors (north/south pairs), same orbit over nctls.
-	for c := 0; c < nc; c++ {
-		for s := 0; s < 2; s++ {
-			j := nb + 2*c + s
-			src := nb + 2*int(((int64(c)-k*rotC)%int64(nc)+int64(nc))%int64(nc)) + s
-			var ab sim.Time
-			var ao int64
-			for u := int64(1); u <= k; u++ {
-				p := nb + 2*int(((int64(c)-u*rotC)%int64(nc)+int64(nc))%int64(nc)) + s
-				ab += d.cur[p].busy
-				ao += d.cur[p].ops
-			}
-			ff.curs[j].SetState(ff.rotSnap[src].free+dt, ff.rotSnap[j].busy+ab, ff.rotSnap[j].ops+ao)
-		}
-	}
-	// Core pipeline cursors are tied to strands, not to the interleave: they
-	// advance unrotated, exactly as in item mode.
-	for i := ncur; i < len(ff.curs); i++ {
-		ff.curs[i].Shift(dt)
-		ff.curs[i].Account(k*d.cur[i].busy, k*d.cur[i].ops)
-	}
-	// Controller aggregate stats rotate the same way: controller c's traffic
-	// over the k periods is the orbit sum of the validated per-controller
-	// deltas.
-	if cap(ff.mcAdd) < nc {
-		ff.mcAdd = make([]mem.CtlStats, nc)
-	}
-	ff.mcAdd = ff.mcAdd[:nc]
-	for c := 0; c < nc; c++ {
-		var a mem.CtlStats
-		for u := int64(1); u <= k; u++ {
-			p := ((int64(c)-u*rotC)%int64(nc) + int64(nc)) % int64(nc)
-			a.Reads += d.mc[p].Reads
-			a.Writes += d.mc[p].Writes
-			a.BusyCycles += d.mc[p].BusyCycles
-		}
-		ff.mcAdd[c] = a
-	}
-	rs.mc.AddStats(1, ff.mcAdd)
-
-	rs.units += k * d.units
-	rs.repBytes += k * d.repBytes
-	rs.loadStall += k * d.loadStall
-	rs.storeStall += k * d.storeStall
-	rs.computeStall += k * d.computeStall
-	rs.retryStall += k * d.retryStall
-	rs.retries += k * d.retries
-
-	shift := phys.Addr(k * cand.stride)
-	for i, s := range rs.strands {
-		for j := range s.sb {
-			s.sb[j] += dt
-		}
-		for j := range s.slots {
-			s.slots[j] += dt
-		}
-		ff.igens[i].SkipIters(k * cand.iters)
-		s.items += k * d.items[i]
-		if s.active {
-			for a := s.accIdx; a < len(s.item.Acc); a++ {
-				s.item.Acc[a].Addr += shift
-			}
-		}
-		s.retrying = false
-	}
-	rs.ffRebuildWindow()
-
-	ff.items += k * d.itemsTotal
-	ff.cycles += dt
-	ff.period = d.dt
-	ff.jumps++
-	ff.skipped += int64(uint64(k) * d.steps)
-	ff.budget = ffIterSampleBudget
-}
-
 // recAccess appends one executed cache access and its outcome to the
 // recording, when the detector is recording a validation period.
-func (rs *runState) recAccess(line phys.Addr, write, hit, vdirty bool, victim phys.Addr) {
-	limit := ffRecLimit
-	if rs.ff.mode == ffModeIter {
-		limit = ffIterRecLimit
-	}
-	if len(rs.ff.rec) <= limit {
-		var vc int8
-		if vdirty {
-			vc = int8(rs.cfg.Mapping.Controller(victim))
-		}
-		rs.ff.rec = append(rs.ff.rec, ffAccess{addr: line, write: write, hit: hit, vdirty: vdirty, vctl: vc})
+func (rs *runState) recAccess(line phys.Addr, write, hit, vdirty bool) {
+	if len(rs.ff.rec) <= ffRecLimit {
+		rs.ff.rec = append(rs.ff.rec, ffAccess{addr: line, write: write, hit: hit, vdirty: vdirty})
 	}
 }
 
@@ -1354,10 +744,8 @@ func (rs *runState) ffReplayCache(k int64, d *ffDelta) bool {
 	nb := len(d.l2B)
 	if cap(ff.l2BPre) < nb {
 		ff.l2BPre = make([]cache.Stats, nb)
-		ff.l2BPost = make([]cache.Stats, nb)
 	}
 	ff.l2BPre = ff.l2BPre[:nb]
-	ff.l2BPost = ff.l2BPost[:nb]
 	rs.l2.BankStatsInto(ff.l2BPre)
 	rs.l2.SnapshotInto(&ff.rollback)
 	ok := true
@@ -1389,68 +777,6 @@ replay:
 	if !ok {
 		// Restore the tag store and re-impose the pre-replay counters; the
 		// run continues as if the jump had never been attempted.
-		rs.l2.Restore(&ff.rollback)
-		rs.l2.SetStats(ff.l2BPre)
-		return false
-	}
-	return true
-}
-
-// ffReplayCacheIter is the iteration-mode tag-store replay. All accesses of
-// a period share the single analytic stride (iters * istride bytes per
-// period), so replayed period it advances every recorded address by
-// it*stride. On top of the hit/victim-dirty outcome checks it proves the
-// rotation assumption for writeback traffic: a dirty victim's memory
-// controller must be the recorded victim's controller rotated by it*rotC,
-// because that is how ffJumpIter credits per-controller writes.
-func (rs *runState) ffReplayCacheIter(k int64, d *ffDelta, cand *ffCandidate) bool {
-	ff := &rs.ff
-	pre := rs.l2.Stats()
-	nb := len(d.l2B)
-	if cap(ff.l2BPre) < nb {
-		ff.l2BPre = make([]cache.Stats, nb)
-		ff.l2BPost = make([]cache.Stats, nb)
-	}
-	ff.l2BPre = ff.l2BPre[:nb]
-	ff.l2BPost = ff.l2BPost[:nb]
-	rs.l2.BankStatsInto(ff.l2BPre)
-	rs.l2.SnapshotInto(&ff.rollback)
-	nc := int64(ff.nctls)
-	ok := true
-replay:
-	for it := int64(1); it <= k; it++ {
-		shift := phys.Addr(it * cand.stride)
-		vrot := (it * int64(cand.rotC)) % nc
-		for i := range ff.rec {
-			a := &ff.rec[i]
-			res := rs.l2.Access(a.addr+shift, a.write)
-			if res.Hit != a.hit || res.VictimDirty != a.vdirty {
-				ok = false
-				break replay
-			}
-			if a.vdirty {
-				want := int((int64(a.vctl) + vrot) % nc)
-				if rs.cfg.Mapping.Controller(res.Victim) != want {
-					ok = false
-					break replay
-				}
-			}
-		}
-	}
-	if ok {
-		post := rs.l2.Stats()
-		if post.Hits != pre.Hits+k*d.l2.Hits ||
-			post.Misses != pre.Misses+k*d.l2.Misses ||
-			post.Writebacks != pre.Writebacks+k*d.l2.Writebacks {
-			ok = false
-		}
-	}
-	// Fault injection (no-op unless built and armed): exercise the
-	// iteration-mode rollback exactly like the item-mode one.
-	if ok && faults.FFDecline() {
-		ok = false
-	}
-	if !ok {
 		rs.l2.Restore(&ff.rollback)
 		rs.l2.SetStats(ff.l2BPre)
 		return false

@@ -15,10 +15,15 @@ import (
 // triadProgAt builds a STREAM triad program with the given offset and team
 // size, pre-warmed like the figure harnesses.
 func triadProgAt(n, off int64, threads int) *trace.Program {
+	return triadProgSched(n, off, threads, omp.StaticBlock{})
+}
+
+// triadProgSched is triadProgAt under an arbitrary loop schedule.
+func triadProgSched(n, off int64, threads int, sched omp.Schedule) *trace.Program {
 	sp := alloc.NewSpace()
 	bases := sp.Common(3, n+off, phys.WordSize)
 	k := kernels.StreamTriad(bases[0], bases[1], bases[2], n)
-	p := k.Program(omp.StaticBlock{}, threads)
+	p := k.Program(sched, threads)
 	p.WarmLines = (4 << 20) / phys.LineSize
 	return p
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/omp"
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
@@ -121,27 +122,32 @@ func TestShardedBatchingEquivalence(t *testing.T) {
 }
 
 // TestShardedFallbacks covers the configurations off the default path —
-// the MSHR ablation and shared-order scheduling — where the fast-forward
-// detector must either stay exact or decline and fall back to full
-// simulation. Either way a reused worker machine with the detector armed
-// must reproduce a fresh full simulation byte for byte, fast-forward
-// telemetry aside.
+// the MSHR ablation and the shared-order OpenMP schedules (dynamic and
+// guided self-scheduling, whose assigners hand out chunks from one
+// counter in simulation-time order) — where the fast-forward detector must
+// either stay exact or decline and fall back to full simulation. Either
+// way a reused worker machine with the detector armed must reproduce a
+// fresh full simulation byte for byte, fast-forward telemetry aside. The
+// guided run is long enough to commit a jump, so the skip is proven exact
+// on a shared assigner, not just declined.
 func TestShardedFallbacks(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  func() Config
-		mk   func() *trace.Program
+		name  string
+		cfg   func() Config
+		mk    func() *trace.Program
+		jumps bool // the armed run must commit a jump
 	}{
 		{"mshr-ablation", func() Config {
 			cfg := t2cfg()
 			cfg.MSHRPerStrand = 4
 			return cfg
-		}, func() *trace.Program { return triadProgAt(1<<14, 8, 16) }},
+		}, func() *trace.Program { return triadProgAt(1<<14, 8, 16) }, false},
 		{"shared-scheduler", t2cfg, func() *trace.Program {
-			p := triadProgAt(1<<14, 8, 16)
-			p.SharedSched = true
-			return p
-		}},
+			return triadProgSched(1<<14, 8, 16, omp.Dynamic{Size: 64})
+		}, false},
+		{"guided-scheduler", t2cfg, func() *trace.Program {
+			return triadProgSched(1<<16, 8, 16, omp.Guided{Min: 1})
+		}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -151,6 +157,9 @@ func TestShardedFallbacks(t *testing.T) {
 			m := New(c.cfg())
 			m.Run(marchingProg(8, 40))
 			got := m.Run(c.mk())
+			if c.jumps && got.FFJumps == 0 {
+				t.Fatal("armed run committed no jump; the equivalence is vacuous")
+			}
 			if !reflect.DeepEqual(stripFF(got), stripFF(want)) {
 				t.Fatalf("armed run diverged from full simulation:\n got  %+v\n want %+v", got, want)
 			}

@@ -178,21 +178,19 @@ func (s *Spec) Program(threads int) *trace.Program {
 		asns[i] = s.Sched.Assigner(s.N-2, threads)
 	}
 	p := &trace.Program{
-		Label:       fmt.Sprintf("jacobi/N=%d/%s/t=%d", s.N, s.Sched.String(), threads),
-		SharedSched: !s.Sched.PerThread(),
+		Label: fmt.Sprintf("jacobi/N=%d/%s/t=%d", s.N, s.Sched.String(), threads),
 	}
 	for t := 0; t < threads; t++ {
-		p.Gens = append(p.Gens, &gen{spec: s, asns: asns, thread: t, threads: threads})
+		p.Gens = append(p.Gens, &gen{spec: s, asns: asns, thread: t})
 	}
 	return p
 }
 
 type gen struct {
-	spec    *Spec
-	asns    []omp.Assigner
-	thread  int
-	threads int
-	sweep   int
+	spec   *Spec
+	asns   []omp.Assigner
+	thread int
+	sweep  int
 
 	cur     omp.Chunk
 	hasRow  bool
@@ -202,15 +200,6 @@ type gen struct {
 	trBelow trace.LineTracker
 	trCur   trace.LineTracker
 	trDst   trace.LineTracker
-
-	// Probed uniform-region cache (see probe): the rows [ffLo, ffEnd] of
-	// sweep ffSweep advance by ffStep rows and ffStride bytes per iteration.
-	ffSweep   int
-	ffLo      int64
-	ffEnd     int64
-	ffStep    int64
-	ffStride  int64
-	ffChunked bool // iterations consume single-row chunks from the assigner
 }
 
 func (g *gen) nextRow() bool {
@@ -284,190 +273,11 @@ func (g *gen) Next(it *trace.Item) bool {
 	return true
 }
 
-// The Jacobi generator does NOT implement trace.Forwardable — the stencil
-// re-reads every row three times across consecutive row-steps, so its
-// steady-state L2 hits depend on lines installed by earlier items, and
-// per-item extrapolation would leave those lines out of the tag store. It
-// does implement trace.IterForwardable: one whole row-step is the previous
-// one's byte-translate whenever the row addressing is affine over the
-// thread's upcoming rows, and the machine replays skipped rows against the
-// real tag store, reproducing the reuse instead of extrapolating it
-// (DESIGN.md Sect. 11). Because Src and Dst are opaque closures (plain
-// rows, segarray segments, per-variant placements), the generator PROBES
-// affinity at runtime: it scans the thread's upcoming rows once per region
-// and caches the largest verified-affine extent, so a placement whose
-// per-segment shifts wrap mid-sweep simply yields a shorter region — a
-// coverage cost, never a correctness one.
-
-// elemsPerItem is the column extent of one work item: one destination line.
-const elemsPerItem = phys.LineSize / phys.WordSize
-
-// srcDst returns the current sweep's source and destination row addressing.
-func (g *gen) srcDst() (src, dst RowAddr) {
-	src, dst = g.spec.Src, g.spec.Dst
-	if g.sweep%2 == 1 {
-		src, dst = dst, src
-	}
-	return src, dst
-}
-
-// ensure refreshes the probed uniform-region cache if the generator has
-// moved outside it.
-func (g *gen) ensure() {
-	if g.ffSweep == g.sweep && g.hasRow && g.row >= g.ffLo && g.row <= g.ffEnd {
-		return
-	}
-	g.probe()
-}
-
-// probe determines the thread's current uniform region: the maximal run of
-// upcoming rows over which every iteration is the previous one's exact
-// byte-translate. The row step per iteration follows from the schedule —
-// round-robin single-row chunks (static,1 with a real team) step by the
-// team size and run to the sweep's end, block schedules step by one row
-// inside the current chunk, and shared-order schedules have no statically
-// known next row at all. The byte stride is then verified, not assumed:
-// all four streams (the three source rows and the destination row) must
-// advance by the same constant over the whole region, checked against the
-// opaque RowAddr closures row by row. The scan is cached per region, so
-// the amortized cost per ItersRemaining query is O(1).
-func (g *gen) probe() {
-	g.ffSweep = g.sweep
-	g.ffLo, g.ffEnd = g.row, g.row
-	g.ffStep, g.ffStride = 1, 0
-	g.ffChunked = false
-	if !g.hasRow {
-		return
-	}
-	n := g.spec.N
-	last := g.row
-	switch sc := g.spec.Sched.(type) {
-	case omp.StaticChunk:
-		if sc.Size <= 1 {
-			g.ffStep = int64(g.threads)
-			g.ffChunked = true
-			last = g.row + ((n-2-g.row)/g.ffStep)*g.ffStep
-		} else {
-			last = g.cur.Hi
-		}
-	case omp.StaticBlock:
-		last = g.cur.Hi
-	default:
-		return
-	}
-	if last <= g.row {
-		return
-	}
-	src, dst := g.srcDst()
-	step := g.ffStep
-	stride := int64(src(g.row+step)) - int64(src(g.row))
-	end := g.row
-	for r := g.row; r+step <= last; r += step {
-		if int64(src(r-1+step))-int64(src(r-1)) != stride ||
-			int64(src(r+step))-int64(src(r)) != stride ||
-			int64(src(r+1+step))-int64(src(r+1)) != stride ||
-			int64(dst(r+step))-int64(dst(r)) != stride {
-			break
-		}
-		end = r + step
-	}
-	g.ffEnd = end
-	if end > g.row {
-		g.ffStride = stride
-	}
-}
-
-// AtIterBoundary reports whether the generator sits between two row-steps.
-func (g *gen) AtIterBoundary() bool {
-	return !g.hasRow || g.col >= g.spec.N-1
-}
-
-// IterStride returns the verified per-row-step byte advance, or 0 when the
-// current region has no translated next iteration.
-func (g *gen) IterStride() int64 {
-	if !g.hasRow {
-		return 0
-	}
-	g.ensure()
-	return g.ffStride
-}
-
-// IterItems returns the number of work items in one row-step.
-func (g *gen) IterItems() int64 {
-	return (g.spec.N - 2 + elemsPerItem - 1) / elemsPerItem
-}
-
-// ItersRemaining returns how many further whole row-steps stay inside the
-// verified-affine region.
-func (g *gen) ItersRemaining() int64 {
-	if !g.hasRow {
-		return 0
-	}
-	g.ensure()
-	if g.ffStride == 0 {
-		return 0
-	}
-	return (g.ffEnd - g.row) / g.ffStep
-}
-
-// SkipIters advances the generator n whole row-steps in place. In the
-// chunked regime each skipped row-step consumes one single-row chunk from
-// the assigner — exactly the grabs n simulated iterations would have made —
-// so the per-thread round counter stays true; block regimes move inside
-// the current chunk. All four line trackers translate by the skipped byte
-// distance.
-func (g *gen) SkipIters(n int64) {
-	if n == 0 {
-		return
-	}
-	g.ensure()
-	delta := phys.Addr(n * g.ffStride)
-	if g.ffChunked {
-		for i := int64(0); i < n; i++ {
-			c, ok := g.asns[g.sweep].Next(g.thread)
-			if !ok {
-				panic("jacobi: SkipIters past the assigner's rows")
-			}
-			g.cur = c
-		}
-		g.row = g.cur.Lo + 1
-	} else {
-		g.row += n
-	}
-	g.trAbove.Shift(delta)
-	g.trBelow.Shift(delta)
-	g.trCur.Shift(delta)
-	g.trDst.Shift(delta)
-}
-
-// IterRef returns the source anchor of the current row — an address that
-// advances by exactly IterStride per row-step inside the region.
-func (g *gen) IterRef() phys.Addr {
-	src, _ := g.srcDst()
-	return src(g.row)
-}
-
-// IterPhase folds the generator's pattern-relevant state into f relative
-// to ref: the discrete mode (row-held flag, sweep parity, intra-row
-// column) plus the four stream anchors and four line trackers as offsets
-// from ref modulo window.
-func (g *gen) IterPhase(f *trace.Fingerprint, window int64, ref phys.Addr) {
-	if !g.hasRow {
-		f.Fold(0)
-		return
-	}
-	f.Fold(1)
-	f.Fold(uint64(g.sweep & 1))
-	f.Fold(uint64(g.col))
-	src, dst := g.srcDst()
-	f.FoldAddr(src(g.row-1)-ref, window)
-	f.FoldAddr(src(g.row)-ref, window)
-	f.FoldAddr(src(g.row+1)-ref, window)
-	f.FoldAddr(dst(g.row)-ref, window)
-	g.trAbove.PhaseRel(f, window, ref)
-	g.trBelow.PhaseRel(f, window, ref)
-	g.trCur.PhaseRel(f, window, ref)
-	g.trDst.PhaseRel(f, window, ref)
-}
-
-var _ trace.IterForwardable = (*gen)(nil)
+// The Jacobi generator deliberately does NOT implement trace.Forwardable:
+// the stencil re-reads every row three times across consecutive row-steps,
+// so its steady-state L2 hits depend on lines installed by earlier items.
+// Analytically skipping a span of items would leave those lines out of the
+// tag store and silently turn later hits into misses — the exactness the
+// fast-forward contract forbids. Reuse-free streaming kernels (the Stream
+// and SegStream families) are the ones that qualify, so Jacobi runs are
+// always simulated event by event (DESIGN.md Sect. 11).

@@ -192,8 +192,7 @@ func (s *Spec3D) Program(threads int) *trace.Program {
 		label = "jacobi3d/fused"
 	}
 	p := &trace.Program{
-		Label:       fmt.Sprintf("%s/N=%d/%s/t=%d", label, s.N, s.Sched.String(), threads),
-		SharedSched: !s.Sched.PerThread(),
+		Label: fmt.Sprintf("%s/N=%d/%s/t=%d", label, s.N, s.Sched.String(), threads),
 	}
 	for t := 0; t < threads; t++ {
 		p.Gens = append(p.Gens, &gen3d{spec: s, asns: asns, thread: t})
@@ -214,14 +213,6 @@ type gen3d struct {
 	x      int64
 
 	tr [7]trace.LineTracker // zlo, zhi, ylo, yhi, cur, (spare), dst
-
-	// Probed uniform-region cache (see probe): rows (ffZ, [ffLo, ffEnd]) of
-	// sweep ffSweep advance by ffStride bytes per row.
-	ffSweep  int
-	ffZ      int64
-	ffLo     int64
-	ffEnd    int64
-	ffStride int64
 }
 
 func (g *gen3d) advanceRow() bool {
@@ -314,156 +305,6 @@ func (g *gen3d) Next(it *trace.Item) bool {
 	return true
 }
 
-// The 3D generator mirrors the 2D one's trace.IterForwardable rationale:
-// the 7-point stencil re-reads each plane's rows across neighbouring
-// row-steps, so only whole-iteration translation (with replay against the
-// real tag store) is exact. One iteration is one x-row at (z, y); the
-// uniform region is the rest of the current z-plane — the y-to-z wrap
-// changes the address delta — further capped by the chunk edge in the
-// coalesced variant, where the parallel loop is row-granular. Affinity of
-// the opaque RowAddr3D closures is probed over the whole region, once per
-// region.
-
-// srcDst3 returns the current sweep's source and destination addressing.
-func (g *gen3d) srcDst3() (src, dst RowAddr3D) {
-	src, dst = g.spec.Src, g.spec.Dst
-	if g.sweep%2 == 1 {
-		src, dst = dst, src
-	}
-	return src, dst
-}
-
-// ensure refreshes the probed region cache if the generator left it.
-func (g *gen3d) ensure() {
-	if g.ffSweep == g.sweep && g.hasRow && g.z == g.ffZ && g.y >= g.ffLo && g.y <= g.ffEnd {
-		return
-	}
-	g.probe()
-}
-
-// probe scans the rest of the current z-plane (coalesced: up to the chunk
-// edge) and records the maximal run of rows over which all six streams —
-// the five source rows and the destination row — advance by one constant
-// byte stride. The region anchor includes ffZ, so a plane change always
-// re-probes.
-func (g *gen3d) probe() {
-	g.ffSweep = g.sweep
-	g.ffZ = g.z
-	g.ffLo, g.ffEnd = g.y, g.y
-	g.ffStride = 0
-	if !g.hasRow {
-		return
-	}
-	inner := g.spec.N - 2
-	last := inner
-	if g.spec.Coalesce {
-		if c := g.y + (g.cur.Hi - 1 - g.outer); c < last {
-			last = c
-		}
-	}
-	if last <= g.y {
-		return
-	}
-	src, dst := g.srcDst3()
-	stride := int64(src(g.z, g.y+1)) - int64(src(g.z, g.y))
-	if int64(src(g.z, g.y))-int64(src(g.z, g.y-1)) != stride {
-		return
-	}
-	end := g.y
-	for r := g.y; r+1 <= last; r++ {
-		if int64(src(g.z, r+2))-int64(src(g.z, r+1)) != stride ||
-			int64(src(g.z-1, r+1))-int64(src(g.z-1, r)) != stride ||
-			int64(src(g.z+1, r+1))-int64(src(g.z+1, r)) != stride ||
-			int64(dst(g.z, r+1))-int64(dst(g.z, r)) != stride {
-			break
-		}
-		end = r + 1
-	}
-	g.ffEnd = end
-	if end > g.y {
-		g.ffStride = stride
-	}
-}
-
-// AtIterBoundary reports whether the generator sits between two row-steps.
-func (g *gen3d) AtIterBoundary() bool {
-	return !g.hasRow || g.x >= g.spec.N-1
-}
-
-// IterStride returns the verified per-row byte advance, or 0 when the
-// region has no translated next row.
-func (g *gen3d) IterStride() int64 {
-	if !g.hasRow {
-		return 0
-	}
-	g.ensure()
-	return g.ffStride
-}
-
-// IterItems returns the number of work items in one x-row.
-func (g *gen3d) IterItems() int64 {
-	return (g.spec.N - 2 + elemsPerItem - 1) / elemsPerItem
-}
-
-// ItersRemaining returns how many further whole rows stay inside the
-// verified-affine region.
-func (g *gen3d) ItersRemaining() int64 {
-	if !g.hasRow {
-		return 0
-	}
-	g.ensure()
-	if g.ffStride == 0 {
-		return 0
-	}
-	return g.ffEnd - g.y
-}
-
-// SkipIters advances the generator n whole rows in place: the y coordinate
-// (and, in the coalesced variant, the row-granular outer index) moves
-// forward and the line trackers translate by the skipped byte distance.
-func (g *gen3d) SkipIters(n int64) {
-	if n == 0 {
-		return
-	}
-	g.ensure()
-	delta := phys.Addr(n * g.ffStride)
-	g.y += n
-	if g.spec.Coalesce {
-		g.outer += n
-	}
-	for i := range g.tr {
-		g.tr[i].Shift(delta)
-	}
-}
-
-// IterRef returns the source anchor of the current row.
-func (g *gen3d) IterRef() phys.Addr {
-	src, _ := g.srcDst3()
-	return src(g.z, g.y)
-}
-
-// IterPhase folds the generator's pattern-relevant state into f relative
-// to ref: discrete mode (row-held flag, sweep parity, intra-row x), the
-// six stream anchors and the line trackers as offsets from ref modulo
-// window.
-func (g *gen3d) IterPhase(f *trace.Fingerprint, window int64, ref phys.Addr) {
-	if !g.hasRow {
-		f.Fold(0)
-		return
-	}
-	f.Fold(1)
-	f.Fold(uint64(g.sweep & 1))
-	f.Fold(uint64(g.x))
-	src, dst := g.srcDst3()
-	f.FoldAddr(src(g.z-1, g.y)-ref, window)
-	f.FoldAddr(src(g.z+1, g.y)-ref, window)
-	f.FoldAddr(src(g.z, g.y-1)-ref, window)
-	f.FoldAddr(src(g.z, g.y+1)-ref, window)
-	f.FoldAddr(src(g.z, g.y)-ref, window)
-	f.FoldAddr(dst(g.z, g.y)-ref, window)
-	for i := range g.tr {
-		g.tr[i].PhaseRel(f, window, ref)
-	}
-}
-
-var _ trace.IterForwardable = (*gen3d)(nil)
+// Like the 2D generator, gen3d does NOT implement trace.Forwardable: the
+// 7-point stencil re-reads each plane's rows across neighbouring row-steps,
+// so per-item extrapolation would drop lines the tag store must hold.

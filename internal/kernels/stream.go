@@ -150,7 +150,6 @@ func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads in
 	}
 	p.Label = fmt.Sprintf("%s/N=%d/%s/t=%d", kc.Name, kc.N, sched.String(), threads)
 	p.WarmLines = 0
-	p.SharedSched = !sched.PerThread()
 	for t := 0; t < threads; t++ {
 		g := p.Gens[t].(*streamGen)
 		tr := g.readTr

@@ -99,8 +99,7 @@ func (l Layout) VStride(p int) int {
 // RowStride returns the element distance between the same (v, x) position
 // of two consecutive x-rows (y and y+1) — the per-row advance every one of
 // the layout's streams shares, and the pitch of the row-granular fluid-cell
-// mask. It is the byte stride (times the word size) by which a whole outer
-// iteration of the trace generator translates.
+// mask.
 func (l Layout) RowStride(p int) int {
 	switch l {
 	case IJKv:

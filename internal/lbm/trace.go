@@ -54,10 +54,9 @@ func GridBytes(n int64, l Layout) int64 {
 // MaskBytes returns the byte size of the fluid-cell mask for the given
 // layout: one word per padded cell, with the row at (y, z) starting
 // RowStride(p) elements after the row at (y-1, z) — the same per-row
-// element advance as every distribution-function stream. Sharing the grid's
-// row pitch makes one whole x-row of the kernel (mask included) a
-// constant-stride translate of the previous one, the property the
-// iteration-granular fast-forward depends on.
+// element advance as every distribution-function stream, so one whole
+// x-row of the kernel (mask included) is a constant-stride translate of
+// the previous one.
 func MaskBytes(n int64, l Layout) int64 {
 	p := n + 2
 	return int64(l.RowStride(int(p))) * p * p * phys.WordSize
@@ -86,8 +85,7 @@ func (s *TraceSpec) Program(threads int) *trace.Program {
 		fused = "/fused"
 	}
 	p := &trace.Program{
-		Label:       fmt.Sprintf("lbm/%s%s/N=%d/%s/t=%d", s.Layout.Name(), fused, s.N, s.Sched.String(), threads),
-		SharedSched: !s.Sched.PerThread(),
+		Label: fmt.Sprintf("lbm/%s%s/N=%d/%s/t=%d", s.Layout.Name(), fused, s.N, s.Sched.String(), threads),
 	}
 	for t := 0; t < threads; t++ {
 		p.Gens = append(p.Gens, &gen{spec: s, asns: asns, thread: t})
@@ -237,117 +235,12 @@ func (g *gen) Next(it *trace.Item) bool {
 	return true
 }
 
-// The LBM generator does NOT implement trace.Forwardable — rows of
-// adjacent distribution functions abut in memory, so the boundary lines of
-// one row-step's streams are re-touched by neighbouring row-steps, and
-// whether those accesses hit depends on the LRU state the intervening
-// items left behind; per-item extrapolation would silently flip such hits
-// to misses. It does implement trace.IterForwardable: one whole x-row is
-// the previous row's exact byte-translate (every one of the 19 read
-// streams, 19 write streams and the row-pitched mask advances by
-// WordSize*RowStride bytes per row), and the machine replays skipped rows
-// against the real tag store, so intra-row reuse is reproduced, never
-// extrapolated (DESIGN.md Sect. 11).
-
-// elemsPerItem is the x-extent of one work item: one destination line.
-const elemsPerItem = phys.LineSize / phys.WordSize
-
-// rowStride returns the constant byte advance between consecutive x-rows
-// of the sweep — shared by every stream of the kernel, mask included.
-func (g *gen) rowStride() int64 {
-	p := g.spec.N + 2
-	return int64(g.spec.Layout.RowStride(int(p))) * phys.WordSize
-}
-
-// srcBase returns the base of the grid the current sweep reads.
-func (g *gen) srcBase() phys.Addr {
-	if g.sweep%2 == 1 {
-		return g.spec.NewBase
-	}
-	return g.spec.OldBase
-}
-
-// AtIterBoundary reports whether the generator sits between two x-rows.
-func (g *gen) AtIterBoundary() bool {
-	return !g.hasRow || g.x > g.spec.N
-}
-
-// IterStride returns the per-row byte advance of every access address.
-func (g *gen) IterStride() int64 { return g.rowStride() }
-
-// IterItems returns the number of work items in one x-row.
-func (g *gen) IterItems() int64 {
-	return (g.spec.N + elemsPerItem - 1) / elemsPerItem
-}
-
-// ItersRemaining returns how many further whole rows continue the uniform
-// pattern: rows up to, but never across, the current z-plane's edge (the
-// y-to-z wrap changes the address delta) or — in the fused variant, where
-// the chunk is row-granular — the current chunk's edge.
-func (g *gen) ItersRemaining() int64 {
-	if !g.hasRow {
-		return 0
-	}
-	rem := g.spec.N - g.y
-	if g.spec.Fused {
-		if c := g.cur.Hi - 1 - g.outer; c < rem {
-			rem = c
-		}
-	}
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
-// SkipIters advances the generator n whole rows in place: the row
-// coordinate and (in the fused variant) the coalesced outer index move
-// forward, and every line tracker is translated by the same byte stride
-// the skipped accesses would have applied.
-func (g *gen) SkipIters(n int64) {
-	if n == 0 {
-		return
-	}
-	delta := phys.Addr(n * g.rowStride())
-	g.y += n
-	if g.spec.Fused {
-		g.outer += n
-	}
-	for v := 0; v < Q; v++ {
-		g.trRead[v].Shift(delta)
-		g.trWrite[v].Shift(delta)
-	}
-	g.trMask.Shift(delta)
-}
-
-// IterRef returns the source-grid anchor of the current row — an address
-// that advances by exactly IterStride per row.
-func (g *gen) IterRef() phys.Addr {
-	return g.addr(g.srcBase(), 0, 1, g.y, g.z)
-}
-
-// IterPhase folds the generator's pattern-relevant state into f relative
-// to ref: the discrete mode (row-held flag, sweep parity, intra-row x),
-// the source, destination and mask row anchors as offsets from ref modulo
-// window, and all 39 line trackers likewise.
-func (g *gen) IterPhase(f *trace.Fingerprint, window int64, ref phys.Addr) {
-	if !g.hasRow {
-		f.Fold(0)
-		return
-	}
-	f.Fold(1)
-	f.Fold(uint64(g.sweep & 1))
-	f.Fold(uint64(g.x))
-	src := g.srcBase()
-	dst := g.spec.OldBase + g.spec.NewBase - src
-	f.FoldAddr(g.addr(src, 0, 1, g.y, g.z)-ref, window)
-	f.FoldAddr(g.addr(dst, 0, 1, g.y, g.z)-ref, window)
-	f.FoldAddr(g.maskAddr(1, g.y, g.z)-ref, window)
-	for v := 0; v < Q; v++ {
-		g.trRead[v].PhaseRel(f, window, ref)
-		g.trWrite[v].PhaseRel(f, window, ref)
-	}
-	g.trMask.PhaseRel(f, window, ref)
-}
-
-var _ trace.IterForwardable = (*gen)(nil)
+// The LBM generator deliberately does NOT implement trace.Forwardable:
+// rows of adjacent distribution functions abut in memory, so the boundary
+// lines of one row-step's streams are re-touched by neighbouring
+// row-steps, and whether those accesses hit depends on the LRU state the
+// intervening items left behind. Analytically skipping items would not
+// install their lines, silently flipping such hits to misses. Reuse-free
+// streaming kernels (the Stream and SegStream families) are the ones that
+// qualify for steady-state fast-forward; LBM runs are always simulated
+// event by event (DESIGN.md Sect. 11).

@@ -29,16 +29,6 @@ type Assigner interface {
 type Schedule interface {
 	Assigner(n int64, threads int) Assigner
 	String() string
-	// PerThread reports whether the schedule's assignment to a thread is a
-	// pure function of that thread's own grab sequence — true for the
-	// static policies, whose assigners only touch per-thread state, false
-	// for the self-scheduling policies (dynamic, guided), whose shared grab
-	// counter makes the assignment depend on the cross-thread order of
-	// Next calls. Kernels propagate this to trace.Program.SharedSched; the
-	// chip's iteration-periodic fast-forward runs only per-thread programs,
-	// because skipping one strand's iterations would reorder the shared
-	// grab sequence the other strands see.
-	PerThread() bool
 }
 
 // ---- schedule(static) -------------------------------------------------
@@ -56,9 +46,6 @@ func (StaticBlock) Assigner(n int64, threads int) Assigner {
 
 // String returns "static".
 func (StaticBlock) String() string { return "static" }
-
-// PerThread reports true: each thread's block depends on the thread alone.
-func (StaticBlock) PerThread() bool { return true }
 
 type staticBlock struct {
 	n       int64
@@ -108,9 +95,6 @@ func (s StaticChunk) Assigner(n int64, threads int) Assigner {
 // String returns "static,<size>".
 func (s StaticChunk) String() string { return fmt.Sprintf("static,%d", s.Size) }
 
-// PerThread reports true: the round-robin deal is per-thread arithmetic.
-func (StaticChunk) PerThread() bool { return true }
-
 type staticChunk struct {
 	n, size int64
 	threads int
@@ -151,10 +135,6 @@ func (d Dynamic) Assigner(n int64, threads int) Assigner {
 // String returns "dynamic,<size>".
 func (d Dynamic) String() string { return fmt.Sprintf("dynamic,%d", d.Size) }
 
-// PerThread reports false: grabs come from a shared counter, so the
-// assignment depends on the cross-thread order of Next calls.
-func (Dynamic) PerThread() bool { return false }
-
 type dynamic struct {
 	n, size, next int64
 }
@@ -189,9 +169,6 @@ func (g Guided) Assigner(n int64, threads int) Assigner {
 
 // String returns "guided,<min>".
 func (g Guided) String() string { return fmt.Sprintf("guided,%d", g.Min) }
-
-// PerThread reports false: like Dynamic, guided grabs are order-sensitive.
-func (Guided) PerThread() bool { return false }
 
 type guided struct {
 	n, next, min, threads int64

@@ -61,6 +61,28 @@ func TestFingerprintExecutionBudgetExcluded(t *testing.T) {
 	}
 }
 
+// TestResolveTimeoutClamp: the requested timeout is honoured up to the
+// server's ceiling (time.Minute in resolveBody) and clamped above it — also
+// for values so large that converting them to a Duration would overflow.
+func TestResolveTimeoutClamp(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want time.Duration
+	}{
+		{`{"figure":"fig2"}`, time.Minute},
+		{`{"figure":"fig2","timeout_ms":0}`, time.Minute},
+		{`{"figure":"fig2","timeout_ms":1500}`, 1500 * time.Millisecond},
+		{`{"figure":"fig2","timeout_ms":60000}`, time.Minute},
+		{`{"figure":"fig2","timeout_ms":60001}`, time.Minute},
+		{`{"figure":"fig2","timeout_ms":18446744073710}`, time.Minute},
+		{`{"figure":"fig2","timeout_ms":9223372036854775807}`, time.Minute},
+	} {
+		if got := resolveBody(t, c.body).Timeout; got != c.want {
+			t.Errorf("%s: timeout %v, want %v", c.body, got, c.want)
+		}
+	}
+}
+
 // TestFingerprintDistinguishesResultAxes: anything that changes what is
 // simulated — figure, grid scale, machine profile, a placement axis value —
 // must change the key.

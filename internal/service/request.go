@@ -115,9 +115,11 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
 	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 || timeout > maxTimeout {
-		timeout = maxTimeout
+	// Compare in milliseconds before converting: outside input times
+	// time.Millisecond can overflow a Duration and wrap to a tiny deadline.
+	timeout := maxTimeout
+	if req.TimeoutMS > 0 && req.TimeoutMS <= maxTimeout.Milliseconds() {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 
 	var fig *bench.Figure

@@ -711,15 +711,6 @@ func (c *Cursor) Account(busy Time, ops int64) {
 	c.ops += ops
 }
 
-// SetState overwrites the cursor's complete accounting state. It is the
-// permutation hook of the chip's iteration-periodic fast-forward: when a
-// skipped interval's address translation rotates the interleave, one
-// cursor's future becomes another's, so the jump transplants state across
-// cursors instead of shifting each in place.
-func (c *Cursor) SetState(free, busy Time, ops int64) {
-	c.free, c.busy, c.ops = free, busy, ops
-}
-
 // Utilization returns busy time as a fraction of the elapsed horizon.
 // It returns 0 for a non-positive horizon.
 func (c *Cursor) Utilization(horizon Time) float64 {

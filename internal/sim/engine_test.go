@@ -221,23 +221,39 @@ func TestCursorFCFS(t *testing.T) {
 	}
 }
 
-// TestCursorStateRoundTrip pins the transplant the iteration-periodic
-// fast-forward performs when a jump rotates the interleave: reading a
-// cursor's state through FreeAt/Busy/Ops and writing it into another with
-// SetState yields an identical cursor that schedules identically.
+// TestCursorStateRoundTrip pins the cursor half of the chip's
+// fast-forward jump: once a periodic acquisition pattern is stationary,
+// the state one period leaves behind (read through FreeAt/Busy/Ops),
+// advanced k periods by Shift and Account, is exactly the state k more
+// simulated periods reach — and the two cursors schedule identically
+// afterwards. The pattern's last request spills past the period edge, so
+// the horizon carries a backlog across every boundary.
 func TestCursorStateRoundTrip(t *testing.T) {
-	var c Cursor
-	c.Acquire(10, 7)
-	c.Acquire(12, 3)
-	var d Cursor
-	d.SetState(c.FreeAt(), c.Busy(), c.Ops())
-	if d != c {
-		t.Fatalf("state round trip: got %+v want %+v", d, c)
+	const period = 20
+	offs := []Time{0, 2, 15}
+	durs := []Time{4, 3, 6}
+	run := func(c *Cursor, p int) {
+		for i := range offs {
+			c.Acquire(Time(p)*period+offs[i], durs[i])
+		}
 	}
-	s1, e1 := c.Acquire(15, 4)
-	s2, e2 := d.Acquire(15, 4)
-	if s1 != s2 || e1 != e2 || d != c {
-		t.Fatalf("transplanted cursor scheduled (%d, %d), original (%d, %d)", s2, e2, s1, e1)
+	const k = 5
+	var full, jumped Cursor
+	for p := 0; p < k+2; p++ {
+		run(&full, p)
+	}
+	run(&jumped, 0)
+	busy0, ops0 := jumped.Busy(), jumped.Ops()
+	run(&jumped, 1)
+	jumped.Shift(k * period)
+	jumped.Account(k*(jumped.Busy()-busy0), k*(jumped.Ops()-ops0))
+	if jumped != full {
+		t.Fatalf("jumped cursor %+v, simulated %+v", jumped, full)
+	}
+	s1, e1 := full.Acquire((k+2)*period, 4)
+	s2, e2 := jumped.Acquire((k+2)*period, 4)
+	if s1 != s2 || e1 != e2 || jumped != full {
+		t.Fatalf("jumped cursor scheduled (%d, %d), simulated (%d, %d)", s2, e2, s1, e1)
 	}
 }
 

@@ -96,60 +96,6 @@ type Forwardable interface {
 	PatternPhase(f *Fingerprint, window int64)
 }
 
-// IterForwardable is the iteration-granular counterpart of Forwardable,
-// implemented by stencil generators (Jacobi 2D/3D, LBM) whose items are
-// never individually uniform — neighbouring row-steps re-touch each
-// other's boundary lines — but whose *outer iterations* (one x-row of the
-// sweep) translate by a constant byte stride while the thread stays inside
-// a uniform region. The machine fingerprints state only at the leader's
-// iteration boundaries and, on a validated recurrence, skips whole
-// iterations: the reuse inside an iteration is simulated or replayed
-// verbatim, never extrapolated, which is what makes reuse-ful kernels
-// eligible at this granularity (see DESIGN.md Sect. 11).
-//
-// The promises, for the current uniform region: every access address the
-// next ItersRemaining() iterations emit is the previous iteration's image
-// shifted by IterStride() bytes; iterations have identical item structure
-// (IterItems() items, same per-item demand and access counts); and
-// SkipIters(n) leaves the generator in exactly the state n iterations of
-// Next calls would have, provided n*IterStride() is a multiple of the
-// line size (so shifted tracker lines stay line-exact — the machine's
-// interleave-period alignment guarantee subsumes this).
-type IterForwardable interface {
-	Generator
-	// AtIterBoundary reports whether the generator sits exactly between
-	// two iterations: the last item of a row has been produced and the
-	// first item of the next has not.
-	AtIterBoundary() bool
-	// IterStride returns the constant per-iteration byte advance shared by
-	// every access address within the current uniform region, or 0 when no
-	// uniform region is active.
-	IterStride() int64
-	// IterItems returns the number of work items in one iteration.
-	IterItems() int64
-	// ItersRemaining returns how many further whole iterations are
-	// guaranteed to continue the uniform pattern — iterations up to, but
-	// never across, the next irregularity (a plane wrap, chunk edge or
-	// sweep boundary).
-	ItersRemaining() int64
-	// SkipIters advances the generator n whole iterations in place,
-	// keeping the intra-iteration position (mid-item column or boundary
-	// state). n must not exceed ItersRemaining().
-	SkipIters(n int64)
-	// IterRef returns the reference address anchoring the current
-	// iteration — an address that advances by exactly IterStride() per
-	// iteration. The machine folds all addresses relative to the leader's
-	// reference, which is what lets iteration periods whose stride is not
-	// a multiple of the interleave period still recur (as a bank/controller
-	// rotation — see chip's rotation-canonical fingerprint).
-	IterRef() phys.Addr
-	// IterPhase folds the generator's pattern-relevant state into f
-	// relative to ref: row anchors and tracker lines as offsets from ref
-	// modulo window, plus discrete mode (intra-row position, grid-toggle
-	// parity).
-	IterPhase(f *Fingerprint, window int64, ref phys.Addr)
-}
-
 // Program is a complete parallel kernel instance: one generator per thread.
 type Program struct {
 	Label string
@@ -160,13 +106,6 @@ type Program struct {
 	// behaviour (the state a real benchmark reaches after its warm-up
 	// iterations).
 	WarmLines int64
-	// SharedSched marks programs whose generators pull work from shared,
-	// order-sensitive scheduler state (OpenMP dynamic/guided
-	// self-scheduling). Such generators must be consumed in global
-	// simulation-time order, so the chip's iteration-periodic fast-forward,
-	// which skips iterations on one strand at a time, refuses programs with
-	// this set. Kernels set it from omp.Schedule.PerThread.
-	SharedSched bool
 }
 
 // Threads returns the team size.
@@ -212,26 +151,4 @@ func (t *LineTracker) Phase(f *Fingerprint, window int64) {
 	}
 	f.Fold(1)
 	f.FoldAddr(t.last, window)
-}
-
-// PhaseRel folds the tracker's state into f relative to ref: validity plus
-// the tracked line's offset from ref modulo window — the reference-relative
-// fold of the iteration-boundary fingerprint.
-func (t *LineTracker) PhaseRel(f *Fingerprint, window int64, ref phys.Addr) {
-	if !t.valid {
-		f.Fold(0)
-		return
-	}
-	f.Fold(1)
-	f.FoldAddr(t.last-ref, window)
-}
-
-// Shift translates the tracked line by delta bytes — the state-
-// reconstruction hook IterForwardable generators use in SkipIters. delta
-// must be a multiple of the line size, so the result is exactly the line a
-// Next-driven generator would be tracking at the shifted position.
-func (t *LineTracker) Shift(delta phys.Addr) {
-	if t.valid {
-		t.last += delta
-	}
 }
