@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: ci fmt vet build test test-race test-faults test-full bench bench-smoke bench-diff daemon-smoke figures clean
+.PHONY: ci fmt vet build test test-race test-faults test-full bench bench-smoke bench-diff daemon-smoke golden figures clean
 
 # ci is the tier the workflow runs: formatting, static checks, build, and
 # the fast test tier (slow shape sweeps are skipped under -short).
@@ -33,10 +33,9 @@ test-race:
 
 # test-faults compiles the deterministic fault-injection hooks in
 # (-tags faultinject) and runs the fast tier under the race detector:
-# every recovery path — worker panic, forced fast-forward decline,
-# step-budget cancel, the daemon's service faults — executes with real
-# goroutine interleavings instead of staying dead code behind the build
-# tag.
+# every recovery path — worker panic, step-budget cancel, the daemon's
+# service faults — executes with real goroutine interleavings instead of
+# staying dead code behind the build tag.
 test-faults:
 	$(GO) test -race -short -tags faultinject ./...
 
@@ -85,6 +84,12 @@ bench-smoke:
 # listener, cache, fingerprint and signal path included.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
+
+# golden regenerates all six figures at -scale small and compares the
+# SHA-256 of each BENCH_<fig>.json with the "figures" section of
+# benchmark/golden.json (read only): the byte-identity contract as a gate.
+golden:
+	./scripts/golden.sh
 
 # figures regenerates the paper-scale figures in parallel.
 figures:

@@ -27,14 +27,10 @@ func mean(ys []float64) float64 { return stats.Summarize(ys).Mean }
 // simTotals accumulates a sweep's simulation telemetry across benchmark
 // iterations and reports it in units that survive hardware changes:
 // simulated cycles and simulated L2 line accesses retired per wallclock
-// second, plus the fraction of simulated cycles the steady-state
-// fast-forward covered analytically.
+// second.
 type simTotals struct {
-	cycles    int64
-	accesses  int64
-	ffCycles  int64
-	ffJumps   int64
-	ffSkipped int64
+	cycles   int64
+	accesses int64
 
 	// Robustness telemetry (exp.Outcome's resilience counters). Zero on
 	// every fault-free sweep, so the figure benchmarks report nothing new;
@@ -56,13 +52,8 @@ func (st *simTotals) run(e exp.Experiment) []stats.Series {
 // fold accumulates one outcome's telemetry, fault-free or not.
 func (st *simTotals) fold(out exp.Outcome) {
 	c, a := out.Totals()
-	_, fc := out.FastForwardTotals()
-	fj, fs := out.FastForwardJumpTotals()
 	st.cycles += c
 	st.accesses += a
-	st.ffCycles += fc
-	st.ffJumps += fj
-	st.ffSkipped += fs
 	st.retries += out.Retries
 	st.pointErrors += out.PointErrors
 	if out.CancelLatencyMS > st.cancelMS {
@@ -77,14 +68,6 @@ func (st *simTotals) report(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.cycles)/secs, "simcycles/s")
 	b.ReportMetric(float64(st.accesses)/secs, "accesses/s")
-	if st.cycles > 0 {
-		b.ReportMetric(float64(st.ffCycles)/float64(st.cycles)*100, "ff-coverage-%")
-		// Jump telemetry makes coverage auditable: how many analytic jumps
-		// committed and how many engine event steps they covered, per
-		// benchmark iteration (deterministic, unlike the /s rates above).
-		b.ReportMetric(float64(st.ffJumps)/float64(b.N), "ff-jumps")
-		b.ReportMetric(float64(st.ffSkipped)/float64(b.N), "ff-skipped-epochs")
-	}
 	if st.retries > 0 || st.pointErrors > 0 || st.cancelMS > 0 {
 		// Robustness telemetry, per iteration (deterministic counts): how
 		// much recovery machinery the sweep actually exercised. Fault-free
@@ -250,10 +233,9 @@ func BenchmarkResilience(b *testing.B) {
 			if p.Index == 0 {
 				return inner2(cfg, p, sc)
 			}
-			// Later points run a long, event-by-event simulation (no
-			// fast-forward) so the cancellation provably lands mid-run.
+			// Later points run a long simulation so the cancellation
+			// provably lands mid-run.
 			once.Do(func() { close(started) })
-			cfg.DisableFastForward = true
 			_, k := triadProg(int64(p.Int("x")), 8)
 			prog := k.Program(omp.StaticBlock{}, 64)
 			prog.WarmLines = cfg.L2.SizeBytes / phys.LineSize

@@ -1,10 +1,6 @@
 // Command benchdiff compares two BENCH_perf.json trajectories (as written
 // by cmd/benchjson) and fails on performance regressions: a drop of more
-// than the allowed fraction in simulated-access throughput (accesses/s),
-// a drop of more than the allowed number of points in verified
-// fast-forward coverage (ff-coverage-%, an absolute percentage-point
-// budget: coverage is already a ratio, so relative gating would be
-// hair-trigger near zero and toothless near full coverage),
+// than the allowed fraction in simulated-access throughput (accesses/s)
 // or growth in allocs/op beyond a small slack (the committed baseline
 // averages three iterations while the gate measures one, so pool and
 // runtime warmup wobble the count by a few per mille; the slack absorbs
@@ -15,7 +11,7 @@
 //
 // Usage:
 //
-//	benchdiff [-max-drop 0.20] [-max-alloc-growth 0.02] [-max-ff-drop 5]
+//	benchdiff [-max-drop 0.20] [-max-alloc-growth 0.02]
 //	          -base BENCH_perf.json -fresh BENCH_perf.fresh.json
 //
 // Benchmarks present in only one trajectory never fail the comparison:
@@ -31,7 +27,7 @@
 // the baseline" and "repair the baseline" are different CI reactions):
 //
 //	0  clean comparison, no gated regression
-//	1  gated regression (throughput, ff-coverage or allocs/op)
+//	1  gated regression (throughput or allocs/op)
 //	2  flag misuse
 //	3  a trajectory file is missing (run `make bench` to generate it)
 //	4  a trajectory file exists but is corrupt or carries no benchmarks
@@ -89,9 +85,6 @@ type row struct {
 	allocBase  float64
 	allocFresh float64
 	hasAlloc   bool
-	ffBase     float64
-	ffFresh    float64
-	hasFF      bool
 	failed     bool
 }
 
@@ -102,7 +95,7 @@ const allocSlack = 16
 
 // compare runs the gate and writes the report to w, returning whether any
 // regression crossed the thresholds.
-func compare(bd, fd doc, maxDrop, maxAllocGrowth, maxFFDrop float64, w io.Writer) bool {
+func compare(bd, fd doc, maxDrop, maxAllocGrowth float64, w io.Writer) bool {
 	names := make([]string, 0, len(bd.Benchmarks))
 	for n := range bd.Benchmarks {
 		if fd.Benchmarks[n] != nil {
@@ -128,19 +121,6 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth, maxFFDrop float64, w io.Writer
 					r.failed = true
 				}
 				fmt.Fprintf(w, "%-40s accesses/s %12.0f -> %12.0f (%+6.1f%%) %s\n", n, ba, fa, r.accRel*100, status)
-			}
-		}
-		if bff, ok := b["ff-coverage-%"]; ok {
-			if fff, ok := f["ff-coverage-%"]; ok {
-				r.hasFF = true
-				r.ffBase, r.ffFresh = bff, fff
-				status := "ok"
-				if fff < bff-maxFFDrop {
-					status = "REGRESSION"
-					failed = true
-					r.failed = true
-				}
-				fmt.Fprintf(w, "%-40s ff-cov-%%   %12.1f -> %12.1f (%+6.1f pts) %s\n", n, bff, fff, fff-bff, status)
 			}
 		}
 		if balloc, ok := b["allocs/op"]; ok {
@@ -184,8 +164,8 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth, maxFFDrop float64, w io.Writer
 
 	if failed {
 		fmt.Fprintf(w, "\nper-benchmark delta table (FAIL marks the gated regressions):\n")
-		fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %8s %8s %s\n",
-			"benchmark", "acc/s base", "acc/s fresh", "delta", "allocs base", "allocs fresh", "ff base", "ff fresh", "verdict")
+		fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %s\n",
+			"benchmark", "acc/s base", "acc/s fresh", "delta", "allocs base", "allocs fresh", "verdict")
 		for _, r := range rows {
 			acc := [3]string{"-", "-", "-"}
 			if r.hasAcc {
@@ -199,16 +179,12 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth, maxFFDrop float64, w io.Writer
 			if r.hasAlloc {
 				al = [2]string{fmt.Sprintf("%.0f", r.allocBase), fmt.Sprintf("%.0f", r.allocFresh)}
 			}
-			ffc := [2]string{"-", "-"}
-			if r.hasFF {
-				ffc = [2]string{fmt.Sprintf("%.1f", r.ffBase), fmt.Sprintf("%.1f", r.ffFresh)}
-			}
 			verdict := "ok"
 			if r.failed {
 				verdict = "FAIL"
 			}
-			fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %8s %8s %s\n",
-				r.name, acc[0], acc[1], acc[2], al[0], al[1], ffc[0], ffc[1], verdict)
+			fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %s\n",
+				r.name, acc[0], acc[1], acc[2], al[0], al[1], verdict)
 		}
 	}
 	return failed
@@ -244,7 +220,6 @@ func main() {
 	fresh := flag.String("fresh", "BENCH_perf.fresh.json", "freshly measured trajectory")
 	maxDrop := flag.Float64("max-drop", 0.20, "maximum tolerated fractional drop in accesses/s")
 	maxAllocGrowth := flag.Float64("max-alloc-growth", 0.02, "maximum tolerated fractional growth in allocs/op (plus a small absolute slack)")
-	maxFFDrop := flag.Float64("max-ff-drop", 5, "maximum tolerated absolute drop in ff-coverage-% (percentage points)")
 	flag.Parse()
 
 	bd, err := load(*base)
@@ -258,8 +233,8 @@ func main() {
 		os.Exit(loadExitCode(err))
 	}
 
-	if compare(bd, fd, *maxDrop, *maxAllocGrowth, *maxFFDrop, os.Stdout) {
-		fmt.Println("benchdiff: FAIL — accesses/s or ff-coverage-% dropped beyond the threshold, or allocs/op grew beyond the slack")
+	if compare(bd, fd, *maxDrop, *maxAllocGrowth, os.Stdout) {
+		fmt.Println("benchdiff: FAIL — accesses/s dropped beyond the threshold, or allocs/op grew beyond the slack")
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: ok")

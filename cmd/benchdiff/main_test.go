@@ -72,7 +72,7 @@ func TestCompareOK(t *testing.T) {
 	base := bm(map[string]float64{"accesses/s": 100, "allocs/op": 10})
 	fresh := bm(map[string]float64{"accesses/s": 95, "allocs/op": 10})
 	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
+	if compare(base, fresh, 0.20, 0.02, &sb) {
 		t.Fatalf("5%% drop within a 20%% budget failed:\n%s", sb.String())
 	}
 }
@@ -81,7 +81,7 @@ func TestCompareThroughputRegression(t *testing.T) {
 	base := bm(map[string]float64{"accesses/s": 100})
 	fresh := bm(map[string]float64{"accesses/s": 70})
 	var sb strings.Builder
-	if !compare(base, fresh, 0.20, 0.02, 5, &sb) {
+	if !compare(base, fresh, 0.20, 0.02, &sb) {
 		t.Fatal("30% drop passed a 20% budget")
 	}
 	out := sb.String()
@@ -94,7 +94,7 @@ func TestCompareAllocGrowthRegression(t *testing.T) {
 	base := bm(map[string]float64{"allocs/op": 10000})
 	fresh := bm(map[string]float64{"allocs/op": 11000})
 	var sb strings.Builder
-	if !compare(base, fresh, 0.20, 0.02, 5, &sb) {
+	if !compare(base, fresh, 0.20, 0.02, &sb) {
 		t.Fatal("10% alloc growth passed the 2% slack")
 	}
 }
@@ -112,7 +112,7 @@ func TestCompareToleratesOneSidedBenchmarks(t *testing.T) {
 		"BenchmarkNew":    {"accesses/s": 10, "allocs/op": 5},
 	}}
 	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
+	if compare(base, fresh, 0.20, 0.02, &sb) {
 		t.Fatalf("one-sided benchmarks/metrics failed the gate:\n%s", sb.String())
 	}
 	out := sb.String()
@@ -139,7 +139,7 @@ func TestCompareSpeculationInformational(t *testing.T) {
 	})
 	fresh := bm(map[string]float64{"accesses/s": 100})
 	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
+	if compare(base, fresh, 0.20, 0.02, &sb) {
 		t.Fatalf("retired speculation telemetry failed the gate:\n%s", sb.String())
 	}
 	out := sb.String()
@@ -151,7 +151,7 @@ func TestCompareSpeculationInformational(t *testing.T) {
 
 	slower := bm(map[string]float64{"accesses/s": 50})
 	sb.Reset()
-	if !compare(base, slower, 0.20, 0.02, 5, &sb) {
+	if !compare(base, slower, 0.20, 0.02, &sb) {
 		t.Fatalf("50%% throughput drop passed the gate next to retired metrics:\n%s", sb.String())
 	}
 }
@@ -162,33 +162,40 @@ func TestCompareAllocNoiseTolerated(t *testing.T) {
 	base := bm(map[string]float64{"allocs/op": 10000})
 	fresh := bm(map[string]float64{"allocs/op": 10120}) // +1.2%: warmup noise
 	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
+	if compare(base, fresh, 0.20, 0.02, &sb) {
 		t.Fatalf("1.2%% alloc wobble failed the 2%% slack:\n%s", sb.String())
 	}
 	blown := bm(map[string]float64{"allocs/op": 20000})
 	sb.Reset()
-	if !compare(base, blown, 0.20, 0.02, 5, &sb) {
+	if !compare(base, blown, 0.20, 0.02, &sb) {
 		t.Fatal("2x alloc growth passed the gate")
 	}
 }
 
-// TestCompareFFCoverage pins the fast-forward coverage gate: the budget is
-// absolute percentage points, so a small wobble passes while losing a
-// figure's worth of coverage fails, including a collapse to zero.
+// TestCompareFFCoverage: baselines recorded before fast-forward was removed
+// still carry its telemetry (ff-coverage-%, ff-jumps, ff-skipped-epochs),
+// and ff-coverage-% used to be gated. Comparing one against a fresh run
+// without those metrics must pass the gate — even from full coverage — and
+// report each as retired, while the gated metrics are still compared.
 func TestCompareFFCoverage(t *testing.T) {
-	base := bm(map[string]float64{"ff-coverage-%": 52.0})
-	fresh := bm(map[string]float64{"ff-coverage-%": 48.5}) // -3.5 pts: wobble
+	base := bm(map[string]float64{
+		"accesses/s": 100, "ff-coverage-%": 52, "ff-jumps": 20, "ff-skipped-epochs": 208480,
+	})
+	fresh := bm(map[string]float64{"accesses/s": 100})
 	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("3.5-point coverage drop failed a 5-point budget:\n%s", sb.String())
-	}
-	lost := bm(map[string]float64{"ff-coverage-%": 0})
-	sb.Reset()
-	if !compare(base, lost, 0.20, 0.02, 5, &sb) {
-		t.Fatal("coverage collapse to zero passed the gate")
+	if compare(base, fresh, 0.20, 0.02, &sb) {
+		t.Fatalf("retired fast-forward telemetry failed the gate:\n%s", sb.String())
 	}
 	out := sb.String()
-	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "delta table") {
-		t.Errorf("failure output missing regression marker or delta table:\n%s", out)
+	for _, metric := range []string{"ff-coverage-%", "ff-jumps", "ff-skipped-epochs"} {
+		if !strings.Contains(out, `"`+metric+`" only in baseline`) {
+			t.Errorf("report missing the retired line for %q:\n%s", metric, out)
+		}
+	}
+
+	slower := bm(map[string]float64{"accesses/s": 50})
+	sb.Reset()
+	if !compare(base, slower, 0.20, 0.02, &sb) {
+		t.Fatalf("50%% throughput drop passed the gate next to retired metrics:\n%s", sb.String())
 	}
 }

@@ -161,7 +161,7 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s ==\n",
-			f.Title, prof.Name, len(outcome.Points), *jobs, elapsed.Round(time.Millisecond))
+			f.Title, prof.Name, len(outcome.Points), runner.Workers(len(outcome.Points)), elapsed.Round(time.Millisecond))
 		if outcome.Retries > 0 || outcome.PointErrors > 0 {
 			fmt.Printf("   resilience: %d retries, %d point errors\n",
 				outcome.Retries, outcome.PointErrors)

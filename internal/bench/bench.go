@@ -173,17 +173,13 @@ func bwMetrics(r chip.Result) map[string]float64 {
 	}
 }
 
-// measured attaches the run's aggregate simulation telemetry (cycles, L2
-// accesses, fast-forward coverage) to the point result; the telemetry
+// measured attaches the run's aggregate simulation telemetry (cycles and L2
+// accesses) to the point result; the telemetry
 // never reaches the JSON trajectories, only the benchmark throughput
 // metrics.
 func measured(res exp.Result, r chip.Result) exp.Result {
 	res.Cycles = r.Cycles
 	res.Accesses = r.L2.Hits + r.L2.Misses
-	res.FFItems = r.FFItems
-	res.FFCycles = r.FFCycles
-	res.FFJumps = r.FFJumps
-	res.FFSkippedEpochs = r.FFSkippedEpochs
 	return res
 }
 

@@ -75,15 +75,11 @@ func (o Options) ScalingExp() exp.Experiment {
 			exp.Strs("machine", names...),
 			exp.Strs("placement", "congruent", "planned"),
 		},
-		Run: func(base chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
+		Run: func(_ chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
 			prof, err := machine.Get(p.Str("machine"))
 			if err != nil {
 				return exp.Result{}, err
 			}
-			// The point's machine comes from the profile registry, but the
-			// fast-forward validation toggle follows the experiment's
-			// configuration so equivalence tests can flip it sweep-wide.
-			prof.Config.DisableFastForward = base.DisableFastForward
 			ms := prof.Spec()
 			n := scalingN(o.ScalingN, ms, threads)
 			align := int64(phys.PageSize)

@@ -11,6 +11,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/phys"
 )
@@ -390,13 +391,6 @@ func (c *Banked) Stats() Stats {
 	return s
 }
 
-// BankStatsInto copies the per-bank counters into dst (which must have one
-// entry per bank) without allocating — the snapshot path of the chip's
-// steady-state fast-forward.
-func (c *Banked) BankStatsInto(dst []Stats) {
-	copy(dst, c.bankStats)
-}
-
 // Image is a snapshot of the tag store (not the counters), used to restore
 // a warmed-up cache without replaying the warm-up access sequence.
 type Image struct {
@@ -408,27 +402,14 @@ type Image struct {
 
 // Snapshot captures the current tag-store contents.
 func (c *Banked) Snapshot() *Image {
-	img := &Image{}
-	c.SnapshotInto(img)
-	return img
-}
-
-// SnapshotInto captures the tag store into img, reusing its buffers when
-// they fit — the allocation-free path for repeated checkpoints.
-func (c *Banked) SnapshotInto(img *Image) {
-	cp := func(dst *[]uint64, src []uint64) {
-		if cap(*dst) < len(src) {
-			*dst = make([]uint64, len(src))
-		}
-		*dst = (*dst)[:len(src)]
-		copy(*dst, src)
+	return &Image{
+		tags:   slices.Clone(c.tags),
+		used:   slices.Clone(c.used),
+		valid:  slices.Clone(c.valid),
+		dirty:  slices.Clone(c.dirty),
+		ptags:  slices.Clone(c.ptags),
+		clocks: slices.Clone(c.clocks),
 	}
-	cp(&img.tags, c.tags)
-	cp(&img.used, c.used)
-	cp(&img.valid, c.valid)
-	cp(&img.dirty, c.dirty)
-	cp(&img.ptags, c.ptags)
-	cp(&img.clocks, c.clocks)
 }
 
 // Restore overwrites the tag store with a snapshot taken from a cache of
@@ -452,14 +433,6 @@ func (c *Banked) BankStats() []Stats {
 	out := make([]Stats, len(c.bankStats))
 	copy(out, c.bankStats)
 	return out
-}
-
-// SetStats overwrites the per-bank counters (and with them the aggregate,
-// which is their sum) — the counterpart of BankStatsInto used when a
-// tag-store checkpoint is rolled back and the counters must be re-imposed
-// alongside it.
-func (c *Banked) SetStats(banks []Stats) {
-	copy(c.bankStats, banks)
 }
 
 // ResetStats clears the counters but keeps cache contents — used after

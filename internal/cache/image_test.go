@@ -18,20 +18,18 @@ func drive(c *Banked, salt uint64) {
 }
 
 // TestBankSnapshotRestoreRoundTrip pins the tag-store checkpoint behind the
-// warm-up image and the fast-forward rollback: after a hard divergence,
-// Restore brings back every bank's tags, LRU stamps, valid and dirty
-// masks, partial tags and LRU clock, and clears the counters. A second
-// snapshot into the same image reuses its buffers.
+// warm-up image: after a hard divergence, Restore brings back every bank's
+// tags, LRU stamps, valid and dirty masks, partial tags and LRU clock, and
+// clears the counters.
 func TestBankSnapshotRestoreRoundTrip(t *testing.T) {
 	ctl := New(small(), phys.T2())
 	sub := New(small(), phys.T2())
 	drive(ctl, 1)
 	drive(sub, 1)
 
-	var img Image
-	sub.SnapshotInto(&img)
+	img := sub.Snapshot()
 	drive(sub, 99)
-	sub.Restore(&img)
+	sub.Restore(img)
 
 	for _, f := range []struct {
 		name     string
@@ -53,17 +51,10 @@ func TestBankSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Errorf("bank %d counters %+v after restore, want zero", b, s)
 		}
 	}
-
-	tagsCap, clocksCap := cap(img.tags), cap(img.clocks)
-	sub.SnapshotInto(&img)
-	if cap(img.tags) != tagsCap || cap(img.clocks) != clocksCap {
-		t.Error("SnapshotInto reallocated on reuse")
-	}
 }
 
 // TestBankRestoreLeavesOtherBanksAlone: a divergence confined to one bank
-// — the shape of a declined fast-forward replay on a single stream — is
-// rolled back in that bank, every other bank ends bit-identical to a cache
+// is rolled back in that bank, every other bank ends bit-identical to a cache
 // that never diverged, and the per-set install versions are left alone:
 // they stay monotonic, so a probe taken before the rollback is never
 // mistaken for a current one.
@@ -72,8 +63,7 @@ func TestBankRestoreLeavesOtherBanksAlone(t *testing.T) {
 	ctl := New(small(), phys.T2())
 	drive(c, 1)
 	drive(ctl, 1)
-	var img Image
-	c.SnapshotInto(&img)
+	img := c.Snapshot()
 	before := append([]uint32(nil), c.vers...)
 
 	// Bank 0 only: on the T2 mapping bits 8:6 select the bank.
@@ -84,7 +74,7 @@ func TestBankRestoreLeavesOtherBanksAlone(t *testing.T) {
 		}
 		c.Access(a, true)
 	}
-	c.Restore(&img)
+	c.Restore(img)
 
 	spb, w := c.setsPerBank, c.cfg.Ways
 	if !reflect.DeepEqual(c.tags[:spb*w], ctl.tags[:spb*w]) || c.clocks[0] != ctl.clocks[0] {

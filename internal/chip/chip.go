@@ -65,11 +65,6 @@ type Config struct {
 	// benchmark), which demonstrates that phase coherence is a necessary
 	// ingredient of the effect.
 	RunAhead int64
-	// DisableFastForward forces full event-by-event simulation even when a
-	// run qualifies for steady-state fast-forward (see forward.go). It is
-	// a validation toggle: results must be identical either way, and the
-	// equivalence tests flip it to prove that.
-	DisableFastForward bool
 }
 
 // MaxThreads returns the hardware strand count.
@@ -110,16 +105,6 @@ type Result struct {
 	ComputeStall int64 // cycles strands spent in/waiting for pipelines
 	RetryStall   int64 // cycles strands spent retrying NACKed requests
 	Retries      int64 // number of NACK-and-retry round trips
-
-	// Fast-forward telemetry (see forward.go). These describe how the run
-	// was computed, not what it computed: a fast-forwarded run reports the
-	// same Cycles, counters and traffic as full simulation, plus how much
-	// of the work was covered analytically.
-	FFItems         int64 // work items covered by steady-state fast-forward
-	FFCycles        int64 // cycles covered by steady-state fast-forward
-	FFPeriod        int64 // last detected steady-state period in cycles (0: none)
-	FFJumps         int64 // committed analytic jumps
-	FFSkippedEpochs int64 // engine event steps covered analytically instead of simulated
 }
 
 // Balance returns min/max controller utilization, the paper's notion of
@@ -224,7 +209,6 @@ type runState struct {
 	strands  []*strand
 	pool     []*strand // grown to the largest team seen, reused across runs
 	handler  sim.Handler
-	ff       ffState
 	units    int64
 	repBytes int64
 	finish   sim.Time
@@ -253,9 +237,6 @@ type runState struct {
 func (rs *runState) bumpItems(s *strand) {
 	old := s.items
 	s.items++
-	if rs.ff.on && s == rs.ff.leader {
-		rs.ff.pending = true // sample once the current event has fully run
-	}
 	if rs.runAhead <= 0 {
 		return
 	}
@@ -327,9 +308,6 @@ func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe) sim.Time {
 	arrive := t + rs.cfg.XbarLatency
 	bankStart, bankDone := rs.banks[p.Bank].Acquire(arrive, rs.cfg.L2BankService)
 	res := rs.l2.Commit(p, false)
-	if rs.ff.recOn {
-		rs.recAccess(line, false, res.Hit, res.VictimDirty)
-	}
 	var dataAt sim.Time
 	if res.Hit {
 		dataAt = bankStart + rs.cfg.L2HitLatency
@@ -353,9 +331,6 @@ func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe) (proceed, f
 	arrive := t + rs.cfg.XbarLatency
 	_, bankDone := rs.banks[p.Bank].Acquire(arrive, rs.cfg.L2BankService)
 	res := rs.l2.Commit(p, true)
-	if rs.ff.recOn {
-		rs.recAccess(line, true, res.Hit, res.VictimDirty)
-	}
 	fill = bankDone
 	if !res.Hit {
 		fill = rs.mc.Read(bankDone, line)
@@ -569,13 +544,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		if rs.runAhead > 0 {
 			rs.window = make([]int32, rs.runAhead+1)
 		}
-		rs.handler = func(_ sim.Kind, arg int32) {
-			rs.step(rs.strands[arg])
-			if rs.ff.pending {
-				rs.ff.pending = false
-				rs.ffSample()
-			}
-		}
+		rs.handler = func(_ sim.Kind, arg int32) { rs.step(rs.strands[arg]) }
 		m.rs = rs
 	} else {
 		rs.eng.Reset()
@@ -619,11 +588,8 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		clear(s.slots)
 		rs.eng.Schedule(0, evStep, int32(t))
 	}
-	rs.ffReset()
-	rs.ffInit(prog)
 	cw := armCancel(ctx, &rs.eng)
 	rs.eng.Run()
-	rs.ffDisarm()
 	var cancelErr *CancelError
 	if rs.eng.Interrupted() {
 		cancelErr = cw.abortError(ctx)
@@ -665,12 +631,6 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		ComputeStall: rs.computeStall,
 		RetryStall:   rs.retryStall,
 		Retries:      rs.retries,
-
-		FFItems:         rs.ff.items,
-		FFCycles:        rs.ff.cycles,
-		FFPeriod:        rs.ff.period,
-		FFJumps:         rs.ff.jumps,
-		FFSkippedEpochs: rs.ff.skipped,
 	}
 	res.GBps = float64(rs.repBytes) / secs / 1e9
 	res.ActualGBps = float64(lines*m.cfg.L2.LineSize) / secs / 1e9

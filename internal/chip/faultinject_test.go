@@ -11,41 +11,6 @@ import (
 	"repro/internal/faults"
 )
 
-// TestInjectedFFDeclineIsInvisible forces every validated fast-forward
-// jump through the rollback checkpoint path — snapshot, replay, restore,
-// stats rewind — and asserts the declined run is byte-identical to both
-// the committed-jump run and full event-by-event simulation. This is the
-// "fingerprint mismatch → rollback + declined jump" recovery proof: a
-// decline may only cost time, never a result byte.
-func TestInjectedFFDeclineIsInvisible(t *testing.T) {
-	const n, off, threads = 1 << 15, 8, 16
-	committed := New(t2cfg()).Run(triadProgAt(n, off, threads))
-	if committed.FFJumps == 0 {
-		t.Fatal("baseline run committed no jumps; the decline test would be vacuous")
-	}
-
-	faults.Arm(&faults.Plan{Seed: 1, DeclineJumps: true})
-	defer faults.Disarm()
-	declined := New(t2cfg()).Run(triadProgAt(n, off, threads))
-	if st := faults.Stats(); st.FFDeclines == 0 {
-		t.Fatal("no declines injected; the rollback path never ran")
-	}
-	if declined.FFJumps != 0 {
-		t.Fatalf("run committed %d jumps with every candidate vetoed", declined.FFJumps)
-	}
-
-	cfgOff := t2cfg()
-	cfgOff.DisableFastForward = true
-	full := New(cfgOff).Run(triadProgAt(n, off, threads))
-
-	if !reflect.DeepEqual(stripFF(declined), stripFF(full)) {
-		t.Errorf("declined jumps changed the result vs full simulation:\n declined: %+v\n full:     %+v", declined, full)
-	}
-	if !reflect.DeepEqual(stripFF(declined), stripFF(committed)) {
-		t.Errorf("declined jumps changed the result vs committed jumps:\n declined:  %+v\n committed: %+v", declined, committed)
-	}
-}
-
 // TestInjectedStepCancel halts the sequential engine at a seed-derived
 // event step — the deterministic stand-in for "context cancelled at a
 // randomized engine step" — and asserts the clean-abort contract: a
@@ -57,7 +22,6 @@ func TestInjectedStepCancel(t *testing.T) {
 	defer faults.Disarm()
 
 	cfg := t2cfg()
-	cfg.DisableFastForward = true
 	m := New(cfg)
 	res, err := m.RunCtx(context.Background(), marchingProg(16, 100_000))
 	var ce *CancelError

@@ -80,7 +80,6 @@ func TestRunCtxPreCancelled(t *testing.T) {
 // latency and partial telemetry with a real clock horizon.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	cfg := t2cfg()
-	cfg.DisableFastForward = true
 	const threads, items = 16, 1 << 20 // hours of simulation if not cancelled
 	gens := make([]trace.Generator, threads)
 	started := make(chan struct{})

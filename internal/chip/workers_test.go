@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alloc"
+	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/kernels"
 	"repro/internal/omp"
 	"repro/internal/phys"
 	"repro/internal/trace"
@@ -16,12 +19,27 @@ import (
 // (exp.Scratch) and runs its shard of points back to back on it, while the
 // other workers run theirs concurrently. None of that may show in a
 // Result — not the number of workers, not which points a machine ran
-// before, not the configuration paths the fast-forward detector declines.
+// before, not the configuration paths off the default one.
+
+// triadProgAt builds a STREAM triad program with the given offset and team
+// size, pre-warmed like the figure harnesses.
+func triadProgAt(n, off int64, threads int) *trace.Program {
+	return triadProgSched(n, off, threads, omp.StaticBlock{})
+}
+
+// triadProgSched is triadProgAt under an arbitrary loop schedule.
+func triadProgSched(n, off int64, threads int, sched omp.Schedule) *trace.Program {
+	sp := alloc.NewSpace()
+	bases := sp.Common(3, n+off, phys.WordSize)
+	k := kernels.StreamTriad(bases[0], bases[1], bases[2], n)
+	p := k.Program(sched, threads)
+	p.WarmLines = (4 << 20) / phys.LineSize
+	return p
+}
 
 // topologies are the machine shapes the worker tests sweep: the paper's
 // machine, a degenerate single-controller machine, a wide 8-controller
-// machine, and the hashed mapping (no spatial period, so fast-forward
-// never arms).
+// machine, and the hashed mapping (no spatial period).
 func topologies() map[string]Config {
 	t2 := t2cfg()
 	mc1 := t2
@@ -61,7 +79,7 @@ func demandOf(n int64) (d cpu.Demand) {
 // TestShardedWorkerInvariance: the number of workers a sweep is sharded
 // across is pure execution parallelism. Machines running concurrently share
 // no state, so every Result byte — cycles, stalls, per-controller traffic,
-// L2 counters, telemetry — is the solo run's at 1 to 4 concurrent
+// L2 counters — is the solo run's at 1 to 4 concurrent
 // workers, on every topology. Run under -race this also pins the absence
 // of hidden shared mutable state between machines.
 func TestShardedWorkerInvariance(t *testing.T) {
@@ -124,44 +142,33 @@ func TestShardedBatchingEquivalence(t *testing.T) {
 // TestShardedFallbacks covers the configurations off the default path —
 // the MSHR ablation and the shared-order OpenMP schedules (dynamic and
 // guided self-scheduling, whose assigners hand out chunks from one
-// counter in simulation-time order) — where the fast-forward detector must
-// either stay exact or decline and fall back to full simulation. Either
-// way a reused worker machine with the detector armed must reproduce a
-// fresh full simulation byte for byte, fast-forward telemetry aside. The
-// guided run is long enough to commit a jump, so the skip is proven exact
-// on a shared assigner, not just declined.
+// counter in simulation-time order). A reused worker machine must
+// reproduce a fresh machine's Result byte for byte on each of them.
 func TestShardedFallbacks(t *testing.T) {
 	cases := []struct {
-		name  string
-		cfg   func() Config
-		mk    func() *trace.Program
-		jumps bool // the armed run must commit a jump
+		name string
+		cfg  func() Config
+		mk   func() *trace.Program
 	}{
 		{"mshr-ablation", func() Config {
 			cfg := t2cfg()
 			cfg.MSHRPerStrand = 4
 			return cfg
-		}, func() *trace.Program { return triadProgAt(1<<14, 8, 16) }, false},
+		}, func() *trace.Program { return triadProgAt(1<<14, 8, 16) }},
 		{"shared-scheduler", t2cfg, func() *trace.Program {
 			return triadProgSched(1<<14, 8, 16, omp.Dynamic{Size: 64})
-		}, false},
+		}},
 		{"guided-scheduler", t2cfg, func() *trace.Program {
-			return triadProgSched(1<<16, 8, 16, omp.Guided{Min: 1})
-		}, true},
+			return triadProgSched(1<<14, 8, 16, omp.Guided{Min: 1})
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			off := c.cfg()
-			off.DisableFastForward = true
-			want := New(off).Run(c.mk())
+			want := New(c.cfg()).Run(c.mk())
 			m := New(c.cfg())
 			m.Run(marchingProg(8, 40))
-			got := m.Run(c.mk())
-			if c.jumps && got.FFJumps == 0 {
-				t.Fatal("armed run committed no jump; the equivalence is vacuous")
-			}
-			if !reflect.DeepEqual(stripFF(got), stripFF(want)) {
-				t.Fatalf("armed run diverged from full simulation:\n got  %+v\n want %+v", got, want)
+			if got := m.Run(c.mk()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reused machine diverged from a fresh one:\n got  %+v\n want %+v", got, want)
 			}
 		})
 	}
@@ -197,47 +204,72 @@ func TestShardedRunAheadCoupling(t *testing.T) {
 	}
 }
 
-// TestShardedFastForwardDisabled: DisableFastForward is honoured on every
-// worker. The program is one the armed detector provably locks onto and
-// jumps over, so the zero-telemetry assertion is not vacuous.
-func TestShardedFastForwardDisabled(t *testing.T) {
-	armed := New(t2cfg()).Run(triadProgAt(1<<15, 8, 16))
-	if armed.FFCycles == 0 || armed.FFJumps == 0 {
-		t.Fatalf("armed reference did not fast-forward (items=%d jumps=%d); the guard is vacuous", armed.FFItems, armed.FFJumps)
-	}
-	cfg := t2cfg()
-	cfg.DisableFastForward = true
-	for w, r := range runConcurrently(cfg, 2, func() *trace.Program { return triadProgAt(1<<15, 8, 16) }) {
-		if r.FFItems != 0 || r.FFCycles != 0 || r.FFPeriod != 0 || r.FFJumps != 0 || r.FFSkippedEpochs != 0 {
-			t.Errorf("worker %d: disabled run reports fast-forward telemetry: items=%d cycles=%d period=%d jumps=%d skipped=%d",
-				w, r.FFItems, r.FFCycles, r.FFPeriod, r.FFJumps, r.FFSkippedEpochs)
-		}
-		if !reflect.DeepEqual(r, stripFF(armed)) {
-			t.Errorf("worker %d: disabled run diverged from the armed run:\n got  %+v\n want %+v", w, r, stripFF(armed))
-		}
+// TestCheckpointRestoreProperty is the property test behind the warm-L2
+// image every run restores instead of replaying the warm-up. For random
+// access streams on every topology's L2 geometry, a cache driven through
+// snapshot, divergence and restore must then behave exactly like a twin
+// that never diverged and only had its counters cleared: zero counters,
+// and the same hit/miss and victim outcomes on every later access.
+func TestCheckpointRestoreProperty(t *testing.T) {
+	for name, cfg := range topologies() {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				rng := seed
+				next := func() phys.Addr {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					return phys.Addr((rng >> 20) % (1 << 24) &^ (phys.LineSize - 1))
+				}
+				twin := cache.New(cfg.L2, cfg.Mapping)
+				sub := cache.New(cfg.L2, cfg.Mapping)
+				for i := 0; i < 20000; i++ {
+					a, w := next(), i%3 == 0
+					twin.Access(a, w)
+					sub.Access(a, w)
+				}
+				img := sub.Snapshot()
+				save := rng
+				for i := 0; i < 5000; i++ {
+					sub.Access(next(), i%2 == 0)
+				}
+				sub.Restore(img)
+				twin.ResetStats()
+				rng = save
+				if g, w := sub.BankStats(), twin.BankStats(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d: counters after restore %+v, want %+v", seed, g, w)
+				}
+				for i := 0; i < 20000; i++ {
+					a, w := next(), i%5 == 0
+					if g, want := sub.Access(a, w), twin.Access(a, w); g != want {
+						t.Fatalf("seed %d access %d (%#x): restored cache %+v, twin %+v", seed, i, a, g, want)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestShardedTelemetry pins the fast-forward telemetry a sweep aggregates
-// across workers: on a program the detector jumps over it reports a
-// period, at least one jump, and coverage bounded by the run itself — and
-// it is deterministic, identical on every concurrent worker.
-func TestShardedTelemetry(t *testing.T) {
-	rs := runConcurrently(t2cfg(), 2, func() *trace.Program { return triadProgAt(1<<15, 8, 16) })
-	r := rs[0]
-	if r.FFJumps <= 0 || r.FFPeriod <= 0 {
-		t.Errorf("FFJumps = %d, FFPeriod = %d; want both > 0", r.FFJumps, r.FFPeriod)
+// TestMachineReuseIsStateless pins the reuse contract behind exp.Scratch:
+// a machine that has already run other programs must produce, for any
+// program, exactly the Result a freshly built machine produces — including
+// across team-size changes, which exercise the strand pool, and with the
+// warm-image restore path in place of the first run's prefill.
+func TestMachineReuseIsStateless(t *testing.T) {
+	const n = 1 << 13
+	mk := func(off int64, threads int) *trace.Program { return triadProgAt(n, off, threads) }
+
+	fresh16 := New(t2cfg()).Run(mk(8, 16))
+	reused := New(t2cfg())
+	reused.Run(mk(0, 64))
+	reused.Run(mk(24, 32))
+	again16 := reused.Run(mk(8, 16))
+	if !reflect.DeepEqual(fresh16, again16) {
+		t.Errorf("reused machine diverged from fresh machine:\n fresh:  %+v\n reused: %+v", fresh16, again16)
 	}
-	if r.FFItems <= 0 || r.FFItems > r.Units {
-		t.Errorf("FFItems = %d, want in (0, %d]", r.FFItems, r.Units)
-	}
-	if r.FFCycles <= 0 || r.FFCycles > r.Cycles {
-		t.Errorf("FFCycles = %d, want in (0, %d]", r.FFCycles, r.Cycles)
-	}
-	if r.FFSkippedEpochs <= 0 {
-		t.Errorf("FFSkippedEpochs = %d, want > 0", r.FFSkippedEpochs)
-	}
-	if !reflect.DeepEqual(rs[1], r) {
-		t.Errorf("telemetry differs between workers:\n got  %+v\n want %+v", rs[1], r)
+
+	// Back-to-back identical runs on one machine must agree too.
+	a := reused.Run(mk(8, 16))
+	b := reused.Run(mk(8, 16))
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("identical back-to-back runs differ:\n a: %+v\n b: %+v", a, b)
 	}
 }

@@ -127,21 +127,6 @@ func (c *Cores) TotalIssueBusy() int64 {
 	return t
 }
 
-// ForEachCursor visits every pipeline cursor in a fixed order (group issue
-// slots, FPUs, memory pipes) — the enumeration the chip's fast-forward
-// uses to snapshot, fingerprint and shift pipeline state.
-func (c *Cores) ForEachCursor(f func(cur *sim.Cursor)) {
-	for i := range c.issue {
-		f(&c.issue[i])
-	}
-	for i := range c.fpu {
-		f(&c.fpu[i])
-	}
-	for i := range c.lsu {
-		f(&c.lsu[i])
-	}
-}
-
 // Reset clears all pipeline cursors.
 func (c *Cores) Reset() {
 	for i := range c.issue {

@@ -186,16 +186,16 @@ type Result struct {
 	// excluded from JSON so BENCH_*.json trajectories stay byte-stable.
 	// The benchmark harness divides their sweep totals by wallclock to
 	// report hardware-portable throughput (simulated cycles per second,
-	// simulated accesses per second). FFItems/FFCycles record how much of
-	// the point was covered by the chip's steady-state fast-forward — a
-	// how-it-was-computed stamp that must never change what was computed,
-	// which is why it too stays out of the trajectories.
-	Cycles          int64 `json:"-"`
-	Accesses        int64 `json:"-"`
-	FFItems         int64 `json:"-"`
-	FFCycles        int64 `json:"-"`
-	FFJumps         int64 `json:"-"`
-	FFSkippedEpochs int64 `json:"-"`
+	// simulated accesses per second).
+	Cycles   int64 `json:"-"`
+	Accesses int64 `json:"-"`
+
+	// FFCycles and FFJumps are always zero: every point is simulated event
+	// by event. They remain only because the repository benchmark
+	// (benchmark/measure.go) still reads them; drop them when that reader
+	// is next changed.
+	FFCycles int64 `json:"-"`
+	FFJumps  int64 `json:"-"`
 }
 
 // Scratch is a per-worker reuse arena. Every point a worker evaluates
@@ -319,27 +319,6 @@ func (o Outcome) Totals() (cycles, accesses int64) {
 		accesses += pr.Result.Accesses
 	}
 	return cycles, accesses
-}
-
-// FastForwardTotals sums the fast-forward telemetry over every point: how
-// many work items and simulated cycles were covered analytically instead
-// of event by event.
-func (o Outcome) FastForwardTotals() (items, cycles int64) {
-	for _, pr := range o.Points {
-		items += pr.Result.FFItems
-		cycles += pr.Result.FFCycles
-	}
-	return items, cycles
-}
-
-// FastForwardJumpTotals sums the jump telemetry over every point: how many
-// analytic jumps committed and how many engine event steps they covered.
-func (o Outcome) FastForwardJumpTotals() (jumps, skipped int64) {
-	for _, pr := range o.Points {
-		jumps += pr.Result.FFJumps
-		skipped += pr.Result.FFSkippedEpochs
-	}
-	return jumps, skipped
 }
 
 // JSON marshals the outcome canonically (indented, map keys sorted by

@@ -57,6 +57,17 @@ func (e *PointError) Error() string {
 
 func (e *PointError) Unwrap() error { return e.Err }
 
+// Workers returns how many worker goroutines a sweep of points points
+// runs on: Jobs, with Jobs <= 0 meaning GOMAXPROCS, capped at the point
+// count so no worker starts idle.
+func (r Runner) Workers(points int) int {
+	jobs := r.Jobs
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	return min(jobs, points)
+}
+
 // Run evaluates every kept point of the experiment and returns the
 // outcome in deterministic grid order. A panic inside the Run closure is
 // captured as a PointError rather than tearing down the pool. If any
@@ -78,13 +89,7 @@ func (r Runner) RunContext(ctx context.Context, e Experiment) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("exp: experiment %q has no Run closure", e.Name)
 	}
 	pts := e.Points()
-	jobs := r.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(pts) {
-		jobs = len(pts)
-	}
+	jobs := r.Workers(len(pts))
 
 	results := make([]Result, len(pts))
 	done := make([]bool, len(pts))

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -186,5 +187,26 @@ func TestScratchContextDefault(t *testing.T) {
 	var sc Scratch
 	if sc.Context() == nil || sc.Context().Err() != nil {
 		t.Fatal("zero Scratch does not default to a live background context")
+	}
+}
+
+// TestRunnerWorkers pins the worker count a sweep runs on, which the
+// figures CLI prints: Jobs <= 0 resolves to GOMAXPROCS, and no sweep
+// starts more workers than it has points.
+func TestRunnerWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		jobs, points, want int
+	}{
+		{0, 1000, procs},
+		{-3, 1000, procs},
+		{0, 1, 1},
+		{64, 8, 8},
+		{2, 8, 2},
+		{4, 0, 0},
+	} {
+		if got := (Runner{Jobs: c.jobs}).Workers(c.points); got != c.want {
+			t.Errorf("Runner{Jobs: %d}.Workers(%d) = %d, want %d", c.jobs, c.points, got, c.want)
+		}
 	}
 }

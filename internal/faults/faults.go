@@ -1,13 +1,12 @@
 // Package faults is a deterministic, seed-driven fault-injection harness
 // for the execution stack. The simulator's recovery machinery — per-point
-// panic isolation and retry in exp, the fast-forward rollback checkpoint in
-// chip/forward.go, cooperative engine cancellation, and the t2simd
-// service's recovery paths — would otherwise only run when something is
+// panic isolation and retry in exp, cooperative engine cancellation, and
+// the t2simd service's recovery paths — would otherwise only run when something is
 // genuinely broken, which is exactly when it must not be exercised for the
 // first time. This package lets tests inject each failure class on
 // demand, reproducibly.
 //
-// The hooks (PointFault, FFDecline, CancelStep and the service hooks) are
+// The hooks (PointFault, CancelStep and the service hooks) are
 // compiled to empty inlineable stubs unless the build tag `faultinject` is
 // set (BuildEnabled reports which build this is), so production binaries
 // and the default test tier carry zero overhead and zero behavior change.
@@ -47,13 +46,6 @@ type Plan struct {
 	PanicPoints   []int
 	FailPoints    []int
 	PointAttempts int
-
-	// DeclineJumps forces every validated steady-state fast-forward
-	// candidate to be rejected after validation (hook: FFDecline), driving
-	// chip/forward.go through its rollback checkpoint path — snapshot,
-	// trace replay, restore, stats rewind — on every jump it would have
-	// committed. Results must be byte-identical anyway; that is the test.
-	DeclineJumps bool
 
 	// CancelStep arms the sequential engine's deterministic step budget
 	// (hook: CancelStep → sim.Engine.StopAt): the run halts cooperatively
@@ -136,7 +128,6 @@ func (p *Plan) CancelStepIn(lo, hi uint64) uint64 {
 type Counters struct {
 	PointPanics      int64 // injected panics delivered
 	PointFails       int64 // injected transient errors returned
-	FFDeclines       int64 // validated fast-forward jumps forcibly declined
 	StepCancels      int64 // engine halts caused by an armed step budget
 	RequestPanics    int64 // injected mid-request handler panics
 	CacheCorruptions int64 // cache entries corrupted after insertion
@@ -146,7 +137,6 @@ type Counters struct {
 var counters struct {
 	pointPanics      atomic.Int64
 	pointFails       atomic.Int64
-	ffDeclines       atomic.Int64
 	stepCancels      atomic.Int64
 	requestPanics    atomic.Int64
 	cacheCorruptions atomic.Int64
@@ -158,7 +148,6 @@ func Stats() Counters {
 	return Counters{
 		PointPanics:      counters.pointPanics.Load(),
 		PointFails:       counters.pointFails.Load(),
-		FFDeclines:       counters.ffDeclines.Load(),
 		StepCancels:      counters.stepCancels.Load(),
 		RequestPanics:    counters.requestPanics.Load(),
 		CacheCorruptions: counters.cacheCorruptions.Load(),
@@ -170,7 +159,6 @@ func Stats() Counters {
 func ResetStats() {
 	counters.pointPanics.Store(0)
 	counters.pointFails.Store(0)
-	counters.ffDeclines.Store(0)
 	counters.stepCancels.Store(0)
 	counters.requestPanics.Store(0)
 	counters.cacheCorruptions.Store(0)

@@ -18,9 +18,6 @@ func TestProductionBuildIsInert(t *testing.T) {
 	if err := PointFault(3, 0); err != nil {
 		t.Fatalf("PointFault injected %v", err)
 	}
-	if FFDecline() {
-		t.Fatal("FFDecline returned true")
-	}
 	RequestFault(1)
 	if CacheCorrupt() {
 		t.Fatal("CacheCorrupt returned true")

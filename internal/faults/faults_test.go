@@ -49,9 +49,6 @@ func TestDisarmedHooksAreInert(t *testing.T) {
 	if err := PointFault(0, 0); err != nil {
 		t.Fatalf("disarmed PointFault returned %v", err)
 	}
-	if FFDecline() {
-		t.Fatal("disarmed FFDecline returned true")
-	}
 	if CancelStep() != 0 {
 		t.Fatal("disarmed CancelStep returned nonzero")
 	}

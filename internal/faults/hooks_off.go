@@ -14,9 +14,6 @@ const BuildEnabled = false
 // PointFault injects nothing in a production build.
 func PointFault(index, attempt int) error { return nil }
 
-// FFDecline injects nothing in a production build.
-func FFDecline() bool { return false }
-
 // RequestFault injects nothing in a production build.
 func RequestFault(ordinal int) {}
 

@@ -48,17 +48,6 @@ func PointFault(index, attempt int) error {
 	return nil
 }
 
-// FFDecline is forward.go's post-validation hook: true forces the
-// validated jump candidate to be declined, exercising the rollback path.
-func FFDecline() bool {
-	p := armed.Load()
-	if p == nil || !p.DeclineJumps {
-		return false
-	}
-	counters.ffDeclines.Add(1)
-	return true
-}
-
 // RequestFault is the service handler's per-request hook: it panics
 // mid-request for the listed 1-based request ordinals, exercising the
 // daemon's handler-level recovery (500 response, server keeps serving).

@@ -272,12 +272,3 @@ func (g *gen) Next(it *trace.Item) bool {
 	g.col = hi
 	return true
 }
-
-// The Jacobi generator deliberately does NOT implement trace.Forwardable:
-// the stencil re-reads every row three times across consecutive row-steps,
-// so its steady-state L2 hits depend on lines installed by earlier items.
-// Analytically skipping a span of items would leave those lines out of the
-// tag store and silently turn later hits into misses — the exactness the
-// fast-forward contract forbids. Reuse-free streaming kernels (the Stream
-// and SegStream families) are the ones that qualify, so Jacobi runs are
-// always simulated event by event (DESIGN.md Sect. 11).

@@ -304,7 +304,3 @@ func (g *gen3d) Next(it *trace.Item) bool {
 	g.x = hi
 	return true
 }
-
-// Like the 2D generator, gen3d does NOT implement trace.Forwardable: the
-// 7-point stencil re-reads each plane's rows across neighbouring row-steps,
-// so per-item extrapolation would drop lines the tag store must hold.

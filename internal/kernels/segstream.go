@@ -145,58 +145,3 @@ func (g *segStreamGen) Next(it *trace.Item) bool {
 	g.i = e
 	return true
 }
-
-// UniformRemaining reports the full items left in the current segment
-// sweep; the sweep restart (tracker reset, possible SegOverhead) is the
-// excluded irregularity.
-func (g *segStreamGen) UniformRemaining() int64 {
-	if !g.started || g.i == 0 {
-		return 0
-	}
-	block := int64(phys.LineSize) / g.k.Reads[0].Params.ElemSize
-	return (g.segLen() - g.i) / block
-}
-
-// Skip implements trace.Forwardable; see streamGen.Skip.
-func (g *segStreamGen) Skip(n int64) {
-	if n <= 0 {
-		return
-	}
-	block := int64(phys.LineSize) / g.k.Reads[0].Params.ElemSize
-	e := g.i + n*block
-	for r := range g.readTr {
-		g.readTr[r].Set(g.k.Reads[r].SegAddr(g.thread, e-1))
-	}
-	if g.k.Write != nil {
-		g.writeTr.Set(g.k.Write.SegAddr(g.thread, e-1))
-	}
-	g.i = e
-}
-
-// ItemStride implements trace.Forwardable: every segment stream advances
-// one line per item.
-func (g *segStreamGen) ItemStride() int64 { return phys.LineSize }
-
-// PatternPhase folds each segment stream's next-access and tracker phase.
-// Sweep identity is deliberately absent: every sweep replays the same
-// addresses, and the sweep edge is fenced off by UniformRemaining.
-func (g *segStreamGen) PatternPhase(f *trace.Fingerprint, window int64) {
-	if !g.started || g.i >= g.segLen() {
-		f.Fold(0)
-		return
-	}
-	f.Fold(1)
-	for r := range g.readTr {
-		f.FoldAddr(g.k.Reads[r].SegAddr(g.thread, g.i), window)
-		g.readTr[r].Phase(f, window)
-	}
-	if g.k.Write != nil {
-		f.FoldAddr(g.k.Write.SegAddr(g.thread, g.i), window)
-		g.writeTr.Phase(f, window)
-	}
-	ur := g.UniformRemaining()
-	if ur > 2 {
-		ur = 2
-	}
-	f.Fold(uint64(ur))
-}

@@ -229,68 +229,3 @@ func (g *streamGen) Next(it *trace.Item) bool {
 	}
 	return true
 }
-
-// UniformRemaining reports the full items left in the current chunk. Every
-// mid-chunk item covers exactly one line-width of each stream (one new
-// line per stream after tracker dedup), so the uniform region runs to the
-// chunk end; the next chunk resets trackers and possibly charges
-// SegOverhead, which is the irregularity the bound excludes.
-func (g *streamGen) UniformRemaining() int64 {
-	if !g.has {
-		return 0
-	}
-	block := int64(phys.LineSize) / g.k.ElemSize
-	return (g.cur.Hi - g.i) / block
-}
-
-// Skip implements trace.Forwardable: it advances the chunk position and
-// rebuilds each stream's tracker to the line of the last skipped element —
-// exactly the state n Next calls leave behind (pinned by the skip
-// equivalence test).
-func (g *streamGen) Skip(n int64) {
-	if n <= 0 {
-		return
-	}
-	block := int64(phys.LineSize) / g.k.ElemSize
-	e := g.i + n*block
-	last := phys.Addr((e - 1) * g.k.ElemSize)
-	for r := range g.readTr {
-		g.readTr[r].Set(g.k.ReadBases[r] + last)
-	}
-	if g.k.HasWrite {
-		g.writeTr.Set(g.k.WriteBase + last)
-	}
-	g.i = e
-	if g.i >= g.cur.Hi {
-		g.has = false
-	}
-}
-
-// ItemStride implements trace.Forwardable: every stream advances one line
-// per item.
-func (g *streamGen) ItemStride() int64 { return phys.LineSize }
-
-// PatternPhase folds the spatial phase of every stream's next access and
-// tracker, plus the has-work flag and a capped items-to-boundary count so
-// states about to hit a chunk edge never alias with mid-chunk states.
-func (g *streamGen) PatternPhase(f *trace.Fingerprint, window int64) {
-	if !g.has {
-		f.Fold(0)
-		return
-	}
-	f.Fold(1)
-	next := phys.Addr(g.i * g.k.ElemSize)
-	for r := range g.readTr {
-		f.FoldAddr(g.k.ReadBases[r]+next, window)
-		g.readTr[r].Phase(f, window)
-	}
-	if g.k.HasWrite {
-		f.FoldAddr(g.k.WriteBase+next, window)
-		g.writeTr.Phase(f, window)
-	}
-	ur := g.UniformRemaining()
-	if ur > 2 {
-		ur = 2
-	}
-	f.Fold(uint64(ur))
-}

@@ -234,13 +234,3 @@ func (g *gen) Next(it *trace.Item) bool {
 	g.x = hi
 	return true
 }
-
-// The LBM generator deliberately does NOT implement trace.Forwardable:
-// rows of adjacent distribution functions abut in memory, so the boundary
-// lines of one row-step's streams are re-touched by neighbouring
-// row-steps, and whether those accesses hit depends on the LRU state the
-// intervening items left behind. Analytically skipping items would not
-// install their lines, silently flipping such hits to misses. Reuse-free
-// streaming kernels (the Stream and SegStream families) are the ones that
-// qualify for steady-state fast-forward; LBM runs are always simulated
-// event by event (DESIGN.md Sect. 11).

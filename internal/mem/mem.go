@@ -132,37 +132,10 @@ func (s *System) Write(now sim.Time, addr phys.Addr) sim.Time {
 // Stats returns a copy of the per-controller counters.
 func (s *System) Stats() []CtlStats {
 	out := make([]CtlStats, len(s.ctls))
-	s.StatsInto(out)
+	for i := range s.ctls {
+		out[i] = s.ctls[i].stats
+	}
 	return out
-}
-
-// StatsInto copies the per-controller counters into dst (one entry per
-// controller) without allocating.
-func (s *System) StatsInto(dst []CtlStats) {
-	for i := range s.ctls {
-		dst[i] = s.ctls[i].stats
-	}
-}
-
-// AddStats credits k periods' worth of per-controller counter deltas — the
-// accounting half of a fast-forwarded steady-state interval. Channel
-// cursor occupancy is forwarded separately through ForEachCursor.
-func (s *System) AddStats(k int64, d []CtlStats) {
-	for i := range d {
-		s.ctls[i].stats.Reads += k * d[i].Reads
-		s.ctls[i].stats.Writes += k * d[i].Writes
-		s.ctls[i].stats.BusyCycles += k * d[i].BusyCycles
-	}
-}
-
-// ForEachCursor visits every channel cursor in a fixed order (northbound
-// then southbound, per controller) — the enumeration the chip's
-// fast-forward uses to snapshot, fingerprint and shift channel state.
-func (s *System) ForEachCursor(f func(c *sim.Cursor)) {
-	for i := range s.ctls {
-		f(&s.ctls[i].north)
-		f(&s.ctls[i].south)
-	}
 }
 
 // BusyCycles returns the summed channel occupancy across controllers.

@@ -51,7 +51,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -103,12 +102,11 @@ type Engine struct {
 	handler Handler
 
 	// Timing wheel (the default queue).
-	slots   []bucket
-	occ     [][]uint64 // occ[0]: one bit per slot; occ[l]: one bit per word of occ[l-1]
-	count   int
-	gen     uint64    // incremented by grow: invalidates in-flight slot handles
-	scratch []event   // FastForward reinsertion buffer
-	free    [][]event // recycled bucket buffers: live buckets stay O(pending)
+	slots []bucket
+	occ   [][]uint64 // occ[0]: one bit per slot; occ[l]: one bit per word of occ[l-1]
+	count int
+	gen   uint64    // incremented by grow: invalidates in-flight slot handles
+	free  [][]event // recycled bucket buffers: live buckets stay O(pending)
 
 	// Closure (At/After) events, keyed by sequence number.
 	closures map[uint64]func()
@@ -422,26 +420,6 @@ func (e *Engine) grow(d Time) {
 	}
 }
 
-// forEachOccupied calls f with every occupied slot index in circular time
-// order starting at now's slot. f must not mutate the queue.
-func (e *Engine) forEachOccupied(f func(slot int)) {
-	if e.count == 0 {
-		return
-	}
-	start := int(uint64(e.now) & uint64(len(e.slots)-1))
-	for s, ok := e.nextSet(start); ok; {
-		f(s)
-		if s+1 >= len(e.slots) {
-			break
-		}
-		s, ok = e.nextSet(s + 1)
-	}
-	for s, ok := e.nextSet(0); ok && s < start; {
-		f(s)
-		s, ok = e.nextSet(s + 1)
-	}
-}
-
 // ---- reference 4-ary heap --------------------------------------------------
 
 // The reference queue is a 4-ary min-heap ordered by (when, seq). Sequence
@@ -586,74 +564,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// ---- fast-forward support --------------------------------------------------
-
-// ForEachPending visits every pending event in execution — (when, seq) —
-// order, passing its delay relative to now, its typed payload, and whether
-// it is a closure event (whose payload fields are meaningless). It is the
-// inspection hook of the chip's steady-state fingerprint. f must not
-// schedule or execute events.
-func (e *Engine) ForEachPending(f func(dt Time, kind Kind, arg int32, closure bool)) {
-	if e.heapMode {
-		evs := make([]event, len(e.events))
-		copy(evs, e.events)
-		sort.Slice(evs, func(a, b int) bool {
-			if evs[a].when != evs[b].when {
-				return evs[a].when < evs[b].when
-			}
-			return evs[a].seq < evs[b].seq
-		})
-		for _, ev := range evs {
-			f(ev.when-e.now, ev.kind, ev.arg, ev.kind == ClosureKind)
-		}
-		return
-	}
-	e.forEachOccupied(func(s int) {
-		b := &e.slots[s]
-		for i := b.head; i < len(b.evs); i++ {
-			ev := &b.evs[i]
-			f(ev.when-e.now, ev.kind, ev.arg, ev.kind == ClosureKind)
-		}
-	})
-}
-
-// FastForward advances the clock by dt cycles, shifting every pending
-// event dt cycles into the future so all relative delays — and therefore
-// the entire future execution order — are preserved, and credits steps
-// events as executed. It is the engine half of the chip's steady-state
-// fast-forward: the caller is asserting that the skipped interval would
-// have replayed the same event pattern steps times over.
-func (e *Engine) FastForward(dt Time, steps uint64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("sim: fast-forward by negative delta %d", dt))
-	}
-	e.steps += steps
-	if e.heapMode {
-		for i := range e.events {
-			e.events[i].when += dt
-		}
-		e.now += dt
-		return
-	}
-	e.gen++ // shifted slots invalidate any in-flight drain handle in Run
-	e.scratch = e.scratch[:0]
-	e.forEachOccupied(func(s int) {
-		b := &e.slots[s]
-		e.scratch = append(e.scratch, b.evs[b.head:]...)
-		e.release(b)
-	})
-	for _, lv := range e.occ {
-		clear(lv)
-	}
-	e.count = 0
-	e.now += dt
-	for i := range e.scratch {
-		ev := e.scratch[i]
-		ev.when += dt
-		e.pushWheel(ev)
-	}
-}
-
 // ---- FCFS cursors ----------------------------------------------------------
 
 // Cursor models a serialized FCFS resource such as a memory channel or a
@@ -696,20 +606,6 @@ func (c *Cursor) Busy() Time { return c.busy }
 
 // Ops returns the number of Acquire calls.
 func (c *Cursor) Ops() int64 { return c.ops }
-
-// Shift moves the cursor's free horizon dt cycles into the future. Under
-// exact periodicity every acquisition in the skipped interval lands dt
-// cycles after its counterpart in the observed period, so the horizon the
-// full simulation would have reached is exactly free+dt — which makes
-// Shift the cursor half of the chip's fast-forward.
-func (c *Cursor) Shift(dt Time) { c.free += dt }
-
-// Account credits busy cycles and operations without moving the free
-// horizon — the accounting half of a fast-forwarded period.
-func (c *Cursor) Account(busy Time, ops int64) {
-	c.busy += busy
-	c.ops += ops
-}
 
 // Utilization returns busy time as a fraction of the elapsed horizon.
 // It returns 0 for a non-positive horizon.

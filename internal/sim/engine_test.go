@@ -221,42 +221,6 @@ func TestCursorFCFS(t *testing.T) {
 	}
 }
 
-// TestCursorStateRoundTrip pins the cursor half of the chip's
-// fast-forward jump: once a periodic acquisition pattern is stationary,
-// the state one period leaves behind (read through FreeAt/Busy/Ops),
-// advanced k periods by Shift and Account, is exactly the state k more
-// simulated periods reach — and the two cursors schedule identically
-// afterwards. The pattern's last request spills past the period edge, so
-// the horizon carries a backlog across every boundary.
-func TestCursorStateRoundTrip(t *testing.T) {
-	const period = 20
-	offs := []Time{0, 2, 15}
-	durs := []Time{4, 3, 6}
-	run := func(c *Cursor, p int) {
-		for i := range offs {
-			c.Acquire(Time(p)*period+offs[i], durs[i])
-		}
-	}
-	const k = 5
-	var full, jumped Cursor
-	for p := 0; p < k+2; p++ {
-		run(&full, p)
-	}
-	run(&jumped, 0)
-	busy0, ops0 := jumped.Busy(), jumped.Ops()
-	run(&jumped, 1)
-	jumped.Shift(k * period)
-	jumped.Account(k*(jumped.Busy()-busy0), k*(jumped.Ops()-ops0))
-	if jumped != full {
-		t.Fatalf("jumped cursor %+v, simulated %+v", jumped, full)
-	}
-	s1, e1 := full.Acquire((k+2)*period, 4)
-	s2, e2 := jumped.Acquire((k+2)*period, 4)
-	if s1 != s2 || e1 != e2 || jumped != full {
-		t.Fatalf("jumped cursor scheduled (%d, %d), simulated (%d, %d)", s2, e2, s1, e1)
-	}
-}
-
 func TestCursorConservationProperty(t *testing.T) {
 	// For nondecreasing arrivals, service is work-conserving: completion
 	// of request i is max(arrival_i, completion_{i-1}) + dur_i.
@@ -402,75 +366,6 @@ func TestWheelGrowthPreservesOrder(t *testing.T) {
 	}
 	if len(got) != len(whens) {
 		t.Fatalf("executed %d of %d events", len(got), len(whens))
-	}
-}
-
-// TestForEachPendingOrder checks the fingerprint iteration hook: both
-// queue structures must visit pending events in execution order with
-// now-relative delays.
-func TestForEachPendingOrder(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		var e Engine
-		if heap {
-			e.UseReferenceHeap()
-		}
-		e.SetHandler(func(Kind, int32) {})
-		e.Schedule(40, 1, 4)
-		e.Schedule(10, 2, 1)
-		e.Schedule(10, 3, 2) // tie: later seq
-		e.Schedule(700, 4, 7)
-		e.Schedule(5, 5, 0)
-		e.Step() // run the t=5 event; now=5
-		var dts []Time
-		var args []int32
-		e.ForEachPending(func(dt Time, _ Kind, arg int32, closure bool) {
-			if closure {
-				t.Fatal("typed event reported as closure")
-			}
-			dts = append(dts, dt)
-			args = append(args, arg)
-		})
-		wantDt := []Time{5, 5, 35, 695}
-		wantArg := []int32{1, 2, 4, 7}
-		for i := range wantDt {
-			if i >= len(dts) || dts[i] != wantDt[i] || args[i] != wantArg[i] {
-				t.Fatalf("heap=%v: pending iteration (%v, %v), want (%v, %v)", heap, dts, args, wantDt, wantArg)
-			}
-		}
-	}
-}
-
-// TestFastForwardShiftsPending checks the fast-forward hook on both queue
-// structures: the clock advances, every pending delay is preserved, the
-// credited steps land in Steps, and subsequent execution continues in
-// order at the shifted times.
-func TestFastForwardShiftsPending(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		var e Engine
-		if heap {
-			e.UseReferenceHeap()
-		}
-		var got []Time
-		e.SetHandler(func(_ Kind, arg int32) { got = append(got, e.Now()) })
-		e.Schedule(10, 0, 1)
-		e.Schedule(500, 0, 2)
-		e.Schedule(10, 0, 3)
-		e.Step() // now=10, two events left
-		e.FastForward(1_000_000, 42)
-		if e.Now() != 1_000_010 {
-			t.Fatalf("heap=%v: now %d after fast-forward", heap, e.Now())
-		}
-		if e.Steps() != 1+42 {
-			t.Fatalf("heap=%v: steps %d, want 43", heap, e.Steps())
-		}
-		if e.Pending() != 2 {
-			t.Fatalf("heap=%v: pending %d, want 2", heap, e.Pending())
-		}
-		e.Run()
-		want := []Time{10, 1_000_010, 1_000_500}
-		if len(got) != 3 || got[1] != want[1] || got[2] != want[2] {
-			t.Fatalf("heap=%v: execution times %v, want %v", heap, got, want)
-		}
 	}
 }
 

@@ -42,60 +42,6 @@ type Generator interface {
 	Next(it *Item) bool
 }
 
-// Fingerprint accumulates a 64-bit FNV-1a hash over the machine state that
-// determines future steady-state behaviour. The chip folds engine, cursor
-// and strand state into one; generators contribute their pattern phase
-// through Forwardable.PatternPhase.
-type Fingerprint uint64
-
-// NewFingerprint returns the hash seeded with the FNV offset basis.
-func NewFingerprint() Fingerprint { return 14695981039346656037 }
-
-// Fold mixes one word into the hash.
-func (f *Fingerprint) Fold(v uint64) { *f = (*f ^ Fingerprint(v)) * 1099511628211 }
-
-// FoldAddr mixes an address reduced modulo window — the spatial phase that
-// determines which bank, controller and line boundary the address hits,
-// without pinning its absolute position (which never recurs in a
-// streaming kernel). window must be positive; interleave periods are
-// powers of two, so the reduction is a mask on that path.
-func (f *Fingerprint) FoldAddr(a phys.Addr, window int64) {
-	if window&(window-1) == 0 {
-		f.Fold(uint64(a) & uint64(window-1))
-		return
-	}
-	f.Fold(uint64(a) % uint64(window))
-}
-
-// Forwardable is the optional generator capability behind the machine's
-// steady-state fast-forward. A generator that implements it promises that
-// within the next UniformRemaining() items its output is a fixed pattern:
-// per-item demand, unit and access counts recur with a small per-stream
-// period, and every access address advances by a constant per-item stride
-// — the conditions under which a detected machine-state period extrapolates
-// exactly. Skip(n) must leave the generator in precisely the state n
-// Next calls would have, for any n <= UniformRemaining(); the per-generator
-// property tests in kernels, jacobi and lbm pin that equivalence.
-type Forwardable interface {
-	Generator
-	// UniformRemaining returns how many upcoming items are guaranteed to
-	// continue the current uniform pattern — items up to, but never
-	// across, the next irregularity (a chunk, row, segment or sweep
-	// boundary, or a partial trailing item).
-	UniformRemaining() int64
-	// Skip advances past n items without producing them.
-	Skip(n int64)
-	// ItemStride returns the constant per-item byte advance of every
-	// access address within the uniform region — the stride by which the
-	// machine shifts a strand's in-flight accesses when it skips items
-	// under that strand.
-	ItemStride() int64
-	// PatternPhase folds the generator's pattern-relevant state into f:
-	// upcoming access addresses and tracker state modulo window, plus any
-	// discrete mode (grid-toggle parity, pending chunk-entry overhead).
-	PatternPhase(f *Fingerprint, window int64)
-}
-
 // Program is a complete parallel kernel instance: one generator per thread.
 type Program struct {
 	Label string
@@ -133,22 +79,3 @@ func (t *LineTracker) Touch(addr phys.Addr) bool {
 
 // Reset forgets the tracked line.
 func (t *LineTracker) Reset() { t.valid = false }
-
-// Set records the line containing addr as the tracked line, exactly as if
-// Touch had just accepted it — the state-reconstruction hook Forwardable
-// generators use in Skip.
-func (t *LineTracker) Set(addr phys.Addr) {
-	t.last = phys.LineOf(addr)
-	t.valid = true
-}
-
-// Phase folds the tracker's state into f: validity plus the tracked line's
-// spatial phase modulo window.
-func (t *LineTracker) Phase(f *Fingerprint, window int64) {
-	if !t.valid {
-		f.Fold(0)
-		return
-	}
-	f.Fold(1)
-	f.FoldAddr(t.last, window)
-}
