@@ -16,21 +16,27 @@ import (
 	"repro/internal/phys"
 	"repro/internal/segarray"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // The benchmarks regenerate each figure of the paper at test scale and
 // report the figure's headline metric. Run the cmd/figures binary with
-// -scale full for the paper-scale sweeps recorded in EXPERIMENTS.md.
+// -scale full for the paper-scale sweeps recorded in EXPERIMENTS.md. The
+// figure benchmarks reset the timer after building their options, so
+// allocs/op counts the sweeps alone and a 1x run (make bench-diff) is
+// comparable with the 3x baseline (make bench).
 
 func mean(ys []float64) float64 { return stats.Summarize(ys).Mean }
 
 // simTotals accumulates a sweep's simulation telemetry across benchmark
 // iterations and reports it in units that survive hardware changes:
 // simulated cycles and simulated L2 line accesses retired per wallclock
-// second.
+// second, and the engine events each iteration dispatched (events/op, a
+// deterministic count that cmd/benchdiff gates with zero tolerance).
 type simTotals struct {
 	cycles   int64
 	accesses int64
+	events   int64
 
 	// Robustness telemetry (exp.Outcome's resilience counters). Zero on
 	// every fault-free sweep, so the figure benchmarks report nothing new;
@@ -54,6 +60,7 @@ func (st *simTotals) fold(out exp.Outcome) {
 	c, a := out.Totals()
 	st.cycles += c
 	st.accesses += a
+	st.events += out.Events()
 	st.retries += out.Retries
 	st.pointErrors += out.PointErrors
 	if out.CancelLatencyMS > st.cancelMS {
@@ -68,6 +75,7 @@ func (st *simTotals) report(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.cycles)/secs, "simcycles/s")
 	b.ReportMetric(float64(st.accesses)/secs, "accesses/s")
+	b.ReportMetric(float64(st.events)/float64(b.N), "events/op")
 	if st.retries > 0 || st.pointErrors > 0 || st.cancelMS > 0 {
 		// Robustness telemetry, per iteration (deterministic counts): how
 		// much recovery machinery the sweep actually exercised. Fault-free
@@ -83,6 +91,7 @@ func (st *simTotals) report(b *testing.B) {
 func BenchmarkFig2StreamTriadOffsets(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := bench.Fig2FromSeries(st.run(o.Fig2Exp()))
 		hi := r.Triad[len(r.Triad)-1]
@@ -99,6 +108,7 @@ func BenchmarkFig2StreamTriadOffsets(b *testing.B) {
 func BenchmarkFig4VectorTriadAlignment(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range st.run(o.Fig4Exp()) {
 			switch s.Name {
@@ -117,6 +127,7 @@ func BenchmarkFig4VectorTriadAlignment(b *testing.B) {
 func BenchmarkFig5SegmentedOverhead(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		series := st.run(o.Fig5Exp(64))
 		seg, plain := series[0], series[1]
@@ -131,6 +142,7 @@ func BenchmarkFig5SegmentedOverhead(b *testing.B) {
 func BenchmarkFig6Jacobi(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range st.run(o.Fig6Exp()) {
 			switch s.Name {
@@ -149,6 +161,7 @@ func BenchmarkFig6Jacobi(b *testing.B) {
 func BenchmarkFig7LBM(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range st.run(o.Fig7Exp()) {
 			if s.Name == "64T IvJK fused" {
@@ -180,13 +193,15 @@ func BenchmarkResilience(b *testing.B) {
 				_, k := triadProg(int64(p.Int("x")), 1)
 				prog := k.Program(omp.StaticBlock{}, 16)
 				prog.WarmLines = cfg.L2.SizeBytes / phys.LineSize
-				r, err := chip.New(cfg).RunCtx(sc.Context(), prog)
+				m := chip.New(cfg)
+				r, err := m.RunCtx(sc.Context(), prog)
 				if err != nil {
 					return exp.Result{}, err
 				}
 				res := exp.Result{Series: "triad", X: float64(p.Int("x")), Y: r.GBps}
 				res.Cycles = r.Cycles
 				res.Accesses = r.L2.Hits + r.L2.Misses
+				res.Events = int64(m.LastRun().Events)
 				return res, nil
 			},
 		}
@@ -266,26 +281,43 @@ func triadProg(offsetWords int64, sweeps int) (*alloc.Space, kernels.Stream) {
 	return sp, k
 }
 
-func runTriad(cfg chip.Config, offsetWords int64) chip.Result {
+// ablation runs the programs of an ablation benchmark and counts the
+// engine events they dispatch, for the events/op metric.
+type ablation struct{ events uint64 }
+
+func (a *ablation) run(cfg chip.Config, p *trace.Program) chip.Result {
+	m := chip.New(cfg)
+	r := m.Run(p)
+	a.events += m.LastRun().Events
+	return r
+}
+
+func (a *ablation) report(b *testing.B) {
+	b.ReportMetric(float64(a.events)/float64(b.N), "events/op")
+}
+
+func (a *ablation) runTriad(cfg chip.Config, offsetWords int64) chip.Result {
 	_, k := triadProg(offsetWords, 1)
 	p := k.Program(omp.StaticBlock{}, 64)
 	p.WarmLines = cfg.L2.SizeBytes / phys.LineSize
-	return chip.New(cfg).Run(p)
+	return a.run(cfg, p)
 }
 
 // BenchmarkAblationXORMapping (A1): rerunning the worst-case offset with a
 // hashed controller interleave removes the aliasing entirely — the design
 // question "would a hashed mapping have hidden the paper's effect?".
 func BenchmarkAblationXORMapping(b *testing.B) {
+	var a ablation
 	for i := 0; i < b.N; i++ {
-		t2 := runTriad(machine.MustGet("t2").Config, 0)
+		t2 := a.runTriad(machine.MustGet("t2").Config, 0)
 		cfg := machine.MustGet("t2").Config
 		cfg.Mapping = phys.XORMapping{}
-		xor := runTriad(cfg, 0)
+		xor := a.runTriad(cfg, 0)
 		b.ReportMetric(t2.GBps, "t2-GB/s")
 		b.ReportMetric(xor.GBps, "xor-GB/s")
 		b.ReportMetric(xor.GBps/t2.GBps, "xor/t2")
 	}
+	a.report(b)
 }
 
 // BenchmarkAblationMSHR (A2): with more outstanding misses per strand,
@@ -293,51 +325,57 @@ func BenchmarkAblationXORMapping(b *testing.B) {
 // approach what 32 single-MSHR threads deliver (Sect. 1's motivation for
 // running many threads per core).
 func BenchmarkAblationMSHR(b *testing.B) {
+	var a ablation
 	for i := 0; i < b.N; i++ {
 		base := machine.MustGet("t2").Config
 		_, k := triadProg(13, 1)
 		p := k.Program(omp.StaticBlock{}, 8)
 		p.WarmLines = base.L2.SizeBytes / phys.LineSize
-		one := chip.New(base).Run(p)
+		one := a.run(base, p)
 
 		cfg := machine.MustGet("t2").Config
 		cfg.MSHRPerStrand = 4
 		_, k4 := triadProg(13, 1)
 		p4 := k4.Program(omp.StaticBlock{}, 8)
 		p4.WarmLines = cfg.L2.SizeBytes / phys.LineSize
-		four := chip.New(cfg).Run(p4)
+		four := a.run(cfg, p4)
 
 		b.ReportMetric(one.GBps, "8T-1mshr-GB/s")
 		b.ReportMetric(four.GBps, "8T-4mshr-GB/s")
 	}
+	a.report(b)
 }
 
 // BenchmarkAblationTurnaround (A3): the bidirectional-transfer conjecture
 // of Sect. 2.1 — removing the write-to-read channel coupling lifts
 // read+write kernels but leaves load-only kernels unchanged.
 func BenchmarkAblationTurnaround(b *testing.B) {
+	var a ablation
 	for i := 0; i < b.N; i++ {
-		with := runTriad(machine.MustGet("t2").Config, 16)
+		with := a.runTriad(machine.MustGet("t2").Config, 16)
 		cfg := machine.MustGet("t2").Config
 		cfg.Mem.WriteCouple = 0
-		without := runTriad(cfg, 16)
+		without := a.runTriad(cfg, 16)
 		b.ReportMetric(with.GBps, "coupled-GB/s")
 		b.ReportMetric(without.GBps, "uncoupled-GB/s")
 	}
+	a.report(b)
 }
 
 // BenchmarkAblationRunAhead (A4): the aliasing convoy requires strand
 // phase coherence; widening the run-ahead window dissolves it and the
 // worst-case offset recovers almost full bandwidth.
 func BenchmarkAblationRunAhead(b *testing.B) {
+	var a ablation
 	for i := 0; i < b.N; i++ {
-		coupled := runTriad(machine.MustGet("t2").Config, 0)
+		coupled := a.runTriad(machine.MustGet("t2").Config, 0)
 		cfg := machine.MustGet("t2").Config
 		cfg.RunAhead = 0
-		free := runTriad(cfg, 0)
+		free := a.runTriad(cfg, 0)
 		b.ReportMetric(coupled.GBps, "window2-GB/s")
 		b.ReportMetric(free.GBps, "unbounded-GB/s")
 	}
+	a.report(b)
 }
 
 // ---- host-level Fig. 5: real iterator overhead --------------------------------

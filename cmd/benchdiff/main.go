@@ -1,13 +1,16 @@
 // Command benchdiff compares two BENCH_perf.json trajectories (as written
 // by cmd/benchjson) and fails on performance regressions: a drop of more
-// than the allowed fraction in simulated-access throughput (accesses/s)
-// or growth in allocs/op beyond a small slack (the committed baseline
+// than the allowed fraction in simulated-access throughput (accesses/s),
+// growth in allocs/op beyond a small slack (the committed baseline
 // averages three iterations while the gate measures one, so pool and
 // runtime warmup wobble the count by a few per mille; the slack absorbs
 // that while still catching the closure-per-event class of regression,
-// which multiplies the count). It is the gate behind `make bench-diff`,
-// wired into CI as a blocking step now that BENCH_perf.json carries a
-// committed baseline.
+// which multiplies the count), or any growth at all in events/op, the
+// engine events a benchmark iteration dispatches. That count is
+// deterministic, so it needs no noise budget: a larger count is more
+// simulator work for the same sweep. It is the gate behind
+// `make bench-diff`, wired into CI as a blocking step now that
+// BENCH_perf.json carries a committed baseline.
 //
 // Usage:
 //
@@ -27,7 +30,7 @@
 // the baseline" and "repair the baseline" are different CI reactions):
 //
 //	0  clean comparison, no gated regression
-//	1  gated regression (throughput or allocs/op)
+//	1  gated regression (throughput, allocs/op or events/op)
 //	2  flag misuse
 //	3  a trajectory file is missing (run `make bench` to generate it)
 //	4  a trajectory file exists but is corrupt or carries no benchmarks
@@ -85,6 +88,9 @@ type row struct {
 	allocBase  float64
 	allocFresh float64
 	hasAlloc   bool
+	evBase     float64
+	evFresh    float64
+	hasEv      bool
 	failed     bool
 }
 
@@ -136,6 +142,19 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth float64, w io.Writer) bool {
 				fmt.Fprintf(w, "%-40s allocs/op  %12.0f -> %12.0f %s\n", n, balloc, falloc, status)
 			}
 		}
+		if bev, ok := b["events/op"]; ok {
+			if fev, ok := f["events/op"]; ok {
+				r.hasEv = true
+				r.evBase, r.evFresh = bev, fev
+				status := "ok"
+				if fev > bev {
+					status = "REGRESSION"
+					failed = true
+					r.failed = true
+				}
+				fmt.Fprintf(w, "%-40s events/op  %12.0f -> %12.0f %s\n", n, bev, fev, status)
+			}
+		}
 		// One-sided metrics within a shared benchmark are informational:
 		// they appear when a benchmark starts (or stops) reporting a unit.
 		for _, mn := range oneSided(b, f) {
@@ -164,8 +183,8 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth float64, w io.Writer) bool {
 
 	if failed {
 		fmt.Fprintf(w, "\nper-benchmark delta table (FAIL marks the gated regressions):\n")
-		fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %s\n",
-			"benchmark", "acc/s base", "acc/s fresh", "delta", "allocs base", "allocs fresh", "verdict")
+		fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %12s %12s %s\n",
+			"benchmark", "acc/s base", "acc/s fresh", "delta", "allocs base", "allocs fresh", "events base", "events fresh", "verdict")
 		for _, r := range rows {
 			acc := [3]string{"-", "-", "-"}
 			if r.hasAcc {
@@ -179,12 +198,16 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth float64, w io.Writer) bool {
 			if r.hasAlloc {
 				al = [2]string{fmt.Sprintf("%.0f", r.allocBase), fmt.Sprintf("%.0f", r.allocFresh)}
 			}
+			ev := [2]string{"-", "-"}
+			if r.hasEv {
+				ev = [2]string{fmt.Sprintf("%.0f", r.evBase), fmt.Sprintf("%.0f", r.evFresh)}
+			}
 			verdict := "ok"
 			if r.failed {
 				verdict = "FAIL"
 			}
-			fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %s\n",
-				r.name, acc[0], acc[1], acc[2], al[0], al[1], verdict)
+			fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %12s %12s %s\n",
+				r.name, acc[0], acc[1], acc[2], al[0], al[1], ev[0], ev[1], verdict)
 		}
 	}
 	return failed
@@ -234,7 +257,7 @@ func main() {
 	}
 
 	if compare(bd, fd, *maxDrop, *maxAllocGrowth, os.Stdout) {
-		fmt.Println("benchdiff: FAIL — accesses/s dropped beyond the threshold, or allocs/op grew beyond the slack")
+		fmt.Println("benchdiff: FAIL — accesses/s dropped beyond the threshold, allocs/op grew beyond the slack, or events/op grew")
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: ok")

@@ -99,6 +99,30 @@ func TestCompareAllocGrowthRegression(t *testing.T) {
 	}
 }
 
+// TestCompareEventGrowth pins the zero-tolerance events/op gate: the count
+// is deterministic, so one extra event per iteration fails, while an equal
+// or smaller count passes, even when the throughput metrics wobble.
+func TestCompareEventGrowth(t *testing.T) {
+	base := bm(map[string]float64{"accesses/s": 100, "events/op": 1000000})
+	var sb strings.Builder
+	for _, ev := range []float64{1000000, 250000} {
+		sb.Reset()
+		fresh := bm(map[string]float64{"accesses/s": 90, "events/op": ev})
+		if compare(base, fresh, 0.20, 0.02, &sb) {
+			t.Fatalf("events/op %g against a baseline of 1e6 failed the gate:\n%s", ev, sb.String())
+		}
+	}
+	sb.Reset()
+	grown := bm(map[string]float64{"accesses/s": 100, "events/op": 1000001})
+	if !compare(base, grown, 0.20, 0.02, &sb) {
+		t.Fatal("one extra event per iteration passed the gate")
+	}
+	out := sb.String()
+	if !strings.Contains(out, "events/op       1000000 ->      1000001 REGRESSION") || !strings.Contains(out, "delta table") {
+		t.Errorf("failure output missing the events/op regression line or delta table:\n%s", out)
+	}
+}
+
 // TestCompareToleratesOneSidedBenchmarks is the regression for the
 // added/removed handling: benchmarks (and metrics) present in only one
 // trajectory are reported, never gated.

@@ -152,19 +152,28 @@ func machineFor(sc *exp.Scratch, cfg chip.Config) *chip.Machine {
 	return sc.Get(machineKey{cfg}, func() any { return chip.New(cfg) }).(*chip.Machine)
 }
 
+// run is one simulated program: what it simulated, and how much engine
+// work that took.
+type run struct {
+	chip.Result
+	chip.RunStats
+}
+
 // runProg runs one program on the worker's cached machine for the point's
 // configuration; every experiment closure funnels through it. The sweep's
 // context (exp.Scratch.Context) rides along so a cancelled or timed-out
 // sweep aborts each in-flight run cooperatively; with a background context
 // this is exactly the fault-free path.
-func runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program, warm int64) (chip.Result, error) {
+func runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program, warm int64) (run, error) {
 	p.WarmLines = warm
-	return machineFor(sc, cfg).RunCtx(sc.Context(), p)
+	m := machineFor(sc, cfg)
+	r, err := m.RunCtx(sc.Context(), p)
+	return run{r, m.LastRun()}, err
 }
 
 // bwMetrics exposes the secondary metrics every bandwidth trajectory
 // carries alongside its headline number.
-func bwMetrics(r chip.Result) map[string]float64 {
+func bwMetrics(r run) map[string]float64 {
 	return map[string]float64{
 		"gbps":        r.GBps,
 		"actual_gbps": r.ActualGBps,
@@ -173,13 +182,13 @@ func bwMetrics(r chip.Result) map[string]float64 {
 	}
 }
 
-// measured attaches the run's aggregate simulation telemetry (cycles and L2
-// accesses) to the point result; the telemetry
-// never reaches the JSON trajectories, only the benchmark throughput
-// metrics.
-func measured(res exp.Result, r chip.Result) exp.Result {
+// measured attaches the run's aggregate simulation telemetry (cycles, L2
+// accesses and engine events) to the point result; the telemetry never
+// reaches the JSON trajectories, only the benchmark metrics.
+func measured(res exp.Result, r run) exp.Result {
 	res.Cycles = r.Cycles
 	res.Accesses = r.L2.Hits + r.L2.Misses
+	res.Events = int64(r.Events)
 	return res
 }
 

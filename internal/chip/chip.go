@@ -53,7 +53,7 @@ type Config struct {
 	Mapping        phys.Mapping
 	MSHRPerStrand  int   // outstanding load misses per strand; the T2 has 1
 	StoreBuffer    int   // posted stores in flight per strand; the T2 has 8
-	RetryDelay     int64 // crossbar NACK-and-retry round trip when an MC queue is full
+	RetryDelay     int64 // crossbar NACK-and-retry round trip when an MC queue is full; > 0 with a finite queue
 	// RunAhead bounds how many work items any strand may lead the slowest
 	// active strand by. It models the phase coherence of real T2 strands —
 	// cycle-by-cycle round-robin issue within a thread group plus finite
@@ -129,6 +129,14 @@ func (r Result) Balance() float64 {
 	return min / max
 }
 
+// RunStats describes how the last run was computed rather than what it
+// simulated, so it is kept beside Result. Its counters are deterministic:
+// the same program on the same configuration always yields the same
+// RunStats, whatever the host.
+type RunStats struct {
+	Events uint64 // engine events dispatched
+}
+
 // Machine runs programs on a Config. A Machine carries no observable state
 // between runs — every Run produces the result a freshly built machine
 // would — but it retains its substrate allocations (tag arrays, cursors,
@@ -144,6 +152,7 @@ type Machine struct {
 	// memcpy afterwards.
 	warmImg   *cache.Image
 	warmLines int64
+	last      RunStats
 }
 
 // New validates the configuration and returns a machine.
@@ -163,11 +172,18 @@ func New(cfg Config) *Machine {
 	if cfg.ClockHz <= 0 {
 		panic("chip: ClockHz must be positive")
 	}
+	if cfg.Mem.QueueDepth > 0 && cfg.RetryDelay <= 0 {
+		// A NACKed strand would re-poll at the same cycle forever.
+		panic(fmt.Sprintf("chip: RetryDelay %d must be >= 1 with a finite controller queue", cfg.RetryDelay))
+	}
 	return &Machine{cfg: cfg}
 }
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
+
+// LastRun returns the execution counters of the machine's last run.
+func (m *Machine) LastRun() RunStats { return m.last }
 
 type strand struct {
 	id     int
@@ -182,22 +198,35 @@ type strand struct {
 	slots  []sim.Time // MSHR completion times (loads)
 	sb     []sim.Time // store-buffer ring: completion times of posted fills
 	sbPos  int
-	// NACK-retry fast path: while a strand polls a full controller queue,
-	// its miss probe stays exact as long as the set's install version is
-	// unchanged, so retry ticks skip the tag lookup and address decode.
-	// This is purely an equivalent-computation shortcut — the re-probe it
-	// elides is proven to return the identical result.
+	// NACK state. A NACKed strand keeps its miss probe, the set's install
+	// version, the line and its controller; retrying marks its next
+	// dispatch as a re-poll. The probe stays exact while the version is
+	// unchanged, so a re-poll skips the tag lookup and address decode.
 	retrying bool
 	rProbe   cache.Probe
 	rVer     uint32
 	rCtl     int
+	rLine    phys.Addr
+	// A waiter re-polls every RetryDelay cycles from waitFrom on, at the
+	// label its polls carry, but only virtually: it sits in its
+	// controller's gate (gate.go), and its lost polls are counted when it
+	// leaves. waitFrom is -1 outside a wait; wPrev and wNext link the
+	// waiters of one phase.
+	waitFrom     sim.Time
+	label        sim.Label
+	phase        int
+	wPrev, wNext *strand
 }
 
-// evStep is the single typed-event kind of the run loop: resume strand arg.
-// Every wakeup — load return, store-buffer drain, NACK retry, compute
-// completion, unpark — is this event, so scheduling one is allocation-free
-// (see the sim package's engine contract).
-const evStep sim.Kind = 1
+// The typed event kinds of the run loop. evStep resumes strand arg: every
+// wakeup — load return, store-buffer drain, lookahead NACK retry, compute
+// completion, unpark, the poll of a woken waiter — is this event. evGate
+// fires the admission gate of controller arg. Both are allocation-free to
+// schedule (see the sim package's engine contract).
+const (
+	evStep sim.Kind = 1
+	evGate sim.Kind = 2
+)
 
 type runState struct {
 	cfg      Config
@@ -206,6 +235,8 @@ type runState struct {
 	mc       *mem.System
 	cores    *cpu.Cores
 	banks    []sim.Cursor
+	gates    []gate
+	waiting  int // strands waiting in gates
 	strands  []*strand
 	pool     []*strand // grown to the largest team seen, reused across runs
 	handler  sim.Handler
@@ -319,6 +350,9 @@ func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe) sim.Time {
 		if res.VictimDirty {
 			rs.mc.Write(bankDone, res.Victim)
 		}
+		if rs.waiting > 0 {
+			rs.installed(line)
+		}
 	}
 	return dataAt + rs.cfg.XbarLatency
 }
@@ -337,6 +371,9 @@ func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe) (proceed, f
 		if res.VictimDirty {
 			rs.mc.Write(bankDone, res.Victim)
 		}
+		if rs.waiting > 0 {
+			rs.installed(line)
+		}
 	}
 	return bankDone, fill
 }
@@ -349,17 +386,15 @@ func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe) (proceed, f
 // time order.
 func (rs *runState) step(s *strand) {
 	t := rs.eng.Now()
-	// Retry fast path: if nothing was installed into the probed set since
-	// the NACK, the cached probe is exact; only the queue check remains.
+	// Re-poll: if nothing was installed into the probed set since the
+	// NACK, the cached probe is exact; only the queue check remains.
 	probeValid := false
 	if s.retrying {
 		s.retrying = false
+		rs.settle(s, t)
 		if rs.l2.InstallVersion(s.rProbe) == s.rVer {
 			if rs.mc.FullCtl(t, s.rCtl) {
-				rs.retryStall += rs.cfg.RetryDelay
-				rs.retries++
-				s.retrying = true
-				rs.eng.Schedule(t+rs.cfg.RetryDelay, evStep, int32(s.id))
+				rs.wait(s)
 				return
 			}
 			probeValid = true // admission passed; reuse the probe below
@@ -396,12 +431,20 @@ func (rs *runState) step(s *strand) {
 			} else {
 				probe = rs.l2.ProbeLine(line)
 				if !probe.Hit && rs.mc.Full(t, line) {
-					rs.retryStall += rs.cfg.RetryDelay
-					rs.retries++
-					s.retrying = true
 					s.rProbe = probe
 					s.rVer = rs.l2.InstallVersion(probe)
 					s.rCtl = rs.mc.Controller(line)
+					s.rLine = line
+					if t == rs.eng.Now() {
+						rs.wait(s)
+						return
+					}
+					// NACKed at a lookahead time after a posted store: the
+					// first retry is not one period after the current
+					// event, so it stays a real event.
+					rs.retryStall += rs.cfg.RetryDelay
+					rs.retries++
+					s.retrying = true
 					rs.eng.Schedule(t+rs.cfg.RetryDelay, evStep, int32(s.id))
 					return
 				}
@@ -544,7 +587,13 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		if rs.runAhead > 0 {
 			rs.window = make([]int32, rs.runAhead+1)
 		}
-		rs.handler = func(_ sim.Kind, arg int32) { rs.step(rs.strands[arg]) }
+		rs.handler = func(k sim.Kind, arg int32) {
+			if k == evGate {
+				rs.fireGate(int(arg))
+				return
+			}
+			rs.step(rs.strands[arg])
+		}
 		m.rs = rs
 	} else {
 		rs.eng.Reset()
@@ -556,6 +605,10 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		}
 		clear(rs.window)
 		rs.parked = rs.parked[:0]
+		for i := range rs.gates {
+			rs.gates[i].reset()
+		}
+		rs.waiting = 0
 		rs.units, rs.repBytes, rs.finish = 0, 0, 0
 		rs.loadStall, rs.storeStall, rs.computeStall = 0, 0, 0
 		rs.retryStall, rs.retries = 0, 0
@@ -576,13 +629,16 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 	}
 	rs.strands = rs.pool[:n]
 	rs.eng.SetHandler(rs.handler)
+	if m.cfg.Mem.QueueDepth > 0 {
+		rs.eng.SetPeriod(m.cfg.RetryDelay)
+	}
 	for t := 0; t < n; t++ {
 		s := rs.strands[t]
 		s.gen = prog.Gens[t]
 		s.core, s.group = m.cfg.Place(t)
 		s.item.Reset()
 		s.active, s.accIdx, s.items, s.parked = false, 0, 0, false
-		s.retrying = false
+		s.retrying, s.waitFrom, s.wPrev, s.wNext = false, -1, nil, nil
 		clear(s.sb)
 		s.sbPos = 0
 		clear(s.slots)
@@ -594,12 +650,22 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 	if rs.eng.Interrupted() {
 		cancelErr = cw.abortError(ctx)
 		// The abort point is wherever the event loop happened to be; count
-		// the clock actually reached so the partial telemetry has a horizon.
-		if rs.eng.Now() > rs.finish {
-			rs.finish = rs.eng.Now()
+		// the clock actually reached so the partial telemetry has a horizon,
+		// and count every retry an open wait has begun by then, as if the
+		// waiter left at its first poll after now.
+		now := rs.eng.Now()
+		if now > rs.finish {
+			rs.finish = now
+		}
+		for _, s := range rs.strands {
+			if s.waitFrom >= 0 {
+				d := rs.cfg.RetryDelay
+				rs.settle(s, now-(now-s.waitFrom)%d+d)
+			}
 		}
 	}
 	cw.done()
+	m.last = RunStats{Events: rs.eng.Steps()}
 	if cancelErr == nil && rs.running != 0 {
 		panic("chip: deadlock — strands left running with no events")
 	}

@@ -16,8 +16,11 @@ import (
 // themselves rather than comparing two runs. Every L2 miss (a load miss or
 // a store's read-for-ownership) is one controller read, every dirty
 // eviction is one controller write, a controller is never busy for more
-// than the whole run, and the strands cannot together stall for longer
-// than they exist. The laws are checked for STREAM triad on every
+// than the whole run, the strands cannot together stall for longer than
+// they exist, and every NACK-and-retry round trip stalls its strand for
+// exactly RetryDelay cycles (the retry counters are summed lazily when a
+// waiting strand leaves its controller's gate, so this law guards that
+// sum). The laws are checked for STREAM triad on every
 // registered machine profile, at several team sizes and array offsets.
 func TestResultConservation(t *testing.T) {
 	const n = 1 << 12
@@ -51,6 +54,9 @@ func TestResultConservation(t *testing.T) {
 						if u < 0 || u > 1 {
 							t.Errorf("controller %d utilization %g outside [0, 1]", i, u)
 						}
+					}
+					if r.RetryStall != r.Retries*cfg.RetryDelay {
+						t.Errorf("retry stall %d != %d retries x RetryDelay %d", r.RetryStall, r.Retries, cfg.RetryDelay)
 					}
 					stalls := r.LoadStall + r.StoreStall + r.ComputeStall + r.RetryStall
 					if limit := int64(threads) * r.Cycles; stalls > limit {

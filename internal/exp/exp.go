@@ -189,6 +189,9 @@ type Result struct {
 	// simulated accesses per second).
 	Cycles   int64 `json:"-"`
 	Accesses int64 `json:"-"`
+	// Events counts the engine events the point dispatched: a
+	// deterministic measure of the simulator's work.
+	Events int64 `json:"-"`
 
 	// FFCycles and FFJumps are always zero: every point is simulated event
 	// by event. They remain only because the repository benchmark
@@ -319,6 +322,15 @@ func (o Outcome) Totals() (cycles, accesses int64) {
 		accesses += pr.Result.Accesses
 	}
 	return cycles, accesses
+}
+
+// Events sums the engine events dispatched over every point.
+func (o Outcome) Events() int64 {
+	var n int64
+	for _, pr := range o.Points {
+		n += pr.Result.Events
+	}
+	return n
 }
 
 // JSON marshals the outcome canonically (indented, map keys sorted by

@@ -104,6 +104,16 @@ func (s *System) FullCtl(now sim.Time, ctl int) bool {
 	return s.ctls[ctl].north.FreeAt()-now >= s.fullThresh
 }
 
+// AdmitAt returns the admission horizon of controller ctl: the earliest
+// time at which FullCtl(t, ctl) could be false. A channel's free time never
+// decreases, so every request arriving before the horizon — now or after
+// any further traffic — finds the queue full. A retry scheduler can
+// therefore skip every poll before it. It is only meaningful with a finite
+// QueueDepth.
+func (s *System) AdmitAt(ctl int) sim.Time {
+	return s.ctls[ctl].north.FreeAt() - s.fullThresh + 1
+}
+
 // Read issues a demand or RFO line read arriving at the controller at time
 // now and returns the time at which the data is back at the L2.
 func (s *System) Read(now sim.Time, addr phys.Addr) sim.Time {

@@ -109,3 +109,29 @@ func TestResetClearsState(t *testing.T) {
 		t.Error("reset did not clear controller state")
 	}
 }
+
+// TestAdmitAtIsTheFullHorizon pins AdmitAt as the exact edge of FullCtl:
+// the queue is full at every time before the horizon and has room from
+// the horizon on, and further traffic only moves the horizon later.
+func TestAdmitAtIsTheFullHorizon(t *testing.T) {
+	s := New(cfg(), phys.T2())
+	ctl := s.Controller(0)
+	prev := s.AdmitAt(ctl)
+	for i := 0; i < 12; i++ {
+		if i%3 == 2 {
+			s.Write(0, 0)
+		} else {
+			s.Read(0, 0)
+		}
+		h := s.AdmitAt(ctl)
+		if h < prev {
+			t.Fatalf("horizon moved back from %d to %d", prev, h)
+		}
+		prev = h
+		for now := h - 30; now < h+30; now++ {
+			if full := s.FullCtl(now, ctl); full != (now < h) {
+				t.Fatalf("after %d requests: FullCtl(%d) = %v with horizon %d", i+1, now, full, h)
+			}
+		}
+	}
+}

@@ -6,24 +6,67 @@
 //
 // The engine is single-goroutine by design. Determinism is a hard
 // requirement for the reproduction: identical inputs must produce identical
-// cycle counts, so ties between events scheduled for the same cycle are
-// broken by insertion sequence number.
+// cycle counts, so events of one cycle run in a fixed total order (below).
 //
 // # Engine contract
 //
 // The engine supports two event forms that share one priority queue and one
-// sequence-number space:
+// scheduling order:
 //
-//   - Typed events (Schedule): a plain {kind, arg} record dispatched through
-//     the handler installed with SetHandler. This is the hot path — pushing
-//     a typed event is a bucket append plus a bitmap update, with no
-//     closure, no interface boxing, and no per-event heap allocation. The
-//     chip's run loop schedules every strand wakeup this way, so
-//     steady-state simulation allocates nothing per event.
+//   - Typed events (Schedule, ScheduleLabelled): a plain {kind, arg} record
+//     dispatched through the handler installed with SetHandler. This is the
+//     hot path — pushing a typed event is a bucket append plus a bitmap
+//     update, with no closure, no interface boxing, and no per-event heap
+//     allocation. The chip's run loop schedules every strand wakeup this
+//     way, so steady-state simulation allocates nothing per event.
 //   - Closure events (At/After): an arbitrary func(). Convenient for tests
 //     and cold setup paths; each call allocates its closure as usual.
 //
-// Both forms execute strictly in (time, sequence) order.
+// # Event order and labels
+//
+// Without a period (SetPeriod), events run in (time, sequence) order, the
+// sequence being the order of the Schedule calls. With a period D, the
+// events of one cycle T are ordered in three sections:
+//
+//  1. events scheduled more than D earlier, by sequence;
+//  2. events scheduled exactly D earlier, by label (then sequence);
+//  3. the rest, by sequence.
+//
+// A child scheduled with delay exactly D takes its label from where its
+// parent sits in the current cycle: a parent in section 1 gives a fresh
+// front label, a parent in section 2 passes on its own label, a parent in
+// section 3 gives a fresh back label. Fresh front labels sort before every
+// label made in an earlier cycle, fresh back labels after all of them,
+// and fresh labels of one kind and cycle in the order they were made (a
+// label is one integer, ±((now+1)<<20) plus its index in the cycle).
+// This is the (time, sequence) order itself. The sequence grows with the
+// scheduling time, so sections 1, 2 and 3 of cycle T are already in that
+// order, and sections 1 and 3 are sorted by sequence. Section 2 of T holds
+// the children of the events dispatched at T-D, and their sequence order
+// is their parents' dispatch order. By induction on T, the labels sort the
+// same way: front labels of T-D sort before every label that came from
+// earlier cycles, back labels after them, and a passed-on label keeps its
+// parent's place.
+//
+// What the labels buy is that a chain of delay-D events need not exist to
+// keep its place. A caller can take the label its next delay-D child would
+// carry (ChildLabel) and leave the chain out of the queue. Its k-th
+// virtual member sits at (t0+kD, section 2, label), because every
+// delay-D child in section 2 passes the label on unchanged. Later the
+// caller can put a real event back at any of those positions with
+// ScheduleLabelled, even while the cycle is being drained, as long as the
+// position is still ahead (NextTick finds the next such tick). Cancel
+// removes a labelled event again, so the event can move.
+//
+// One condition keeps a virtual chain in place: no other event may share
+// its label. Siblings with one label fall back to sequence order, and a
+// skipped member has no place in the sequence. So the chain's parent
+// must schedule no other delay-D child, and each real member no more than
+// one. The machine model meets this, since every event continues one
+// strand. It uses labels for memory-controller admission gates: a strand
+// NACKed by a full controller queue would re-poll every D cycles, but it
+// keeps a label instead, and the controller schedules only the one poll
+// that can win, at the exact place the skipped chain would have put it.
 //
 // # Timing wheel
 //
@@ -33,23 +76,25 @@
 // power-of-two ring of buckets indexed by `when mod slots`, with a
 // hierarchical occupancy bitmap (64-way fan-in per level) locating the next
 // non-empty bucket in O(levels) word operations. While every pending event
-// lies within the wheel's span, each bucket holds events of exactly one
-// timestamp, appended — and therefore popped — in sequence order, so no
-// comparisons are needed anywhere: Schedule and pop are O(1) ring
-// operations. An event scheduled beyond the span grows the wheel (a rare,
-// amortized rehash), so the horizon bound is a performance assumption, not
-// a correctness requirement.
+// lies within the wheel's span, each bucket holds the events of exactly one
+// timestamp, kept sorted by section and label, with ties in the order
+// they were pushed, which is the sequence order. So almost every push is
+// an append. Only a labelled insert (and a section-1 event landing behind
+// one) takes a sorted insertion. An event scheduled beyond the span grows
+// the wheel (a rare, amortized rehash), so the horizon bound is a
+// performance assumption, not a correctness requirement.
 //
-// The previous engine — the same (when, seq) total order on a 4-ary slice
-// heap — is retained as a reference implementation behind
-// UseReferenceHeap. A differential fuzz test drives random bounded-delay
-// schedules through both and asserts identical pop order and identical
-// Steps/Pending accounting, which is the proof obligation for swapping the
-// structure under a determinism-critical simulator.
+// A reference implementation of the same order on a 4-ary slice heap is
+// retained behind UseReferenceHeap. A differential fuzz test drives random
+// bounded-delay schedules, delay-D chains and labelled inserts through
+// both and asserts identical pop order and identical Steps/Pending
+// accounting. That test is the proof obligation for the wheel under a
+// determinism-critical simulator.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -62,16 +107,45 @@ type Time = int64
 type Kind uint8
 
 // Handler dispatches one typed event. It is installed once with SetHandler
-// and invoked by Step for every event scheduled through Schedule.
+// and invoked by Step for every event scheduled through Schedule or
+// ScheduleLabelled.
 type Handler func(kind Kind, arg int32)
 
 // event is one scheduled entry: 24 bytes, nothing pointer-shaped, so the
-// wheel's bucket traffic stays cheap and GC-transparent. Closure events
-// are carried out-of-band: their func lives in the engine's closure table
-// under the event's sequence number, marked by the reserved ClosureKind.
+// wheel's bucket traffic stays cheap and GC-transparent. key is its place
+// within its cycle: secFront for section 1, secBack for section 3, the
+// label for section 2. Events with equal keys run in the order they were
+// scheduled. A closure event's func lives in the engine's closure table at
+// index arg, marked by the reserved ClosureKind.
 type event struct {
 	when Time
-	seq  uint64
+	key  int64
+	arg  int32
+	kind Kind
+}
+
+// Section keys: every label lies strictly between them.
+const (
+	secFront int64 = math.MinInt64
+	secBack  int64 = math.MaxInt64
+)
+
+// A fresh label packs its sign (front or back), the cycle it was made in
+// and its index among the fresh labels of that cycle into one integer:
+// ±((now+1)<<labelBits) + index.
+const labelBits = 20
+
+// Label is the place of a delay-D event within section 2 of its cycle (see
+// the package doc). Labels come from ChildLabel; the zero Label is not one.
+type Label struct{ key int64 }
+
+// Before reports whether l sorts before m.
+func (l Label) Before(m Label) bool { return l.key < m.key }
+
+// Ticket identifies a pending labelled event for Cancel.
+type Ticket struct {
+	when Time
+	key  int64
 	arg  int32
 	kind Kind
 }
@@ -80,9 +154,10 @@ type event struct {
 // events; typed events must use other kinds.
 const ClosureKind Kind = 0xFF
 
-// bucket is one wheel slot: the events of a single pending timestamp in
-// insertion (= sequence) order. head is the pop position, so a partially
-// drained bucket keeps its remaining events without copying.
+// bucket is one wheel slot: the events of a single pending timestamp,
+// sorted by key and, for equal keys, in insertion order. head is the pop
+// position, so a partially drained bucket keeps its remaining events
+// without copying.
 type bucket struct {
 	evs  []event
 	head int
@@ -97,9 +172,15 @@ const minWheelSlots = 256
 // The zero value is ready to use.
 type Engine struct {
 	now     Time
-	seq     uint64
+	seq     uint64 // events scheduled: the reference heap's tie-break
 	steps   uint64
 	handler Handler
+	period  Time  // D of the labelled order; 0 orders by sequence only
+	cur     int64 // the dispatch position: the key of the last dispatched event
+	// Fresh labels: the cycle (plus one) they were last made in, and how
+	// many were made in it.
+	freshAt Time
+	freshN  int64
 
 	// Timing wheel (the default queue).
 	slots []bucket
@@ -108,12 +189,14 @@ type Engine struct {
 	gen   uint64    // incremented by grow: invalidates in-flight slot handles
 	free  [][]event // recycled bucket buffers: live buckets stay O(pending)
 
-	// Closure (At/After) events, keyed by sequence number.
-	closures map[uint64]func()
+	// Closure (At/After) events' funcs, indexed by the events' arg, and
+	// the free indices.
+	closures    []func()
+	freeClosure []int32
 
 	// Reference 4-ary heap, selected by UseReferenceHeap.
 	heapMode bool
-	events   []event // 4-ary min-heap ordered by (when, seq)
+	events   []heapEvent // 4-ary min-heap in the engine's total order
 
 	// Cooperative cancellation (see SetStop/StopAt). The flag is polled
 	// amortized — once per stopPollInterval bucket drains — so an unarmed
@@ -205,15 +288,33 @@ func (e *Engine) UseReferenceHeap() {
 	e.heapMode = true
 }
 
+// SetPeriod sets the period D of the labelled event order (see the package
+// doc); 0, the default, orders each cycle by sequence alone. It must be
+// called while no events are pending.
+func (e *Engine) SetPeriod(d Time) {
+	if e.Pending() != 0 {
+		panic("sim: SetPeriod with events pending")
+	}
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative period %d", d))
+	}
+	e.period = d
+	if e.steps == 0 {
+		e.cur = secFront // nothing dispatched: the start of cycle 0
+	}
+}
+
 // Reset returns the engine to its initial state while retaining the
 // wheel's slot and bucket capacity, so a reused engine schedules without
 // reallocating. The queue-structure choice (wheel or reference heap) is
-// retained too.
+// retained too; the period is cleared.
 func (e *Engine) Reset() {
 	e.gen++
 	e.now, e.seq, e.steps, e.handler = 0, 0, 0, nil
+	e.period, e.cur, e.freshAt, e.freshN = 0, secFront, 0, 0
 	e.events = e.events[:0]
 	clear(e.closures)
+	e.closures, e.freeClosure = e.closures[:0], e.freeClosure[:0]
 	for i := range e.slots {
 		b := &e.slots[i]
 		if b.evs != nil {
@@ -238,8 +339,114 @@ func (e *Engine) Schedule(when Time, kind Kind, arg int32) {
 	if kind == ClosureKind {
 		panic("sim: event kind 0xFF is reserved for closure events")
 	}
-	e.seq++
-	e.enqueue(event{when: when, seq: e.seq, kind: kind, arg: arg})
+	e.enqueue(event{when: when, key: e.place(when), kind: kind, arg: arg})
+}
+
+// place returns the key of an event scheduled now for time when: its
+// section (see the package doc), and its label if its delay is exactly
+// the period.
+func (e *Engine) place(when Time) int64 {
+	switch d := when - e.now; {
+	case d < e.period || e.period == 0:
+		return secBack
+	case d > e.period:
+		return secFront
+	}
+	return e.childLabel()
+}
+
+// childLabel is the label of a delay-D child scheduled at the dispatch
+// position.
+func (e *Engine) childLabel() int64 {
+	if e.cur != secFront && e.cur != secBack {
+		return e.cur
+	}
+	if e.freshAt != e.now+1 {
+		e.freshAt, e.freshN = e.now+1, 0
+	}
+	if e.freshN == 1<<labelBits || e.freshAt >= 1<<(62-labelBits) {
+		panic("sim: fresh label space exhausted")
+	}
+	i := e.freshN
+	e.freshN++
+	if e.cur == secFront {
+		return -(e.freshAt << labelBits) + i
+	}
+	return e.freshAt<<labelBits + i
+}
+
+// ChildLabel returns the label that an event scheduled now with delay
+// exactly the period would carry. A fresh label is used up by the call,
+// so it stays unique even though no event is queued under it.
+func (e *Engine) ChildLabel() Label {
+	if e.period == 0 {
+		panic("sim: ChildLabel without a period")
+	}
+	return Label{e.childLabel()}
+}
+
+// ahead reports whether section 2 of the current cycle at label l is still
+// to be dispatched.
+func (e *Engine) ahead(l Label) bool {
+	return e.cur < l.key
+}
+
+// NextTick returns the earliest tick t0+k*D (k >= 1) that is at or after
+// lo and whose place (tick, section 2, l) the dispatch has not reached:
+// where the next virtual member of a delay-D chain started at t0 with
+// label l sits, given that nothing before lo matters.
+func (e *Engine) NextTick(t0, lo Time, l Label) Time {
+	if lo < e.now {
+		lo = e.now
+	}
+	if lo <= t0 {
+		lo = t0 + 1
+	}
+	tick := t0 + (lo-t0+e.period-1)/e.period*e.period
+	if tick == e.now && !e.ahead(l) {
+		tick += e.period
+	}
+	return tick
+}
+
+// ScheduleLabelled enqueues a typed event in section 2 of cycle when under
+// label l, whatever the delay, and returns the ticket that cancels it. A
+// label in the current cycle must still be ahead of the dispatch position.
+func (e *Engine) ScheduleLabelled(when Time, l Label, kind Kind, arg int32) Ticket {
+	if when < e.now || (when == e.now && !e.ahead(l)) {
+		panic(fmt.Sprintf("sim: labelled event at %d behind the dispatch position (now %d)", when, e.now))
+	}
+	if kind == ClosureKind || l.key == secFront || l.key == secBack {
+		panic("sim: invalid labelled event")
+	}
+	e.enqueue(event{when: when, key: l.key, kind: kind, arg: arg})
+	return Ticket{when, l.key, arg, kind}
+}
+
+// Cancel removes the pending event that t names: one scheduled with
+// ScheduleLabelled for the same time, label, kind and arg. Events that
+// share all four are interchangeable, so it does not matter which of them
+// goes. It panics if there is none.
+func (e *Engine) Cancel(t Ticket) {
+	if e.heapMode {
+		e.cancelHeap(t)
+		return
+	}
+	s := int(uint64(t.when) & uint64(len(e.slots)-1))
+	b := &e.slots[s]
+	i := b.search(t.key-1, len(b.evs))
+	for i < len(b.evs) && b.evs[i].key == t.key && (b.evs[i].when != t.when || b.evs[i].kind != t.kind || b.evs[i].arg != t.arg) {
+		i++
+	}
+	if i == len(b.evs) || b.evs[i].key != t.key {
+		panic("sim: cancelling an event that is not pending")
+	}
+	b.evs = append(b.evs[:i], b.evs[i+1:]...)
+	e.count--
+	if b.head == len(b.evs) {
+		e.release(b)
+		e.clearBit(s)
+	}
 }
 
 // At schedules fn to run at absolute time when. Scheduling into the past
@@ -249,12 +456,16 @@ func (e *Engine) At(when Time, fn func()) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", when, e.now))
 	}
-	e.seq++
-	if e.closures == nil {
-		e.closures = map[uint64]func(){}
+	var id int32
+	if n := len(e.freeClosure); n > 0 {
+		id = e.freeClosure[n-1]
+		e.freeClosure = e.freeClosure[:n-1]
+		e.closures[id] = fn
+	} else {
+		id = int32(len(e.closures))
+		e.closures = append(e.closures, fn)
 	}
-	e.closures[e.seq] = fn
-	e.enqueue(event{when: when, seq: e.seq, kind: ClosureKind})
+	e.enqueue(event{when: when, key: e.place(when), kind: ClosureKind, arg: id})
 }
 
 // After schedules fn to run d cycles from now. Negative delays panic.
@@ -262,7 +473,8 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 func (e *Engine) enqueue(ev event) {
 	if e.heapMode {
-		e.push(ev)
+		e.seq++
+		e.push(heapEvent{ev, e.seq})
 		return
 	}
 	e.pushWheel(ev)
@@ -272,8 +484,10 @@ func (e *Engine) enqueue(ev event) {
 
 // pushWheel files ev into the slot of its timestamp, growing the wheel if
 // the delay exceeds the current span. Because every pending timestamp lies
-// within the span, distinct pending timestamps occupy distinct slots, and a
-// bucket's append order is its (single-time) sequence order.
+// within the span, distinct pending timestamps occupy distinct slots. A
+// bucket is kept sorted: ev is appended, and moved back into place, behind
+// the events of equal key, in the rare case that its key is below the
+// bucket's last event's.
 func (e *Engine) pushWheel(ev event) {
 	d := ev.when - e.now
 	if len(e.slots) == 0 || d >= Time(len(e.slots)) {
@@ -295,6 +509,26 @@ func (e *Engine) pushWheel(ev event) {
 	}
 	b.evs = append(b.evs, ev)
 	e.count++
+	if n := len(b.evs) - 1; n > b.head && ev.key < b.evs[n-1].key {
+		i := b.search(ev.key, n)
+		copy(b.evs[i+1:], b.evs[i:n])
+		b.evs[i] = ev
+	}
+}
+
+// search returns the index of the first pending event among evs[:end]
+// whose key is above key.
+func (b *bucket) search(key int64, end int) int {
+	lo, hi := b.head, end
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.evs[m].key <= key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // popWheel removes and returns the earliest pending event.
@@ -422,12 +656,28 @@ func (e *Engine) grow(d Time) {
 
 // ---- reference 4-ary heap --------------------------------------------------
 
-// The reference queue is a 4-ary min-heap ordered by (when, seq). Sequence
-// numbers are unique, so the order is a strict total order and the pop
+// The reference queue is a 4-ary min-heap in the engine's total order:
+// time, key, then scheduling order, which the heap records as a sequence
+// number. Sequence numbers are unique, so the order is strict and the pop
 // sequence does not depend on heap shape or arity.
 const heapArity = 4
 
-func (e *Engine) push(ev event) {
+type heapEvent struct {
+	event
+	seq uint64
+}
+
+func (a *heapEvent) less(b *heapEvent) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
+
+func (e *Engine) push(ev heapEvent) {
 	e.events = append(e.events, ev)
 	e.siftUp(len(e.events) - 1)
 }
@@ -437,7 +687,7 @@ func (e *Engine) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / heapArity
 		p := &e.events[parent]
-		if p.when < ev.when || (p.when == ev.when && p.seq < ev.seq) {
+		if p.less(&ev) {
 			break
 		}
 		e.events[i] = *p
@@ -462,11 +712,11 @@ func (e *Engine) siftDown(i int) {
 		mc := &e.events[first]
 		for j := first + 1; j < last; j++ {
 			c := &e.events[j]
-			if c.when < mc.when || (c.when == mc.when && c.seq < mc.seq) {
+			if c.less(mc) {
 				min, mc = j, c
 			}
 		}
-		if ev.when < mc.when || (ev.when == mc.when && ev.seq < mc.seq) {
+		if ev.less(mc) {
 			break
 		}
 		e.events[i] = *mc
@@ -476,7 +726,7 @@ func (e *Engine) siftDown(i int) {
 }
 
 func (e *Engine) popHeap() event {
-	ev := e.events[0]
+	ev := e.events[0].event
 	n := len(e.events) - 1
 	e.events[0] = e.events[n]
 	e.events = e.events[:n]
@@ -486,13 +736,32 @@ func (e *Engine) popHeap() event {
 	return ev
 }
 
+// cancelHeap removes an event matching t from the reference heap.
+func (e *Engine) cancelHeap(t Ticket) {
+	for i := range e.events {
+		if e.events[i].event == (event{t.when, t.key, t.arg, t.kind}) {
+			n := len(e.events) - 1
+			e.events[i] = e.events[n]
+			e.events = e.events[:n]
+			if i < n {
+				e.siftDown(i)
+				e.siftUp(i)
+			}
+			return
+		}
+	}
+	panic("sim: cancelling an event that is not pending")
+}
+
 // dispatch executes one popped event.
 func (e *Engine) dispatch(ev event) {
 	e.now = ev.when
+	e.cur = ev.key
 	e.steps++
 	if ev.kind == ClosureKind {
-		fn := e.closures[ev.seq]
-		delete(e.closures, ev.seq)
+		fn := e.closures[ev.arg]
+		e.closures[ev.arg] = nil
+		e.freeClosure = append(e.freeClosure, ev.arg)
 		fn()
 	} else {
 		e.handler(ev.kind, ev.arg)
@@ -523,11 +792,10 @@ func (e *Engine) Step() bool {
 // Run executes events until none remain. It is Step in a loop, with one
 // structural shortcut: all events of the earliest bucket — a tie group
 // sharing one timestamp — are drained without re-searching the occupancy
-// bitmap between them. NACK convoys synchronize dozens of strands onto the
-// same retry cycle, so tie groups are the common case exactly where event
-// volume is highest. A wheel growth (or queue-structure change) during a
-// handler invalidates the slot handle; the generation counter detects that
-// and falls back to a fresh search.
+// bitmap between them, including events a handler inserts into the bucket
+// after the dispatch position. A wheel growth (or queue-structure change)
+// during a handler invalidates the slot handle; the generation counter
+// detects that and falls back to a fresh search.
 func (e *Engine) Run() {
 	if e.heapMode {
 		for !e.stopPoll() && e.Step() {
