@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: ci fmt vet build test test-race test-faults test-full bench bench-smoke bench-diff daemon-smoke golden figures clean
+.PHONY: ci fmt vet build test test-race test-full bench bench-smoke bench-diff daemon-smoke golden figures clean
 
 # ci is the tier the workflow runs: formatting, static checks, build, and
 # the fast test tier (slow shape sweeps are skipped under -short).
@@ -31,14 +31,6 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 
-# test-faults compiles the deterministic fault-injection hooks in
-# (-tags faultinject) and runs the fast tier under the race detector:
-# every recovery path — worker panic, step-budget cancel, the daemon's
-# service faults — executes with real goroutine interleavings instead of
-# staying dead code behind the build tag.
-test-faults:
-	$(GO) test -race -short -tags faultinject ./...
-
 # test-full runs every shape check at Small() scale (about a minute of
 # simulated sweeps on one core).
 test-full:
@@ -60,7 +52,7 @@ bench:
 # added/removed tolerance make it safe to gate on; the 20% budget absorbs
 # shared-runner noise. BenchmarkResilience is deliberately not in the
 # pattern: its allocation counts depend on where in the sweep the
-# injected cancel lands, so gating it would be flaky — it still records
+# mid-run cancel lands, so gating it would be flaky — it still records
 # its robustness metrics in BENCH_perf.json via `make bench`, where the
 # added/removed tolerance keeps the asymmetry harmless.
 bench-diff:

@@ -42,7 +42,6 @@ type simTotals struct {
 	// every fault-free sweep, so the figure benchmarks report nothing new;
 	// only BenchmarkResilience, which provokes the recovery paths on
 	// purpose, populates these.
-	retries     int64
 	pointErrors int64
 	cancelMS    float64
 }
@@ -61,7 +60,6 @@ func (st *simTotals) fold(out exp.Outcome) {
 	st.cycles += c
 	st.accesses += a
 	st.events += out.Events()
-	st.retries += out.Retries
 	st.pointErrors += out.PointErrors
 	if out.CancelLatencyMS > st.cancelMS {
 		st.cancelMS = out.CancelLatencyMS
@@ -76,11 +74,10 @@ func (st *simTotals) report(b *testing.B) {
 	b.ReportMetric(float64(st.cycles)/secs, "simcycles/s")
 	b.ReportMetric(float64(st.accesses)/secs, "accesses/s")
 	b.ReportMetric(float64(st.events)/float64(b.N), "events/op")
-	if st.retries > 0 || st.pointErrors > 0 || st.cancelMS > 0 {
+	if st.pointErrors > 0 || st.cancelMS > 0 {
 		// Robustness telemetry, per iteration (deterministic counts): how
 		// much recovery machinery the sweep actually exercised. Fault-free
 		// sweeps report none of this, keeping their metric sets unchanged.
-		b.ReportMetric(float64(st.retries)/float64(b.N), "retries")
 		b.ReportMetric(float64(st.pointErrors)/float64(b.N), "point-errors")
 		b.ReportMetric(st.cancelMS, "cancel-latency-ms")
 	}
@@ -176,12 +173,12 @@ func BenchmarkFig7LBM(b *testing.B) {
 
 // ---- resilience ---------------------------------------------------------------
 
-// BenchmarkResilience drives the three recovery paths of the resilient
-// execution layer on purpose — transient point failures absorbed by the
-// retry budget, a panicking point isolated into a structured PointError,
-// and a sweep cancelled mid-run with partial telemetry — and reports the
-// robustness telemetry (retries, point-errors, cancel-latency-ms) that
-// stays zero for every other benchmark in this file.
+// BenchmarkResilience drives the two recovery paths of the resilient
+// execution layer on purpose — a panicking point isolated into a
+// structured PointError, and a sweep cancelled mid-run with partial
+// telemetry — and reports the robustness telemetry (point-errors,
+// cancel-latency-ms) that stays zero for every other benchmark in this
+// file.
 func BenchmarkResilience(b *testing.B) {
 	base := machine.MustGet("t2").Config
 	kernelExp := func(name string) exp.Experiment {
@@ -208,30 +205,20 @@ func BenchmarkResilience(b *testing.B) {
 	}
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		// Transient failures and one persistent panic: the retry budget
-		// recovers the former, the latter surfaces as a PointError without
-		// killing the pool.
-		var mu sync.Mutex
-		tried := map[int]bool{}
-		e := kernelExp("resilience/retry")
+		// One persistent panic: it surfaces as a PointError without
+		// killing the pool, and the other points complete.
+		e := kernelExp("resilience/panic")
 		inner := e.Run
 		e.Run = func(cfg chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
-			mu.Lock()
-			first := !tried[p.Index]
-			tried[p.Index] = true
-			mu.Unlock()
-			if first && p.Index%3 == 0 {
-				return exp.Result{}, errors.New("transient benchmark fault")
-			}
 			if p.Index == 5 {
-				panic("injected benchmark panic")
+				panic("benchmark panic")
 			}
 			return inner(cfg, p, sc)
 		}
-		out, err := exp.Runner{Jobs: 2, Retries: 1}.Run(e)
+		out, err := exp.Runner{Jobs: 2}.Run(e)
 		var pe *exp.PointError
-		if !errors.As(err, &pe) || out.Retries == 0 {
-			b.Fatalf("retry/panic sweep: err=%v retries=%d, want a PointError and recovered retries", err, out.Retries)
+		if !errors.As(err, &pe) || len(out.Points) != 7 {
+			b.Fatalf("panic sweep: err=%v points=%d, want a PointError and 7 points", err, len(out.Points))
 		}
 		st.fold(out)
 

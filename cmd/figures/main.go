@@ -162,10 +162,6 @@ func main() {
 		elapsed := time.Since(start)
 		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s, %d engine events ==\n",
 			f.Title, prof.Name, len(outcome.Points), runner.Workers(len(outcome.Points)), elapsed.Round(time.Millisecond), outcome.Events())
-		if outcome.Retries > 0 || outcome.PointErrors > 0 {
-			fmt.Printf("   resilience: %d retries, %d point errors\n",
-				outcome.Retries, outcome.PointErrors)
-		}
 		series := outcome.Series()
 
 		csvPath := filepath.Join(*out, f.Name+".csv")

@@ -28,7 +28,7 @@
 //	0  run or sweep completed
 //	1  runtime failure: simulation error, unwritable -json output
 //	2  flag misuse: unknown kernel, machine, schedule, layout or sweep
-//	   axis
+//	   axis, or a numeric flag (or a -sweep range end) out of range
 //	3  -timeout expired before the run or sweep finished
 package main
 
@@ -68,13 +68,71 @@ type params struct {
 	layout      string
 	fused       bool
 	opt         bool
+	mshr        int
+	runAhead    int64
+}
+
+// with returns p with the sweep axis set to v.
+func (p params) with(axis string, v int64) params {
+	switch axis {
+	case "offset":
+		p.offset = v
+	case "arrayoffset":
+		p.arrayOffset = v
+	case "n":
+		p.n = v
+	case "threads":
+		p.threads = int(v)
+	}
+	return p
+}
+
+// sweepSpec is a parsed -sweep flag: axis=lo:hi:step, hi inclusive.
+type sweepSpec struct {
+	flag         string // as given, for error text
+	axis         string
+	lo, hi, step int64
+}
+
+// validate rejects numeric flags the simulator cannot run, before anything
+// runs. With a sweep it checks the range's low and high grid points; every
+// bound in checkPoint limits one knob from one side, so the two ends bound
+// the whole grid.
+func validate(p params, maxThreads int, sw *sweepSpec) error {
+	if sw == nil {
+		return checkPoint(p, maxThreads)
+	}
+	for _, v := range []int64{sw.lo, sw.lo + (sw.hi-sw.lo)/sw.step*sw.step} {
+		if err := checkPoint(p.with(sw.axis, v), maxThreads); err != nil {
+			return fmt.Errorf("-sweep %s: %w", sw.flag, err)
+		}
+	}
+	return nil
+}
+
+// checkPoint holds the bounds of one simulation point: -threads within
+// [1, maxThreads], -n, -mshr and -sweeps at least 1, -runahead at least 0.
+func checkPoint(p params, maxThreads int) error {
+	switch {
+	case p.threads < 1 || p.threads > maxThreads:
+		return fmt.Errorf("-threads %d outside [1, %d], the machine's hardware strands", p.threads, maxThreads)
+	case p.n < 1:
+		return fmt.Errorf("-n %d must be at least 1", p.n)
+	case p.mshr < 1:
+		return fmt.Errorf("-mshr %d must be at least 1", p.mshr)
+	case p.runAhead < 0:
+		return fmt.Errorf("-runahead %d must be at least 0", p.runAhead)
+	case p.sweeps < 1:
+		return fmt.Errorf("-sweeps %d must be at least 1", p.sweeps)
+	}
+	return nil
 }
 
 func main() {
 	var p params
 	flag.StringVar(&p.kernel, "kernel", "triad", "kernel: copy, scale, add, triad, vtriad, loadsum, jacobi, lbm")
 	flag.Int64Var(&p.n, "n", 1<<19, "problem size (elements; grid edge for jacobi/lbm)")
-	flag.IntVar(&p.threads, "threads", 64, "software threads (1..64)")
+	flag.IntVar(&p.threads, "threads", 64, "software threads (1 up to the profile's hardware strands)")
 	flag.Int64Var(&p.offset, "offset", 0, "STREAM COMMON-block offset in DP words")
 	flag.Int64Var(&p.arrayOffset, "arrayoffset", 0, "per-array byte offset (array i shifted by i*offset)")
 	flag.IntVar(&p.sweeps, "sweeps", 1, "passes over the data")
@@ -84,8 +142,8 @@ func main() {
 	flag.StringVar(&p.layout, "layout", "IvJK", "LBM layout: IJKv or IvJK")
 	flag.BoolVar(&p.fused, "fused", false, "LBM: coalesce the outer loop pair")
 	flag.BoolVar(&p.opt, "opt", false, "jacobi: apply the planner's row placement (512B align, 128B shift)")
-	msar := flag.Int("mshr", 1, "outstanding load misses per strand (ablation)")
-	runAhead := flag.Int64("runahead", 2, "strand run-ahead window in items; 0 = unbounded")
+	flag.IntVar(&p.mshr, "mshr", 1, "outstanding load misses per strand (ablation)")
+	flag.Int64Var(&p.runAhead, "runahead", 2, "strand run-ahead window in items; 0 = unbounded")
 	sweep := flag.String("sweep", "", "sweep one parameter: {offset|arrayoffset|n|threads}=lo:hi:step (hi inclusive)")
 	jobs := flag.Int("jobs", 0, "worker goroutines for -sweep (<=0: GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "with -sweep: write the JSON trajectory to this file ('-' for stdout)")
@@ -96,9 +154,18 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	var sw *sweepSpec
+	if *sweep != "" {
+		if sw, err = parseSweep(*sweep); err != nil {
+			fail("%v", err)
+		}
+	}
+	if err := validate(p, prof.Config.MaxThreads(), sw); err != nil {
+		fail("%v", err)
+	}
 	cfg := prof.Config
-	cfg.MSHRPerStrand = *msar
-	cfg.RunAhead = *runAhead
+	cfg.MSHRPerStrand = p.mshr
+	cfg.RunAhead = p.runAhead
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -107,11 +174,11 @@ func main() {
 		defer cancel()
 	}
 
-	if *sweep == "" {
+	if sw == nil {
 		runSingle(ctx, prof, cfg, p)
 		return
 	}
-	runSweep(ctx, prof, cfg, p, *sweep, *jobs, *jsonOut)
+	runSweep(ctx, prof, cfg, p, sw, *jobs, *jsonOut)
 }
 
 // failTimeout reports a run cut short by -timeout; exit code 3 separates
@@ -253,61 +320,47 @@ func runSingle(ctx context.Context, prof machine.Profile, cfg chip.Config, p par
 }
 
 // parseSweep parses "axis=lo:hi:step" with hi inclusive.
-func parseSweep(spec string) (axis string, lo, hi, step int64, err error) {
+func parseSweep(spec string) (*sweepSpec, error) {
 	name, rng, ok := strings.Cut(spec, "=")
 	if !ok {
-		return "", 0, 0, 0, fmt.Errorf("sweep spec %q is not axis=lo:hi:step", spec)
+		return nil, fmt.Errorf("sweep spec %q is not axis=lo:hi:step", spec)
+	}
+	switch name {
+	case "offset", "arrayoffset", "n", "threads":
+	default:
+		return nil, fmt.Errorf("unknown sweep axis %q (want offset, arrayoffset, n or threads)", name)
 	}
 	parts := strings.Split(rng, ":")
 	if len(parts) != 3 {
-		return "", 0, 0, 0, fmt.Errorf("sweep range %q is not lo:hi:step", rng)
+		return nil, fmt.Errorf("sweep range %q is not lo:hi:step", rng)
 	}
 	vals := make([]int64, 3)
 	for i, s := range parts {
 		v, perr := strconv.ParseInt(s, 10, 64)
 		if perr != nil {
-			return "", 0, 0, 0, fmt.Errorf("sweep range %q: %v", rng, perr)
+			return nil, fmt.Errorf("sweep range %q: %v", rng, perr)
 		}
 		vals[i] = v
 	}
 	if vals[2] <= 0 || vals[1] < vals[0] {
-		return "", 0, 0, 0, fmt.Errorf("sweep range %q must have hi >= lo and step > 0", rng)
+		return nil, fmt.Errorf("sweep range %q must have hi >= lo and step > 0", rng)
 	}
-	return name, vals[0], vals[1], vals[2], nil
+	return &sweepSpec{flag: spec, axis: name, lo: vals[0], hi: vals[1], step: vals[2]}, nil
 }
 
 // runSweep fans the one-axis sweep out over the worker pool and prints a
 // table plus the optional JSON trajectory.
-func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base params, spec string, jobs int, jsonOut string) {
-	axis, lo, hi, step, err := parseSweep(spec)
-	if err != nil {
-		fail("%v", err)
-	}
-	switch axis {
-	case "offset", "arrayoffset", "n", "threads":
-	default:
-		fail("unknown sweep axis %q (want offset, arrayoffset, n or threads)", axis)
-	}
-
+func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base params, sw *sweepSpec, jobs int, jsonOut string) {
+	axis := sw.axis
 	e := exp.Experiment{
 		Name:    "t2sim/" + base.kernel,
 		Doc:     fmt.Sprintf("%s sweep over %s", base.kernel, axis),
 		Machine: machine.Tag(prof.Name),
 		Cfg:     cfg,
-		Grid:    exp.Grid{exp.Span64(axis, lo, hi+1, step)},
+		Grid:    exp.Grid{exp.Span64(axis, sw.lo, sw.hi+1, sw.step)},
 		Run: func(cfg chip.Config, pt exp.Point, sc *exp.Scratch) (exp.Result, error) {
-			p := base
 			v := pt.Int64(axis)
-			switch axis {
-			case "offset":
-				p.offset = v
-			case "arrayoffset":
-				p.arrayOffset = v
-			case "n":
-				p.n = v
-			case "threads":
-				p.threads = int(v)
-			}
+			p := base.with(axis, v)
 			prog, err := p.build(cfg)
 			if err != nil {
 				return exp.Result{}, err
@@ -331,18 +384,7 @@ func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base p
 	// Validate the point builder against the first axis value before
 	// fanning out: an unknown kernel/schedule/layout is flag misuse (2),
 	// not a per-point runtime failure.
-	probe := base
-	switch axis {
-	case "offset":
-		probe.offset = lo
-	case "arrayoffset":
-		probe.arrayOffset = lo
-	case "n":
-		probe.n = lo
-	case "threads":
-		probe.threads = int(lo)
-	}
-	if _, err := probe.build(cfg); err != nil {
+	if _, err := base.with(axis, sw.lo).build(cfg); err != nil {
 		fail("%v", err)
 	}
 
@@ -359,10 +401,6 @@ func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base p
 		fmt.Printf("%12.0f %12.2f %12.2f %12.2f %10.2f\n",
 			pr.Result.X, pr.Result.Y, pr.Result.Metrics["actual_gbps"],
 			pr.Result.Metrics["mups"], pr.Result.Metrics["balance"])
-	}
-	if out.Retries > 0 || out.PointErrors > 0 {
-		fmt.Printf("resilience: %d retries, %d point errors\n",
-			out.Retries, out.PointErrors)
 	}
 
 	if jsonOut != "" {

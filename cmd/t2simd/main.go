@@ -11,18 +11,18 @@
 // Overload behavior is explicit rather than emergent: a bounded admission
 // queue with depth and age limits sheds with 429/503 + Retry-After when
 // saturated, per-request deadlines propagate into the engines'
-// cooperative cancellation, per-point failures retry with bounded
-// backoff, and a handler panic is one failed request, never a dead
-// server. On SIGTERM/SIGINT the daemon drains: readiness flips to 503,
-// new work is shed, and in-flight sweeps either finish within the drain
-// deadline or are cancelled cooperatively — then the process exits 0.
+// cooperative cancellation, a failed point fails its sweep with a 500
+// (points are deterministic, so retrying one cannot help), and a handler
+// panic is one failed request, never a dead server. On SIGTERM/SIGINT the
+// daemon drains: readiness flips to 503, new work is shed, and in-flight
+// sweeps either finish within the drain deadline or are cancelled
+// cooperatively — then the process exits 0.
 //
 // Usage:
 //
 //	t2simd [-addr :8714] [-addr-file FILE] [-max-concurrent N]
 //	       [-queue-depth N] [-queue-wait DUR] [-cache-bytes N] [-jobs N]
-//	       [-retries N] [-backoff DUR] [-max-timeout DUR]
-//	       [-retry-after DUR] [-drain-timeout DUR]
+//	       [-max-timeout DUR] [-retry-after DUR] [-drain-timeout DUR]
 //
 // Endpoints: POST /v1/sweep (body: service.SweepRequest JSON; response:
 // the canonical trajectory), GET /healthz, GET /readyz, GET /metrics.
@@ -64,8 +64,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 0, "max queue age before 503 shedding (0: default 10s)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache payload budget in bytes (0: default 64 MiB)")
 	jobs := flag.Int("jobs", 0, "sweep-pool workers per executing sweep (0: GOMAXPROCS/max-concurrent)")
-	retries := flag.Int("retries", 0, "per-point retry budget (0: default 2, negative: no retries)")
-	backoff := flag.Duration("backoff", 0, "first-retry backoff, doubling (0: default 10ms)")
 	maxTimeout := flag.Duration("max-timeout", 0, "ceiling and default for per-request execution deadlines (0: default 5m)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on shed responses (0: default 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, how long in-flight sweeps may run before being cancelled")
@@ -81,8 +79,6 @@ func main() {
 		QueueWait:     *queueWait,
 		CacheBytes:    *cacheBytes,
 		Jobs:          *jobs,
-		Retries:       *retries,
-		Backoff:       *backoff,
 		MaxTimeout:    *maxTimeout,
 		RetryAfter:    *retryAfter,
 	})

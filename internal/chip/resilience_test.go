@@ -77,7 +77,9 @@ func TestRunCtxPreCancelled(t *testing.T) {
 
 // TestRunCtxCancelMidRun cancels a long run the moment its first work item
 // is pulled and asserts a clean abort: a CancelError with a measured halt
-// latency and partial telemetry with a real clock horizon.
+// latency, partial telemetry with a real clock horizon, and a machine that
+// is reusable — aborted with events pending and strands mid-wait, its next
+// run must match a fresh machine's byte for byte.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	cfg := t2cfg()
 	const threads, items = 16, 1 << 20 // hours of simulation if not cancelled
@@ -90,7 +92,8 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() { <-started; cancel() }()
-	res, err := New(cfg).RunCtx(ctx, prog(gens...))
+	m := New(cfg)
+	res, err := m.RunCtx(ctx, prog(gens...))
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("cancelled RunCtx returned %v, want *CancelError", err)
@@ -100,5 +103,10 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	}
 	if res.Cycles <= 0 || res.Threads != threads {
 		t.Fatalf("partial result has no telemetry horizon: %+v", res)
+	}
+	got := m.Run(marchingProg(8, 40))
+	want := New(cfg).Run(marchingProg(8, 40))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("machine state leaked across a mid-run cancel:\n got:  %+v\n want: %+v", got, want)
 	}
 }

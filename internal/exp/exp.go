@@ -283,13 +283,11 @@ type Outcome struct {
 
 	// Robustness telemetry, excluded from JSON like the per-point counters:
 	// on a fault-free run every field is zero, so BENCH_*.json trajectories
-	// stay byte-stable. Retries counts attempts beyond each point's first
-	// (including retries that recovered); PointErrors counts points that
-	// exhausted their attempt budget; CancelLatencyMS is the largest
-	// observed cancel→halt latency among aborted points; Cancelled marks a
-	// sweep cut short by its context, in which case Points holds only the
-	// points that completed (at their original indices).
-	Retries         int64   `json:"-"`
+	// stay byte-stable. PointErrors counts points that failed;
+	// CancelLatencyMS is the largest observed cancel→halt latency among
+	// aborted points; Cancelled marks a sweep cut short by its context, in
+	// which case Points holds only the points that completed (at their
+	// original indices).
 	PointErrors     int64   `json:"-"`
 	CancelLatencyMS float64 `json:"-"`
 	Cancelled       bool    `json:"-"`

@@ -12,40 +12,32 @@ import (
 	"time"
 
 	"repro/internal/chip"
-	"repro/internal/faults"
 )
 
 // Runner executes experiments on a pool of Jobs worker goroutines.
 // Jobs <= 0 means GOMAXPROCS. Results are always collected in grid order,
 // so the worker count never changes the outcome, only the wall time.
+// Each point runs once: a point is a pure function of its parameters, so a
+// point that fails once would fail every further attempt.
 //
-// Retries re-evaluates a failed point up to that many extra times before
-// recording it as failed; points are deterministic in their parameters, so
-// this only ever recovers environmental faults (an injected fault plan),
-// never masks a harness bug — a point that fails deterministically fails
-// all its attempts identically. Backoff is the pause before the first
-// retry, doubling each further attempt.
 // Pool, when set, supplies the workers' Scratch arenas from a shared
 // bounded free list instead of building one per worker per sweep, so a
 // long-running caller (the t2simd service) reuses cached machines across
 // sweeps. Nil keeps the one-shot behavior.
 type Runner struct {
-	Jobs    int
-	Retries int
-	Backoff time.Duration
-	Pool    *ScratchPool
+	Jobs int
+	Pool *ScratchPool
 }
 
-// PointError is one point's terminal failure: which experiment and point,
-// the parameters that select it, how many attempts were spent, and — when
-// the closure panicked rather than returning an error — the recovered
-// panic value with the goroutine stack captured at recovery. The worker
-// that caught it keeps serving the remaining points.
+// PointError is one point's failure: which experiment and point, the
+// parameters that select it, and — when the closure panicked rather than
+// returning an error — the recovered panic value with the goroutine stack
+// captured at recovery. The worker that caught it keeps serving the
+// remaining points.
 type PointError struct {
 	Experiment string
 	Index      int
 	Params     map[string]any
-	Attempts   int
 	Err        error
 	PanicValue any
 	Stack      []byte
@@ -71,9 +63,9 @@ func (r Runner) Workers(points int) int {
 // Run evaluates every kept point of the experiment and returns the
 // outcome in deterministic grid order. A panic inside the Run closure is
 // captured as a PointError rather than tearing down the pool. If any
-// points fail their attempt budget, the returned error wraps the
-// lowest-indexed PointError (so error messages are deterministic) and the
-// outcome holds only the points that succeeded.
+// points fail, the returned error wraps the lowest-indexed PointError (so
+// error messages are deterministic) and the outcome holds only the points
+// that succeeded.
 func (r Runner) Run(e Experiment) (Outcome, error) {
 	return r.RunContext(context.Background(), e)
 }
@@ -94,9 +86,8 @@ func (r Runner) RunContext(ctx context.Context, e Experiment) (Outcome, error) {
 	results := make([]Result, len(pts))
 	done := make([]bool, len(pts))
 	var (
-		mu      sync.Mutex
-		errs    []*PointError
-		retries int64
+		mu   sync.Mutex
+		errs []*PointError
 	)
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -117,9 +108,8 @@ func (r Runner) RunContext(ctx context.Context, e Experiment) (Outcome, error) {
 				if ctx.Err() != nil {
 					continue // drain without evaluating
 				}
-				res, used, perr := r.runPoint(ctx, e, pts[i], sc)
+				res, perr := runPoint(e, pts[i], sc)
 				mu.Lock()
-				retries += int64(used)
 				if perr != nil {
 					errs = append(errs, perr)
 				} else {
@@ -140,7 +130,7 @@ feed:
 	close(work)
 	wg.Wait()
 
-	out := Outcome{Experiment: e.Name, Doc: e.Doc, Machine: e.Machine, Retries: retries}
+	out := Outcome{Experiment: e.Name, Doc: e.Doc, Machine: e.Machine}
 	for i, p := range pts {
 		if done[i] {
 			out.Points = append(out.Points, PointResult{Index: i, Params: p.Params, Result: results[i]})
@@ -161,59 +151,20 @@ feed:
 	return out, nil
 }
 
-// runPoint evaluates one point through the runner's attempt budget,
-// backing off (doubling) between attempts. It returns the result, the
-// number of retries spent (attempts beyond the first, counted even when
-// the point eventually succeeds), and the terminal PointError if the
-// budget is exhausted. Cancellation is never retried: once the context is
-// done, waiting and re-running can only waste the abort.
-func (r Runner) runPoint(ctx context.Context, e Experiment, p Point, sc *Scratch) (Result, int, *PointError) {
-	backoff := r.Backoff
-	var pe *PointError
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if backoff > 0 {
-				select {
-				case <-time.After(backoff):
-				case <-ctx.Done():
-					return Result{}, attempt - 1, pe
-				}
-				backoff *= 2
-			}
-			if ctx.Err() != nil {
-				return Result{}, attempt - 1, pe
-			}
-		}
-		res, err, pv, stack := attemptPoint(e, p, sc, attempt)
-		if err == nil {
-			return res, attempt, nil
-		}
-		pe = &PointError{Experiment: e.Name, Index: p.Index, Params: p.Params,
-			Attempts: attempt + 1, Err: err, PanicValue: pv, Stack: stack}
-		var ce *chip.CancelError
-		if errors.As(err, &ce) || ctx.Err() != nil || attempt >= r.Retries {
-			return Result{}, attempt, pe
-		}
-	}
-}
-
-// attemptPoint evaluates one point once, converting a panic in the closure
-// into an error so a bad point cannot kill the whole sweep's worker. The
-// faults hook runs first so an armed plan can panic or fail the attempt at
-// the exact same recovery boundary a real fault would hit.
-func attemptPoint(e Experiment, p Point, sc *Scratch, attempt int) (res Result, err error, panicVal any, stack []byte) {
+// runPoint evaluates one point, converting a panic in the closure into a
+// PointError so a bad point cannot kill the whole sweep's worker.
+func runPoint(e Experiment, p Point, sc *Scratch) (res Result, pe *PointError) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicVal = r
-			stack = debug.Stack()
-			err = fmt.Errorf("panic: %v", r)
+			pe = &PointError{Experiment: e.Name, Index: p.Index, Params: p.Params,
+				Err: fmt.Errorf("panic: %v", r), PanicValue: r, Stack: debug.Stack()}
 		}
 	}()
-	if err := faults.PointFault(p.Index, attempt); err != nil {
-		return Result{}, err, nil, nil
+	res, err := e.Run(e.Cfg, p, sc)
+	if err != nil {
+		return Result{}, &PointError{Experiment: e.Name, Index: p.Index, Params: p.Params, Err: err}
 	}
-	res, err = e.Run(e.Cfg, p, sc)
-	return res, err, nil, nil
+	return res, nil
 }
 
 // cause unwraps the context's cancellation cause, falling back to its

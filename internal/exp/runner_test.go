@@ -6,80 +6,40 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chip"
 )
 
-// flaky fails a point's first n attempts, then succeeds — the transient
-// fault a retry budget exists to absorb.
-type flaky struct {
-	mu       sync.Mutex
-	failures map[int]int // point index → failures still to serve
-}
-
-func (f *flaky) fail(idx int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failures[idx] > 0 {
-		f.failures[idx]--
-		return true
-	}
-	return false
-}
-
-// TestRunnerRetryRecoversTransientFault: a point that fails twice and then
-// succeeds is recovered by Retries=2, the sweep completes with every
-// point, and the outcome's telemetry counts the retries spent.
-func TestRunnerRetryRecoversTransientFault(t *testing.T) {
-	f := &flaky{failures: map[int]int{5: 2, 11: 1}}
+// TestRunnerPointFailureIsTerminal: a point whose closure returns an
+// error is run once and surfaces as a PointError for that point, and the
+// outcome keeps the points that did succeed.
+func TestRunnerPointFailureIsTerminal(t *testing.T) {
+	var calls9 atomic.Int32
 	e := synthetic(nil)
 	inner := e.Run
 	e.Run = func(cfg chip.Config, p Point, sc *Scratch) (Result, error) {
-		if f.fail(p.Index) {
-			return Result{}, errors.New("transient")
-		}
-		return inner(cfg, p, sc)
-	}
-	out, err := Runner{Jobs: 4, Retries: 2}.Run(e)
-	if err != nil {
-		t.Fatalf("retryable sweep failed: %v", err)
-	}
-	if len(out.Points) != 16 {
-		t.Fatalf("recovered sweep has %d points, want 16", len(out.Points))
-	}
-	if out.Retries != 3 {
-		t.Errorf("Retries = %d, want 3 (2 for point 5 + 1 for point 11)", out.Retries)
-	}
-	if out.PointErrors != 0 || out.Cancelled {
-		t.Errorf("recovered sweep reports failures: %+v", out)
-	}
-}
-
-// TestRunnerRetryExhaustion: a point that fails more times than the budget
-// surfaces a PointError carrying the attempt count, and the outcome keeps
-// the points that did succeed.
-func TestRunnerRetryExhaustion(t *testing.T) {
-	f := &flaky{failures: map[int]int{9: 100}}
-	e := synthetic(nil)
-	inner := e.Run
-	e.Run = func(cfg chip.Config, p Point, sc *Scratch) (Result, error) {
-		if f.fail(p.Index) {
+		if p.Index == 9 {
+			calls9.Add(1)
 			return Result{}, errors.New("persistent")
 		}
 		return inner(cfg, p, sc)
 	}
-	out, err := Runner{Jobs: 2, Retries: 1, Backoff: time.Microsecond}.Run(e)
+	out, err := Runner{Jobs: 2}.Run(e)
 	if err == nil {
-		t.Fatal("exhausted retries did not surface an error")
+		t.Fatal("a failing point did not surface an error")
 	}
 	var pe *PointError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error is %T, want to unwrap to *PointError: %v", err, err)
 	}
-	if pe.Index != 9 || pe.Attempts != 2 {
-		t.Errorf("PointError = index %d attempts %d, want index 9 attempts 2", pe.Index, pe.Attempts)
+	if pe.Index != 9 {
+		t.Errorf("PointError index %d, want 9", pe.Index)
+	}
+	if n := calls9.Load(); n != 1 {
+		t.Errorf("failing point ran %d times, want once", n)
 	}
 	if !strings.Contains(err.Error(), "1 of 16 points failed") {
 		t.Errorf("aggregate error lost its failure count: %v", err)

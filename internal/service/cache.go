@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"sync"
-
-	"repro/internal/faults"
 )
 
 // Cache is the content-addressed result cache: canonical JSON trajectory
@@ -13,8 +11,7 @@ import (
 // LRU eviction. Every entry carries the SHA-256 of its payload, recorded
 // at insertion; Get re-verifies it and treats a mismatch as a miss,
 // evicting the entry and counting the rejection — a corrupt entry is
-// recomputed, never served (the faultinject tier injects exactly this
-// corruption and asserts the contract).
+// recomputed, never served.
 type Cache struct {
 	mu    sync.Mutex
 	max   int64
@@ -72,9 +69,8 @@ func (c *Cache) get(key string, countMiss bool) ([]byte, bool) {
 
 // Put inserts (or refreshes) the payload under key, evicting
 // least-recently-used entries until the byte budget holds. The payload is
-// copied, so the caller's slice stays pristine — which also means an
-// injected cache corruption (faults.CacheCorrupt) damages only the
-// cached copy, never the response the leader is about to serve.
+// copied, so the caller's slice stays pristine: damage to the cached copy
+// never reaches the response the leader is about to serve.
 // Payloads larger than the whole budget are not cached at all.
 func (c *Cache) Put(key string, payload []byte) {
 	if int64(len(payload)) > c.max {
@@ -83,9 +79,6 @@ func (c *Cache) Put(key string, payload []byte) {
 	stored := make([]byte, len(payload))
 	copy(stored, payload)
 	e := &centry{key: key, payload: stored, sum: sha256.Sum256(stored)}
-	if faults.CacheCorrupt() {
-		e.payload[0] ^= 0xFF // after the sum: Get must now reject it
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -50,8 +50,8 @@ func TestCachePutCopiesPayload(t *testing.T) {
 
 // TestCacheCorruptionRejected: a stored payload whose bytes no longer
 // match the recorded checksum must be treated as a miss and dropped — a
-// corrupt entry is recomputed, never served. (The faultinject tier drives
-// the same contract through the injection hook over HTTP.)
+// corrupt entry is recomputed, never served. (TestCacheCorruptionIsNeverServed
+// drives the same contract over HTTP.)
 func TestCacheCorruptionRejected(t *testing.T) {
 	c := NewCache(100)
 	c.Put("k", []byte("pristine"))

@@ -9,7 +9,7 @@ import (
 // metrics is the server's operational telemetry, exposed at /metrics in
 // the plain `name value` text form. Counters are monotonic; gauges are
 // sampled at render time. The names are the public contract the
-// daemon-smoke and the fault-injection tests assert against.
+// daemon-smoke and the service tests assert against.
 type metrics struct {
 	requests      atomic.Int64 // sweep submissions received
 	coalesced     atomic.Int64 // requests served by another request's execution
@@ -19,8 +19,7 @@ type metrics struct {
 	shedQueueWait atomic.Int64 // requests shed after aging out of the queue
 	shedDraining  atomic.Int64 // requests shed because the server was draining
 	requestPanics atomic.Int64 // handler panics converted to 500s
-	retries       atomic.Int64 // point retries spent across all sweeps
-	pointErrors   atomic.Int64 // points that exhausted their attempt budget
+	pointErrors   atomic.Int64 // points that failed
 	cancelled     atomic.Int64 // sweeps aborted by deadline, client or drain
 	drainCancels  atomic.Int64 // in-flight sweeps cancelled by the drain deadline
 }
@@ -48,7 +47,6 @@ func (s *Server) renderMetrics(w io.Writer) {
 		{"t2simd_shed_queue_wait_total", s.m.shedQueueWait.Load()},
 		{"t2simd_shed_draining_total", s.m.shedDraining.Load()},
 		{"t2simd_request_panics_total", s.m.requestPanics.Load()},
-		{"t2simd_retries_total", s.m.retries.Load()},
 		{"t2simd_point_errors_total", s.m.pointErrors.Load()},
 		{"t2simd_cancelled_total", s.m.cancelled.Load()},
 		{"t2simd_drain_cancels_total", s.m.drainCancels.Load()},

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/exp"
-	"repro/internal/faults"
 )
 
 // Config sizes the server. The zero value of every field selects a
@@ -37,11 +36,6 @@ type Config struct {
 	// GOMAXPROCS/MaxConcurrent, at least 1 — sweep-level and request-level
 	// parallelism share one core budget instead of oversubscribing.
 	Jobs int
-	// Retries and Backoff configure the per-point recovery budget every
-	// sweep runs with (exp.Runner's bounded doubling backoff). Defaults:
-	// 2 retries, 10ms first backoff. Retries < 0 disables retry.
-	Retries int
-	Backoff time.Duration
 	// MaxTimeout is the ceiling (and default) for per-request execution
 	// deadlines. Default 5m.
 	MaxTimeout time.Duration
@@ -75,14 +69,6 @@ func (c Config) withDefaults() Config {
 		if c.Jobs < 1 {
 			c.Jobs = 1
 		}
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	} else if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * time.Millisecond
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
@@ -126,7 +112,6 @@ type Server struct {
 
 	waiting  atomic.Int64 // requests inside admit (queued or about to run)
 	inflight atomic.Int64 // sweeps holding an executor slot
-	reqSeq   atomic.Int64
 
 	draining   atomic.Bool
 	drainCh    chan struct{}
@@ -188,12 +173,10 @@ const statusClientClosedRequest = 499
 // handleSweep is the request pipeline: parse → resolve+fingerprint →
 // cache → singleflight(admission → execute → cache fill) → respond.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	ord := int(s.reqSeq.Add(1))
 	s.m.requests.Add(1)
 	defer func() {
 		// A panic anywhere in the request path is one failed request, not
-		// a dead server: convert to 500 and keep serving (the faultinject
-		// tier injects exactly this and asserts the next request works).
+		// a dead server: convert to 500 and keep serving.
 		if rec := recover(); rec != nil {
 			s.m.requestPanics.Add(1)
 			s.writeError(w, http.StatusInternalServerError, "internal",
@@ -211,7 +194,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "validation", fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	faults.RequestFault(ord)
 	res, err := Resolve(req, s.cfg.Registry, s.cfg.Jobs, s.cfg.MaxTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "validation", err.Error())
@@ -268,17 +250,10 @@ func (s *Server) admitAndRun(res *Resolved) ([]byte, error) {
 
 	ctx, cancel := context.WithTimeout(s.base, res.Timeout)
 	defer cancel()
-	faults.ServiceStall(ctx)
 
-	runner := exp.Runner{
-		Jobs:    res.Jobs,
-		Retries: s.cfg.Retries,
-		Backoff: s.cfg.Backoff,
-		Pool:    s.pool,
-	}
+	runner := exp.Runner{Jobs: res.Jobs, Pool: s.pool}
 	s.m.executions.Add(1)
 	out, err := runner.RunContext(ctx, res.Figure.Exp)
-	s.m.retries.Add(out.Retries)
 	s.m.pointErrors.Add(out.PointErrors)
 	if err != nil {
 		s.m.execErrors.Add(1)

@@ -429,6 +429,94 @@ func TestDrainDeadlineCancelsInflight(t *testing.T) {
 	}
 }
 
+// quickRegistry is a one-figure registry whose sweep completes instantly,
+// for tests about what happens around the simulation, not inside it.
+func quickRegistry() Registry {
+	return unitRegistry(1, func(_ chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
+		return exp.Result{Series: "s", X: float64(p.Int("k")), Y: 1}, nil
+	})
+}
+
+// TestRequestPanicIsOneFailedRequest: a panic in the request path must
+// become a 500 for that one request, and the very next request must be
+// served normally — a panic is one failed request, never a dead server.
+// The registry panics on its first call, which Resolve makes inside the
+// handler.
+func TestRequestPanicIsOneFailedRequest(t *testing.T) {
+	reg := quickRegistry()
+	var calls atomic.Int32
+	s := New(Config{Registry: func(o bench.Options) []bench.Figure {
+		if calls.Add(1) == 1 {
+			panic("registry exploded")
+		}
+		return reg(o)
+	}})
+	h := s.Handler()
+
+	first := postSweep(h, nil, `{"figure":"unit0"}`)
+	if first.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking request: %d %s, want 500", first.Code, first.Body.String())
+	}
+	var e map[string]string
+	if err := json.Unmarshal(first.Body.Bytes(), &e); err != nil || e["class"] != "internal" {
+		t.Errorf("panic response body %s, want class internal", first.Body.String())
+	}
+
+	second := postSweep(h, nil, `{"figure":"unit0"}`)
+	if second.Code != http.StatusOK {
+		t.Fatalf("request after panic: %d %s, want 200 (server must keep serving)", second.Code, second.Body.String())
+	}
+	if got := s.m.requestPanics.Load(); got != 1 {
+		t.Errorf("recovered request panics = %d, want 1", got)
+	}
+}
+
+// TestCacheCorruptionIsNeverServed: a cache entry whose bytes are damaged
+// after insertion must be rejected by the checksum on the next request
+// and the sweep recomputed — the client sees correct bytes both times,
+// never the corrupt ones, and the recomputed (clean) entry then serves
+// hits again.
+func TestCacheCorruptionIsNeverServed(t *testing.T) {
+	s := New(Config{Registry: quickRegistry()})
+	h := s.Handler()
+	body := `{"figure":"unit0"}`
+
+	first := postSweep(h, nil, body)
+	if first.Code != http.StatusOK {
+		t.Fatalf("first request: %d %s", first.Code, first.Body.String())
+	}
+	// Damage the stored copy; the bytes served above are a different
+	// slice (Put stores a copy).
+	s.cache.mu.Lock()
+	s.cache.items[first.Header().Get("X-T2simd-Fingerprint")].Value.(*centry).payload[0] ^= 0xFF
+	s.cache.mu.Unlock()
+
+	second := postSweep(h, nil, body)
+	if second.Code != http.StatusOK {
+		t.Fatalf("second request: %d %s", second.Code, second.Body.String())
+	}
+	if got := second.Header().Get("X-T2simd-Cache"); got != "miss" {
+		t.Errorf("request against corrupt entry reported cache %q, want miss (rejected, recomputed)", got)
+	}
+	if !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+		t.Error("recomputed response differs from the original — corruption leaked")
+	}
+	if got := s.cache.Stats().CorruptionsRejected; got != 1 {
+		t.Errorf("corruptions rejected = %d, want 1", got)
+	}
+	if got := s.m.executions.Load(); got != 2 {
+		t.Errorf("executions = %d, want 2 (the corrupt entry forced a recompute)", got)
+	}
+
+	third := postSweep(h, nil, body)
+	if got := third.Header().Get("X-T2simd-Cache"); third.Code != http.StatusOK || got != "hit" {
+		t.Errorf("third request: %d cache=%q, want 200 hit", third.Code, got)
+	}
+	if !bytes.Equal(third.Body.Bytes(), first.Body.Bytes()) {
+		t.Error("post-recompute hit served different bytes")
+	}
+}
+
 // TestValidationErrors: every malformed or unsatisfiable request is a 400
 // (405 for the wrong method) with the validation class — checked against
 // the real figure registry, where resolution is cheap (no simulation).

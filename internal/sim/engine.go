@@ -10,17 +10,12 @@
 //
 // # Engine contract
 //
-// The engine supports two event forms that share one priority queue and one
-// scheduling order:
-//
-//   - Typed events (Schedule, ScheduleLabelled): a plain {kind, arg} record
-//     dispatched through the handler installed with SetHandler. This is the
-//     hot path — pushing a typed event is a bucket append plus a bitmap
-//     update, with no closure, no interface boxing, and no per-event heap
-//     allocation. The chip's run loop schedules every strand wakeup this
-//     way, so steady-state simulation allocates nothing per event.
-//   - Closure events (At/After): an arbitrary func(). Convenient for tests
-//     and cold setup paths; each call allocates its closure as usual.
+// Every event (Schedule, ScheduleLabelled) is a plain {kind, arg} record
+// dispatched through the one handler installed with SetHandler. Pushing an
+// event is a bucket append plus a bitmap update, with no closure, no
+// interface boxing, and no per-event heap allocation. The chip's run loop
+// schedules every strand wakeup this way, so steady-state simulation
+// allocates nothing per event.
 //
 // # Event order and labels
 //
@@ -102,12 +97,12 @@ import (
 // Time is a simulation timestamp in core clock cycles.
 type Time = int64
 
-// Kind identifies a class of typed event; its meaning belongs entirely to
+// Kind identifies a class of event; its meaning belongs entirely to
 // the engine user, which interprets it in the installed Handler.
 type Kind uint8
 
-// Handler dispatches one typed event. It is installed once with SetHandler
-// and invoked by Step for every event scheduled through Schedule or
+// Handler dispatches one event. It is installed once with SetHandler and
+// invoked by Step for every event scheduled through Schedule or
 // ScheduleLabelled.
 type Handler func(kind Kind, arg int32)
 
@@ -115,8 +110,7 @@ type Handler func(kind Kind, arg int32)
 // wheel's bucket traffic stays cheap and GC-transparent. key is its place
 // within its cycle: secFront for section 1, secBack for section 3, the
 // label for section 2. Events with equal keys run in the order they were
-// scheduled. A closure event's func lives in the engine's closure table at
-// index arg, marked by the reserved ClosureKind.
+// scheduled.
 type event struct {
 	when Time
 	key  int64
@@ -149,10 +143,6 @@ type Ticket struct {
 	arg  int32
 	kind Kind
 }
-
-// ClosureKind is the reserved event kind marking closure (At/After)
-// events; typed events must use other kinds.
-const ClosureKind Kind = 0xFF
 
 // bucket is one wheel slot: the events of a single pending timestamp,
 // sorted by key and, for equal keys, in insertion order. head is the pop
@@ -189,22 +179,16 @@ type Engine struct {
 	gen   uint64    // incremented by grow: invalidates in-flight slot handles
 	free  [][]event // recycled bucket buffers: live buckets stay O(pending)
 
-	// Closure (At/After) events' funcs, indexed by the events' arg, and
-	// the free indices.
-	closures    []func()
-	freeClosure []int32
-
 	// Reference 4-ary heap, selected by UseReferenceHeap.
 	heapMode bool
 	events   []heapEvent // 4-ary min-heap in the engine's total order
 
-	// Cooperative cancellation (see SetStop/StopAt). The flag is polled
-	// amortized — once per stopPollInterval bucket drains — so an unarmed
-	// engine pays two nil/zero compares per tie group and an armed one a
-	// fraction of an atomic load per event.
+	// Cooperative cancellation (see SetStop). The flag is polled amortized
+	// — once per stopPollInterval bucket drains — so an unarmed engine pays
+	// one nil compare per tie group and an armed one a fraction of an
+	// atomic load per event.
 	stop    *atomic.Bool
-	stopAt  uint64 // step budget; 0 means none
-	checkIn int32  // drains until the next poll
+	checkIn int32 // drains until the next poll
 	halted  bool
 }
 
@@ -222,8 +206,8 @@ func (e *Engine) Pending() int {
 	return e.count
 }
 
-// SetHandler installs the dispatcher for typed events. It must be set
-// before the first Schedule'd event executes.
+// SetHandler installs the event dispatcher. It must be set before the
+// first event executes.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // stopPollInterval is the number of bucket drains between cooperative
@@ -242,36 +226,21 @@ func (e *Engine) SetStop(stop *atomic.Bool) {
 	e.halted = false
 }
 
-// StopAt arms a step budget: Run halts cooperatively once at least steps
-// events have executed (checked on the same amortized schedule as the stop
-// flag, so the exact halt step is a deterministic function of the event
-// stream). 0 disarms. It exists for deterministic cancellation testing —
-// fault injection cancels "at step N" reproducibly, where wall-clock
-// deadlines cannot.
-func (e *Engine) StopAt(steps uint64) {
-	e.stopAt = steps
-	e.halted = false
-}
-
-// Interrupted reports whether the last Run returned early because
-// the stop flag or the step budget fired.
+// Interrupted reports whether the last Run returned early because the
+// stop flag was set.
 func (e *Engine) Interrupted() bool { return e.halted }
 
 // stopPoll is the amortized cancellation check. Unarmed engines take the
-// first branch: two compares against zero registers per tie group.
+// first branch: one nil compare per tie group.
 func (e *Engine) stopPoll() bool {
-	if e.stop == nil && e.stopAt == 0 {
+	if e.stop == nil {
 		return false
 	}
 	if e.checkIn--; e.checkIn > 0 {
 		return false
 	}
 	e.checkIn = stopPollInterval
-	if e.stopAt != 0 && e.steps >= e.stopAt {
-		e.halted = true
-		return true
-	}
-	if e.stop != nil && e.stop.Load() {
+	if e.stop.Load() {
 		e.halted = true
 		return true
 	}
@@ -313,8 +282,6 @@ func (e *Engine) Reset() {
 	e.now, e.seq, e.steps, e.handler = 0, 0, 0, nil
 	e.period, e.cur, e.freshAt, e.freshN = 0, secFront, 0, 0
 	e.events = e.events[:0]
-	clear(e.closures)
-	e.closures, e.freeClosure = e.closures[:0], e.freeClosure[:0]
 	for i := range e.slots {
 		b := &e.slots[i]
 		if b.evs != nil {
@@ -325,19 +292,17 @@ func (e *Engine) Reset() {
 		clear(lv)
 	}
 	e.count = 0
-	e.stop, e.stopAt, e.checkIn, e.halted = nil, 0, 0, false
+	e.stop, e.checkIn, e.halted = nil, 0, false
 }
 
-// Schedule enqueues a typed event at absolute time when. It is the
-// allocation-free counterpart of At: once the wheel has grown to its
-// steady-state span, scheduling costs a bucket append and a bitmap update.
-// Scheduling into the past panics, as with At.
+// Schedule enqueues an event at absolute time when. Once the wheel has
+// grown to its steady-state span, scheduling costs a bucket append and a
+// bitmap update. Scheduling into the past panics: it always indicates a
+// broken timing computation upstream and would silently corrupt causality
+// if allowed.
 func (e *Engine) Schedule(when Time, kind Kind, arg int32) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", when, e.now))
-	}
-	if kind == ClosureKind {
-		panic("sim: event kind 0xFF is reserved for closure events")
 	}
 	e.enqueue(event{when: when, key: e.place(when), kind: kind, arg: arg})
 }
@@ -409,14 +374,14 @@ func (e *Engine) NextTick(t0, lo Time, l Label) Time {
 	return tick
 }
 
-// ScheduleLabelled enqueues a typed event in section 2 of cycle when under
+// ScheduleLabelled enqueues an event in section 2 of cycle when under
 // label l, whatever the delay, and returns the ticket that cancels it. A
 // label in the current cycle must still be ahead of the dispatch position.
 func (e *Engine) ScheduleLabelled(when Time, l Label, kind Kind, arg int32) Ticket {
 	if when < e.now || (when == e.now && !e.ahead(l)) {
 		panic(fmt.Sprintf("sim: labelled event at %d behind the dispatch position (now %d)", when, e.now))
 	}
-	if kind == ClosureKind || l.key == secFront || l.key == secBack {
+	if l.key == secFront || l.key == secBack {
 		panic("sim: invalid labelled event")
 	}
 	e.enqueue(event{when: when, key: l.key, kind: kind, arg: arg})
@@ -448,28 +413,6 @@ func (e *Engine) Cancel(t Ticket) {
 		e.clearBit(s)
 	}
 }
-
-// At schedules fn to run at absolute time when. Scheduling into the past
-// panics: it always indicates a broken timing computation upstream and
-// would silently corrupt causality if allowed.
-func (e *Engine) At(when Time, fn func()) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", when, e.now))
-	}
-	var id int32
-	if n := len(e.freeClosure); n > 0 {
-		id = e.freeClosure[n-1]
-		e.freeClosure = e.freeClosure[:n-1]
-		e.closures[id] = fn
-	} else {
-		id = int32(len(e.closures))
-		e.closures = append(e.closures, fn)
-	}
-	e.enqueue(event{when: when, key: e.place(when), kind: ClosureKind, arg: id})
-}
-
-// After schedules fn to run d cycles from now. Negative delays panic.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 func (e *Engine) enqueue(ev event) {
 	if e.heapMode {
@@ -758,14 +701,7 @@ func (e *Engine) dispatch(ev event) {
 	e.now = ev.when
 	e.cur = ev.key
 	e.steps++
-	if ev.kind == ClosureKind {
-		fn := e.closures[ev.arg]
-		e.closures[ev.arg] = nil
-		e.freeClosure = append(e.freeClosure, ev.arg)
-		fn()
-	} else {
-		e.handler(ev.kind, ev.arg)
-	}
+	e.handler(ev.kind, ev.arg)
 }
 
 // ---- execution -------------------------------------------------------------

@@ -5,15 +5,26 @@ import (
 	"testing/quick"
 )
 
-func TestEngineOrdering(t *testing.T) {
+// record returns an engine on the reference heap whose handler appends
+// each event's arg to the returned slice. The TestEngine* tests use it to
+// pin the basic contract on the reference queue; the TestTyped* tests
+// below pin the same on the timing wheel.
+func record() (*Engine, *[]int32) {
 	var e Engine
-	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.UseReferenceHeap()
+	got := new([]int32)
+	e.SetHandler(func(_ Kind, arg int32) { *got = append(*got, arg) })
+	return &e, got
+}
+
+func TestEngineOrdering(t *testing.T) {
+	e, got := record()
+	e.Schedule(30, 0, 3)
+	e.Schedule(10, 0, 1)
+	e.Schedule(20, 0, 2)
 	e.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("execution order %v", got)
+	if len(*got) != 3 || (*got)[0] != 1 || (*got)[1] != 2 || (*got)[2] != 3 {
+		t.Errorf("execution order %v", *got)
 	}
 	if e.Now() != 30 {
 		t.Errorf("final time %d", e.Now())
@@ -21,34 +32,32 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineTieBreakBySequence(t *testing.T) {
-	var e Engine
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5, func() { got = append(got, i) })
+	e, got := record()
+	for i := int32(0); i < 10; i++ {
+		e.Schedule(5, Kind(i%3), i)
 	}
 	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events ran out of insertion order: %v", got)
+	for i, v := range *got {
+		if v != int32(i) {
+			t.Fatalf("same-time events ran out of insertion order: %v", *got)
 		}
 	}
 }
 
 func TestEngineEventsScheduledDuringRun(t *testing.T) {
 	var e Engine
-	count := 0
-	var step func()
-	step = func() {
-		count++
-		if count < 5 {
-			e.After(7, step)
+	e.UseReferenceHeap()
+	var times []Time
+	e.SetHandler(func(_ Kind, arg int32) {
+		times = append(times, e.Now())
+		if arg < 4 {
+			e.Schedule(e.Now()+7, 0, arg+1)
 		}
-	}
-	e.At(0, step)
+	})
+	e.Schedule(0, 0, 0)
 	e.Run()
-	if count != 5 {
-		t.Errorf("ran %d steps", count)
+	if len(times) != 5 {
+		t.Errorf("ran %d steps", len(times))
 	}
 	if e.Now() != 28 {
 		t.Errorf("final time %d, want 28", e.Now())
@@ -56,15 +65,15 @@ func TestEngineEventsScheduledDuringRun(t *testing.T) {
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	var e Engine
-	e.At(10, func() {})
+	e, _ := record()
+	e.Schedule(10, 0, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling into the past did not panic")
 		}
 	}()
-	e.At(5, func() {})
+	e.Schedule(5, 0, 0)
 }
 
 func TestTypedEventsDispatchInOrder(t *testing.T) {
@@ -85,25 +94,6 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 	}
 	if e.Now() != 30 {
 		t.Errorf("final time %d", e.Now())
-	}
-}
-
-func TestTypedAndClosureEventsShareSequenceSpace(t *testing.T) {
-	// Ties at the same timestamp must break by scheduling order across
-	// both event forms — the property that makes the typed rewrite of a
-	// closure-based run loop bit-identical.
-	var e Engine
-	var got []int
-	e.SetHandler(func(_ Kind, arg int32) { got = append(got, int(arg)) })
-	e.Schedule(5, 0, 0)
-	e.At(5, func() { got = append(got, 1) })
-	e.Schedule(5, 0, 2)
-	e.At(5, func() { got = append(got, 3) })
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events ran out of scheduling order: %v", got)
-		}
 	}
 }
 
