@@ -61,11 +61,10 @@ type Result struct {
 // the mapping is devirtualized at construction time (phys.Resolve), so the
 // common bit-field mappings cost no interface call per access.
 //
-// The tag store is a flat structure-of-arrays layout: a probe scans the
-// set's Ways contiguous tags (two cache lines for the 16-way T2 L2)
-// instead of striding over per-way records, and per-way valid/dirty flags
-// are bitmasks in one word per set. Building a cache is three large
-// allocations, not one tiny slice per set.
+// The tag store is two flat slices: the full tags, Ways contiguous words
+// per set, and one 32-byte setMeta record per set holding everything else
+// a probe or commit reads. Two records share a host cache line, so a miss
+// into a full set touches that line and one tag word.
 type Banked struct {
 	cfg         Config
 	mapping     phys.Mapping
@@ -86,28 +85,49 @@ type Banked struct {
 	lineBits  uint
 	setBits   uint
 	bankShift uint
-	tags      []uint64 // [set*Ways + way]
-	used      []uint64 // [set*Ways + way] LRU stamps
-	valid     []uint64 // per-set way bitmask
-	dirty     []uint64 // per-set way bitmask
-	// ptags packs one byte of each way's tag per set (ptagStride words per
-	// set), so a probe can reject a set in two SWAR comparisons instead of
-	// scanning Ways full tags — the common case for streaming kernels,
-	// whose demand accesses virtually always miss. A byte match is only a
-	// candidate: the full tag and valid bit still decide.
-	ptags      []uint64
-	ptagStride int
-	// vers counts installs (miss commits) per set. A probe of a missing
-	// line stays valid exactly as long as its set's install count is
-	// unchanged — the guard that lets the chip's NACK-retry loop skip
-	// re-probing on every tick.
-	vers []uint32
-	// clocks are per-bank LRU stamp counters. LRU only ever compares stamps
-	// within one set, and a set's commits are a subsequence of its bank's,
-	// so per-bank clocks preserve exactly the victim choices a single global
-	// clock would make. Counters are per-bank too; Stats sums them.
-	clocks    []uint64
-	bankStats []Stats
+	tags      []uint64  // [set*Ways + way]
+	sets      []setMeta // [set]
+	ptagWords int       // ptag words in use: one per 8 ways
+	wayMask   uint16    // one bit per way
+	lruShift  uint      // bit position of the LRU nibble: 4·(Ways-1)
+	stats     Stats
+}
+
+// setMeta is one set's metadata, 32 bytes so that two sets share a host
+// cache line.
+type setMeta struct {
+	// ptag packs one byte of each way's tag, so a probe can reject a set
+	// in two SWAR comparisons instead of scanning Ways full tags — the
+	// common case for streaming kernels, whose demand accesses virtually
+	// always miss. A byte match is only a candidate: the full tag and
+	// valid bit still decide.
+	ptag [2]uint64
+	// lru is the recency stack, one way number per nibble: nibble 0 holds
+	// the most recently used way, nibble Ways-1 the least recently used.
+	lru          uint64
+	valid, dirty uint16 // per-way bitmasks
+	// vers counts installs (miss commits). A probe of a missing line stays
+	// valid exactly as long as its set's install count is unchanged — the
+	// guard that lets the chip's admission gates skip re-probing.
+	vers uint32
+}
+
+// Nibble-lane SWAR constants for the recency stack, and its initial order:
+// nibble i holds way i.
+const (
+	nibbleLo = 0x1111111111111111
+	nibbleHi = 0x8888888888888888
+	lruInit  = 0xfedcba9876543210
+)
+
+// touch moves way w to the top of the recency stack. Every way appears
+// exactly once in the stack, so its position is the lowest zero nibble of
+// lru ^ w·nibbleLo; the nibbles below it shift up by one, those above stay.
+func (m *setMeta) touch(w uint64) {
+	x := m.lru ^ w*nibbleLo
+	z := (x - nibbleLo) &^ x & nibbleHi
+	below := uint64(1)<<(uint(bits.TrailingZeros64(z))&^3) - 1
+	m.lru = m.lru&^(below<<4|0xf) | (m.lru&below)<<4 | w
 }
 
 // New builds a cache from cfg using mapping for bank selection. It panics
@@ -124,8 +144,8 @@ func New(cfg Config, mapping phys.Mapping) *Banked {
 	if lines <= 0 || cfg.Ways <= 0 || int64(cfg.Ways) > lines {
 		panic(fmt.Sprintf("cache: impossible geometry %+v", cfg))
 	}
-	if cfg.Ways > 64 {
-		panic(fmt.Sprintf("cache: associativity %d exceeds the 64-way limit of the bitmask tag store", cfg.Ways))
+	if cfg.Ways > 16 {
+		panic(fmt.Sprintf("cache: associativity %d exceeds the 16-way limit of the 4-bit LRU stack", cfg.Ways))
 	}
 	setsTotal := lines / int64(cfg.Ways)
 	if setsTotal%int64(cfg.Banks) != 0 {
@@ -148,15 +168,12 @@ func New(cfg Config, mapping phys.Mapping) *Banked {
 		setShift:    setShift,
 		tagShift:    setShift + uint(bits.Len(uint(perBank-1))),
 		tags:        make([]uint64, setsTotal*int64(cfg.Ways)),
-		used:        make([]uint64, setsTotal*int64(cfg.Ways)),
-		valid:       make([]uint64, setsTotal),
-		dirty:       make([]uint64, setsTotal),
-		ptagStride:  (cfg.Ways + 7) / 8,
-		clocks:      make([]uint64, cfg.Banks),
-		bankStats:   make([]Stats, cfg.Banks),
+		sets:        make([]setMeta, setsTotal),
+		ptagWords:   (cfg.Ways + 7) / 8,
+		wayMask:     uint16(1<<cfg.Ways - 1),
+		lruShift:    4 * uint(cfg.Ways-1),
 	}
-	c.ptags = make([]uint64, setsTotal*int64(c.ptagStride))
-	c.vers = make([]uint32, setsTotal)
+	c.initLRU()
 	c.lineBits = uint(bits.TrailingZeros64(uint64(cfg.LineSize)))
 	c.setBits = uint(bits.Len(uint(perBank - 1)))
 	if fs, fm, ok := c.mapped.BankField(); ok {
@@ -225,24 +242,24 @@ const (
 
 // ProbeLine looks up the line containing addr without changing any cache
 // state (no LRU update, no fill, no counters). The packed partial tags
-// reject most missing lines in ptagStride word comparisons; only byte-lane
+// reject most missing lines in ptagWords word comparisons; only byte-lane
 // matches fall through to full tag-and-valid verification.
 func (c *Banked) ProbeLine(addr phys.Addr) Probe {
 	line := phys.LineOf(addr)
 	bank, setIdx, tag := c.locate(line)
+	m := &c.sets[setIdx]
 	base := setIdx * c.cfg.Ways
 	needle := (tag & 0xff) * swarLo
-	pbase := setIdx * c.ptagStride
-	for w := 0; w < c.ptagStride; w++ {
-		x := c.ptags[pbase+w] ^ needle
-		m := (x - swarLo) &^ x & swarHi
-		for m != 0 {
-			i := w*8 + bits.TrailingZeros64(m)/8
-			m &= m - 1
+	for w := 0; w < c.ptagWords; w++ {
+		x := m.ptag[w] ^ needle
+		hits := (x - swarLo) &^ x & swarHi
+		for hits != 0 {
+			i := w*8 + bits.TrailingZeros64(hits)/8
+			hits &= hits - 1
 			if i >= c.cfg.Ways {
 				break
 			}
-			if c.tags[base+i] == tag && c.valid[setIdx]&(1<<uint(i)) != 0 {
+			if c.tags[base+i] == tag && m.valid&(1<<uint(i)) != 0 {
 				return Probe{Hit: true, Bank: bank, set: int32(setIdx), way: int32(i), tag: tag}
 			}
 		}
@@ -256,56 +273,47 @@ func (c *Banked) ProbeLine(addr phys.Addr) Probe {
 // immediately preceding ProbeLine with no intervening mutating access.
 func (c *Banked) Commit(p Probe, write bool) Result {
 	setIdx := int(p.set)
-	base := setIdx * c.cfg.Ways
-	c.clocks[p.Bank]++
-	stamp := c.clocks[p.Bank]
+	m := &c.sets[setIdx]
 	if p.way >= 0 {
-		c.used[base+int(p.way)] = stamp
+		m.touch(uint64(p.way))
 		if write {
-			c.dirty[setIdx] |= 1 << uint(p.way)
+			m.dirty |= 1 << uint(p.way)
 		}
-		c.bankStats[p.Bank].Hits++
+		c.stats.Hits++
 		return Result{Hit: true}
 	}
 
-	// Miss: pick the victim with the semantics of the historical scan —
-	// the first invalid way at index >= 1 if any (the scan broke there
-	// before ever comparing stamps), else way 0 if invalid (its zero stamp
-	// beats every valid way's), else the LRU way. The two invalid cases
-	// reduce to bit tricks on the valid mask; only a genuinely full set
-	// pays the stamp scan.
-	vm := c.valid[setIdx]
-	used := c.used[base : base+c.cfg.Ways]
+	// Miss: the victim is the first invalid way at index >= 1 if any, else
+	// way 0 if invalid, else the LRU way. A full set has touched every way
+	// since it was last cleared, so the bottom of its recency stack is the
+	// least recently used way.
+	vm := m.valid
 	victim := 0
-	if inv := ^vm &^ 1 & (1<<uint(c.cfg.Ways) - 1); inv != 0 {
-		victim = bits.TrailingZeros64(inv)
+	if inv := ^vm &^ 1 & c.wayMask; inv != 0 {
+		victim = bits.TrailingZeros16(inv)
 	} else if vm&1 != 0 {
-		for i := 1; i < c.cfg.Ways; i++ {
-			if used[i] < used[victim] {
-				victim = i
-			}
-		}
+		victim = int(m.lru >> c.lruShift & 0xf)
 	}
 	res := Result{}
-	vbit := uint64(1) << uint(victim)
-	if vm&vbit != 0 && c.dirty[setIdx]&vbit != 0 {
+	vbit := uint16(1) << uint(victim)
+	ti := setIdx*c.cfg.Ways + victim
+	if vm&vbit != 0 && m.dirty&vbit != 0 {
 		res.VictimDirty = true
-		res.Victim = c.reconstruct(setIdx, c.tags[base+victim])
-		c.bankStats[p.Bank].Writebacks++
+		res.Victim = c.reconstruct(setIdx, c.tags[ti])
+		c.stats.Writebacks++
 	}
-	c.tags[base+victim] = p.tag
-	c.vers[setIdx]++
-	pw := setIdx*c.ptagStride + victim/8
+	c.tags[ti] = p.tag
+	m.vers++
 	sh := uint(victim%8) * 8
-	c.ptags[pw] = c.ptags[pw]&^(0xff<<sh) | (p.tag&0xff)<<sh
-	c.valid[setIdx] |= vbit
+	m.ptag[victim/8] = m.ptag[victim/8]&^(0xff<<sh) | (p.tag&0xff)<<sh
+	m.valid |= vbit
 	if write {
-		c.dirty[setIdx] |= vbit
+		m.dirty |= vbit
 	} else {
-		c.dirty[setIdx] &^= vbit
+		m.dirty &^= vbit
 	}
-	used[victim] = stamp
-	c.bankStats[p.Bank].Misses++
+	m.touch(uint64(victim))
+	c.stats.Misses++
 	return res
 }
 
@@ -313,7 +321,7 @@ func (c *Banked) Commit(p Probe, write bool) Result {
 // miss probe remains exact — same absent line, same bank/set/tag — for as
 // long as InstallVersion is unchanged, because only an install could make
 // the line appear (evictions of other ways cannot).
-func (c *Banked) InstallVersion(p Probe) uint32 { return c.vers[p.set] }
+func (c *Banked) InstallVersion(p Probe) uint32 { return c.sets[p.set].vers }
 
 // Access performs a write-allocate lookup of the line containing addr.
 // On a miss the line is installed (evicting the LRU way) and the caller is
@@ -379,80 +387,56 @@ func (c *Banked) reconstruct(setIdx int, tag uint64) phys.Addr {
 	return phys.Addr(addr)
 }
 
-// Stats returns aggregate counters: the per-bank counters summed in bank
-// order, so the aggregate is deterministic however the banks were driven.
-func (c *Banked) Stats() Stats {
-	var s Stats
-	for i := range c.bankStats {
-		s.Hits += c.bankStats[i].Hits
-		s.Misses += c.bankStats[i].Misses
-		s.Writebacks += c.bankStats[i].Writebacks
-	}
-	return s
-}
+// Stats returns the cache's activity counters.
+func (c *Banked) Stats() Stats { return c.stats }
 
 // Image is a snapshot of the tag store (not the counters), used to restore
 // a warmed-up cache without replaying the warm-up access sequence.
 type Image struct {
-	tags, used   []uint64
-	valid, dirty []uint64
-	ptags        []uint64
-	clocks       []uint64
+	tags []uint64
+	sets []setMeta
 }
 
 // Snapshot captures the current tag-store contents.
 func (c *Banked) Snapshot() *Image {
-	return &Image{
-		tags:   slices.Clone(c.tags),
-		used:   slices.Clone(c.used),
-		valid:  slices.Clone(c.valid),
-		dirty:  slices.Clone(c.dirty),
-		ptags:  slices.Clone(c.ptags),
-		clocks: slices.Clone(c.clocks),
-	}
+	return &Image{tags: slices.Clone(c.tags), sets: slices.Clone(c.sets)}
 }
 
 // Restore overwrites the tag store with a snapshot taken from a cache of
 // identical geometry and clears the counters, exactly reproducing the
-// state Snapshot saw after a ResetStats. It panics on geometry mismatch.
+// state Snapshot saw after a ResetStats — except the per-set install
+// counters, which keep their current values so that they stay monotonic
+// and a probe taken before the restore is never mistaken for a current
+// one. It panics on geometry mismatch.
 func (c *Banked) Restore(img *Image) {
-	if len(img.tags) != len(c.tags) || len(img.valid) != len(c.valid) {
+	if len(img.tags) != len(c.tags) || len(img.sets) != len(c.sets) {
 		panic(fmt.Sprintf("cache: restoring %d-line image into %d-line cache", len(img.tags), len(c.tags)))
 	}
 	copy(c.tags, img.tags)
-	copy(c.used, img.used)
-	copy(c.valid, img.valid)
-	copy(c.dirty, img.dirty)
-	copy(c.ptags, img.ptags)
-	copy(c.clocks, img.clocks)
+	for i := range c.sets {
+		vers := c.sets[i].vers
+		c.sets[i] = img.sets[i]
+		c.sets[i].vers = vers
+	}
 	c.ResetStats()
-}
-
-// BankStats returns per-bank counters.
-func (c *Banked) BankStats() []Stats {
-	out := make([]Stats, len(c.bankStats))
-	copy(out, c.bankStats)
-	return out
 }
 
 // ResetStats clears the counters but keeps cache contents — used after
 // warm-up phases so reported statistics cover only the timed region.
-func (c *Banked) ResetStats() {
-	for i := range c.bankStats {
-		c.bankStats[i] = Stats{}
-	}
-}
+func (c *Banked) ResetStats() { c.stats = Stats{} }
 
 // Reset invalidates the cache and clears counters.
 func (c *Banked) Reset() {
 	clear(c.tags)
-	clear(c.used)
-	clear(c.valid)
-	clear(c.dirty)
-	clear(c.ptags)
-	clear(c.vers)
-	clear(c.clocks)
-	for i := range c.bankStats {
-		c.bankStats[i] = Stats{}
+	clear(c.sets)
+	c.initLRU()
+	c.ResetStats()
+}
+
+// initLRU gives every set's recency stack its initial order, nibble i
+// holding way i. Nibbles at and above Ways are never read or moved.
+func (c *Banked) initLRU() {
+	for i := range c.sets {
+		c.sets[i].lru = lruInit
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -240,10 +241,10 @@ func TestWideInterleaveVictimReconstruction(t *testing.T) {
 
 func TestBankStatsAndReset(t *testing.T) {
 	c := New(small(), phys.T2())
-	c.Access(0x40, false) // bank 1
-	bs := c.BankStats()
-	if bs[1].Misses != 1 {
-		t.Errorf("bank 1 misses %d", bs[1].Misses)
+	c.Access(0x40, true) // bank 1
+	c.Access(0x40, false)
+	if s := c.Stats(); s != (Stats{Hits: 1, Misses: 1}) {
+		t.Errorf("stats %+v, want one hit and one miss", s)
 	}
 	c.ResetStats()
 	if c.Stats().Misses != 0 {
@@ -256,6 +257,19 @@ func TestBankStatsAndReset(t *testing.T) {
 	if c.Contains(0x40) {
 		t.Error("Reset kept contents")
 	}
+}
+
+// TestNewRejects17Ways pins the associativity limit: the recency stack
+// holds one 4-bit way number per way in one word.
+func TestNewRejects17Ways(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "16-way limit") {
+			t.Errorf("17-way cache: recovered %q, want the 16-way limit panic", msg)
+		}
+	}()
+	// 17 ways × 4 sets per bank × 8 banks: every other geometry check passes.
+	New(Config{SizeBytes: 17 * 4 * 8 * 64, Ways: 17, LineSize: 64, Banks: 8}, phys.T2())
 }
 
 func TestBadGeometryPanics(t *testing.T) {
@@ -358,4 +372,41 @@ func TestAccessPathDoesNotAllocate(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("access path allocates %.2f allocs/op, want 0", avg)
 	}
+}
+
+// BenchmarkCommitFullSet measures the L2 layer on its own under the
+// lattice-Boltzmann thrash pattern: 19 write streams (the D3Q19
+// distributions) a power-of-two distance apart, so that line i of every
+// stream falls into the same set of the full 16-way T2 L2. Every access is
+// then a miss into a full set whose LRU victim is dirty. One op sweeps all
+// 19 streams over every set; ns/access is the cost of one ProbeLine and
+// Commit.
+func BenchmarkCommitFullSet(b *testing.B) {
+	const streams = 19
+	m := phys.T2()
+	c := New(Derive(4<<20, 16, m), m)
+	// Lines this far apart share bank and set: line offset, bank and set
+	// index bits all lie below it.
+	stride := phys.Addr(1) << c.tagShift
+	slots := int(stride / phys.LineSize)
+	sweep := func() {
+		for i := 0; i < slots; i++ {
+			line := phys.Addr(i) * phys.LineSize
+			for s := 0; s < streams; s++ {
+				c.Commit(c.ProbeLine(phys.Addr(s)*stride+line), true)
+			}
+		}
+	}
+	sweep() // fill every set with dirty lines
+	c.ResetStats()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		sweep()
+	}
+	b.StopTimer()
+	s := c.Stats()
+	if accesses := int64(b.N) * int64(slots) * streams; s.Misses != accesses || s.Writebacks != accesses {
+		b.Fatalf("%d accesses gave %+v, want every one a miss with a dirty victim", accesses, s)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(slots)*streams), "ns/access")
 }

@@ -2,14 +2,15 @@ package cache
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/phys"
 )
 
 // drive pushes a deterministic access mix through the cache — enough
-// misses, hits and dirty evictions to churn tags, LRU stamps, clocks and
-// counters in every bank.
+// misses, hits and dirty evictions to churn tags, recency stacks, valid and
+// dirty masks and counters in every bank.
 func drive(c *Banked, salt uint64) {
 	for i := uint64(0); i < 4096; i++ {
 		a := phys.Addr(((i*2654435761 + salt) % (1 << 20)) &^ 63)
@@ -17,10 +18,21 @@ func drive(c *Banked, salt uint64) {
 	}
 }
 
+// withoutVers returns the set records with their install counters zeroed:
+// Restore brings back every other field and deliberately keeps those.
+func withoutVers(sets []setMeta) []setMeta {
+	out := slices.Clone(sets)
+	for i := range out {
+		out[i].vers = 0
+	}
+	return out
+}
+
 // TestBankSnapshotRestoreRoundTrip pins the tag-store checkpoint behind the
 // warm-up image: after a hard divergence, Restore brings back every bank's
-// tags, LRU stamps, valid and dirty masks, partial tags and LRU clock, and
-// clears the counters.
+// tags and every set record's partial tags, recency stack, valid and dirty
+// masks, clears the counters, and keeps each set's install counter
+// monotonic.
 func TestBankSnapshotRestoreRoundTrip(t *testing.T) {
 	ctl := New(small(), phys.T2())
 	sub := New(small(), phys.T2())
@@ -31,25 +43,20 @@ func TestBankSnapshotRestoreRoundTrip(t *testing.T) {
 	drive(sub, 99)
 	sub.Restore(img)
 
-	for _, f := range []struct {
-		name     string
-		got, exp []uint64
-	}{
-		{"tags", sub.tags, ctl.tags},
-		{"used stamps", sub.used, ctl.used},
-		{"valid masks", sub.valid, ctl.valid},
-		{"dirty masks", sub.dirty, ctl.dirty},
-		{"partial tags", sub.ptags, ctl.ptags},
-		{"clocks", sub.clocks, ctl.clocks},
-	} {
-		if !reflect.DeepEqual(f.got, f.exp) {
-			t.Errorf("%s not restored", f.name)
+	if !reflect.DeepEqual(sub.tags, ctl.tags) {
+		t.Error("tags not restored")
+	}
+	got, want := withoutVers(sub.sets), withoutVers(ctl.sets)
+	for s := range got {
+		if got[s] != want[s] {
+			t.Fatalf("set %d: record %+v after restore, want %+v", s, got[s], want[s])
+		}
+		if sub.sets[s].vers < ctl.sets[s].vers {
+			t.Fatalf("set %d install version rewound to %d, below the snapshot's %d", s, sub.sets[s].vers, ctl.sets[s].vers)
 		}
 	}
-	for b, s := range sub.BankStats() {
-		if s != (Stats{}) {
-			t.Errorf("bank %d counters %+v after restore, want zero", b, s)
-		}
+	if s := sub.Stats(); s != (Stats{}) {
+		t.Errorf("counters %+v after restore, want zero", s)
 	}
 }
 
@@ -64,7 +71,10 @@ func TestBankRestoreLeavesOtherBanksAlone(t *testing.T) {
 	drive(c, 1)
 	drive(ctl, 1)
 	img := c.Snapshot()
-	before := append([]uint32(nil), c.vers...)
+	before := make([]uint32, len(c.sets))
+	for s := range c.sets {
+		before[s] = c.sets[s].vers
+	}
 
 	// Bank 0 only: on the T2 mapping bits 8:6 select the bank.
 	for i := 0; i < 512; i++ {
@@ -77,21 +87,23 @@ func TestBankRestoreLeavesOtherBanksAlone(t *testing.T) {
 	c.Restore(img)
 
 	spb, w := c.setsPerBank, c.cfg.Ways
-	if !reflect.DeepEqual(c.tags[:spb*w], ctl.tags[:spb*w]) || c.clocks[0] != ctl.clocks[0] {
+	got, want := withoutVers(c.sets), withoutVers(ctl.sets)
+	if !reflect.DeepEqual(c.tags[:spb*w], ctl.tags[:spb*w]) || !reflect.DeepEqual(got[:spb], want[:spb]) {
 		t.Error("diverged bank 0 not rolled back")
 	}
-	if !reflect.DeepEqual(c.tags[spb*w:], ctl.tags[spb*w:]) || !reflect.DeepEqual(c.clocks[1:], ctl.clocks[1:]) {
+	if !reflect.DeepEqual(c.tags[spb*w:], ctl.tags[spb*w:]) || !reflect.DeepEqual(got[spb:], want[spb:]) {
 		t.Error("rollback of bank 0 disturbed other banks")
 	}
 	grew := false
-	for s := range c.vers {
-		if c.vers[s] < before[s] {
-			t.Fatalf("set %d install version rewound %d -> %d", s, before[s], c.vers[s])
+	for s := range c.sets {
+		v := c.sets[s].vers
+		if v < before[s] {
+			t.Fatalf("set %d install version rewound %d -> %d", s, before[s], v)
 		}
-		if s < spb && c.vers[s] > before[s] {
+		if s < spb && v > before[s] {
 			grew = true
 		}
-		if s >= spb && c.vers[s] != before[s] {
+		if s >= spb && v != before[s] {
 			t.Fatalf("set %d outside bank 0 changed install version", s)
 		}
 	}

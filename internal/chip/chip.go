@@ -556,9 +556,8 @@ func (m *Machine) warmL2(l2 *cache.Banked, warmLines int64) {
 func (m *Machine) Run(prog *trace.Program) Result {
 	res, err := m.RunCtx(context.Background(), prog)
 	if err != nil {
-		// Only reachable under fault injection (an armed step budget): the
-		// caller asked for the uncancellable API, so a forced halt is a
-		// harness bug here.
+		// Unreachable: a background context is never cancelled, so the
+		// engine's stop flag is never armed and the run cannot abort.
 		panic(fmt.Sprintf("chip: uncancellable Run aborted: %v", err))
 	}
 	return res
@@ -570,7 +569,7 @@ func (m *Machine) Run(prog *trace.Program) Result {
 // cancel→halt latency; the partial Result is accounting-grade telemetry
 // only and must never enter a trajectory. A context that can never be
 // cancelled costs nothing: the engine's stop flag stays nil and the run
-// takes the exact fault-free path.
+// takes the same path as Run.
 func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, error) {
 	m.validateTeam(prog)
 	n := len(prog.Gens)

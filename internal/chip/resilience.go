@@ -2,7 +2,7 @@
 // engine's cooperative stop flag, and the structured error a cancelled run
 // fails with.
 //
-// Design rule: the fault-free hot path must not change. A run with no
+// Design rule: the no-cancel hot path must not change. A run with no
 // deadline and no cancelable context takes the same code path as before
 // this layer existed — armCancel returns nil and the engine's stop flag
 // stays nil (one compare per tie group).

@@ -234,7 +234,7 @@ func TestCheckpointRestoreProperty(t *testing.T) {
 				sub.Restore(img)
 				twin.ResetStats()
 				rng = save
-				if g, w := sub.BankStats(), twin.BankStats(); !reflect.DeepEqual(g, w) {
+				if g, w := sub.Stats(), twin.Stats(); g != w {
 					t.Fatalf("seed %d: counters after restore %+v, want %+v", seed, g, w)
 				}
 				for i := 0; i < 20000; i++ {
