@@ -29,8 +29,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-
-	"repro/internal/profiling"
 )
 
 // benchLine matches one result line: name, iteration count, then
@@ -47,22 +45,7 @@ type acc struct {
 
 func main() {
 	out := flag.String("out", "BENCH_perf.json", "output JSON path")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the conversion to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
-
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	defer stopProfiles()
-	// fail flushes the profiles before exiting, so a failed conversion
-	// still leaves parseable profile files behind.
-	fail := func() {
-		stopProfiles()
-		os.Exit(1)
-	}
 
 	results := map[string]*acc{}
 	sc := bufio.NewScanner(os.Stdin)
@@ -93,11 +76,11 @@ func main() {
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
-		fail()
+		os.Exit(1)
 	}
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark result lines on stdin")
-		fail()
+		os.Exit(1)
 	}
 
 	doc := map[string]map[string]float64{}
@@ -111,11 +94,11 @@ func main() {
 	b, err := json.MarshalIndent(map[string]any{"benchmarks": doc}, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		fail()
+		os.Exit(1)
 	}
 	if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		fail()
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(doc), *out)
 }

@@ -46,13 +46,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/exp"
 	"repro/internal/machine"
-	"repro/internal/profiling"
 	"repro/internal/stats"
 )
 
@@ -70,7 +70,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the sweeps) to this file")
 	flag.Parse()
 
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		os.Exit(1)
@@ -223,4 +223,46 @@ func writeFile(path string, fill func(*os.File) error) error {
 	}
 	defer f.Close()
 	return fill(f)
+}
+
+// startProfiles begins CPU profiling into cpuPath (if non-empty) and
+// arranges a heap profile at memPath (if non-empty). The returned stop
+// function is idempotent; call it both deferred and before any explicit
+// os.Exit so a failing run still leaves parseable profiles behind.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		cpuFile = f
+	}
+	done := false
+	return func() {
+		if done {
+			return
+		}
+		done = true
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // materialize final live-heap statistics
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+			}
+		}
+	}, nil
 }

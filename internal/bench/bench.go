@@ -114,9 +114,7 @@ func (o Options) WithProfile(p machine.Profile) Options {
 // spec derives the analyzer's machine description from the configured
 // chip, so planned offsets, row shifts and regime predictions follow the
 // selected profile instead of a hardwired T2.
-func (o Options) spec() core.MachineSpec {
-	return core.MachineSpec{Mapping: o.Cfg.Mapping, LineSize: o.Cfg.L2.LineSize}
-}
+func (o Options) spec() core.MachineSpec { return core.SpecFor(o.Cfg.Mapping) }
 
 // Small returns unit-test-scale settings that keep every structural
 // property (congruences mod 512 B, cache pressure ratios).

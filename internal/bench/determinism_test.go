@@ -55,10 +55,10 @@ func figJSON(t *testing.T, o Options, fig string, jobs int) []byte {
 }
 
 // TestShardDeterminismAcrossProfiles extends the jobs-invariance gate to
-// every registered machine profile: fig2 and fig4 sharded across 2 and 3
-// pool workers (3 splits the points unevenly) must produce the canonical
-// BENCH JSON of a single worker byte for byte — every point's series,
-// coordinates and metric maps.
+// every registered machine profile: fig2 and fig4 with their points split
+// across 2 and 3 pool workers (3 splits them unevenly) must produce the
+// canonical BENCH JSON of a single worker byte for byte — every point's
+// series, coordinates and metric maps.
 func TestShardDeterminismAcrossProfiles(t *testing.T) {
 	for _, prof := range machine.Profiles() {
 		t.Run(prof.Name, func(t *testing.T) {

@@ -92,7 +92,7 @@ func (o Options) ScalingExp() exp.Experiment {
 			}
 			sp := alloc.NewSpace()
 			bases := sp.OffsetBases(scalingStreams, n*phys.WordSize, align, offset)
-			pred := core.PredictRelativeBandwidth(ms, core.StreamSet{Bases: bases, Stride: ms.LineSize})
+			pred := core.PredictRelativeBandwidth(ms, core.StreamSet{Bases: bases, Stride: phys.LineSize})
 
 			k := kernels.LoadSum(bases, n)
 			prog := k.Program(omp.StaticBlock{}, threads)

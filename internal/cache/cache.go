@@ -16,20 +16,12 @@ import (
 	"repro/internal/phys"
 )
 
-// Config describes a banked set-associative cache.
+// Config describes a banked set-associative cache. The line size is
+// phys.LineSize and the bank count is the mapping's, so the cache and the
+// controllers agree by construction.
 type Config struct {
 	SizeBytes int64 // total capacity
 	Ways      int   // associativity
-	LineSize  int64 // line size in bytes
-	Banks     int   // number of banks; must match the mapping's bank count
-}
-
-// Derive returns the cache geometry for a machine with the given mapping:
-// the bank count is the mapping's, so the cache and the controllers agree
-// by construction. The machine-profile registry (internal/machine) builds
-// every profile's L2 through this instead of a per-chip constant.
-func Derive(sizeBytes int64, ways int, mapping phys.Mapping) Config {
-	return Config{SizeBytes: sizeBytes, Ways: ways, LineSize: phys.LineSize, Banks: mapping.Banks()}
 }
 
 // Stats aggregates cache activity counters.
@@ -67,7 +59,6 @@ type Result struct {
 // into a full set touches that line and one tag word.
 type Banked struct {
 	cfg         Config
-	mapping     phys.Mapping
 	mapped      phys.Resolved
 	setsPerBank int
 	setShift    uint
@@ -82,7 +73,6 @@ type Banked struct {
 	wide      bool
 	gBits     uint
 	wideShift uint
-	lineBits  uint
 	setBits   uint
 	bankShift uint
 	tags      []uint64  // [set*Ways + way]
@@ -106,10 +96,6 @@ type setMeta struct {
 	// the most recently used way, nibble Ways-1 the least recently used.
 	lru          uint64
 	valid, dirty uint16 // per-way bitmasks
-	// vers counts installs (miss commits). A probe of a missing line stays
-	// valid exactly as long as its set's install count is unchanged — the
-	// guard that lets the chip's admission gates skip re-probing.
-	vers uint32
 }
 
 // Nibble-lane SWAR constants for the recency stack, and its initial order:
@@ -130,17 +116,13 @@ func (m *setMeta) touch(w uint64) {
 	m.lru = m.lru&^(below<<4|0xf) | (m.lru&below)<<4 | w
 }
 
-// New builds a cache from cfg using mapping for bank selection. It panics
-// on geometrically impossible configurations, since every experiment
-// depends on the geometry being exactly as configured.
+// New builds a cache from cfg using mapping for bank selection; the bank
+// count is mapping.Banks(). It panics on geometrically impossible
+// configurations, since every experiment depends on the geometry being
+// exactly as configured.
 func New(cfg Config, mapping phys.Mapping) *Banked {
-	if cfg.Banks != mapping.Banks() {
-		panic(fmt.Sprintf("cache: %d banks configured but mapping %q has %d", cfg.Banks, mapping.Name(), mapping.Banks()))
-	}
-	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
-		panic(fmt.Sprintf("cache: line size %d not a power of two", cfg.LineSize))
-	}
-	lines := cfg.SizeBytes / cfg.LineSize
+	banks := mapping.Banks()
+	lines := cfg.SizeBytes / phys.LineSize
 	if lines <= 0 || cfg.Ways <= 0 || int64(cfg.Ways) > lines {
 		panic(fmt.Sprintf("cache: impossible geometry %+v", cfg))
 	}
@@ -148,21 +130,20 @@ func New(cfg Config, mapping phys.Mapping) *Banked {
 		panic(fmt.Sprintf("cache: associativity %d exceeds the 16-way limit of the 4-bit LRU stack", cfg.Ways))
 	}
 	setsTotal := lines / int64(cfg.Ways)
-	if setsTotal%int64(cfg.Banks) != 0 {
-		panic(fmt.Sprintf("cache: %d sets do not divide across %d banks", setsTotal, cfg.Banks))
+	if setsTotal%int64(banks) != 0 {
+		panic(fmt.Sprintf("cache: %d sets do not divide across %d banks", setsTotal, banks))
 	}
-	perBank := setsTotal / int64(cfg.Banks)
+	perBank := setsTotal / int64(banks)
 	if perBank&(perBank-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets per bank not a power of two", perBank))
 	}
 	// The bank is selected by the mapping (bits 8:6 on the T2); the set
 	// within a bank is indexed by the address bits immediately above the
 	// bank-selection field, i.e. starting at bit 9 on the T2.
-	bankBits := bits.Len(uint(cfg.Banks - 1))
-	setShift := uint(bits.TrailingZeros64(uint64(cfg.LineSize))) + uint(bankBits)
+	bankBits := bits.Len(uint(banks - 1))
+	setShift := phys.LineShift + uint(bankBits)
 	c := &Banked{
 		cfg:         cfg,
-		mapping:     mapping,
 		mapped:      phys.Resolve(mapping),
 		setsPerBank: int(perBank),
 		setShift:    setShift,
@@ -174,24 +155,19 @@ func New(cfg Config, mapping phys.Mapping) *Banked {
 		lruShift:    4 * uint(cfg.Ways-1),
 	}
 	c.initLRU()
-	c.lineBits = uint(bits.TrailingZeros64(uint64(cfg.LineSize)))
 	c.setBits = uint(bits.Len(uint(perBank - 1)))
-	if fs, fm, ok := c.mapped.BankField(); ok {
-		c.bankShift = uint(fs)
+	if fs, ok := c.mapped.BankField(); ok {
+		c.bankShift = fs
 		switch {
-		case fs == uint64(c.lineBits) && fm == uint64(cfg.Banks-1):
+		case fs == phys.LineShift:
 			c.bankInsert = true
-		case fs > uint64(c.lineBits):
+		case fs > phys.LineShift:
 			// Coarse interleave: the bank field sits above the line offset.
 			// The default scheme would fold all lines of a granule onto one
-			// (set, tag), so switch to the excised-field indexing. Requires
-			// the declared field to cover the whole global bank index.
-			if fm != uint64(cfg.Banks-1) {
-				panic(fmt.Sprintf("cache: mapping %q declares a partial bank field (mask %#x for %d banks)", mapping.Name(), fm, cfg.Banks))
-			}
+			// (set, tag), so switch to the excised-field indexing.
 			c.wide = true
-			c.gBits = uint(fs) - c.lineBits
-			c.wideShift = uint(fs) + uint(bankBits)
+			c.gBits = fs - phys.LineShift
+			c.wideShift = fs + uint(bankBits)
 		}
 	}
 	return c
@@ -215,7 +191,7 @@ func (c *Banked) locate(line phys.Addr) (bank, setIdx int, tag uint64) {
 		set := (uint64(line) >> c.setShift) & uint64(c.setsPerBank-1)
 		return bank, bank*c.setsPerBank + int(set), uint64(line) >> c.tagShift
 	}
-	idx := uint64(line)>>c.wideShift<<c.gBits | uint64(line)>>c.lineBits&(1<<c.gBits-1)
+	idx := uint64(line)>>c.wideShift<<c.gBits | uint64(line)>>phys.LineShift&(1<<c.gBits-1)
 	set := idx & uint64(c.setsPerBank-1)
 	return bank, bank*c.setsPerBank + int(set), idx >> c.setBits
 }
@@ -303,7 +279,6 @@ func (c *Banked) Commit(p Probe, write bool) Result {
 		c.stats.Writebacks++
 	}
 	c.tags[ti] = p.tag
-	m.vers++
 	sh := uint(victim%8) * 8
 	m.ptag[victim/8] = m.ptag[victim/8]&^(0xff<<sh) | (p.tag&0xff)<<sh
 	m.valid |= vbit
@@ -316,12 +291,6 @@ func (c *Banked) Commit(p Probe, write bool) Result {
 	c.stats.Misses++
 	return res
 }
-
-// InstallVersion returns the install counter of the probed line's set. A
-// miss probe remains exact — same absent line, same bank/set/tag — for as
-// long as InstallVersion is unchanged, because only an install could make
-// the line appear (evictions of other ways cannot).
-func (c *Banked) InstallVersion(p Probe) uint32 { return c.sets[p.set].vers }
 
 // Access performs a write-allocate lookup of the line containing addr.
 // On a miss the line is installed (evicting the LRU way) and the caller is
@@ -365,7 +334,7 @@ func (c *Banked) reconstruct(setIdx int, tag uint64) phys.Addr {
 		idx := tag<<c.setBits | set
 		within := idx & (1<<c.gBits - 1)
 		above := idx >> c.gBits
-		return phys.Addr(above<<c.wideShift | uint64(bank)<<c.bankShift | within<<c.lineBits)
+		return phys.Addr(above<<c.wideShift | uint64(bank)<<c.bankShift | within<<phys.LineShift)
 	}
 	addr := tag<<(c.setShift+c.setBits) | set<<c.setShift
 	// Re-insert the bank-selection bits. For field mappings whose bank bits
@@ -373,11 +342,11 @@ func (c *Banked) reconstruct(setIdx int, tag uint64) phys.Addr {
 	// field value itself; for hashed mappings the bank field is not
 	// address-recoverable, so we search the bank's aliases.
 	if c.bankInsert {
-		return phys.Addr(addr | uint64(bank)<<c.lineBits)
+		return phys.Addr(addr | uint64(bank)<<phys.LineShift)
 	}
-	bankBits := c.setShift - c.lineBits
+	bankBits := c.setShift - phys.LineShift
 	for b := uint64(0); b < 1<<bankBits; b++ {
-		cand := phys.Addr(addr | b<<c.lineBits)
+		cand := phys.Addr(addr | b<<phys.LineShift)
 		if c.mapped.Bank(cand) == bank {
 			return cand
 		}
@@ -404,20 +373,13 @@ func (c *Banked) Snapshot() *Image {
 
 // Restore overwrites the tag store with a snapshot taken from a cache of
 // identical geometry and clears the counters, exactly reproducing the
-// state Snapshot saw after a ResetStats — except the per-set install
-// counters, which keep their current values so that they stay monotonic
-// and a probe taken before the restore is never mistaken for a current
-// one. It panics on geometry mismatch.
+// state Snapshot saw after a ResetStats. It panics on geometry mismatch.
 func (c *Banked) Restore(img *Image) {
 	if len(img.tags) != len(c.tags) || len(img.sets) != len(c.sets) {
 		panic(fmt.Sprintf("cache: restoring %d-line image into %d-line cache", len(img.tags), len(c.tags)))
 	}
 	copy(c.tags, img.tags)
-	for i := range c.sets {
-		vers := c.sets[i].vers
-		c.sets[i] = img.sets[i]
-		c.sets[i].vers = vers
-	}
+	copy(c.sets, img.sets)
 	c.ResetStats()
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func small() Config {
-	return Config{SizeBytes: 64 * 1024, Ways: 4, LineSize: 64, Banks: 8}
+	return Config{SizeBytes: 64 * 1024, Ways: 4}
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -116,7 +116,7 @@ func TestCapacityProperty(t *testing.T) {
 	f := func(seed uint16) bool {
 		c := New(cfg, phys.T2())
 		base := phys.Addr(seed) * 4096
-		lines := cfg.SizeBytes / cfg.LineSize / 2 // half capacity
+		lines := cfg.SizeBytes / phys.LineSize / 2 // half capacity
 		for i := int64(0); i < lines; i++ {
 			c.Access(base+phys.Addr(i*64), false)
 		}
@@ -158,7 +158,7 @@ func TestVictimReconstruction(t *testing.T) {
 }
 
 func TestDerivedT2Geometry(t *testing.T) {
-	c := New(Derive(4<<20, 16, phys.T2()), phys.T2())
+	c := New(Config{SizeBytes: 4 << 20, Ways: 16}, phys.T2())
 	if c.SetsPerBank() != 512 {
 		t.Errorf("T2 L2 sets per bank = %d, want 512", c.SetsPerBank())
 	}
@@ -174,9 +174,9 @@ func TestDerivedGeometryFollowsMapping(t *testing.T) {
 		{phys.NewInterleave("t2-wide4k", 4096, 4, 2), 512},
 	}
 	for _, c := range cases {
-		b := New(Derive(4<<20, 16, c.m), c.m)
-		if b.Config().Banks != c.m.Banks() {
-			t.Errorf("%s: derived %d banks, mapping has %d", c.m.Name(), b.Config().Banks, c.m.Banks())
+		b := New(Config{SizeBytes: 4 << 20, Ways: 16}, c.m)
+		if sets := len(b.sets); sets != c.m.Banks()*c.perBank {
+			t.Errorf("%s: %d sets, want %d banks x %d", c.m.Name(), sets, c.m.Banks(), c.perBank)
 		}
 		if b.SetsPerBank() != c.perBank {
 			t.Errorf("%s: %d sets per bank, want %d", c.m.Name(), b.SetsPerBank(), c.perBank)
@@ -190,7 +190,7 @@ func TestDerivedGeometryFollowsMapping(t *testing.T) {
 // periods must be re-visitable with a 100% hit rate when it fits.
 func TestWideInterleaveIndexingBijective(t *testing.T) {
 	m := phys.NewInterleave("t2-wide1k", 1024, 4, 2)
-	c := New(Derive(64*1024, 4, m), m)
+	c := New(Config{SizeBytes: 64 * 1024, Ways: 4}, m)
 	// 64 kB cache, 1024 lines; touch 512 distinct lines spanning granules.
 	const lines = 512
 	for i := 0; i < lines; i++ {
@@ -213,7 +213,7 @@ func TestWideInterleaveIndexingBijective(t *testing.T) {
 // bank and set it was evicted from.
 func TestWideInterleaveVictimReconstruction(t *testing.T) {
 	m := phys.NewInterleave("t2-wide1k", 1024, 4, 2)
-	cfg := Derive(64*1024, 4, m)
+	cfg := Config{SizeBytes: 64 * 1024, Ways: 4}
 	c := New(cfg, m)
 	probe := func(a phys.Addr) (bank, set int) {
 		p := c.ProbeLine(a)
@@ -269,21 +269,25 @@ func TestNewRejects17Ways(t *testing.T) {
 		}
 	}()
 	// 17 ways × 4 sets per bank × 8 banks: every other geometry check passes.
-	New(Config{SizeBytes: 17 * 4 * 8 * 64, Ways: 17, LineSize: 64, Banks: 8}, phys.T2())
+	New(Config{SizeBytes: 17 * 4 * 8 * 64, Ways: 17}, phys.T2())
 }
 
+// TestBadGeometryPanics: a cache whose sets do not divide across the
+// mapping's banks is refused — here 4 sets of 4 ways on the T2's 8 banks.
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("mismatched bank count did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "do not divide across 8 banks") {
+			t.Errorf("4 sets on 8 banks: recovered %q, want the bank-division panic", msg)
 		}
 	}()
-	New(Config{SizeBytes: 1 << 20, Ways: 4, LineSize: 64, Banks: 4}, phys.T2())
+	New(Config{SizeBytes: 4 * 4 * 64, Ways: 4}, phys.T2())
 }
 
-// countingMapping wraps the T2 bit layout behind a pure interface (it does
-// not implement phys.FieldMapper), counting every Bank call so tests can
-// assert how often the cache consults the mapping.
+// countingMapping wraps the T2 bit layout behind a pure interface (it is
+// not a phys.Interleave, so Resolve keeps the interface path), counting
+// every Bank call so tests can assert how often the cache consults the
+// mapping.
 type countingMapping struct {
 	bankCalls *int64
 }
@@ -384,7 +388,7 @@ func TestAccessPathDoesNotAllocate(t *testing.T) {
 func BenchmarkCommitFullSet(b *testing.B) {
 	const streams = 19
 	m := phys.T2()
-	c := New(Derive(4<<20, 16, m), m)
+	c := New(Config{SizeBytes: 4 << 20, Ways: 16}, m)
 	// Lines this far apart share bank and set: line offset, bank and set
 	// index bits all lie below it.
 	stride := phys.Addr(1) << c.tagShift

@@ -33,7 +33,7 @@ func newStampRef(cfg Config, m phys.Mapping) *stampRef {
 		used:   make([]uint64, sets*cfg.Ways),
 		valid:  make([]uint64, sets),
 		dirty:  make([]uint64, sets),
-		clocks: make([]uint64, cfg.Banks),
+		clocks: make([]uint64, m.Banks()),
 	}
 }
 
@@ -122,7 +122,7 @@ var lruWays = []int{1, 2, 3, 4, 8, 12, 16}
 // each of m's banks, so an access stream fills sets and forces victim
 // choices quickly.
 func lruConfig(ways int, m phys.Mapping, setsPerBank int) Config {
-	return Config{SizeBytes: int64(ways*m.Banks()*setsPerBank) * 64, Ways: ways, LineSize: 64, Banks: m.Banks()}
+	return Config{SizeBytes: int64(ways*m.Banks()*setsPerBank) * 64, Ways: ways}
 }
 
 // compareLRU drives the cache and the stamp-scan reference with the same
@@ -134,7 +134,7 @@ func compareLRU(cfg Config, m phys.Mapping, ops, probe []uint16) error {
 	c := New(cfg, m)
 	ref := newStampRef(cfg, m)
 	// Three times the cache's lines: about a third of accesses hit.
-	span := uint64(3 * cfg.SizeBytes / cfg.LineSize)
+	span := uint64(3 * cfg.SizeBytes / phys.LineSize)
 	addr := func(x uint16) phys.Addr { return phys.Addr(uint64(x&0x7fff)%span) * 64 }
 
 	snapAt, restoreAt := len(ops)/3, len(ops)/2

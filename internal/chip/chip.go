@@ -53,7 +53,7 @@ type Config struct {
 	Mapping        phys.Mapping
 	MSHRPerStrand  int   // outstanding load misses per strand; the T2 has 1
 	StoreBuffer    int   // posted stores in flight per strand; the T2 has 8
-	RetryDelay     int64 // crossbar NACK-and-retry round trip when an MC queue is full; > 0 with a finite queue
+	RetryDelay     int64 // crossbar NACK-and-retry round trip when an MC queue is full; >= 1
 	// RunAhead bounds how many work items any strand may lead the slowest
 	// active strand by. It models the phase coherence of real T2 strands —
 	// cycle-by-cycle round-robin issue within a thread group plus finite
@@ -172,9 +172,9 @@ func New(cfg Config) *Machine {
 	if cfg.ClockHz <= 0 {
 		panic("chip: ClockHz must be positive")
 	}
-	if cfg.Mem.QueueDepth > 0 && cfg.RetryDelay <= 0 {
+	if cfg.RetryDelay <= 0 {
 		// A NACKed strand would re-poll at the same cycle forever.
-		panic(fmt.Sprintf("chip: RetryDelay %d must be >= 1 with a finite controller queue", cfg.RetryDelay))
+		panic(fmt.Sprintf("chip: RetryDelay %d must be >= 1", cfg.RetryDelay))
 	}
 	return &Machine{cfg: cfg}
 }
@@ -198,15 +198,10 @@ type strand struct {
 	slots  []sim.Time // MSHR completion times (loads)
 	sb     []sim.Time // store-buffer ring: completion times of posted fills
 	sbPos  int
-	// NACK state. A NACKed strand keeps its miss probe, the set's install
-	// version, the line and its controller; retrying marks its next
-	// dispatch as a re-poll. The probe stays exact while the version is
-	// unchanged, so a re-poll skips the tag lookup and address decode.
-	retrying bool
-	rProbe   cache.Probe
-	rVer     uint32
-	rCtl     int
-	rLine    phys.Addr
+	// NACK state: the line a NACKed strand waits to issue and its
+	// controller. Its next dispatch re-probes the line.
+	rCtl  int
+	rLine phys.Addr
 	// A waiter re-polls every RetryDelay cycles from waitFrom on, at the
 	// label its polls carry, but only virtually: it sits in its
 	// controller's gate (gate.go), and its lost polls are counted when it
@@ -386,20 +381,7 @@ func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe) (proceed, f
 // time order.
 func (rs *runState) step(s *strand) {
 	t := rs.eng.Now()
-	// Re-poll: if nothing was installed into the probed set since the
-	// NACK, the cached probe is exact; only the queue check remains.
-	probeValid := false
-	if s.retrying {
-		s.retrying = false
-		rs.settle(s, t)
-		if rs.l2.InstallVersion(s.rProbe) == s.rVer {
-			if rs.mc.FullCtl(t, s.rCtl) {
-				rs.wait(s)
-				return
-			}
-			probeValid = true // admission passed; reuse the probe below
-		}
-	}
+	rs.settle(s, t)
 	for {
 		if !s.active {
 			if rs.overWindow(s) {
@@ -424,30 +406,21 @@ func (rs *runState) step(s *strand) {
 			line := phys.LineOf(a.Addr)
 			// One tag-array probe serves both the NACK admission check and,
 			// via Commit inside load/store, the access itself.
-			var probe cache.Probe
-			if probeValid {
-				probe = s.rProbe
-				probeValid = false
-			} else {
-				probe = rs.l2.ProbeLine(line)
-				if !probe.Hit && rs.mc.Full(t, line) {
-					s.rProbe = probe
-					s.rVer = rs.l2.InstallVersion(probe)
-					s.rCtl = rs.mc.Controller(line)
-					s.rLine = line
-					if t == rs.eng.Now() {
-						rs.wait(s)
-						return
-					}
-					// NACKed at a lookahead time after a posted store: the
-					// first retry is not one period after the current
-					// event, so it stays a real event.
-					rs.retryStall += rs.cfg.RetryDelay
-					rs.retries++
-					s.retrying = true
-					rs.eng.Schedule(t+rs.cfg.RetryDelay, evStep, int32(s.id))
+			probe := rs.l2.ProbeLine(line)
+			if !probe.Hit && rs.mc.Full(t, line) {
+				s.rCtl = rs.mc.Controller(line)
+				s.rLine = line
+				if t == rs.eng.Now() {
+					rs.wait(s)
 					return
 				}
+				// NACKed at a lookahead time after a posted store: the
+				// first retry is not one period after the current event,
+				// so it stays a real event.
+				rs.retryStall += rs.cfg.RetryDelay
+				rs.retries++
+				rs.eng.Schedule(t+rs.cfg.RetryDelay, evStep, int32(s.id))
+				return
 			}
 			if a.Write {
 				// Store-buffer backpressure: block until the oldest posted
@@ -628,16 +601,14 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 	}
 	rs.strands = rs.pool[:n]
 	rs.eng.SetHandler(rs.handler)
-	if m.cfg.Mem.QueueDepth > 0 {
-		rs.eng.SetPeriod(m.cfg.RetryDelay)
-	}
+	rs.eng.SetPeriod(m.cfg.RetryDelay)
 	for t := 0; t < n; t++ {
 		s := rs.strands[t]
 		s.gen = prog.Gens[t]
 		s.core, s.group = m.cfg.Place(t)
 		s.item.Reset()
 		s.active, s.accIdx, s.items, s.parked = false, 0, 0, false
-		s.retrying, s.waitFrom, s.wPrev, s.wNext = false, -1, nil, nil
+		s.waitFrom, s.wPrev, s.wNext = -1, nil, nil
 		clear(s.sb)
 		s.sbPos = 0
 		clear(s.slots)
@@ -698,7 +669,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		Retries:      rs.retries,
 	}
 	res.GBps = float64(rs.repBytes) / secs / 1e9
-	res.ActualGBps = float64(lines*m.cfg.L2.LineSize) / secs / 1e9
+	res.ActualGBps = float64(lines*phys.LineSize) / secs / 1e9
 	res.MUPs = float64(rs.units) / secs / 1e6
 	if cancelErr != nil {
 		return res, cancelErr

@@ -370,7 +370,7 @@ func t2cfg() Config {
 		XbarLatency:    3,
 		L2HitLatency:   20,
 		L2BankService:  4,
-		L2:             cache.Derive(4<<20, 16, phys.T2()),
+		L2:             cache.Config{SizeBytes: 4 << 20, Ways: 16},
 		Mem:            mem.Defaults(),
 		Mapping:        phys.T2(),
 		MSHRPerStrand:  1,

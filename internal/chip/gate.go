@@ -126,7 +126,6 @@ func (g *gate) nextPhase(from int) int {
 // the earliest that can win.
 func (rs *runState) wait(s *strand) {
 	now := rs.eng.Now()
-	s.retrying = true
 	s.waitFrom = now
 	s.label = rs.eng.ChildLabel()
 	if rs.gates == nil {

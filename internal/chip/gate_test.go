@@ -8,11 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRetryDelayMustBePositive: with a finite controller queue a NACKed
-// strand re-polls after RetryDelay cycles, so a delay of zero or less
-// would poll at one cycle forever. New rejects it like the other invalid
-// configurations; without a queue limit nothing is ever NACKed and the
-// delay is unused.
+// TestRetryDelayMustBePositive: a NACKed strand re-polls after RetryDelay
+// cycles, so a delay of zero or less would poll at one cycle forever. New
+// rejects it like the other invalid configurations.
 func TestRetryDelayMustBePositive(t *testing.T) {
 	for _, d := range []int64{0, -24} {
 		cfg := t2cfg()
@@ -21,7 +19,7 @@ func TestRetryDelayMustBePositive(t *testing.T) {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("RetryDelay %d with QueueDepth %d did not panic", d, cfg.Mem.QueueDepth)
+					t.Fatalf("RetryDelay %d did not panic", d)
 				}
 				if msg, _ := r.(string); !strings.Contains(msg, "RetryDelay") {
 					t.Errorf("panic %v does not name RetryDelay", r)
@@ -29,13 +27,6 @@ func TestRetryDelayMustBePositive(t *testing.T) {
 			}()
 			New(cfg)
 		}()
-	}
-	cfg := t2cfg()
-	cfg.RetryDelay = 0
-	cfg.Mem.QueueDepth = 0
-	r := New(cfg).Run(prog(&scripted{items: []trace.Item{loads(0x10000)}}))
-	if r.Retries != 0 || r.Cycles <= 0 {
-		t.Errorf("unlimited queue: %d retries in %d cycles", r.Retries, r.Cycles)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // The tests in this file pin the contract the sweep harnesses rely on when
-// they shard a sweep's points across workers: each worker owns one Machine
-// (exp.Scratch) and runs its shard of points back to back on it, while the
+// they split a sweep's points across workers: each worker owns one Machine
+// (exp.Scratch) and runs its share of points back to back on it, while the
 // other workers run theirs concurrently. None of that may show in a
 // Result — not the number of workers, not which points a machine ran
 // before, not the configuration paths off the default one.
@@ -44,13 +44,10 @@ func topologies() map[string]Config {
 	t2 := t2cfg()
 	mc1 := t2
 	mc1.Mapping = phys.NewInterleave("mc1", phys.LineSize, 1, 2)
-	mc1.L2.Banks = mc1.Mapping.Banks()
 	mc8 := t2
 	mc8.Mapping = phys.NewInterleave("mc8", phys.LineSize, 8, 2)
-	mc8.L2.Banks = mc8.Mapping.Banks()
 	xor := t2
 	xor.Mapping = phys.XORMapping{}
-	xor.L2.Banks = xor.Mapping.Banks()
 	return map[string]Config{"t2": t2, "mc1": mc1, "mc8": mc8, "xor": xor}
 }
 
@@ -76,8 +73,8 @@ func demandOf(n int64) (d cpu.Demand) {
 	return
 }
 
-// TestShardedWorkerInvariance: the number of workers a sweep is sharded
-// across is pure execution parallelism. Machines running concurrently share
+// TestShardedWorkerInvariance: the number of workers a sweep's points are
+// split across is pure execution parallelism. Machines running concurrently share
 // no state, so every Result byte — cycles, stalls, per-controller traffic,
 // L2 counters — is the solo run's at 1 to 4 concurrent
 // workers, on every topology. Run under -race this also pins the absence
@@ -102,8 +99,8 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedBatchingEquivalence: a worker runs its shard of a sweep as a
-// batch on one reused machine. Every point of the batch must get exactly
+// TestShardedBatchingEquivalence: a worker runs its share of a sweep's
+// points as a batch on one reused machine. Every point of the batch must get exactly
 // the Result a freshly built machine gives it, whatever the machine ran
 // before — across team sizes, warm-up sizes and program shapes, in either
 // batch order, on every topology.

@@ -17,16 +17,16 @@ import (
 )
 
 // MachineSpec is what the optimizer needs to know about the memory system.
+// The line size is phys.LineSize on every machine.
 type MachineSpec struct {
-	Mapping  phys.Mapping
-	LineSize int64
+	Mapping phys.Mapping
 }
 
 // SpecFor returns the analyzer's view of a machine from its address
 // mapping alone; the machine-profile registry (internal/machine) exposes
 // the same thing per profile via Profile.Spec.
 func SpecFor(m phys.Mapping) MachineSpec {
-	return MachineSpec{Mapping: m, LineSize: phys.LineSize}
+	return MachineSpec{Mapping: m}
 }
 
 // Period returns the controller-interleave period in bytes, falling back
@@ -35,7 +35,7 @@ func (ms MachineSpec) Period() int64 {
 	if p := ms.Mapping.Period(); p > 0 {
 		return p
 	}
-	return ms.LineSize
+	return phys.LineSize
 }
 
 // StreamSet describes the concurrent access streams of one loop iteration
@@ -52,7 +52,7 @@ type StreamSet struct {
 // mapping the distribution converges within Period/Stride steps.
 func Utilization(ms MachineSpec, ss StreamSet, steps int) []float64 {
 	if steps <= 0 {
-		steps = int(ms.Period() / ms.LineSize * 2)
+		steps = int(ms.Period() / phys.LineSize * 2)
 		if steps <= 0 {
 			steps = 16
 		}
@@ -82,7 +82,7 @@ func Utilization(ms MachineSpec, ss StreamSet, steps int) []float64 {
 // from 1 to min(len(bases), controllers).
 func MeanConcurrency(ms MachineSpec, ss StreamSet, steps int) float64 {
 	if steps <= 0 {
-		steps = int(ms.Period() / ms.LineSize * 2)
+		steps = int(ms.Period() / phys.LineSize * 2)
 		if steps <= 0 {
 			steps = 16
 		}
@@ -147,10 +147,10 @@ func PlanArrayOffsets(ms MachineSpec, streams int) ArrayPlan {
 	}
 	step := ms.Period() / int64(ms.Mapping.Controllers())
 	// Keep offsets line-aligned so element blocks do not straddle lines.
-	if step%ms.LineSize != 0 {
-		step = (step / ms.LineSize) * ms.LineSize
+	if step%phys.LineSize != 0 {
+		step = (step / phys.LineSize) * phys.LineSize
 		if step == 0 {
-			step = ms.LineSize
+			step = phys.LineSize
 		}
 	}
 	p := ArrayPlan{Offsets: make([]int64, streams)}
@@ -161,7 +161,7 @@ func PlanArrayOffsets(ms MachineSpec, streams int) ArrayPlan {
 	for i := range bases {
 		bases[i] = phys.Addr(p.Offsets[i])
 	}
-	p.Concurrency = MeanConcurrency(ms, StreamSet{Bases: bases, Stride: ms.LineSize}, 0)
+	p.Concurrency = MeanConcurrency(ms, StreamSet{Bases: bases, Stride: phys.LineSize}, 0)
 	return p
 }
 
@@ -227,5 +227,5 @@ func ExplainStreamOffset(ms MachineSpec, n, offsetWords int64) (phases []int, re
 	for i, b := range bases {
 		phases[i] = ms.Mapping.Controller(b)
 	}
-	return phases, Regime(ms, StreamSet{Bases: bases, Stride: ms.LineSize})
+	return phases, Regime(ms, StreamSet{Bases: bases, Stride: phys.LineSize})
 }

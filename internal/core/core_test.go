@@ -116,7 +116,7 @@ func TestExplainStreamOffset(t *testing.T) {
 }
 
 func TestPeriodFallbackForHashedMapping(t *testing.T) {
-	ms := MachineSpec{Mapping: phys.XORMapping{}, LineSize: 64}
+	ms := SpecFor(phys.XORMapping{})
 	if ms.Period() != 64 {
 		t.Errorf("hashed-mapping period %d, want line size", ms.Period())
 	}
@@ -132,7 +132,7 @@ func TestPeriodFallbackForHashedMapping(t *testing.T) {
 func TestXORMappingDefeatsConvoys(t *testing.T) {
 	// The ablation claim: under a hashed interleave, even congruent bases
 	// spread over controllers.
-	ms := MachineSpec{Mapping: phys.XORMapping{}, LineSize: 64}
+	ms := SpecFor(phys.XORMapping{})
 	ss := StreamSet{Bases: []phys.Addr{0, 2 << 20, 4 << 20}, Stride: 64}
 	if c := MeanConcurrency(ms, ss, 64); c < 1.5 {
 		t.Errorf("hashed mapping concurrency %f, want > 1.5", c)

@@ -35,12 +35,10 @@ type Profile struct {
 	Config chip.Config
 }
 
-// Spec returns the analyzer's view of the machine: the address mapping
-// and line size, from which internal/core derives periods, offsets and
-// placements for this profile.
-func (p Profile) Spec() core.MachineSpec {
-	return core.MachineSpec{Mapping: p.Config.Mapping, LineSize: p.Config.L2.LineSize}
-}
+// Spec returns the analyzer's view of the machine: the address mapping,
+// from which internal/core derives periods, offsets and placements for
+// this profile.
+func (p Profile) Spec() core.MachineSpec { return core.SpecFor(p.Config.Mapping) }
 
 // config assembles a full machine description around a mapping: the
 // calibrated T2 core array, crossbar and channel timings (DESIGN.md
@@ -56,7 +54,7 @@ func config(m phys.Mapping, l2Bytes int64, l2Ways int) chip.Config {
 		XbarLatency:    3,
 		L2HitLatency:   20,
 		L2BankService:  4,
-		L2:             cache.Derive(l2Bytes, l2Ways, m),
+		L2:             cache.Config{SizeBytes: l2Bytes, Ways: l2Ways},
 		Mem:            mem.Defaults(),
 		Mapping:        m,
 		MSHRPerStrand:  1,

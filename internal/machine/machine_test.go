@@ -49,8 +49,8 @@ func TestT2ProfileMatchesCalibratedConfig(t *testing.T) {
 	if cfg.ClockHz != 1.2e9 || cfg.XbarLatency != 3 || cfg.L2HitLatency != 20 || cfg.L2BankService != 4 {
 		t.Errorf("t2 timings %+v", cfg)
 	}
-	if cfg.L2.SizeBytes != 4<<20 || cfg.L2.Ways != 16 || cfg.L2.LineSize != phys.LineSize || cfg.L2.Banks != 8 {
-		t.Errorf("t2 L2 geometry %+v", cfg.L2)
+	if cfg.L2.SizeBytes != 4<<20 || cfg.L2.Ways != 16 || cfg.Mapping.Banks() != 8 {
+		t.Errorf("t2 L2 geometry %+v on %d banks", cfg.L2, cfg.Mapping.Banks())
 	}
 	if cfg.Mem.ReadService != 15 || cfg.Mem.WriteService != 15 || cfg.Mem.WriteCouple != 4 ||
 		cfg.Mem.Latency != 160 || cfg.Mem.QueueDepth != 8 {
@@ -59,9 +59,9 @@ func TestT2ProfileMatchesCalibratedConfig(t *testing.T) {
 	if cfg.MSHRPerStrand != 1 || cfg.StoreBuffer != 8 || cfg.RetryDelay != 24 || cfg.RunAhead != 2 {
 		t.Errorf("t2 strand parameters %+v", cfg)
 	}
-	bs, bm, cs, cm, ok := cfg.Mapping.(phys.FieldMapper).Fields()
-	if !ok || bs != phys.LineShift || bm != 7 || cs != phys.LineShift+1 || cm != 3 {
-		t.Errorf("t2 mapping fields (%d,%d,%d,%d,%v), want the documented bits 8:6/8:7", bs, bm, cs, cm, ok)
+	iv, ok := cfg.Mapping.(phys.Interleave)
+	if !ok || iv.BankShift != phys.LineShift || iv.BankBits != 1 || iv.CtrlShift != phys.LineShift+1 || iv.CtrlBits != 2 {
+		t.Errorf("t2 mapping %+v, want the documented interleave: bank bits 8:6, controller bits 8:7", cfg.Mapping)
 	}
 }
 
@@ -134,10 +134,10 @@ func TestPlannerIsProfileGeneric(t *testing.T) {
 		}
 		// The planner's offsets step by Period/Controllers (line-aligned).
 		step := ms.Period() / int64(ms.Mapping.Controllers())
-		if step%ms.LineSize != 0 {
-			step = step / ms.LineSize * ms.LineSize
+		if step%phys.LineSize != 0 {
+			step = step / phys.LineSize * phys.LineSize
 			if step == 0 {
-				step = ms.LineSize
+				step = phys.LineSize
 			}
 		}
 		for i, off := range plan.Offsets {
@@ -151,7 +151,7 @@ func TestPlannerIsProfileGeneric(t *testing.T) {
 		for i := range bases {
 			bases[i] = phys.Addr(int64(i) * ms.Period())
 		}
-		cc := core.MeanConcurrency(ms, core.StreamSet{Bases: bases, Stride: ms.LineSize}, 0)
+		cc := core.MeanConcurrency(ms, core.StreamSet{Bases: bases, Stride: phys.LineSize}, 0)
 		if cc != 1 {
 			t.Errorf("%s: congruent streams concurrency %.2f, want 1", p.Name, cc)
 		}

@@ -30,7 +30,7 @@ type Config struct {
 	// queues are what make address-aliasing convoys persistent: strands
 	// rejected together retry together instead of acquiring staggered
 	// fair-queue slots, so congruent streams keep hitting one controller
-	// "at a time" exactly as Sect. 2.1 describes. 0 disables the limit.
+	// "at a time" exactly as Sect. 2.1 describes. It must be at least 1.
 	QueueDepth int64
 }
 
@@ -67,19 +67,20 @@ type System struct {
 	cfg        Config
 	mapped     phys.Resolved
 	ctls       []controller
-	fullThresh int64 // QueueDepth * ReadService, 0 when unlimited
+	fullThresh int64 // QueueDepth * ReadService
 }
 
 // New builds a controller system with one controller per mapping target.
 func New(cfg Config, mapping phys.Mapping) *System {
-	if cfg.ReadService <= 0 || cfg.WriteService <= 0 || cfg.Latency < 0 || cfg.WriteCouple < 0 {
+	if cfg.ReadService <= 0 || cfg.WriteService <= 0 || cfg.Latency < 0 || cfg.WriteCouple < 0 || cfg.QueueDepth < 1 {
 		panic(fmt.Sprintf("mem: invalid config %+v", cfg))
 	}
-	s := &System{cfg: cfg, mapped: phys.Resolve(mapping), ctls: make([]controller, mapping.Controllers())}
-	if cfg.QueueDepth > 0 {
-		s.fullThresh = cfg.QueueDepth * cfg.ReadService
+	return &System{
+		cfg:        cfg,
+		mapped:     phys.Resolve(mapping),
+		ctls:       make([]controller, mapping.Controllers()),
+		fullThresh: cfg.QueueDepth * cfg.ReadService,
 	}
-	return s
 }
 
 // Config returns the timing parameters.
@@ -98,9 +99,6 @@ func (s *System) Controller(addr phys.Addr) int { return s.mapped.Controller(add
 
 // FullCtl is Full for a pre-resolved controller index.
 func (s *System) FullCtl(now sim.Time, ctl int) bool {
-	if s.fullThresh == 0 {
-		return false
-	}
 	return s.ctls[ctl].north.FreeAt()-now >= s.fullThresh
 }
 
@@ -108,8 +106,7 @@ func (s *System) FullCtl(now sim.Time, ctl int) bool {
 // time at which FullCtl(t, ctl) could be false. A channel's free time never
 // decreases, so every request arriving before the horizon — now or after
 // any further traffic — finds the queue full. A retry scheduler can
-// therefore skip every poll before it. It is only meaningful with a finite
-// QueueDepth.
+// therefore skip every poll before it.
 func (s *System) AdmitAt(ctl int) sim.Time {
 	return s.ctls[ctl].north.FreeAt() - s.fullThresh + 1
 }

@@ -135,3 +135,20 @@ func TestAdmitAtIsTheFullHorizon(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsUnboundedQueue: the request queue is always finite, so a
+// QueueDepth below 1 is a configuration error, not an unlimited queue.
+func TestNewRejectsUnboundedQueue(t *testing.T) {
+	for _, d := range []int64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with QueueDepth %d did not panic", d)
+				}
+			}()
+			c := cfg()
+			c.QueueDepth = d
+			New(c, phys.T2())
+		}()
+	}
+}

@@ -84,7 +84,7 @@ type Mapping interface {
 // by consecutive banks and controllers with a period of
 // granule x banks-per-controller x controllers bytes.
 //
-// Every machine in this family is FieldMapper-compatible: the hot paths in
+// Resolve recognises every machine in this family, so the hot paths in
 // cache and mem devirtualize it to two shift/mask extractions. Build
 // instances with NewInterleave, which validates the geometry; the zero
 // value is invalid.
@@ -199,36 +199,11 @@ func (XORMapping) Period() int64 { return 0 }
 // Name returns "xor".
 func (XORMapping) Name() string { return "xor" }
 
-// FieldMapper is the optional fast-path contract for mappings whose
-// controller and bank are pure bit fields of the address. A mapping that
-// implements it lets Resolve extract a shift/mask pair, so the per-access
-// Bank/Controller computations in the cache and memory models compile to
-// two inlined integer operations instead of an interface call. Hashed
-// mappings (XOR folds, randomized interleaves) simply do not implement it
-// and keep the interface path.
-type FieldMapper interface {
-	// Fields returns the bit fields such that
-	//	Bank(a)       == int(uint64(a) >> bankShift & bankMask)
-	//	Controller(a) == int(uint64(a) >> ctlShift & ctlMask)
-	// for every address. ok reports whether the fields are valid; a false
-	// ok forces the interface fallback.
-	Fields() (bankShift, bankMask, ctlShift, ctlMask uint64, ok bool)
-}
-
-// Fields returns the interleave's bank and controller bit fields; every
-// Interleave takes the devirtualized fast path.
-func (iv Interleave) Fields() (uint64, uint64, uint64, uint64, bool) {
-	return uint64(iv.BankShift), uint64(1)<<(iv.BankBits+iv.CtrlBits) - 1,
-		uint64(iv.CtrlShift), uint64(1)<<iv.CtrlBits - 1, true
-}
-
 // Resolved is a devirtualized mapping handle, bound once at model
-// construction time. For FieldMapper mappings, Bank and Controller are
+// construction time. For an Interleave, Bank and Controller are
 // branch-predictable shift/mask extractions that the compiler inlines into
-// the cache and controller hot loops; for all other mappings they fall
-// back to the Mapping interface. Resolve validates the declared fields
-// against the interface methods, so a lying FieldMapper cannot silently
-// diverge from the model it claims to accelerate.
+// the cache and controller hot loops; for all other mappings (XOR folds and
+// other hashes) they fall back to the Mapping interface.
 type Resolved struct {
 	m         Mapping
 	fast      bool
@@ -238,34 +213,21 @@ type Resolved struct {
 	ctlMask   uint64
 }
 
-// Resolve binds m into a devirtualized handle. It panics if m declares bit
-// fields that disagree with its Bank/Controller methods anywhere in the
-// validation windows (one low window and one high window, covering several
-// interleave periods each).
+// Resolve binds m into a devirtualized handle, reading an Interleave's bit
+// fields directly.
 func Resolve(m Mapping) Resolved {
-	r := Resolved{m: m}
-	fm, ok := m.(FieldMapper)
+	iv, ok := m.(Interleave)
 	if !ok {
-		return r
+		return Resolved{m: m}
 	}
-	bs, bm, cs, cm, ok := fm.Fields()
-	if !ok {
-		return r
+	return Resolved{
+		m:         m,
+		fast:      true,
+		bankShift: uint64(iv.BankShift),
+		bankMask:  uint64(iv.Banks() - 1),
+		ctlShift:  uint64(iv.CtrlShift),
+		ctlMask:   uint64(iv.Controllers() - 1),
 	}
-	r.fast, r.bankShift, r.bankMask, r.ctlShift, r.ctlMask = true, bs, bm, cs, cm
-	span := m.Period() * 4
-	if span < 4*PageSize {
-		span = 4 * PageSize
-	}
-	for _, base := range []Addr{0, 1 << 40} {
-		for off := Addr(0); off < Addr(span); off += LineSize {
-			a := base + off
-			if r.Bank(a) != m.Bank(a) || r.Controller(a) != m.Controller(a) {
-				panic(fmt.Sprintf("phys: mapping %q declares bit fields inconsistent with its methods at address %#x", m.Name(), uint64(a)))
-			}
-		}
-	}
-	return r
 }
 
 // Bank returns the L2 bank index for the line containing a.
@@ -284,19 +246,16 @@ func (r Resolved) Controller(a Addr) int {
 	return r.m.Controller(a)
 }
 
-// Mapping returns the underlying mapping.
-func (r Resolved) Mapping() Mapping { return r.m }
-
-// BankField returns the bank bit field when the fast path is active.
-func (r Resolved) BankField() (shift, mask uint64, ok bool) {
-	return r.bankShift, r.bankMask, r.fast
+// BankField returns the bit position of the bank field when the fast path
+// is active. The field is the whole global bank index, Banks() values wide.
+func (r Resolved) BankField() (shift uint, ok bool) {
+	return uint(r.bankShift), r.fast
 }
 
 // Fast reports whether the handle uses the bit-field fast path.
 func (r Resolved) Fast() bool { return r.fast }
 
 var (
-	_ Mapping     = Interleave{}
-	_ Mapping     = XORMapping{}
-	_ FieldMapper = Interleave{}
+	_ Mapping = Interleave{}
+	_ Mapping = XORMapping{}
 )
