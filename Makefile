@@ -48,6 +48,8 @@ bench:
 # bench-diff measures a fresh perf trajectory and compares it against the
 # committed BENCH_perf.json: more than a 20% drop in accesses/s or any
 # growth in allocs/op fails, with a per-benchmark delta table on failure.
+# BenchmarkDaemonHit puts the t2simd hit path's allocations under the same
+# gate.
 # CI runs it as a blocking step — the committed baseline plus benchdiff's
 # added/removed tolerance make it safe to gate on; the 20% budget absorbs
 # shared-runner noise. BenchmarkResilience is deliberately not in the
@@ -56,7 +58,7 @@ bench:
 # its robustness metrics in BENCH_perf.json via `make bench`, where the
 # added/removed tolerance keeps the asymmetry harmless.
 bench-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation' -benchtime 1x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation|BenchmarkDaemon' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_perf.fresh.json
 	$(GO) run ./cmd/benchdiff -base BENCH_perf.json -fresh BENCH_perf.fresh.json
 	rm -f BENCH_perf.fresh.json
@@ -71,7 +73,9 @@ bench-smoke:
 # daemon-smoke boots the t2simd service daemon end to end: submit a small
 # fig2 sweep twice over HTTP, assert the repeat is a cache hit and that
 # both responses are byte-identical to the BENCH_fig2.json cmd/figures
-# writes for the same sweep, then SIGTERM and assert a clean drain
+# writes for the same sweep; submit the small scaling sweep on t2 and on
+# xor and assert the second is a hit under the same fingerprint with the
+# bytes of BENCH_scaling.json; then SIGTERM and assert a clean drain
 # (exit 0). This is the daemon's headline contract executed for real —
 # listener, cache, fingerprint and signal path included.
 daemon-smoke:

@@ -3,6 +3,9 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +18,7 @@ import (
 	"repro/internal/omp"
 	"repro/internal/phys"
 	"repro/internal/segarray"
+	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -255,6 +259,38 @@ func BenchmarkResilience(b *testing.B) {
 		st.fold(out2)
 	}
 	st.report(b)
+}
+
+// ---- daemon -------------------------------------------------------------------
+
+// BenchmarkDaemonHit serves one cached small sweep through the t2simd
+// handler, in process and without sockets, so allocs/op counts the hit
+// path alone (request decode, resolution memo, cache lookup and response).
+// One op is hitsPerOp hits: one more allocation per hit then adds 64 to
+// allocs/op, past cmd/benchdiff's slack, so make bench-diff fails on any
+// growth of the hit path.
+func BenchmarkDaemonHit(b *testing.B) {
+	const hitsPerOp = 64
+	h := service.New(service.Config{Jobs: 2}).Handler()
+	const body = `{"figure":"fig5","scale":"small"}`
+	serve := func() *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)))
+		return rr
+	}
+	if rr := serve(); rr.Code != http.StatusOK {
+		b.Fatalf("warm-up request: %d %s", rr.Code, rr.Body.String())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < hitsPerOp; k++ {
+			if rr := serve(); rr.Header().Get("X-T2simd-Cache") != "hit" {
+				b.Fatalf("request %d: %d, cache %q, want a hit", i*hitsPerOp+k, rr.Code, rr.Header().Get("X-T2simd-Cache"))
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hitsPerOp), "ns/hit")
 }
 
 // ---- ablations ---------------------------------------------------------------

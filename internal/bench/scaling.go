@@ -60,8 +60,14 @@ func scalingN(base int64, ms core.MachineSpec, threads int64) int64 {
 // load kernel at 64 threads. Every point carries the analyzer's predicted
 // relative bandwidth, so the trajectory doubles as a per-profile
 // cross-validation of the planner.
+//
+// The study sweeps every profile itself, so it does not depend on the
+// profile o targets: Cfg stays zero, Machine stays empty and the closure
+// reads only o.ScalingN. The t2simd fingerprint relies on this to give
+// every profile's request one key per scale.
 func (o Options) ScalingExp() exp.Experiment {
 	const threads = 64
+	baseN := o.ScalingN
 	names := scalingMachines()
 	idx := map[string]float64{}
 	for i, n := range names {
@@ -70,7 +76,6 @@ func (o Options) ScalingExp() exp.Experiment {
 	return exp.Experiment{
 		Name: "scaling",
 		Doc:  "congruence cliff vs controller count and interleave granularity (GB/s, 8-stream load kernel)",
-		Cfg:  o.Cfg, // unused: each point builds its profile's machine
 		Grid: exp.Grid{
 			exp.Strs("machine", names...),
 			exp.Strs("placement", "congruent", "planned"),
@@ -81,7 +86,7 @@ func (o Options) ScalingExp() exp.Experiment {
 				return exp.Result{}, err
 			}
 			ms := prof.Spec()
-			n := scalingN(o.ScalingN, ms, threads)
+			n := scalingN(baseN, ms, threads)
 			align := int64(phys.PageSize)
 			if per := ms.Mapping.Period(); per > align {
 				align = per

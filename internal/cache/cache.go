@@ -116,27 +116,45 @@ func (m *setMeta) touch(w uint64) {
 	m.lru = m.lru&^(below<<4|0xf) | (m.lru&below)<<4 | w
 }
 
-// New builds a cache from cfg using mapping for bank selection; the bank
-// count is mapping.Banks(). It panics on geometrically impossible
-// configurations, since every experiment depends on the geometry being
-// exactly as configured.
-func New(cfg Config, mapping phys.Mapping) *Banked {
-	banks := mapping.Banks()
+// Check reports whether cfg is a buildable geometry on mapping's banks,
+// without allocating the tag store: New panics with exactly this error.
+func Check(cfg Config, mapping phys.Mapping) error {
+	_, err := setsPerBank(cfg, mapping.Banks())
+	return err
+}
+
+// setsPerBank applies the geometry rules and returns the sets each of the
+// banks holds.
+func setsPerBank(cfg Config, banks int) (int64, error) {
 	lines := cfg.SizeBytes / phys.LineSize
 	if lines <= 0 || cfg.Ways <= 0 || int64(cfg.Ways) > lines {
-		panic(fmt.Sprintf("cache: impossible geometry %+v", cfg))
+		return 0, fmt.Errorf("cache: impossible geometry %+v", cfg)
 	}
 	if cfg.Ways > 16 {
-		panic(fmt.Sprintf("cache: associativity %d exceeds the 16-way limit of the 4-bit LRU stack", cfg.Ways))
+		return 0, fmt.Errorf("cache: associativity %d exceeds the 16-way limit of the 4-bit LRU stack", cfg.Ways)
 	}
 	setsTotal := lines / int64(cfg.Ways)
 	if setsTotal%int64(banks) != 0 {
-		panic(fmt.Sprintf("cache: %d sets do not divide across %d banks", setsTotal, banks))
+		return 0, fmt.Errorf("cache: %d sets do not divide across %d banks", setsTotal, banks)
 	}
 	perBank := setsTotal / int64(banks)
 	if perBank&(perBank-1) != 0 {
-		panic(fmt.Sprintf("cache: %d sets per bank not a power of two", perBank))
+		return 0, fmt.Errorf("cache: %d sets per bank not a power of two", perBank)
 	}
+	return perBank, nil
+}
+
+// New builds a cache from cfg using mapping for bank selection; the bank
+// count is mapping.Banks(). It panics on geometrically impossible
+// configurations (see Check), since every experiment depends on the
+// geometry being exactly as configured.
+func New(cfg Config, mapping phys.Mapping) *Banked {
+	banks := mapping.Banks()
+	perBank, err := setsPerBank(cfg, banks)
+	if err != nil {
+		panic(err.Error())
+	}
+	setsTotal := perBank * int64(banks)
 	// The bank is selected by the mapping (bits 8:6 on the T2); the set
 	// within a bank is indexed by the address bits immediately above the
 	// bank-selection field, i.e. starting at bit 9 on the T2.

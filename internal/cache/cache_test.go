@@ -284,6 +284,38 @@ func TestBadGeometryPanics(t *testing.T) {
 	New(Config{SizeBytes: 4 * 4 * 64, Ways: 4}, phys.T2())
 }
 
+// TestCheckMatchesNew: Check accepts what New builds and refuses, with
+// New's panic message, every geometry New panics on.
+func TestCheckMatchesNew(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{SizeBytes: 4 << 20, Ways: 16}, ""},
+		{Config{SizeBytes: 0, Ways: 16}, "impossible geometry"},
+		{Config{SizeBytes: 4 << 20, Ways: 0}, "impossible geometry"},
+		{Config{SizeBytes: 17 * 4 * 8 * 64, Ways: 17}, "16-way limit"},
+		{Config{SizeBytes: 4 * 4 * 64, Ways: 4}, "do not divide across 8 banks"},
+		{Config{SizeBytes: 3 * 8 * 16 * 64, Ways: 16}, "not a power of two"},
+	} {
+		err := Check(c.cfg, phys.T2())
+		var panicked string
+		func() {
+			defer func() { panicked, _ = recover().(string) }()
+			New(c.cfg, phys.T2())
+		}()
+		if c.want == "" {
+			if err != nil || panicked != "" {
+				t.Errorf("%+v: Check %v, New panicked %q; want both to accept", c.cfg, err, panicked)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) || panicked != err.Error() {
+			t.Errorf("%+v: Check %v, New panicked %q; want both to report %q", c.cfg, err, panicked, c.want)
+		}
+	}
+}
+
 // countingMapping wraps the T2 bit layout behind a pure interface (it is
 // not a phys.Interleave, so Resolve keeps the interface path), counting
 // every Bank call so tests can assert how often the cache consults the

@@ -107,8 +107,10 @@ func validated() []Profile {
 	registryOnce.Do(func() {
 		registry = profiles()
 		for _, p := range registry {
-			chip.New(p.Config)                       // topology validation
-			cache.New(p.Config.L2, p.Config.Mapping) // geometry + mapping validation
+			chip.New(p.Config) // topology validation
+			if err := cache.Check(p.Config.L2, p.Config.Mapping); err != nil {
+				panic(fmt.Sprintf("machine: profile %s: %v", p.Name, err))
+			}
 			mem.New(p.Config.Mem, p.Config.Mapping)
 		}
 	})

@@ -13,17 +13,30 @@ import (
 
 // fingerprint computes the canonical content address of a resolved sweep.
 // The simulator is deterministic — a grid point's result is a pure
-// function of (machine profile, program, placement) — so two requests
-// with equal fingerprints are guaranteed byte-identical responses, which
-// is what makes the result cache and the singleflight group safe rather
-// than merely probabilistic.
+// function of (machine configuration, program, placement) — so two
+// requests with equal fingerprints are guaranteed byte-identical
+// responses, which is what makes the result cache and the singleflight
+// group safe rather than merely probabilistic.
 //
-// What enters the hash, and why:
+// The key hashes what the sweep computes, not what the request named:
 //
-//   - the figure name and every expanded grid point, each rendered
-//     canonically (sorted parameter names, type-tagged scalar values) —
-//     the program and placement axis;
-//   - the resolved machine profile name — the machine axis.
+//   - the figure name;
+//   - the normalized scale, which sets array lengths the grid does not
+//     show (the scaling study's grids are equal at both scales; only its
+//     array length differs);
+//   - the experiment's Machine stamp, the one written into the body;
+//   - the experiment's chip configuration, rendered with %+v — the
+//     machine every point runs on;
+//   - every expanded grid point, each rendered canonically (sorted
+//     parameter names, type-tagged scalar values) — the program and
+//     placement axis.
+//
+// The requested profile name is not hashed. Every figure except scaling
+// stamps its profile and runs on its configuration, so those figures keep
+// one key per profile. The scaling study sweeps all profiles itself, with
+// an empty stamp and a zero configuration (bench.Options.ScalingExp), so
+// its result is the same whichever profile a request names, and one key
+// per scale serves all of them.
 //
 // What stays out, and why: the sweep-pool job count and the request
 // deadline are execution budget — results are invariant under both
@@ -34,9 +47,12 @@ import (
 // by the property tests in fingerprint_test.go.
 func fingerprint(r *Resolved) string {
 	h := sha256.New()
+	e := &r.Figure.Exp
 	fmt.Fprintf(h, "figure=%s\n", r.Figure.Name)
-	fmt.Fprintf(h, "machine=%s\n", r.Profile.Name)
-	writePoints(h, r.Figure.Exp.Points())
+	fmt.Fprintf(h, "scale=%s\n", r.Req.Scale)
+	fmt.Fprintf(h, "machine=%s\n", e.Machine)
+	fmt.Fprintf(h, "cfg=%+v\n", e.Cfg)
+	writePoints(h, e.Points())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/exp"
+	"repro/internal/machine"
 )
 
 // resolveBody parses a raw JSON request body (so field order and explicit
@@ -84,18 +87,63 @@ func TestResolveTimeoutClamp(t *testing.T) {
 }
 
 // TestFingerprintDistinguishesResultAxes: anything that changes what is
-// simulated — figure, grid scale, machine profile, a placement axis value —
-// must change the key.
+// simulated — figure, grid scale, machine profile — must change the key,
+// for every figure of the registry. The one exception is the scaling
+// study, which sweeps every profile itself: it must share one key per
+// scale across all profiles. Over the default registry that leaves 82
+// keys for the 96 (figure x scale x profile) requests.
 func TestFingerprintDistinguishesResultAxes(t *testing.T) {
-	base := resolveBody(t, `{"figure":"fig2"}`).Key
-	for name, body := range map[string]string{
-		"figure":  `{"figure":"fig4"}`,
-		"scale":   `{"figure":"fig2","scale":"small"}`,
-		"machine": `{"figure":"fig2","machine":"mc8"}`,
-	} {
-		if got := resolveBody(t, body).Key; got == base {
-			t.Errorf("fingerprint ignores %s: %s collides with base", name, body)
+	owner := map[string]string{} // key → the request that claimed it
+	claim := func(key, req string) {
+		if prev, ok := owner[key]; ok {
+			t.Errorf("%s collides with %s", req, prev)
 		}
+		owner[key] = req
+	}
+	requests := 0
+	for _, f := range bench.Figures(bench.Small()) {
+		for _, scale := range []string{"small", "full"} {
+			var first string
+			for i, p := range machine.Names() {
+				requests++
+				req := fmt.Sprintf(`{"figure":%q,"scale":%q,"machine":%q}`, f.Name, scale, p)
+				key := resolveBody(t, req).Key
+				switch {
+				case f.Name != "scaling":
+					claim(key, req)
+				case i == 0:
+					first = key
+					claim(key, req)
+				case key != first:
+					t.Errorf("%s: key differs from the other profiles'; the scaling study does not depend on the profile", req)
+				}
+			}
+		}
+	}
+	if requests != 96 || len(owner) != 82 {
+		t.Errorf("%d requests map to %d keys, want 96 requests on 82 keys", requests, len(owner))
+	}
+}
+
+// TestScalingSharedKeyIsSound pins why scaling may share one key across
+// profiles: the same small sweep requested on t2 and on xor marshals to
+// identical bytes.
+func TestScalingSharedKeyIsSound(t *testing.T) {
+	var bodies [][]byte
+	for _, m := range []string{"t2", "xor"} {
+		res := resolveBody(t, fmt.Sprintf(`{"figure":"scaling","scale":"small","machine":%q}`, m))
+		out, err := exp.Runner{Jobs: 2}.Run(res.Figure.Exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := out.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("scaling on t2 and on xor marshal differently (%d vs %d bytes)", len(bodies[0]), len(bodies[1]))
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 
 // SweepRequest is the wire shape of one sweep submission: which figure
 // experiment to run, on which machine profile, and with what execution
-// budget. Only the result-relevant fields (figure, scale, machine) enter
+// budget. Only the result-relevant fields (figure, scale, machine) decide
 // the cache fingerprint; jobs and the timeout are execution budget and
 // never change a result byte, so they are deliberately excluded (pinned by
 // the fingerprint property tests).
@@ -58,8 +58,10 @@ type Resolved struct {
 	Options bench.Options
 	Figure  bench.Figure
 	// Key is the canonical content address of this sweep's result: a
-	// stable hash over the figure, profile and every normalized grid
-	// point. See fingerprint.go.
+	// stable hash over what the sweep computes — the figure, the scale,
+	// the experiment's machine stamp and chip configuration, and every
+	// normalized grid point. Requests that compute the same result share
+	// it, whichever profile they name. See fingerprint.go.
 	Key string
 	// Jobs is the resolved sweep-pool worker count; Timeout the resolved
 	// execution deadline. Both are execution budget, absent from Key.
@@ -67,11 +69,47 @@ type Resolved struct {
 	Timeout time.Duration
 }
 
+// normalized fills the request's defaults: the full scale, the default
+// machine, and a zero job cap for a negative one. It validates nothing.
+func (req SweepRequest) normalized() SweepRequest {
+	if req.Scale == "" {
+		req.Scale = "full"
+	}
+	if req.Machine == "" {
+		req.Machine = machine.DefaultName
+	}
+	if req.Jobs < 0 {
+		req.Jobs = 0
+	}
+	return req
+}
+
+// budget resolves a normalized request's execution budget: jobs is the
+// server's sweep-pool budget (the request can lower it, never raise it);
+// maxTimeout is the server's deadline ceiling (likewise).
+func budget(req SweepRequest, jobs int, maxTimeout time.Duration) (int, time.Duration, error) {
+	if req.Jobs > 0 && req.Jobs < jobs {
+		jobs = req.Jobs
+	}
+	if jobs < 1 {
+		jobs = 1
+	}
+	if req.TimeoutMS < 0 {
+		return 0, 0, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
+	}
+	// Compare in milliseconds before converting: outside input times
+	// time.Millisecond can overflow a Duration and wrap to a tiny deadline.
+	timeout := maxTimeout
+	if req.TimeoutMS > 0 && req.TimeoutMS <= maxTimeout.Milliseconds() {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	return jobs, timeout, nil
+}
+
 // Resolve validates and normalizes a request against the figure and
-// machine registries and computes its fingerprint. jobs is the server's
-// sweep-pool budget (the request can lower it, never raise it);
-// maxTimeout is the server's deadline ceiling (likewise). Every error is
-// a validation failure — the HTTP layer maps them all to 400.
+// machine registries and computes its fingerprint. jobs and maxTimeout
+// are the server's execution budget (see budget). Every error is a
+// validation failure — the HTTP layer maps them all to 400.
 func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration) (*Resolved, error) {
 	if reg == nil {
 		reg = bench.Figures
@@ -79,19 +117,17 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 	if req.Figure == "" {
 		return nil, fmt.Errorf("service: request names no figure")
 	}
-	switch req.Scale {
-	case "":
-		req.Scale = "full"
-	case "full", "small":
-	default:
+	req = req.normalized()
+	if req.Scale != "full" && req.Scale != "small" {
 		return nil, fmt.Errorf("service: unknown scale %q (want full or small)", req.Scale)
-	}
-	if req.Machine == "" {
-		req.Machine = machine.DefaultName
 	}
 	prof, err := machine.Get(req.Machine)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
+	}
+	jobs, timeout, err := budget(req, jobs, maxTimeout)
+	if err != nil {
+		return nil, err
 	}
 
 	var o bench.Options
@@ -101,26 +137,6 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 		o = bench.Default()
 	}
 	o = o.WithProfile(prof)
-
-	if req.Jobs < 0 {
-		req.Jobs = 0
-	}
-	if req.Jobs > 0 && req.Jobs < jobs {
-		jobs = req.Jobs
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-
-	if req.TimeoutMS < 0 {
-		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
-	}
-	// Compare in milliseconds before converting: outside input times
-	// time.Millisecond can overflow a Duration and wrap to a tiny deadline.
-	timeout := maxTimeout
-	if req.TimeoutMS > 0 && req.TimeoutMS <= maxTimeout.Milliseconds() {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
 
 	var fig *bench.Figure
 	figs := reg(o)

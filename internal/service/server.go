@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -100,15 +101,22 @@ var (
 	ErrDraining = errors.New("service: server is draining")
 )
 
-// Server is the simulation service: one instance owns the result cache,
-// the singleflight group, the admission queue and the scratch pool, and
-// serves the HTTP surface via Handler. Create with New.
+// Server is the simulation service: one instance owns the resolution
+// memo, the result cache, the singleflight group, the admission queue and
+// the scratch pool, and serves the HTTP surface via Handler. Create with
+// New.
 type Server struct {
 	cfg    Config
 	cache  *Cache
 	flight flightGroup
 	pool   *exp.ScratchPool
 	sem    chan struct{}
+
+	// memo holds every valid request's resolution by its normalized
+	// (figure, scale, machine), with the budget of the request that first
+	// resolved it; see resolve.
+	memoMu sync.Mutex
+	memo   map[resolveKey]*Resolved
 
 	waiting  atomic.Int64 // requests inside admit (queued or about to run)
 	inflight atomic.Int64 // sweeps holding an executor slot
@@ -130,6 +138,7 @@ func New(cfg Config) *Server {
 		cache:      NewCache(cfg.CacheBytes),
 		pool:       exp.NewScratchPool(cfg.MaxConcurrent * cfg.Jobs),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
+		memo:       map[resolveKey]*Resolved{},
 		drainCh:    make(chan struct{}),
 		base:       base,
 		baseCancel: cancel,
@@ -170,8 +179,9 @@ func (s *Server) Handler() http.Handler {
 // the response; no standard status fits a client-side cancellation.
 const statusClientClosedRequest = 499
 
-// handleSweep is the request pipeline: parse → resolve+fingerprint →
-// cache → singleflight(admission → execute → cache fill) → respond.
+// handleSweep is the request pipeline: parse → resolve (memo, else
+// Resolve+fingerprint) → cache → singleflight(admission → execute → cache
+// fill) → respond.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	defer func() {
@@ -194,7 +204,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "validation", fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	res, err := Resolve(req, s.cfg.Registry, s.cfg.Jobs, s.cfg.MaxTimeout)
+	res, err := s.resolve(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "validation", err.Error())
 		return
@@ -225,6 +235,43 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.m.coalesced.Add(1)
 	}
 	s.serve(w, res.Key, state, b)
+}
+
+// resolveKey is a normalized request's result-relevant part: the fields
+// Resolve reads other than the execution budget.
+type resolveKey struct{ figure, scale, machine string }
+
+// resolve is Resolve with the request-independent part memoized: the
+// profile, options, figure and key of a normalized (figure, scale,
+// machine) are resolved once per server, so a repeat skips building the
+// registry, expanding the grid and hashing it. The budget (Jobs, Timeout,
+// Req.Jobs, Req.TimeoutMS) is still computed per request. Errors and
+// panics are never memoized, so the memo holds at most one entry per
+// valid triple.
+func (s *Server) resolve(req SweepRequest) (*Resolved, error) {
+	req = req.normalized()
+	k := resolveKey{req.Figure, req.Scale, req.Machine}
+	s.memoMu.Lock()
+	m, ok := s.memo[k]
+	s.memoMu.Unlock()
+	if !ok {
+		r, err := Resolve(req, s.cfg.Registry, s.cfg.Jobs, s.cfg.MaxTimeout)
+		if err != nil {
+			return nil, err
+		}
+		s.memoMu.Lock()
+		s.memo[k] = r
+		s.memoMu.Unlock()
+		return r, nil
+	}
+	jobs, timeout, err := budget(req, s.cfg.Jobs, s.cfg.MaxTimeout)
+	if err != nil {
+		return nil, err
+	}
+	r := *m
+	r.Req = req
+	r.Jobs, r.Timeout = jobs, timeout
+	return &r, nil
 }
 
 // admitAndRun is the leader's path: pass admission control, then execute

@@ -569,6 +569,172 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// countingRegistry wraps reg and counts its calls: one call is one
+// resolution that missed the server's memo.
+func countingRegistry(reg Registry, calls *atomic.Int64) Registry {
+	return func(o bench.Options) []bench.Figure {
+		calls.Add(1)
+		return reg(o)
+	}
+}
+
+// TestResolveMemoOncePerTriple: repeated requests resolve through the
+// registry once per distinct normalized (figure, scale, machine), however
+// they spell the defaults, and each is served with the same key.
+func TestResolveMemoOncePerTriple(t *testing.T) {
+	var calls atomic.Int64
+	s := New(Config{Registry: countingRegistry(unitRegistry(2, func(_ chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
+		return exp.Result{Series: "s", X: float64(p.Int("k")), Y: 1}, nil
+	}), &calls)})
+	h := s.Handler()
+	keys := map[string]string{} // normalized triple → key
+	for _, c := range []struct{ body, triple string }{
+		{`{"figure":"unit0"}`, "unit0/full/t2"},
+		{`{"figure":"unit0","scale":"full","machine":"t2"}`, "unit0/full/t2"},
+		{`{"machine":"t2","figure":"unit0","jobs":1}`, "unit0/full/t2"},
+		{`{"figure":"unit0","scale":"small"}`, "unit0/small/t2"},
+		{`{"figure":"unit0","scale":"small","timeout_ms":500}`, "unit0/small/t2"},
+		{`{"figure":"unit0","machine":"xor"}`, "unit0/full/xor"},
+		{`{"figure":"unit1"}`, "unit1/full/t2"},
+		{`{"figure":"unit0"}`, "unit0/full/t2"},
+		{`{"figure":"unit1","jobs":-3}`, "unit1/full/t2"},
+	} {
+		rr := postSweep(h, nil, c.body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", c.body, rr.Code, rr.Body.String())
+		}
+		key := rr.Header().Get("X-T2simd-Fingerprint")
+		if prev, ok := keys[c.triple]; ok && prev != key {
+			t.Errorf("%s: key %s, want %s as before for %s", c.body, key, prev, c.triple)
+		}
+		keys[c.triple] = key
+	}
+	if got := calls.Load(); got != int64(len(keys)) {
+		t.Errorf("registry called %d times, want %d (once per distinct triple)", got, len(keys))
+	}
+	if got := len(s.memo); got != len(keys) {
+		t.Errorf("memo holds %d entries, want %d", got, len(keys))
+	}
+}
+
+// TestResolveMemoSharesDefaultSpelling: a request that omits scale and
+// machine and one that spells out their defaults are one memo entry with
+// one key — checked against the real registry without executing.
+func TestResolveMemoSharesDefaultSpelling(t *testing.T) {
+	var calls atomic.Int64
+	s := New(Config{Registry: countingRegistry(bench.Figures, &calls)})
+	a, err := s.resolve(SweepRequest{Figure: "fig2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.resolve(SweepRequest{Figure: "fig2", Scale: "full", Machine: "t2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Key != b.Key || a.Req != b.Req {
+		t.Errorf("default spellings resolved apart: %+v key %s vs %+v key %s", a.Req, a.Key, b.Req, b.Key)
+	}
+	if calls.Load() != 1 || len(s.memo) != 1 {
+		t.Errorf("registry called %d times into %d memo entries, want 1 and 1", calls.Load(), len(s.memo))
+	}
+}
+
+// TestResolveMemoHitHonoursBudget: a memo hit resolves its own request's
+// jobs and timeout_ms, and does not change what later requests get.
+func TestResolveMemoHitHonoursBudget(t *testing.T) {
+	s := New(Config{Registry: quickRegistry(), Jobs: 4, MaxTimeout: time.Minute})
+	for _, c := range []struct {
+		req     SweepRequest
+		jobs    int
+		timeout time.Duration
+	}{
+		{SweepRequest{Figure: "unit0"}, 4, time.Minute},
+		{SweepRequest{Figure: "unit0", Jobs: 1, TimeoutMS: 1500}, 1, 1500 * time.Millisecond},
+		{SweepRequest{Figure: "unit0", Jobs: 9, TimeoutMS: 120000}, 4, time.Minute},
+		{SweepRequest{Figure: "unit0", Jobs: -2}, 4, time.Minute},
+		{SweepRequest{Figure: "unit0", Jobs: 2}, 2, time.Minute},
+		{SweepRequest{Figure: "unit0"}, 4, time.Minute},
+	} {
+		r, err := s.resolve(c.req)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.req, err)
+		}
+		want := c.req.normalized()
+		if r.Jobs != c.jobs || r.Timeout != c.timeout || r.Req != want {
+			t.Errorf("%+v: jobs %d timeout %v req %+v, want %d %v %+v", c.req, r.Jobs, r.Timeout, r.Req, c.jobs, c.timeout, want)
+		}
+	}
+	if len(s.memo) != 1 {
+		t.Errorf("memo holds %d entries, want 1", len(s.memo))
+	}
+}
+
+// TestResolveMemoConcurrent: goroutines resolving the same and different
+// triples at once all get their triple's key and their own budget, and
+// the memo ends with one entry per triple. Run under -race.
+func TestResolveMemoConcurrent(t *testing.T) {
+	s := New(Config{Registry: quickRegistry(), Jobs: 8})
+	machines := []string{"t2", "xor", "mc8"}
+	keys := make([][]string, 16)
+	var wg sync.WaitGroup
+	for g := range keys {
+		keys[g] = make([]string, len(machines))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, m := range machines {
+				r, err := s.resolve(SweepRequest{Figure: "unit0", Machine: m, Jobs: g%8 + 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if r.Jobs != g%8+1 {
+					t.Errorf("goroutine %d on %s: jobs %d, want %d", g, m, r.Jobs, g%8+1)
+				}
+				keys[g][i] = r.Key
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range keys {
+		for i, m := range machines {
+			if keys[g][i] != keys[0][i] {
+				t.Errorf("goroutine %d on %s: key %s, goroutine 0 got %s", g, m, keys[g][i], keys[0][i])
+			}
+		}
+	}
+	if len(s.memo) != len(machines) {
+		t.Errorf("memo holds %d entries, want %d", len(s.memo), len(machines))
+	}
+}
+
+// TestResolveMemoSkipsInvalid: invalid requests are still refused with
+// 400 — also a negative timeout on a memoized triple — and add no entry.
+func TestResolveMemoSkipsInvalid(t *testing.T) {
+	s := New(Config{Registry: quickRegistry()})
+	h := s.Handler()
+	if rr := postSweep(h, nil, `{"figure":"unit0"}`); rr.Code != http.StatusOK {
+		t.Fatalf("valid request: %d %s", rr.Code, rr.Body.String())
+	}
+	for _, body := range []string{
+		`{}`,
+		`{"figure":"unit9"}`,
+		`{"figure":"unit0","scale":"medium"}`,
+		`{"figure":"unit0","machine":"cray1"}`,
+		`{"figure":"unit0","timeout_ms":-5}`,
+		`{"figure":"unit0","scale":"small","timeout_ms":-5}`,
+	} {
+		for range 2 {
+			if rr := postSweep(h, nil, body); rr.Code != http.StatusBadRequest {
+				t.Errorf("%s: %d %s, want 400", body, rr.Code, rr.Body.String())
+			}
+		}
+	}
+	if len(s.memo) != 1 {
+		t.Errorf("memo holds %d entries after invalid requests, want 1", len(s.memo))
+	}
+}
+
 // TestMetricsEndpoint: the metrics surface renders the documented names.
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(Config{
