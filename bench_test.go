@@ -35,12 +35,14 @@ func mean(ys []float64) float64 { return stats.Summarize(ys).Mean }
 // simTotals accumulates a sweep's simulation telemetry across benchmark
 // iterations and reports it in units that survive hardware changes:
 // simulated cycles and simulated L2 line accesses retired per wallclock
-// second, and the engine events each iteration dispatched (events/op, a
-// deterministic count that cmd/benchdiff gates with zero tolerance).
+// second, and the engine events each iteration dispatched and L2 tag
+// lookups it made (events/op and probes/op, deterministic counts that
+// cmd/benchdiff gates with zero tolerance).
 type simTotals struct {
 	cycles   int64
 	accesses int64
 	events   int64
+	probes   int64
 
 	// Robustness telemetry (exp.Outcome's resilience counters). Zero on
 	// every fault-free sweep, so the figure benchmarks report nothing new;
@@ -64,6 +66,7 @@ func (st *simTotals) fold(out exp.Outcome) {
 	st.cycles += c
 	st.accesses += a
 	st.events += out.Events()
+	st.probes += out.Probes()
 	st.pointErrors += out.PointErrors
 	if out.CancelLatencyMS > st.cancelMS {
 		st.cancelMS = out.CancelLatencyMS
@@ -78,6 +81,7 @@ func (st *simTotals) report(b *testing.B) {
 	b.ReportMetric(float64(st.cycles)/secs, "simcycles/s")
 	b.ReportMetric(float64(st.accesses)/secs, "accesses/s")
 	b.ReportMetric(float64(st.events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(st.probes)/float64(b.N), "probes/op")
 	if st.pointErrors > 0 || st.cancelMS > 0 {
 		// Robustness telemetry, per iteration (deterministic counts): how
 		// much recovery machinery the sweep actually exercised. Fault-free
@@ -203,6 +207,7 @@ func BenchmarkResilience(b *testing.B) {
 				res.Cycles = r.Cycles
 				res.Accesses = r.L2.Hits + r.L2.Misses
 				res.Events = int64(m.LastRun().Events)
+				res.Probes = int64(m.LastRun().Probes)
 				return res, nil
 			},
 		}
@@ -305,18 +310,21 @@ func triadProg(offsetWords int64, sweeps int) (*alloc.Space, kernels.Stream) {
 }
 
 // ablation runs the programs of an ablation benchmark and counts the
-// engine events they dispatch, for the events/op metric.
-type ablation struct{ events uint64 }
+// engine events they dispatch and the tag probes they make, for the
+// events/op and probes/op metrics.
+type ablation struct{ events, probes uint64 }
 
 func (a *ablation) run(cfg chip.Config, p *trace.Program) chip.Result {
 	m := chip.New(cfg)
 	r := m.Run(p)
 	a.events += m.LastRun().Events
+	a.probes += m.LastRun().Probes
 	return r
 }
 
 func (a *ablation) report(b *testing.B) {
 	b.ReportMetric(float64(a.events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(a.probes)/float64(b.N), "probes/op")
 }
 
 func (a *ablation) runTriad(cfg chip.Config, offsetWords int64) chip.Result {

@@ -6,11 +6,11 @@
 // runtime warmup wobble the count by a few per mille; the slack absorbs
 // that while still catching the closure-per-event class of regression,
 // which multiplies the count), or any growth at all in events/op, the
-// engine events a benchmark iteration dispatches. That count is
-// deterministic, so it needs no noise budget: a larger count is more
-// simulator work for the same sweep. It is the gate behind
-// `make bench-diff`, wired into CI as a blocking step now that
-// BENCH_perf.json carries a committed baseline.
+// engine events a benchmark iteration dispatches, or in probes/op, the L2
+// tag lookups it makes. Those counts are deterministic, so they need no
+// noise budget: a larger count is more simulator work for the same
+// sweep. It is the gate behind `make bench-diff`, wired into CI as a
+// blocking step now that BENCH_perf.json carries a committed baseline.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@
 // the baseline" and "repair the baseline" are different CI reactions):
 //
 //	0  clean comparison, no gated regression
-//	1  gated regression (throughput, allocs/op or events/op)
+//	1  gated regression (throughput, allocs/op, events/op or probes/op)
 //	2  flag misuse
 //	3  a trajectory file is missing (run `make bench` to generate it)
 //	4  a trajectory file exists but is corrupt or carries no benchmarks
@@ -88,11 +88,16 @@ type row struct {
 	allocBase  float64
 	allocFresh float64
 	hasAlloc   bool
-	evBase     float64
-	evFresh    float64
-	hasEv      bool
-	failed     bool
+	counts     [len(workCounters)]struct {
+		base, fresh float64
+		has         bool
+	}
+	failed bool
 }
+
+// workCounters are the deterministic work counts a benchmark reports; any
+// growth in one fails the gate.
+var workCounters = [...]string{"events/op", "probes/op"}
 
 // allocSlack is the absolute allocation-count slack added on top of the
 // fractional budget, so tiny benchmarks are not gated on single-digit
@@ -142,18 +147,24 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth float64, w io.Writer) bool {
 				fmt.Fprintf(w, "%-40s allocs/op  %12.0f -> %12.0f %s\n", n, balloc, falloc, status)
 			}
 		}
-		if bev, ok := b["events/op"]; ok {
-			if fev, ok := f["events/op"]; ok {
-				r.hasEv = true
-				r.evBase, r.evFresh = bev, fev
-				status := "ok"
-				if fev > bev {
-					status = "REGRESSION"
-					failed = true
-					r.failed = true
-				}
-				fmt.Fprintf(w, "%-40s events/op  %12.0f -> %12.0f %s\n", n, bev, fev, status)
+		for i, c := range workCounters {
+			bc, ok := b[c]
+			if !ok {
+				continue
 			}
+			fc, ok := f[c]
+			if !ok {
+				continue
+			}
+			r.counts[i].has = true
+			r.counts[i].base, r.counts[i].fresh = bc, fc
+			status := "ok"
+			if fc > bc {
+				status = "REGRESSION"
+				failed = true
+				r.failed = true
+			}
+			fmt.Fprintf(w, "%-40s %-10s %12.0f -> %12.0f %s\n", n, c, bc, fc, status)
 		}
 		// One-sided metrics within a shared benchmark are informational:
 		// they appear when a benchmark starts (or stops) reporting a unit.
@@ -183,8 +194,9 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth float64, w io.Writer) bool {
 
 	if failed {
 		fmt.Fprintf(w, "\nper-benchmark delta table (FAIL marks the gated regressions):\n")
-		fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %12s %12s %s\n",
-			"benchmark", "acc/s base", "acc/s fresh", "delta", "allocs base", "allocs fresh", "events base", "events fresh", "verdict")
+		fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %12s %12s %12s %12s %s\n",
+			"benchmark", "acc/s base", "acc/s fresh", "delta", "allocs base", "allocs fresh",
+			"events base", "events fresh", "probes base", "probes fresh", "verdict")
 		for _, r := range rows {
 			acc := [3]string{"-", "-", "-"}
 			if r.hasAcc {
@@ -198,16 +210,19 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth float64, w io.Writer) bool {
 			if r.hasAlloc {
 				al = [2]string{fmt.Sprintf("%.0f", r.allocBase), fmt.Sprintf("%.0f", r.allocFresh)}
 			}
-			ev := [2]string{"-", "-"}
-			if r.hasEv {
-				ev = [2]string{fmt.Sprintf("%.0f", r.evBase), fmt.Sprintf("%.0f", r.evFresh)}
+			var cs [2 * len(workCounters)]string
+			for i, c := range r.counts {
+				cs[2*i], cs[2*i+1] = "-", "-"
+				if c.has {
+					cs[2*i], cs[2*i+1] = fmt.Sprintf("%.0f", c.base), fmt.Sprintf("%.0f", c.fresh)
+				}
 			}
 			verdict := "ok"
 			if r.failed {
 				verdict = "FAIL"
 			}
-			fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %12s %12s %s\n",
-				r.name, acc[0], acc[1], acc[2], al[0], al[1], ev[0], ev[1], verdict)
+			fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %12s %12s %12s %12s %s\n",
+				r.name, acc[0], acc[1], acc[2], al[0], al[1], cs[0], cs[1], cs[2], cs[3], verdict)
 		}
 	}
 	return failed
@@ -257,7 +272,7 @@ func main() {
 	}
 
 	if compare(bd, fd, *maxDrop, *maxAllocGrowth, os.Stdout) {
-		fmt.Println("benchdiff: FAIL — accesses/s dropped beyond the threshold, allocs/op grew beyond the slack, or events/op grew")
+		fmt.Println("benchdiff: FAIL — accesses/s dropped beyond the threshold, allocs/op grew beyond the slack, or events/op or probes/op grew")
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: ok")

@@ -123,6 +123,36 @@ func TestCompareEventGrowth(t *testing.T) {
 	}
 }
 
+// TestCompareProbeGrowth pins the probes/op gate, which works like the
+// events/op one: an equal or smaller tag-probe count passes, one extra
+// probe per iteration fails and shows in the delta table, and a baseline
+// that predates the metric is not gated on it.
+func TestCompareProbeGrowth(t *testing.T) {
+	base := bm(map[string]float64{"accesses/s": 100, "events/op": 500, "probes/op": 2000000})
+	var sb strings.Builder
+	for _, p := range []float64{2000000, 1500000} {
+		sb.Reset()
+		fresh := bm(map[string]float64{"accesses/s": 90, "events/op": 500, "probes/op": p})
+		if compare(base, fresh, 0.20, 0.02, &sb) {
+			t.Fatalf("probes/op %g against a baseline of 2e6 failed the gate:\n%s", p, sb.String())
+		}
+	}
+	sb.Reset()
+	grown := bm(map[string]float64{"accesses/s": 100, "events/op": 500, "probes/op": 2000001})
+	if !compare(base, grown, 0.20, 0.02, &sb) {
+		t.Fatal("one extra probe per iteration passed the gate")
+	}
+	out := sb.String()
+	if !strings.Contains(out, "probes/op       2000000 ->      2000001 REGRESSION") || !strings.Contains(out, "probes fresh") {
+		t.Errorf("failure output missing the probes/op regression line or delta table:\n%s", out)
+	}
+	sb.Reset()
+	old := bm(map[string]float64{"accesses/s": 100, "events/op": 500})
+	if compare(old, grown, 0.20, 0.02, &sb) {
+		t.Fatalf("a baseline without probes/op gated the new metric:\n%s", sb.String())
+	}
+}
+
 // TestCompareToleratesOneSidedBenchmarks is the regression for the
 // added/removed handling: benchmarks (and metrics) present in only one
 // trajectory are reported, never gated.

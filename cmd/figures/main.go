@@ -160,8 +160,8 @@ func main() {
 			fail(1)
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s, %d engine events ==\n",
-			f.Title, prof.Name, len(outcome.Points), runner.Workers(len(outcome.Points)), elapsed.Round(time.Millisecond), outcome.Events())
+		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s, %d engine events, %d tag probes ==\n",
+			f.Title, prof.Name, len(outcome.Points), runner.Workers(len(outcome.Points)), elapsed.Round(time.Millisecond), outcome.Events(), outcome.Probes())
 		series := outcome.Series()
 
 		csvPath := filepath.Join(*out, f.Name+".csv")

@@ -181,12 +181,13 @@ func bwMetrics(r run) map[string]float64 {
 }
 
 // measured attaches the run's aggregate simulation telemetry (cycles, L2
-// accesses and engine events) to the point result; the telemetry never
+// accesses, engine events and tag probes) to the point result; the telemetry never
 // reaches the JSON trajectories, only the benchmark metrics.
 func measured(res exp.Result, r run) exp.Result {
 	res.Cycles = r.Cycles
 	res.Accesses = r.L2.Hits + r.L2.Misses
 	res.Events = int64(r.Events)
+	res.Probes = int64(r.Probes)
 	return res
 }
 

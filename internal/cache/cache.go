@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -53,10 +54,10 @@ type Result struct {
 // the mapping is devirtualized at construction time (phys.Resolve), so the
 // common bit-field mappings cost no interface call per access.
 //
-// The tag store is two flat slices: the full tags, Ways contiguous words
-// per set, and one 32-byte setMeta record per set holding everything else
-// a probe or commit reads. Two records share a host cache line, so a miss
-// into a full set touches that line and one tag word.
+// The tag store is one flat slice of 96-byte set records, each holding
+// everything a probe or commit of that set reads: its 32-byte metadata
+// and its Ways full tags. A probe and its commit touch one record, and the
+// metadata never straddles a host cache line.
 type Banked struct {
 	cfg         Config
 	mapped      phys.Resolved
@@ -75,16 +76,25 @@ type Banked struct {
 	wideShift uint
 	setBits   uint
 	bankShift uint
-	tags      []uint64  // [set*Ways + way]
-	sets      []setMeta // [set]
-	ptagWords int       // ptag words in use: one per 8 ways
-	wayMask   uint16    // one bit per way
-	lruShift  uint      // bit position of the LRU nibble: 4·(Ways-1)
+	sets      []setRecord // [set]
+	ptagWords int         // ptag words in use: one per 8 ways
+	wayMask   uint16      // one bit per way
+	lruShift  uint        // bit position of the LRU nibble: 4·(Ways-1)
 	stats     Stats
 }
 
-// setMeta is one set's metadata, 32 bytes so that two sets share a host
-// cache line.
+// setRecord is one set of the tag store: its 32-byte metadata, then the
+// full tags of its ways. A record is 96 bytes, so it starts at offset 0 or
+// 32 of a host cache line and its metadata never straddles one. A tag is
+// stored in 32 bits: a 4 MB 16-way cache on 64-byte lines keeps
+// addr >> 18, so 32 bits cover a 2^50-byte address space, and Commit
+// refuses a tag that does not fit rather than alias two lines.
+type setRecord struct {
+	setMeta
+	tags [16]uint32
+}
+
+// setMeta is one set's metadata, 32 bytes.
 type setMeta struct {
 	// ptag packs one byte of each way's tag, so a probe can reject a set
 	// in two SWAR comparisons instead of scanning Ways full tags — the
@@ -166,8 +176,7 @@ func New(cfg Config, mapping phys.Mapping) *Banked {
 		setsPerBank: int(perBank),
 		setShift:    setShift,
 		tagShift:    setShift + uint(bits.Len(uint(perBank-1))),
-		tags:        make([]uint64, setsTotal*int64(cfg.Ways)),
-		sets:        make([]setMeta, setsTotal),
+		sets:        make([]setRecord, setsTotal),
 		ptagWords:   (cfg.Ways + 7) / 8,
 		wayMask:     uint16(1<<cfg.Ways - 1),
 		lruShift:    4 * uint(cfg.Ways-1),
@@ -218,15 +227,23 @@ func (c *Banked) locate(line phys.Addr) (bank, setIdx int, tag uint64) {
 // line, whether it hit, and where the line lives (or would be installed).
 // It lets the chip fold the controller-queue NACK admission check and the
 // state-mutating access into a single tag-array scan: ProbeLine once,
-// decide, then Commit. A Probe is only valid until the next mutating access
-// to the cache.
+// decide, then Commit. A hit probe is valid until the next mutating access
+// to the cache. A miss probe names no way, since Commit picks the victim
+// when it runs, so it stays valid for as long as its line is not cached.
+// It is 16 bytes: the run loop copies one per access and keeps one per
+// NACKed strand.
 type Probe struct {
-	Hit  bool
-	Bank int
-	set  int32
-	way  int32 // index of the hit way; -1 on a miss
 	tag  uint64
+	set  int32
+	way  int16 // index of the hit way; -1 on a miss
+	bank int16
 }
+
+// Hit reports whether the probed line is cached.
+func (p Probe) Hit() bool { return p.way >= 0 }
+
+// Bank returns the bank that serves the probed line.
+func (p Probe) Bank() int { return int(p.bank) }
 
 // SWAR byte-search constants (one bit per byte lane).
 const (
@@ -241,11 +258,10 @@ const (
 func (c *Banked) ProbeLine(addr phys.Addr) Probe {
 	line := phys.LineOf(addr)
 	bank, setIdx, tag := c.locate(line)
-	m := &c.sets[setIdx]
-	base := setIdx * c.cfg.Ways
+	r := &c.sets[setIdx]
 	needle := (tag & 0xff) * swarLo
 	for w := 0; w < c.ptagWords; w++ {
-		x := m.ptag[w] ^ needle
+		x := r.ptag[w] ^ needle
 		hits := (x - swarLo) &^ x & swarHi
 		for hits != 0 {
 			i := w*8 + bits.TrailingZeros64(hits)/8
@@ -253,18 +269,20 @@ func (c *Banked) ProbeLine(addr phys.Addr) Probe {
 			if i >= c.cfg.Ways {
 				break
 			}
-			if c.tags[base+i] == tag && m.valid&(1<<uint(i)) != 0 {
-				return Probe{Hit: true, Bank: bank, set: int32(setIdx), way: int32(i), tag: tag}
+			if uint64(r.tags[i]) == tag && r.valid&(1<<uint(i)) != 0 {
+				return Probe{tag: tag, set: int32(setIdx), way: int16(i), bank: int16(bank)}
 			}
 		}
 	}
-	return Probe{Bank: bank, set: int32(setIdx), way: -1, tag: tag}
+	return Probe{tag: tag, set: int32(setIdx), way: -1, bank: int16(bank)}
 }
 
 // Commit applies the access described by a Probe: on a hit it touches LRU
 // and dirtiness; on a miss it installs the line over the LRU victim and
-// reports a dirty victim for writeback. The probe must come from the
-// immediately preceding ProbeLine with no intervening mutating access.
+// reports a dirty victim for writeback. A hit probe must come from the
+// immediately preceding ProbeLine with no intervening mutating access; a
+// miss probe only needs its line to be still absent. Commit panics on a
+// miss whose tag does not fit the store's 32 bits.
 func (c *Banked) Commit(p Probe, write bool) Result {
 	setIdx := int(p.set)
 	m := &c.sets[setIdx]
@@ -288,15 +306,17 @@ func (c *Banked) Commit(p Probe, write bool) Result {
 	} else if vm&1 != 0 {
 		victim = int(m.lru >> c.lruShift & 0xf)
 	}
+	if p.tag > math.MaxUint32 {
+		panic(fmt.Sprintf("cache: tag %#x of set %d does not fit the 32-bit tag store", p.tag, setIdx))
+	}
 	res := Result{}
 	vbit := uint16(1) << uint(victim)
-	ti := setIdx*c.cfg.Ways + victim
 	if vm&vbit != 0 && m.dirty&vbit != 0 {
 		res.VictimDirty = true
-		res.Victim = c.reconstruct(setIdx, c.tags[ti])
+		res.Victim = c.reconstruct(setIdx, uint64(m.tags[victim]))
 		c.stats.Writebacks++
 	}
-	c.tags[ti] = p.tag
+	m.tags[victim] = uint32(p.tag)
 	sh := uint(victim%8) * 8
 	m.ptag[victim/8] = m.ptag[victim/8]&^(0xff<<sh) | (p.tag&0xff)<<sh
 	m.valid |= vbit
@@ -329,14 +349,14 @@ func (c *Banked) PrefillSequential(base phys.Addr, n int64, write bool) {
 	for i := int64(0); i < n; i++ {
 		line := phys.LineOf(base + phys.Addr(i)*phys.LineSize)
 		bank, setIdx, tag := c.locate(line)
-		c.Commit(Probe{Bank: bank, set: int32(setIdx), way: -1, tag: tag}, write)
+		c.Commit(Probe{tag: tag, set: int32(setIdx), way: -1, bank: int16(bank)}, write)
 	}
 }
 
 // Contains reports whether the line holding addr is currently cached,
 // without perturbing LRU state. Intended for tests and analyzers.
 func (c *Banked) Contains(addr phys.Addr) bool {
-	return c.ProbeLine(addr).Hit
+	return c.ProbeLine(addr).Hit()
 }
 
 // reconstruct rebuilds a victim's line address from its set index and tag.
@@ -380,23 +400,21 @@ func (c *Banked) Stats() Stats { return c.stats }
 // Image is a snapshot of the tag store (not the counters), used to restore
 // a warmed-up cache without replaying the warm-up access sequence.
 type Image struct {
-	tags []uint64
-	sets []setMeta
+	sets []setRecord
 }
 
 // Snapshot captures the current tag-store contents.
 func (c *Banked) Snapshot() *Image {
-	return &Image{tags: slices.Clone(c.tags), sets: slices.Clone(c.sets)}
+	return &Image{sets: slices.Clone(c.sets)}
 }
 
 // Restore overwrites the tag store with a snapshot taken from a cache of
 // identical geometry and clears the counters, exactly reproducing the
 // state Snapshot saw after a ResetStats. It panics on geometry mismatch.
 func (c *Banked) Restore(img *Image) {
-	if len(img.tags) != len(c.tags) || len(img.sets) != len(c.sets) {
-		panic(fmt.Sprintf("cache: restoring %d-line image into %d-line cache", len(img.tags), len(c.tags)))
+	if len(img.sets) != len(c.sets) {
+		panic(fmt.Sprintf("cache: restoring %d-set image into %d-set cache", len(img.sets), len(c.sets)))
 	}
-	copy(c.tags, img.tags)
 	copy(c.sets, img.sets)
 	c.ResetStats()
 }
@@ -407,7 +425,6 @@ func (c *Banked) ResetStats() { c.stats = Stats{} }
 
 // Reset invalidates the cache and clears counters.
 func (c *Banked) Reset() {
-	clear(c.tags)
 	clear(c.sets)
 	c.initLRU()
 	c.ResetStats()

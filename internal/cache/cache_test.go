@@ -217,7 +217,7 @@ func TestWideInterleaveVictimReconstruction(t *testing.T) {
 	c := New(cfg, m)
 	probe := func(a phys.Addr) (bank, set int) {
 		p := c.ProbeLine(a)
-		return p.Bank, int(p.set)
+		return p.Bank(), int(p.set)
 	}
 	// Overflow one set with dirty lines; every victim must reconstruct to
 	// the evicting set.
@@ -331,6 +331,30 @@ func (m countingMapping) Banks() int                 { return 8 }
 func (m countingMapping) Period() int64              { return 512 }
 func (m countingMapping) Name() string               { return "counting" }
 
+// TestTagOverflowPanics: the tag store keeps 32 bits of tag. A line whose
+// tag needs more misses even when a line with the same low 32 tag bits is
+// cached, and committing it panics instead of storing a truncated tag that
+// would alias that line.
+func TestTagOverflowPanics(t *testing.T) {
+	c := New(Config{SizeBytes: 4 << 20, Ways: 16}, phys.T2())
+	far := phys.Addr(1) << (c.tagShift + 32) // tag 1<<32, low 32 bits zero
+	c.Access(0, false)                       // tag 0, same bank and set
+	p := c.ProbeLine(far)
+	if p.Hit() {
+		t.Fatal("a 33-bit tag hit the line whose tag is its low 32 bits")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "does not fit the 32-bit tag store") {
+			t.Errorf("Commit of a 33-bit tag: recovered %q, want the tag-overflow panic", msg)
+		}
+		if !c.Contains(0) || c.Stats().Misses != 1 {
+			t.Errorf("the refused commit changed the cache: %+v", c.Stats())
+		}
+	}()
+	c.Commit(p, true)
+}
+
 // TestOneBankComputationPerAccess pins the single-probe contract: an
 // Access (and a ProbeLine+Commit pair) consults the mapping's Bank exactly
 // once, never twice. Clean read misses only, so the reconstruct path (which
@@ -373,7 +397,7 @@ func TestProbeCommitMatchesAccess(t *testing.T) {
 			addr := phys.Addr(raw[i]) * 64
 			ra := a.Access(addr, writes[i])
 			p := b.ProbeLine(addr)
-			if p.Hit != b.Contains(addr) {
+			if p.Hit() != b.Contains(addr) {
 				return false
 			}
 			rb := b.Commit(p, writes[i])

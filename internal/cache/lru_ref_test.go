@@ -223,10 +223,20 @@ func FuzzRecencyLRU(f *testing.F) {
 	})
 }
 
-// TestSetMetaIsHalfACacheLine pins the record size the layout is built
-// around: two set records per 64-byte host cache line.
+// TestSetMetaIsHalfACacheLine pins the record layout the tag store is
+// built around: each set's 32-byte metadata comes first in its 96-byte
+// record, followed by its full tags, so the metadata of every set lies
+// within one 64-byte host cache line and a probe and its commit touch one
+// record.
 func TestSetMetaIsHalfACacheLine(t *testing.T) {
 	if n := unsafe.Sizeof(setMeta{}); n != 32 {
 		t.Errorf("setMeta is %d bytes, want 32", n)
+	}
+	var r setRecord
+	if n := unsafe.Sizeof(r); n != 96 {
+		t.Errorf("setRecord is %d bytes, want 96", n)
+	}
+	if off := unsafe.Offsetof(r.tags); off != 32 {
+		t.Errorf("tags at offset %d of the set record, want 32 (after the metadata)", off)
 	}
 }

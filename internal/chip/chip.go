@@ -135,6 +135,7 @@ func (r Result) Balance() float64 {
 // RunStats, whatever the host.
 type RunStats struct {
 	Events uint64 // engine events dispatched
+	Probes uint64 // L2 tag lookups made by the run loop
 }
 
 // Machine runs programs on a Config. A Machine carries no observable state
@@ -198,10 +199,14 @@ type strand struct {
 	slots  []sim.Time // MSHR completion times (loads)
 	sb     []sim.Time // store-buffer ring: completion times of posted fills
 	sbPos  int
-	// NACK state: the line a NACKed strand waits to issue and its
-	// controller. Its next dispatch re-probes the line.
-	rCtl  int
-	rLine phys.Addr
+	// NACK state: the line a NACKed strand waits to issue, its controller
+	// and the miss probe it was NACKed with. A strand that its gate admits
+	// is marked admitted and commits that probe without a second lookup;
+	// any other dispatch re-probes the line.
+	rCtl     int
+	rLine    phys.Addr
+	rProbe   cache.Probe
+	admitted bool
 	// A waiter re-polls every RetryDelay cycles from waitFrom on, at the
 	// label its polls carry, but only virtually: it sits in its
 	// controller's gate (gate.go), and its lost polls are counted when it
@@ -239,6 +244,7 @@ type runState struct {
 	repBytes int64
 	finish   sim.Time
 	running  int
+	probes   uint64
 
 	loadStall    int64
 	storeStall   int64
@@ -329,10 +335,11 @@ func (rs *runState) overWindow(s *strand) bool {
 // load performs one demand line read beginning at time t and returns the
 // time the data is back at the strand. The probe carries the single tag
 // lookup (and bank computation) already performed by step's admission
-// check; Commit finishes the access without rescanning.
-func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe) sim.Time {
+// check, and ctl the controller that check decoded for a miss; Commit
+// finishes the access without rescanning.
+func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe, ctl int) sim.Time {
 	arrive := t + rs.cfg.XbarLatency
-	bankStart, bankDone := rs.banks[p.Bank].Acquire(arrive, rs.cfg.L2BankService)
+	bankStart, bankDone := rs.banks[p.Bank()].Acquire(arrive, rs.cfg.L2BankService)
 	res := rs.l2.Commit(p, false)
 	var dataAt sim.Time
 	if res.Hit {
@@ -341,12 +348,12 @@ func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe) sim.Time {
 			dataAt = bankDone
 		}
 	} else {
-		dataAt = rs.mc.Read(bankDone, line)
+		dataAt = rs.mc.Read(bankDone, ctl)
 		if res.VictimDirty {
 			rs.mc.Write(bankDone, res.Victim)
 		}
 		if rs.waiting > 0 {
-			rs.installed(line)
+			rs.installed(line, ctl)
 		}
 	}
 	return dataAt + rs.cfg.XbarLatency
@@ -356,18 +363,18 @@ func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe) sim.Time {
 // for L2 bank occupancy (and, via the caller, for store-buffer space); on a
 // miss the read-for-ownership fill proceeds asynchronously. The returned
 // times are (strand-visible completion, fill completion).
-func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe) (proceed, fill sim.Time) {
+func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe, ctl int) (proceed, fill sim.Time) {
 	arrive := t + rs.cfg.XbarLatency
-	_, bankDone := rs.banks[p.Bank].Acquire(arrive, rs.cfg.L2BankService)
+	_, bankDone := rs.banks[p.Bank()].Acquire(arrive, rs.cfg.L2BankService)
 	res := rs.l2.Commit(p, true)
 	fill = bankDone
 	if !res.Hit {
-		fill = rs.mc.Read(bankDone, line)
+		fill = rs.mc.Read(bankDone, ctl)
 		if res.VictimDirty {
 			rs.mc.Write(bankDone, res.Victim)
 		}
 		if rs.waiting > 0 {
-			rs.installed(line)
+			rs.installed(line, ctl)
 		}
 	}
 	return bankDone, fill
@@ -405,22 +412,35 @@ func (rs *runState) step(s *strand) {
 			a := s.item.Acc[s.accIdx]
 			line := phys.LineOf(a.Addr)
 			// One tag-array probe serves both the NACK admission check and,
-			// via Commit inside load/store, the access itself.
-			probe := rs.l2.ProbeLine(line)
-			if !probe.Hit && rs.mc.Full(t, line) {
-				s.rCtl = rs.mc.Controller(line)
-				s.rLine = line
-				if t == rs.eng.Now() {
-					rs.wait(s)
-					return
+			// via Commit inside load/store, the access itself. A strand its
+			// gate has just admitted reuses the miss probe it was NACKed
+			// with (see fireGate), and the controller decoded for a miss
+			// serves the read and the waiter bookkeeping.
+			var probe cache.Probe
+			var ctl int
+			if s.admitted {
+				s.admitted = false
+				probe, ctl = s.rProbe, s.rCtl
+			} else {
+				probe = rs.l2.ProbeLine(line)
+				rs.probes++
+				if !probe.Hit() {
+					ctl = rs.mc.Controller(line)
+					if rs.mc.Full(t, ctl) {
+						s.rCtl, s.rLine, s.rProbe = ctl, line, probe
+						if t == rs.eng.Now() {
+							rs.wait(s)
+							return
+						}
+						// NACKed at a lookahead time after a posted store:
+						// the first retry is not one period after the
+						// current event, so it stays a real event.
+						rs.retryStall += rs.cfg.RetryDelay
+						rs.retries++
+						rs.eng.Schedule(t+rs.cfg.RetryDelay, evStep, int32(s.id))
+						return
+					}
 				}
-				// NACKed at a lookahead time after a posted store: the
-				// first retry is not one period after the current event,
-				// so it stays a real event.
-				rs.retryStall += rs.cfg.RetryDelay
-				rs.retries++
-				rs.eng.Schedule(t+rs.cfg.RetryDelay, evStep, int32(s.id))
-				return
 			}
 			if a.Write {
 				// Store-buffer backpressure: block until the oldest posted
@@ -430,7 +450,7 @@ func (rs *runState) step(s *strand) {
 					rs.eng.Schedule(oldest, evStep, int32(s.id))
 					return
 				}
-				proceed, fill := rs.store(t, line, probe)
+				proceed, fill := rs.store(t, line, probe, ctl)
 				s.sb[s.sbPos] = fill
 				s.sbPos = (s.sbPos + 1) % len(s.sb)
 				s.accIdx++
@@ -439,7 +459,7 @@ func (rs *runState) step(s *strand) {
 			}
 			if len(s.slots) <= 1 {
 				// Single outstanding miss: block until the data returns.
-				done := rs.load(t, line, probe)
+				done := rs.load(t, line, probe, ctl)
 				s.accIdx++
 				rs.loadStall += done - t
 				rs.eng.Schedule(done, evStep, int32(s.id))
@@ -458,7 +478,7 @@ func (rs *runState) step(s *strand) {
 				rs.eng.Schedule(s.slots[best], evStep, int32(s.id))
 				return
 			}
-			s.slots[best] = rs.load(t, line, probe)
+			s.slots[best] = rs.load(t, line, probe, ctl)
 			s.accIdx++
 		}
 		if len(s.slots) > 1 {
@@ -583,7 +603,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		rs.waiting = 0
 		rs.units, rs.repBytes, rs.finish = 0, 0, 0
 		rs.loadStall, rs.storeStall, rs.computeStall = 0, 0, 0
-		rs.retryStall, rs.retries = 0, 0
+		rs.retryStall, rs.retries, rs.probes = 0, 0, 0
 		rs.active, rs.minItems = 0, 0
 	}
 	rs.running = n
@@ -608,7 +628,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		s.core, s.group = m.cfg.Place(t)
 		s.item.Reset()
 		s.active, s.accIdx, s.items, s.parked = false, 0, 0, false
-		s.waitFrom, s.wPrev, s.wNext = -1, nil, nil
+		s.waitFrom, s.wPrev, s.wNext, s.admitted = -1, nil, nil, false
 		clear(s.sb)
 		s.sbPos = 0
 		clear(s.slots)
@@ -635,7 +655,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		}
 	}
 	cw.done()
-	m.last = RunStats{Events: rs.eng.Steps()}
+	m.last = RunStats{Events: rs.eng.Steps(), Probes: rs.probes}
 	if cancelErr == nil && rs.running != 0 {
 		panic("chip: deadlock — strands left running with no events")
 	}

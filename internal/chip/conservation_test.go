@@ -20,7 +20,9 @@ import (
 // they exist, and every NACK-and-retry round trip stalls its strand for
 // exactly RetryDelay cycles (the retry counters are summed lazily when a
 // waiting strand leaves its controller's gate, so this law guards that
-// sum). The laws are checked for STREAM triad on every
+// sum), and every access the L2 counts was preceded by a tag probe of the
+// run loop (an admitted waiter reuses its probe, but it probed once to be
+// NACKed). The laws are checked for STREAM triad on every
 // registered machine profile, at several team sizes and array offsets.
 func TestResultConservation(t *testing.T) {
 	const n = 1 << 12
@@ -57,6 +59,9 @@ func TestResultConservation(t *testing.T) {
 					}
 					if r.RetryStall != r.Retries*cfg.RetryDelay {
 						t.Errorf("retry stall %d != %d retries x RetryDelay %d", r.RetryStall, r.Retries, cfg.RetryDelay)
+					}
+					if p := m.LastRun().Probes; p < uint64(r.L2.Hits+r.L2.Misses) {
+						t.Errorf("%d tag probes for %d L2 hits and misses", p, r.L2.Hits+r.L2.Misses)
 					}
 					stalls := r.LoadStall + r.StoreStall + r.ComputeStall + r.RetryStall
 					if limit := int64(threads) * r.Cycles; stalls > limit {

@@ -184,14 +184,19 @@ func (rs *runState) armAt(ctl int, w *strand, at sim.Time) {
 // fireGate runs the poll the gate of controller ctl stands for. If the
 // queue is still full the poll loses, which changes nothing but the lazily
 // counted retries, and the gate re-arms; otherwise the waiter leaves and
-// proceeds.
+// proceeds. An admitted waiter commits the miss probe it was NACKed with:
+// a second lookup would give the same answer, because its line is still
+// absent (installed releases every waiter whose line arrives), a miss
+// probe names no way (Commit picks the victim when it runs), and the
+// queue has just been found to have room at this very cycle.
 func (rs *runState) fireGate(ctl int) {
 	g := &rs.gates[ctl]
 	w := g.w
 	g.armed, g.w = false, nil
-	if !rs.mc.FullCtl(rs.eng.Now(), ctl) {
+	if !rs.mc.Full(rs.eng.Now(), ctl) {
 		g.remove(w)
 		rs.waiting--
+		w.admitted = true
 		rs.step(w)
 	}
 	if !g.armed && g.n > 0 {
@@ -199,12 +204,12 @@ func (rs *runState) fireGate(ctl int) {
 	}
 }
 
-// installed is called after line was installed into the L2 by a miss,
-// while any strand waits. A waiter on that line would find it on its next
-// poll and proceed without admission, so it leaves the gate and that poll
-// becomes a real event.
-func (rs *runState) installed(line phys.Addr) {
-	ctl := rs.mc.Controller(line)
+// installed is called after line, served by controller ctl, was installed
+// into the L2 by a miss, while any strand waits. A waiter on that line
+// would find it on its next poll and proceed without admission, so it
+// leaves the gate and that poll becomes a real event, which probes the
+// line again and hits.
+func (rs *runState) installed(line phys.Addr, ctl int) {
 	g := &rs.gates[ctl]
 	if g.lines[lineSlot(line)] == 0 {
 		return

@@ -72,3 +72,39 @@ func TestNACKPollsAreNotEvents(t *testing.T) {
 		t.Errorf("retry stall %d != %d retries x %d", r.RetryStall, r.Retries, t2cfg().RetryDelay)
 	}
 }
+
+// TestReleasedWaiterReprobesAndHits: twelve strands saturate controller 0
+// with distinct lines, then strands A and B both load line X on the same
+// controller and are NACKed. The gate admits one of them, whose miss
+// installs X; that releases the other (installed), whose next poll must
+// probe again and hit. Committing the miss probe it was NACKed with would
+// install X a second time: a thirteenth miss and controller read and no
+// hit.
+func TestReleasedWaiterReprobesAndHits(t *testing.T) {
+	const fillers = 12
+	const x phys.Addr = 1 << 30 // controller 0, like every filler line
+	var gens []trace.Generator
+	for i := 0; i < fillers; i++ {
+		gens = append(gens, &scripted{items: []trace.Item{loads(phys.Addr(i+1) << 20)}})
+	}
+	gens = append(gens,
+		&scripted{items: []trace.Item{loads(x)}},
+		&scripted{items: []trace.Item{loads(x)}})
+	m := New(t2cfg())
+	if ctl := m.cfg.Mapping.Controller(x); ctl != 0 {
+		t.Fatalf("line X on controller %d, want 0", ctl)
+	}
+	r := m.Run(prog(gens...))
+	if r.Retries == 0 {
+		t.Fatal("no strand was NACKed: the test does not exercise the gate")
+	}
+	if r.L2.Misses != fillers+1 || r.L2.Hits != 1 {
+		t.Errorf("L2 %+v, want %d misses and the released waiter's hit", r.L2, fillers+1)
+	}
+	if reads := r.MC[0].Reads; reads != fillers+1 {
+		t.Errorf("controller 0 served %d reads, want %d: line X was read twice", reads, fillers+1)
+	}
+	if p := m.LastRun().Probes; p <= fillers+2 {
+		t.Errorf("%d probes for %d accesses: the released waiter did not probe again", p, fillers+2)
+	}
+}

@@ -189,9 +189,11 @@ type Result struct {
 	// simulated accesses per second).
 	Cycles   int64 `json:"-"`
 	Accesses int64 `json:"-"`
-	// Events counts the engine events the point dispatched: a
-	// deterministic measure of the simulator's work.
+	// Events counts the engine events the point dispatched and Probes
+	// the L2 tag lookups its run loop made: deterministic measures of the
+	// simulator's work.
 	Events int64 `json:"-"`
+	Probes int64 `json:"-"`
 
 	// FFCycles and FFJumps are always zero: every point is simulated event
 	// by event. They remain only because the repository benchmark
@@ -327,6 +329,15 @@ func (o Outcome) Events() int64 {
 	var n int64
 	for _, pr := range o.Points {
 		n += pr.Result.Events
+	}
+	return n
+}
+
+// Probes sums the L2 tag lookups made over every point.
+func (o Outcome) Probes() int64 {
+	var n int64
+	for _, pr := range o.Points {
+		n += pr.Result.Probes
 	}
 	return n
 }

@@ -105,6 +105,14 @@ type gen struct {
 	y, z   int64 // current row coordinates (1-based padded interior)
 	x      int64 // next x within the row
 
+	// Element indices at x = 0 of the current row, computed once per row
+	// by advanceRow: every layout's index is x plus a row term, so the
+	// item at x reads distribution v at readRow[v]+x and pushes it to
+	// pushRow[v]+x (the displaced neighbour's row, Cx[v] included), and
+	// its mask word is at maskRow+x.
+	readRow, pushRow [Q]int64
+	maskRow          int64
+
 	trRead  [Q]trace.LineTracker
 	trWrite [Q]trace.LineTracker
 	trMask  trace.LineTracker
@@ -156,27 +164,26 @@ func (g *gen) advanceRow() bool {
 		break
 	}
 	g.x = 1
+	p := int(n + 2)
+	l := g.spec.Layout
+	y, z := int(g.y), int(g.z)
 	for v := 0; v < Q; v++ {
+		g.readRow[v] = int64(l.Index(p, v, 0, y, z))
+		g.pushRow[v] = int64(l.Index(p, v, Cx[v], y+Cy[v], z+Cz[v]))
 		g.trRead[v].Reset()
 		g.trWrite[v].Reset()
 	}
+	// The fluid-cell mask is row-pitched by the layout's RowStride, so the
+	// whole kernel row translates by one constant byte stride (see
+	// MaskBytes).
+	g.maskRow = int64(l.RowStride(p)) * (g.y + int64(p)*g.z)
 	g.trMask.Reset()
 	return true
 }
 
-func (g *gen) addr(base phys.Addr, v int, x, y, z int64) phys.Addr {
-	p := int(g.spec.N + 2)
-	idx := g.spec.Layout.Index(p, v, int(x), int(y), int(z))
-	return base + phys.Addr(int64(idx)*phys.WordSize)
-}
-
-// maskAddr returns the address of the fluid-cell flag word for padded
-// coordinates (x, y, z): row-pitched by the layout's RowStride, so the
-// whole kernel row translates by one constant byte stride (see MaskBytes).
-func (g *gen) maskAddr(x, y, z int64) phys.Addr {
-	p := g.spec.N + 2
-	rs := int64(g.spec.Layout.RowStride(int(p)))
-	return g.spec.MaskBase + phys.Addr((x+rs*(y+p*z))*phys.WordSize)
+// word returns the address of element idx of the array at base.
+func word(base phys.Addr, idx int64) phys.Addr {
+	return base + phys.Addr(idx*phys.WordSize)
 }
 
 func (g *gen) Next(it *trace.Item) bool {
@@ -200,8 +207,8 @@ func (g *gen) Next(it *trace.Item) bool {
 
 	// Fluid-cell mask: one word per padded cell, x-fastest, row-pitched
 	// like the grids.
-	ma := phys.LineOf(g.maskAddr(lo, g.y, g.z))
-	mb := phys.LineOf(g.maskAddr(hi-1, g.y, g.z))
+	ma := phys.LineOf(word(g.spec.MaskBase, g.maskRow+lo))
+	mb := phys.LineOf(word(g.spec.MaskBase, g.maskRow+hi-1))
 	for l := ma; l <= mb; l += phys.LineSize {
 		if g.trMask.Touch(l) {
 			it.Acc = append(it.Acc, trace.Access{Addr: l})
@@ -210,17 +217,16 @@ func (g *gen) Next(it *trace.Item) bool {
 
 	for v := 0; v < Q; v++ {
 		// Reads from the local cell block [lo, hi).
-		a := phys.LineOf(g.addr(old, v, lo, g.y, g.z))
-		b := phys.LineOf(g.addr(old, v, hi-1, g.y, g.z))
+		a := phys.LineOf(word(old, g.readRow[v]+lo))
+		b := phys.LineOf(word(old, g.readRow[v]+hi-1))
 		for l := a; l <= b; l += phys.LineSize {
 			if g.trRead[v].Touch(l) {
 				it.Acc = append(it.Acc, trace.Access{Addr: l})
 			}
 		}
 		// Pushes to the displaced neighbour block.
-		wy, wz := g.y+int64(Cy[v]), g.z+int64(Cz[v])
-		wa := phys.LineOf(g.addr(new_, v, lo+int64(Cx[v]), wy, wz))
-		wb := phys.LineOf(g.addr(new_, v, hi-1+int64(Cx[v]), wy, wz))
+		wa := phys.LineOf(word(new_, g.pushRow[v]+lo))
+		wb := phys.LineOf(word(new_, g.pushRow[v]+hi-1))
 		for l := wa; l <= wb; l += phys.LineSize {
 			if g.trWrite[v].Touch(l) {
 				it.Acc = append(it.Acc, trace.Access{Addr: l, Write: true})

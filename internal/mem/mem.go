@@ -61,8 +61,8 @@ type controller struct {
 
 // System is the set of memory controllers behind the L2. The address
 // mapping is devirtualized at construction time (phys.Resolve), so the
-// per-request controller selection in Full/Read/Write is an inlined bit
-// extraction for the common field mappings.
+// per-request controller selection in Controller and Write is an inlined
+// bit extraction for the common field mappings.
 type System struct {
 	cfg        Config
 	mapped     phys.Resolved
@@ -86,24 +86,20 @@ func New(cfg Config, mapping phys.Mapping) *System {
 // Config returns the timing parameters.
 func (s *System) Config() Config { return s.cfg }
 
-// Full reports whether the northbound queue of the controller serving addr
-// has no room for another request at time now. Callers must retry later.
-func (s *System) Full(now sim.Time, addr phys.Addr) bool {
-	return s.FullCtl(now, s.mapped.Controller(addr))
-}
-
 // Controller returns the controller index serving addr through the
-// devirtualized mapping — the handle a NACK-retry loop caches so its ticks
-// skip the address decode.
+// devirtualized mapping. Full and Read take this index, so a miss decodes
+// its controller once for the admission check, the read and any waiter
+// bookkeeping.
 func (s *System) Controller(addr phys.Addr) int { return s.mapped.Controller(addr) }
 
-// FullCtl is Full for a pre-resolved controller index.
-func (s *System) FullCtl(now sim.Time, ctl int) bool {
+// Full reports whether the northbound queue of controller ctl has no room
+// for another request at time now. Callers must retry later.
+func (s *System) Full(now sim.Time, ctl int) bool {
 	return s.ctls[ctl].north.FreeAt()-now >= s.fullThresh
 }
 
 // AdmitAt returns the admission horizon of controller ctl: the earliest
-// time at which FullCtl(t, ctl) could be false. A channel's free time never
+// time at which Full(t, ctl) could be false. A channel's free time never
 // decreases, so every request arriving before the horizon — now or after
 // any further traffic — finds the queue full. A retry scheduler can
 // therefore skip every poll before it.
@@ -111,10 +107,10 @@ func (s *System) AdmitAt(ctl int) sim.Time {
 	return s.ctls[ctl].north.FreeAt() - s.fullThresh + 1
 }
 
-// Read issues a demand or RFO line read arriving at the controller at time
+// Read issues a demand or RFO line read arriving at controller ctl at time
 // now and returns the time at which the data is back at the L2.
-func (s *System) Read(now sim.Time, addr phys.Addr) sim.Time {
-	c := &s.ctls[s.mapped.Controller(addr)]
+func (s *System) Read(now sim.Time, ctl int) sim.Time {
+	c := &s.ctls[ctl]
 	_, done := c.north.Acquire(now, s.cfg.ReadService)
 	c.stats.Reads++
 	c.stats.BusyCycles += s.cfg.ReadService

@@ -12,15 +12,15 @@ func cfg() Config {
 
 func TestReadTiming(t *testing.T) {
 	s := New(cfg(), phys.T2())
-	if done := s.Read(0, 0); done != 110 {
+	if done := s.Read(0, s.Controller(0)); done != 110 {
 		t.Errorf("first read done at %d, want service+latency=110", done)
 	}
 	// Second read to the same controller queues behind the first.
-	if done := s.Read(0, 0x200); done != 120 {
+	if done := s.Read(0, s.Controller(0x200)); done != 120 {
 		t.Errorf("queued read done at %d, want 120", done)
 	}
 	// A different controller is independent.
-	if done := s.Read(0, 0x80); done != 110 {
+	if done := s.Read(0, s.Controller(0x80)); done != 110 {
 		t.Errorf("other-controller read done at %d, want 110", done)
 	}
 }
@@ -28,7 +28,7 @@ func TestReadTiming(t *testing.T) {
 func TestWriteIsPostedAndCouples(t *testing.T) {
 	s := New(cfg(), phys.T2())
 	s.Write(0, 0) // occupies southbound, couples 4 cycles northbound
-	if done := s.Read(0, 0); done != 114 {
+	if done := s.Read(0, s.Controller(0)); done != 114 {
 		t.Errorf("read after write done at %d, want couple(4)+service(10)+latency(100)=114", done)
 	}
 	st := s.Stats()
@@ -45,9 +45,9 @@ func TestLoadOnlyAvoidsCoupling(t *testing.T) {
 	b := New(cfg(), phys.T2())
 	var lastA, lastB int64
 	for i := 0; i < 10; i++ {
-		lastA = a.Read(0, 0)
+		lastA = a.Read(0, a.Controller(0))
 		b.Write(0, 0)
-		lastB = b.Read(0, 0)
+		lastB = b.Read(0, b.Controller(0))
 	}
 	if lastB <= lastA {
 		t.Errorf("mixed read/write stream (%d) not slower than load-only (%d)", lastB, lastA)
@@ -57,27 +57,27 @@ func TestLoadOnlyAvoidsCoupling(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	s := New(cfg(), phys.T2())
 	for i := 0; i < 4; i++ {
-		s.Read(0, 0)
+		s.Read(0, s.Controller(0))
 	}
-	if !s.Full(0, 0) {
+	if !s.Full(0, s.Controller(0)) {
 		t.Error("queue not full after QueueDepth reads at one instant")
 	}
-	if s.Full(0, 0x80) {
+	if s.Full(0, s.Controller(0x80)) {
 		t.Error("other controller reported full")
 	}
 	// After the backlog drains, the queue accepts again.
-	if s.Full(39, 0) {
+	if s.Full(39, s.Controller(0)) {
 		t.Error("queue still full after drain")
 	}
-	if s.Full(1<<40, 0) {
+	if s.Full(1<<40, s.Controller(0)) {
 		t.Error("idle queue full")
 	}
 }
 
 func TestUtilizationAndBusy(t *testing.T) {
 	s := New(cfg(), phys.T2())
-	s.Read(0, 0)
-	s.Read(0, 0)
+	s.Read(0, s.Controller(0))
+	s.Read(0, s.Controller(0))
 	u := s.Utilization(100)
 	if u[0] != 0.2 {
 		t.Errorf("controller 0 utilization %f, want 0.2", u[0])
@@ -94,7 +94,7 @@ func TestControllerSelectionByMapping(t *testing.T) {
 	s := New(cfg(), phys.T2())
 	// 0x000 -> ctl 0, 0x080 -> ctl 1, 0x100 -> ctl 2, 0x180 -> ctl 3.
 	for i, a := range []phys.Addr{0x000, 0x080, 0x100, 0x180} {
-		s.Read(0, a)
+		s.Read(0, s.Controller(a))
 		if got := s.Stats()[i].Reads; got != 1 {
 			t.Errorf("controller %d reads %d after targeted access", i, got)
 		}
@@ -103,14 +103,14 @@ func TestControllerSelectionByMapping(t *testing.T) {
 
 func TestResetClearsState(t *testing.T) {
 	s := New(cfg(), phys.T2())
-	s.Read(0, 0)
+	s.Read(0, s.Controller(0))
 	s.Reset()
 	if s.BusyCycles() != 0 || s.MaxFreeAt() != 0 {
 		t.Error("reset did not clear controller state")
 	}
 }
 
-// TestAdmitAtIsTheFullHorizon pins AdmitAt as the exact edge of FullCtl:
+// TestAdmitAtIsTheFullHorizon pins AdmitAt as the exact edge of Full:
 // the queue is full at every time before the horizon and has room from
 // the horizon on, and further traffic only moves the horizon later.
 func TestAdmitAtIsTheFullHorizon(t *testing.T) {
@@ -121,7 +121,7 @@ func TestAdmitAtIsTheFullHorizon(t *testing.T) {
 		if i%3 == 2 {
 			s.Write(0, 0)
 		} else {
-			s.Read(0, 0)
+			s.Read(0, s.Controller(0))
 		}
 		h := s.AdmitAt(ctl)
 		if h < prev {
@@ -129,8 +129,8 @@ func TestAdmitAtIsTheFullHorizon(t *testing.T) {
 		}
 		prev = h
 		for now := h - 30; now < h+30; now++ {
-			if full := s.FullCtl(now, ctl); full != (now < h) {
-				t.Fatalf("after %d requests: FullCtl(%d) = %v with horizon %d", i+1, now, full, h)
+			if full := s.Full(now, ctl); full != (now < h) {
+				t.Fatalf("after %d requests: Full(%d) = %v with horizon %d", i+1, now, full, h)
 			}
 		}
 	}

@@ -12,10 +12,10 @@
 //
 // Every event (Schedule, ScheduleLabelled) is a plain {kind, arg} record
 // dispatched through the one handler installed with SetHandler. Pushing an
-// event is a bucket append plus a bitmap update, with no closure, no
-// interface boxing, and no per-event heap allocation. The chip's run loop
-// schedules every strand wakeup this way, so steady-state simulation
-// allocates nothing per event.
+// event links a pooled node to its bucket's tail and updates a bitmap,
+// with no closure, no interface boxing, and no per-event heap allocation.
+// The chip's run loop schedules every strand wakeup this way, so
+// steady-state simulation allocates nothing per event.
 //
 // # Event order and labels
 //
@@ -73,10 +73,15 @@
 // non-empty bucket in O(levels) word operations. While every pending event
 // lies within the wheel's span, each bucket holds the events of exactly one
 // timestamp, kept sorted by section and label, with ties in the order
-// they were pushed, which is the sequence order. So almost every push is
-// an append. Only a labelled insert (and a section-1 event landing behind
-// one) takes a sorted insertion. An event scheduled beyond the span grows
-// the wheel (a rare, amortized rehash), so the horizon bound is a
+// they were pushed, which is the sequence order. A bucket is an 8-byte
+// head/tail pair of indices into one pool of event nodes shared by the
+// whole wheel, with a free list of nodes. So a slot costs 8 bytes, and the
+// event storage follows the number of pending events rather than the span,
+// which a few far-off wakeups can stretch to thousands of slots. Almost
+// every push links a node at a tail. Only a labelled insert (and a
+// section-1 event landing behind one) walks its bucket to the sorted
+// place. An event scheduled beyond the span grows the wheel (a rare,
+// amortized rehash of the bucket headers), so the horizon bound is a
 // performance assumption, not a correctness requirement.
 //
 // A reference implementation of the same order on a 4-ary slice heap is
@@ -144,13 +149,21 @@ type Ticket struct {
 	kind Kind
 }
 
-// bucket is one wheel slot: the events of a single pending timestamp,
-// sorted by key and, for equal keys, in insertion order. head is the pop
-// position, so a partially drained bucket keeps its remaining events
-// without copying.
+// node is one pending event of the wheel. Its timestamp is its bucket's,
+// so it is not stored. next links the bucket's list, or the free list.
+type node struct {
+	key  int64
+	arg  int32
+	next int32
+	kind Kind
+}
+
+// bucket is one wheel slot: the list of the events of a single pending
+// timestamp, sorted by key and, for equal keys, in insertion order. head
+// and tail index the node pool; node 0 is never used, so a zero head is
+// an empty bucket.
 type bucket struct {
-	evs  []event
-	head int
+	head, tail int32
 }
 
 // minWheelSlots is the initial wheel span in cycles. It comfortably covers
@@ -176,8 +189,9 @@ type Engine struct {
 	slots []bucket
 	occ   [][]uint64 // occ[0]: one bit per slot; occ[l]: one bit per word of occ[l-1]
 	count int
-	gen   uint64    // incremented by grow: invalidates in-flight slot handles
-	free  [][]event // recycled bucket buffers: live buckets stay O(pending)
+	gen   uint64 // incremented by grow: invalidates in-flight slot handles
+	nodes []node // the node pool; nodes[0] is the unused nil node
+	free  int32  // head of the free node list, 0 when empty
 
 	// Reference 4-ary heap, selected by UseReferenceHeap.
 	heapMode bool
@@ -274,7 +288,7 @@ func (e *Engine) SetPeriod(d Time) {
 }
 
 // Reset returns the engine to its initial state while retaining the
-// wheel's slot and bucket capacity, so a reused engine schedules without
+// wheel's slots and node pool, so a reused engine schedules without
 // reallocating. The queue-structure choice (wheel or reference heap) is
 // retained too; the period is cleared.
 func (e *Engine) Reset() {
@@ -282,12 +296,11 @@ func (e *Engine) Reset() {
 	e.now, e.seq, e.steps, e.handler = 0, 0, 0, nil
 	e.period, e.cur, e.freshAt, e.freshN = 0, secFront, 0, 0
 	e.events = e.events[:0]
-	for i := range e.slots {
-		b := &e.slots[i]
-		if b.evs != nil {
-			e.release(b)
-		}
+	clear(e.slots)
+	if len(e.nodes) > 0 {
+		e.nodes = e.nodes[:1]
 	}
+	e.free = 0
 	for _, lv := range e.occ {
 		clear(lv)
 	}
@@ -296,10 +309,10 @@ func (e *Engine) Reset() {
 }
 
 // Schedule enqueues an event at absolute time when. Once the wheel has
-// grown to its steady-state span, scheduling costs a bucket append and a
-// bitmap update. Scheduling into the past panics: it always indicates a
-// broken timing computation upstream and would silently corrupt causality
-// if allowed.
+// grown to its steady-state span, scheduling costs a node link at its
+// bucket's tail and a bitmap update. Scheduling into the past panics: it
+// always indicates a broken timing computation upstream and would
+// silently corrupt causality if allowed.
 func (e *Engine) Schedule(when Time, kind Kind, arg int32) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", when, e.now))
@@ -397,19 +410,36 @@ func (e *Engine) Cancel(t Ticket) {
 		e.cancelHeap(t)
 		return
 	}
-	s := int(uint64(t.when) & uint64(len(e.slots)-1))
-	b := &e.slots[s]
-	i := b.search(t.key-1, len(b.evs))
-	for i < len(b.evs) && b.evs[i].key == t.key && (b.evs[i].when != t.when || b.evs[i].kind != t.kind || b.evs[i].arg != t.arg) {
-		i++
-	}
-	if i == len(b.evs) || b.evs[i].key != t.key {
+	if t.when < e.now || t.when-e.now >= Time(len(e.slots)) {
 		panic("sim: cancelling an event that is not pending")
 	}
-	b.evs = append(b.evs[:i], b.evs[i+1:]...)
+	// Every pending timestamp lies in [now, now+slots), so the slot of
+	// t.when holds only events of t.when.
+	s := int(uint64(t.when) & uint64(len(e.slots)-1))
+	b := &e.slots[s]
+	prev := int32(0)
+	n := b.head
+	for n != 0 && e.nodes[n].key < t.key {
+		prev, n = n, e.nodes[n].next
+	}
+	for n != 0 && e.nodes[n].key == t.key && (e.nodes[n].kind != t.kind || e.nodes[n].arg != t.arg) {
+		prev, n = n, e.nodes[n].next
+	}
+	if n == 0 || e.nodes[n].key != t.key {
+		panic("sim: cancelling an event that is not pending")
+	}
+	next := e.nodes[n].next
+	if prev == 0 {
+		b.head = next
+	} else {
+		e.nodes[prev].next = next
+	}
+	if b.tail == n {
+		b.tail = prev
+	}
+	e.freeNode(n)
 	e.count--
-	if b.head == len(b.evs) {
-		e.release(b)
+	if b.head == 0 {
 		e.clearBit(s)
 	}
 }
@@ -428,75 +458,79 @@ func (e *Engine) enqueue(ev event) {
 // pushWheel files ev into the slot of its timestamp, growing the wheel if
 // the delay exceeds the current span. Because every pending timestamp lies
 // within the span, distinct pending timestamps occupy distinct slots. A
-// bucket is kept sorted: ev is appended, and moved back into place, behind
-// the events of equal key, in the rare case that its key is below the
-// bucket's last event's.
+// bucket is kept sorted: ev is linked at the tail, or, in the rare case
+// that its key is below the tail's, behind the events of equal key.
 func (e *Engine) pushWheel(ev event) {
 	d := ev.when - e.now
 	if len(e.slots) == 0 || d >= Time(len(e.slots)) {
 		e.grow(d)
 	}
+	n := e.allocNode()
+	e.nodes[n] = node{key: ev.key, arg: ev.arg, kind: ev.kind}
+	e.count++
 	s := int(uint64(ev.when) & uint64(len(e.slots)-1))
 	b := &e.slots[s]
-	if b.head == len(b.evs) {
-		if b.evs == nil {
-			if n := len(e.free); n > 0 {
-				b.evs = e.free[n-1]
-				e.free = e.free[:n-1]
-			}
-		} else {
-			b.evs = b.evs[:0]
-		}
-		b.head = 0
+	switch {
+	case b.head == 0:
+		b.head, b.tail = n, n
 		e.setBit(s)
-	}
-	b.evs = append(b.evs, ev)
-	e.count++
-	if n := len(b.evs) - 1; n > b.head && ev.key < b.evs[n-1].key {
-		i := b.search(ev.key, n)
-		copy(b.evs[i+1:], b.evs[i:n])
-		b.evs[i] = ev
-	}
-}
-
-// search returns the index of the first pending event among evs[:end]
-// whose key is above key.
-func (b *bucket) search(key int64, end int) int {
-	lo, hi := b.head, end
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if b.evs[m].key <= key {
-			lo = m + 1
+	case ev.key >= e.nodes[b.tail].key:
+		e.nodes[b.tail].next = n
+		b.tail = n
+	default:
+		// Sorted insertion: the tail's key is above ev's, so the walk
+		// stops before it and the tail stays.
+		prev, cur := int32(0), b.head
+		for e.nodes[cur].key <= ev.key {
+			prev, cur = cur, e.nodes[cur].next
+		}
+		e.nodes[n].next = cur
+		if prev == 0 {
+			b.head = n
 		} else {
-			hi = m
+			e.nodes[prev].next = n
 		}
 	}
-	return lo
 }
 
-// popWheel removes and returns the earliest pending event.
-func (e *Engine) popWheel() event {
-	s := e.earliestSlot()
+// allocNode takes a node from the free list, or grows the pool by one.
+func (e *Engine) allocNode() int32 {
+	if n := e.free; n != 0 {
+		e.free = e.nodes[n].next
+		return n
+	}
+	if len(e.nodes) == 0 {
+		e.nodes = append(e.nodes, node{}) // the nil node
+	}
+	e.nodes = append(e.nodes, node{})
+	return int32(len(e.nodes) - 1)
+}
+
+// freeNode returns node n to the free list.
+func (e *Engine) freeNode(n int32) {
+	e.nodes[n].next = e.free
+	e.free = n
+}
+
+// popSlot removes and returns the first event of occupied slot s, whose
+// timestamp is the earliest pending one.
+func (e *Engine) popSlot(s int) event {
 	b := &e.slots[s]
-	ev := b.evs[b.head]
-	b.head++
-	if b.head == len(b.evs) {
-		e.release(b)
+	n := b.head
+	nd := &e.nodes[n]
+	ev := event{
+		when: e.now + Time((uint64(s)-uint64(e.now))&uint64(len(e.slots)-1)),
+		key:  nd.key,
+		arg:  nd.arg,
+		kind: nd.kind,
+	}
+	b.head = nd.next
+	e.freeNode(n)
+	if b.head == 0 {
 		e.clearBit(s)
 	}
 	e.count--
 	return ev
-}
-
-// release returns a drained bucket's buffer to the free list, so the
-// number of live buffers tracks the number of concurrently pending
-// timestamps instead of the number of wheel slots ever touched.
-func (e *Engine) release(b *bucket) {
-	if cap(b.evs) > 0 {
-		e.free = append(e.free, b.evs[:0])
-	}
-	b.evs = nil
-	b.head = 0
 }
 
 // earliestSlot locates the slot holding the earliest pending timestamp.
@@ -565,9 +599,10 @@ func (e *Engine) nextSet(start int) (int, bool) {
 }
 
 // grow rebuilds the wheel with a span covering delay d (at least doubling).
-// Each occupied bucket holds one timestamp and moves wholesale to its slot
-// in the larger wheel; pending timestamps span less than the old slot
-// count, so no two buckets collide after the move.
+// Each occupied bucket holds one timestamp, the one in [now, now+old
+// slots) that its slot index stands for, and its list moves wholesale to
+// that timestamp's slot in the larger wheel; pending timestamps span less
+// than the old slot count, so no two buckets collide after the move.
 func (e *Engine) grow(d Time) {
 	n := len(e.slots)
 	if n == 0 {
@@ -586,13 +621,13 @@ func (e *Engine) grow(d Time) {
 			break
 		}
 	}
-	for i := range old {
-		b := &old[i]
-		if b.head == len(b.evs) {
+	for i, b := range old {
+		if b.head == 0 {
 			continue
 		}
-		s := int(uint64(b.evs[b.head].when) & uint64(n-1))
-		e.slots[s] = *b
+		when := e.now + Time((uint64(i)-uint64(e.now))&uint64(len(old)-1))
+		s := int(uint64(when) & uint64(n-1))
+		e.slots[s] = b
 		e.setBit(s)
 	}
 }
@@ -719,7 +754,7 @@ func (e *Engine) Step() bool {
 		if e.count == 0 {
 			return false
 		}
-		ev = e.popWheel()
+		ev = e.popSlot(e.earliestSlot())
 	}
 	e.dispatch(ev)
 	return true
@@ -745,20 +780,11 @@ func (e *Engine) Run() {
 		s := e.earliestSlot()
 		g := e.gen
 		for {
-			b := &e.slots[s]
-			ev := b.evs[b.head]
-			b.head++
-			if b.head == len(b.evs) {
-				e.release(b)
-				e.clearBit(s)
-			}
-			e.count--
-			e.dispatch(ev)
+			e.dispatch(e.popSlot(s))
 			if e.gen != g {
 				break // the wheel was rebuilt under us
 			}
-			b = &e.slots[s]
-			if b.head >= len(b.evs) {
+			if e.slots[s].head == 0 {
 				break // bucket drained (possibly refilled and re-drained)
 			}
 			// More events share this timestamp (or arrived at it): keep
