@@ -43,12 +43,6 @@ func NewSpace() *Space {
 // Base returns the start of the arena.
 func (s *Space) Base() phys.Addr { return s.base }
 
-// Brk returns the current top of the arena (first unallocated byte).
-func (s *Space) Brk() phys.Addr { return s.brk }
-
-// Used returns the number of bytes consumed so far.
-func (s *Space) Used() int64 { return int64(s.brk - s.base) }
-
 // Malloc allocates size bytes the way a typical libc does: a 16-byte
 // header precedes the block and the returned address is 16-byte aligned.
 func (s *Space) Malloc(size int64) phys.Addr {

@@ -136,12 +136,12 @@ func TestShardedBatchingEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedFallbacks covers the configurations off the default path —
+// TestMachineReuseOffDefaultPaths covers the configurations off the default path —
 // the MSHR ablation and the shared-order OpenMP schedules (dynamic and
 // guided self-scheduling, whose assigners hand out chunks from one
 // counter in simulation-time order). A reused worker machine must
 // reproduce a fresh machine's Result byte for byte on each of them.
-func TestShardedFallbacks(t *testing.T) {
+func TestMachineReuseOffDefaultPaths(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  func() Config

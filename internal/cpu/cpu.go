@@ -48,10 +48,6 @@ type Config struct {
 	LSUPipes      int64 // load/store issues per cycle per core
 }
 
-// T2Defaults returns the T2 core array: 8 cores, 2 thread groups each, 2
-// memory pipes per core.
-func T2Defaults() Config { return Config{Cores: 8, GroupsPerCore: 2, LSUPipes: 2} }
-
 // Cores tracks the shared pipeline cursors of every core.
 type Cores struct {
 	cfg   Config

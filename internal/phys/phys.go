@@ -152,12 +152,8 @@ func (iv Interleave) Controllers() int { return 1 << iv.CtrlBits }
 // Banks returns the global bank count: controllers x banks-per-controller.
 func (iv Interleave) Banks() int { return 1 << (iv.BankBits + iv.CtrlBits) }
 
-// Granule returns the bytes served by one bank before the interleave moves
-// on — one cache line on the T2, more for coarse interleaves.
-func (iv Interleave) Granule() int64 { return 1 << iv.BankShift }
-
-// Period returns the spatial period of the controller interleave:
-// granule x banks.
+// Period returns the spatial period of the controller interleave: the
+// bank granule (1 << BankShift bytes) times the bank count.
 func (iv Interleave) Period() int64 { return int64(1) << (iv.BankShift + iv.BankBits + iv.CtrlBits) }
 
 // Name returns the label.

@@ -84,12 +84,12 @@
 // amortized rehash of the bucket headers), so the horizon bound is a
 // performance assumption, not a correctness requirement.
 //
-// A reference implementation of the same order on a 4-ary slice heap is
-// retained behind UseReferenceHeap. A differential fuzz test drives random
-// bounded-delay schedules, delay-D chains and labelled inserts through
-// both and asserts identical pop order and identical Steps/Pending
-// accounting. That test is the proof obligation for the wheel under a
-// determinism-critical simulator.
+// The wheel is the engine's only queue. Its proof obligation is a
+// test-only model of the same order, a slice kept sorted by (time, key,
+// insertion sequence): differential tests and a fuzz target drive random
+// bounded-delay schedules, delay-D chains, labelled inserts and cancels
+// through both and assert identical pop order and identical Steps/Pending
+// accounting after every event.
 package sim
 
 import (
@@ -175,7 +175,6 @@ const minWheelSlots = 256
 // The zero value is ready to use.
 type Engine struct {
 	now     Time
-	seq     uint64 // events scheduled: the reference heap's tie-break
 	steps   uint64
 	handler Handler
 	period  Time  // D of the labelled order; 0 orders by sequence only
@@ -185,17 +184,13 @@ type Engine struct {
 	freshAt Time
 	freshN  int64
 
-	// Timing wheel (the default queue).
+	// Timing wheel.
 	slots []bucket
 	occ   [][]uint64 // occ[0]: one bit per slot; occ[l]: one bit per word of occ[l-1]
 	count int
 	gen   uint64 // incremented by grow: invalidates in-flight slot handles
 	nodes []node // the node pool; nodes[0] is the unused nil node
 	free  int32  // head of the free node list, 0 when empty
-
-	// Reference 4-ary heap, selected by UseReferenceHeap.
-	heapMode bool
-	events   []heapEvent // 4-ary min-heap in the engine's total order
 
 	// Cooperative cancellation (see SetStop). The flag is polled amortized
 	// — once per stopPollInterval bucket drains — so an unarmed engine pays
@@ -213,12 +208,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of scheduled, not yet executed events.
-func (e *Engine) Pending() int {
-	if e.heapMode {
-		return len(e.events)
-	}
-	return e.count
-}
+func (e *Engine) Pending() int { return e.count }
 
 // SetHandler installs the event dispatcher. It must be set before the
 // first event executes.
@@ -261,16 +251,6 @@ func (e *Engine) stopPoll() bool {
 	return false
 }
 
-// UseReferenceHeap switches the engine to the reference 4-ary heap queue.
-// It exists for differential testing against the timing wheel and must be
-// called while no events are pending.
-func (e *Engine) UseReferenceHeap() {
-	if e.Pending() != 0 {
-		panic("sim: UseReferenceHeap with events pending")
-	}
-	e.heapMode = true
-}
-
 // SetPeriod sets the period D of the labelled event order (see the package
 // doc); 0, the default, orders each cycle by sequence alone. It must be
 // called while no events are pending.
@@ -289,13 +269,11 @@ func (e *Engine) SetPeriod(d Time) {
 
 // Reset returns the engine to its initial state while retaining the
 // wheel's slots and node pool, so a reused engine schedules without
-// reallocating. The queue-structure choice (wheel or reference heap) is
-// retained too; the period is cleared.
+// reallocating. The period is cleared.
 func (e *Engine) Reset() {
 	e.gen++
-	e.now, e.seq, e.steps, e.handler = 0, 0, 0, nil
+	e.now, e.steps, e.handler = 0, 0, nil
 	e.period, e.cur, e.freshAt, e.freshN = 0, secFront, 0, 0
-	e.events = e.events[:0]
 	clear(e.slots)
 	if len(e.nodes) > 0 {
 		e.nodes = e.nodes[:1]
@@ -317,7 +295,7 @@ func (e *Engine) Schedule(when Time, kind Kind, arg int32) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", when, e.now))
 	}
-	e.enqueue(event{when: when, key: e.place(when), kind: kind, arg: arg})
+	e.pushWheel(event{when: when, key: e.place(when), kind: kind, arg: arg})
 }
 
 // place returns the key of an event scheduled now for time when: its
@@ -397,7 +375,7 @@ func (e *Engine) ScheduleLabelled(when Time, l Label, kind Kind, arg int32) Tick
 	if l.key == secFront || l.key == secBack {
 		panic("sim: invalid labelled event")
 	}
-	e.enqueue(event{when: when, key: l.key, kind: kind, arg: arg})
+	e.pushWheel(event{when: when, key: l.key, kind: kind, arg: arg})
 	return Ticket{when, l.key, arg, kind}
 }
 
@@ -406,10 +384,6 @@ func (e *Engine) ScheduleLabelled(when Time, l Label, kind Kind, arg int32) Tick
 // share all four are interchangeable, so it does not matter which of them
 // goes. It panics if there is none.
 func (e *Engine) Cancel(t Ticket) {
-	if e.heapMode {
-		e.cancelHeap(t)
-		return
-	}
 	if t.when < e.now || t.when-e.now >= Time(len(e.slots)) {
 		panic("sim: cancelling an event that is not pending")
 	}
@@ -442,15 +416,6 @@ func (e *Engine) Cancel(t Ticket) {
 	if b.head == 0 {
 		e.clearBit(s)
 	}
-}
-
-func (e *Engine) enqueue(ev event) {
-	if e.heapMode {
-		e.seq++
-		e.push(heapEvent{ev, e.seq})
-		return
-	}
-	e.pushWheel(ev)
 }
 
 // ---- timing wheel ----------------------------------------------------------
@@ -632,105 +597,6 @@ func (e *Engine) grow(d Time) {
 	}
 }
 
-// ---- reference 4-ary heap --------------------------------------------------
-
-// The reference queue is a 4-ary min-heap in the engine's total order:
-// time, key, then scheduling order, which the heap records as a sequence
-// number. Sequence numbers are unique, so the order is strict and the pop
-// sequence does not depend on heap shape or arity.
-const heapArity = 4
-
-type heapEvent struct {
-	event
-	seq uint64
-}
-
-func (a *heapEvent) less(b *heapEvent) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) push(ev heapEvent) {
-	e.events = append(e.events, ev)
-	e.siftUp(len(e.events) - 1)
-}
-
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		p := &e.events[parent]
-		if p.less(&ev) {
-			break
-		}
-		e.events[i] = *p
-		i = parent
-	}
-	e.events[i] = ev
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.events)
-	ev := e.events[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		min := first
-		mc := &e.events[first]
-		for j := first + 1; j < last; j++ {
-			c := &e.events[j]
-			if c.less(mc) {
-				min, mc = j, c
-			}
-		}
-		if ev.less(mc) {
-			break
-		}
-		e.events[i] = *mc
-		i = min
-	}
-	e.events[i] = ev
-}
-
-func (e *Engine) popHeap() event {
-	ev := e.events[0].event
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events = e.events[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	return ev
-}
-
-// cancelHeap removes an event matching t from the reference heap.
-func (e *Engine) cancelHeap(t Ticket) {
-	for i := range e.events {
-		if e.events[i].event == (event{t.when, t.key, t.arg, t.kind}) {
-			n := len(e.events) - 1
-			e.events[i] = e.events[n]
-			e.events = e.events[:n]
-			if i < n {
-				e.siftDown(i)
-				e.siftUp(i)
-			}
-			return
-		}
-	}
-	panic("sim: cancelling an event that is not pending")
-}
-
 // dispatch executes one popped event.
 func (e *Engine) dispatch(ev event) {
 	e.now = ev.when
@@ -744,19 +610,10 @@ func (e *Engine) dispatch(ev event) {
 // Step executes the earliest pending event and returns true, or returns
 // false if no events remain.
 func (e *Engine) Step() bool {
-	var ev event
-	if e.heapMode {
-		if len(e.events) == 0 {
-			return false
-		}
-		ev = e.popHeap()
-	} else {
-		if e.count == 0 {
-			return false
-		}
-		ev = e.popSlot(e.earliestSlot())
+	if e.count == 0 {
+		return false
 	}
-	e.dispatch(ev)
+	e.dispatch(e.popSlot(e.earliestSlot()))
 	return true
 }
 
@@ -764,15 +621,10 @@ func (e *Engine) Step() bool {
 // structural shortcut: all events of the earliest bucket — a tie group
 // sharing one timestamp — are drained without re-searching the occupancy
 // bitmap between them, including events a handler inserts into the bucket
-// after the dispatch position. A wheel growth (or queue-structure change)
-// during a handler invalidates the slot handle; the generation counter
-// detects that and falls back to a fresh search.
+// after the dispatch position. A wheel growth during a handler
+// invalidates the slot handle; the generation counter detects that and
+// falls back to a fresh search.
 func (e *Engine) Run() {
-	if e.heapMode {
-		for !e.stopPoll() && e.Step() {
-		}
-		return
-	}
 	for e.count > 0 {
 		if e.stopPoll() {
 			return

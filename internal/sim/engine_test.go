@@ -5,16 +5,15 @@ import (
 	"testing/quick"
 )
 
-// record returns an engine on the reference heap whose handler appends
-// each event's arg to the returned slice. The TestEngine* tests use it to
-// pin the basic contract on the reference queue; the TestTyped* tests
-// below pin the same on the timing wheel.
-func record() (*Engine, *[]int32) {
-	var e Engine
-	e.UseReferenceHeap()
+// record returns the reference model whose handler appends each event's
+// arg to the returned slice. The TestEngine* tests use it to pin the basic
+// contract on the model; the TestTyped* tests below pin the same on the
+// timing wheel.
+func record() (queue, *[]int32) {
+	e := &refEngine{}
 	got := new([]int32)
 	e.SetHandler(func(_ Kind, arg int32) { *got = append(*got, arg) })
-	return &e, got
+	return e, got
 }
 
 func TestEngineOrdering(t *testing.T) {
@@ -45,8 +44,7 @@ func TestEngineTieBreakBySequence(t *testing.T) {
 }
 
 func TestEngineEventsScheduledDuringRun(t *testing.T) {
-	var e Engine
-	e.UseReferenceHeap()
+	var e refEngine
 	var times []Time
 	e.SetHandler(func(_ Kind, arg int32) {
 		times = append(times, e.Now())
@@ -131,7 +129,7 @@ func TestSchedulePastPanics(t *testing.T) {
 
 // TestHeapOrderProperty drives the engine with adversarial (when, order)
 // mixes and checks the pop order is exactly the (when, seq) sort — the
-// invariant that keeps results independent of heap shape and arity.
+// invariant that keeps results independent of how the queue stores events.
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(whens []uint8) bool {
 		var e Engine
@@ -164,8 +162,8 @@ func TestHeapOrderProperty(t *testing.T) {
 }
 
 // TestTypedEventLoopDoesNotAllocate is the allocation regression for the
-// steady-state run loop: once the heap's backing array has reached its
-// working capacity, a schedule/step cycle must be allocation-free.
+// steady-state run loop: once the wheel's span and node pool have reached
+// their working size, a schedule/step cycle must be allocation-free.
 func TestTypedEventLoopDoesNotAllocate(t *testing.T) {
 	var e Engine
 	live := 0
@@ -176,7 +174,7 @@ func TestTypedEventLoopDoesNotAllocate(t *testing.T) {
 			live++
 		}
 	})
-	// Grow the heap to its steady-state working set before measuring.
+	// Grow the wheel to its steady-state working set before measuring.
 	for i := int32(0); i < 64; i++ {
 		e.Schedule(Time(i%7), 0, i)
 		live++
@@ -252,10 +250,10 @@ func TestCursorUtilization(t *testing.T) {
 	}
 }
 
-// ---- timing wheel vs reference heap ----------------------------------------
+// ---- timing wheel vs reference model ---------------------------------------
 
-// driveBoth runs the same schedule script through a wheel engine and a
-// reference-heap engine and asserts identical execution traces and
+// driveBoth runs the same schedule script through the timing wheel and the
+// reference model and asserts identical execution traces and
 // identical Steps/Pending accounting after every event. The script is a
 // byte stream: each executed event schedules a follow-up with a delay
 // drawn from the stream (including zero — a same-cycle event), so ties,
@@ -267,11 +265,7 @@ func driveBoth(t *testing.T, seeds []byte, delays []byte) {
 		arg  int32
 		kind Kind
 	}
-	run := func(heap bool) ([]rec, []uint64, []int) {
-		var e Engine
-		if heap {
-			e.UseReferenceHeap()
-		}
+	run := func(e queue) ([]rec, []uint64, []int) {
 		var trace []rec
 		var steps []uint64
 		var pend []int
@@ -297,27 +291,27 @@ func driveBoth(t *testing.T, seeds []byte, delays []byte) {
 		}
 		return trace, steps, pend
 	}
-	wt, ws, wp := run(false)
-	ht, hs, hp := run(true)
+	wt, ws, wp := run(&Engine{})
+	ht, hs, hp := run(&refEngine{})
 	if len(wt) != len(ht) {
-		t.Fatalf("wheel executed %d events, heap %d", len(wt), len(ht))
+		t.Fatalf("wheel executed %d events, model %d", len(wt), len(ht))
 	}
 	for i := range wt {
 		if wt[i] != ht[i] {
-			t.Fatalf("event %d diverged: wheel %+v, heap %+v", i, wt[i], ht[i])
+			t.Fatalf("event %d diverged: wheel %+v, model %+v", i, wt[i], ht[i])
 		}
 		if ws[i] != hs[i] || wp[i] != hp[i] {
-			t.Fatalf("accounting diverged at event %d: wheel steps/pending %d/%d, heap %d/%d",
+			t.Fatalf("accounting diverged at event %d: wheel steps/pending %d/%d, model %d/%d",
 				i, ws[i], wp[i], hs[i], hp[i])
 		}
 	}
 }
 
-// TestWheelHeapDifferential is the equivalence proof for replacing the
-// 4-ary heap with the timing wheel: random bounded-delay schedules —
-// including zero delays, same-cycle ties and delays that force the wheel
-// to grow — must pop in the identical (when, seq) order from both queues,
-// with identical Steps and Pending counters throughout.
+// TestWheelHeapDifferential is the equivalence proof for the timing wheel:
+// random bounded-delay schedules — including zero delays, same-cycle ties
+// and delays that force the wheel to grow — must pop in the identical
+// (when, seq) order from the wheel and the sorted-slice model, with
+// identical Steps and Pending counters throughout.
 func TestWheelHeapDifferential(t *testing.T) {
 	f := func(seeds []byte, delays []byte) bool {
 		if len(seeds) == 0 {

@@ -17,12 +17,12 @@ import (
 // is one labelled event at its final position, and a wake cancels it and
 // re-inserts it at NextTick: the scheme the machine model uses for NACKed
 // strands. Both must record the same work in the same order, and the
-// virtual mode must pop identically on the wheel and the reference heap.
+// virtual mode must pop identically on the wheel and the reference model.
 // With oneD set, an event has at most one child of delay exactly D (a
 // chain counts as one), the condition under which a virtual chain keeps
 // its place (see the package doc); without it, siblings tie on labels.
 type chainScript struct {
-	e       *Engine
+	e       queue
 	virtual bool
 	oneD    bool
 	period  Time
@@ -159,10 +159,10 @@ func (c *chainScript) wake(now Time) {
 }
 
 // runChainScript runs one script to completion and returns its records.
-func runChainScript(seed uint64, period Time, virtual, oneD, heap, labelled bool) *chainScript {
-	e := &Engine{}
-	if heap {
-		e.UseReferenceHeap()
+func runChainScript(seed uint64, period Time, virtual, oneD, model, labelled bool) *chainScript {
+	var e queue = &Engine{}
+	if model {
+		e = &refEngine{}
 	}
 	if labelled {
 		e.SetPeriod(period)
@@ -170,7 +170,7 @@ func runChainScript(seed uint64, period Time, virtual, oneD, heap, labelled bool
 	c := &chainScript{e: e, virtual: virtual, oneD: oneD, period: period, rng: seed | 1, limit: 400}
 	e.SetHandler(func(k Kind, arg int32) {
 		c.handle(k, arg)
-		c.pops = append(c.pops, popRec{e.Now(), k, arg, e.cur, e.Steps(), -1})
+		c.pops = append(c.pops, popRec{e.Now(), k, arg, e.position(), e.Steps(), -1})
 	})
 	for i := 0; i < 6; i++ {
 		c.nextID++
@@ -204,16 +204,16 @@ func checkLabelledOrder(t *testing.T, seed uint64, period Time) int {
 	return len(real.pops) - len(virt.pops)
 }
 
-// samePops asserts that the wheel and the reference heap popped the same
+// samePops asserts that the wheel and the reference model popped the same
 // events at the same places, with the same Steps and Pending after each.
-func samePops(t *testing.T, wheel, heap *chainScript) {
+func samePops(t *testing.T, wheel, model *chainScript) {
 	t.Helper()
-	if len(wheel.pops) != len(heap.pops) {
-		t.Fatalf("wheel popped %d events, heap %d", len(wheel.pops), len(heap.pops))
+	if len(wheel.pops) != len(model.pops) {
+		t.Fatalf("wheel popped %d events, model %d", len(wheel.pops), len(model.pops))
 	}
 	for i := range wheel.pops {
-		if wheel.pops[i] != heap.pops[i] {
-			t.Fatalf("pop %d: wheel %+v, heap %+v", i, wheel.pops[i], heap.pops[i])
+		if wheel.pops[i] != model.pops[i] {
+			t.Fatalf("pop %d: wheel %+v, model %+v", i, wheel.pops[i], model.pops[i])
 		}
 	}
 }
@@ -233,7 +233,7 @@ func sameWork(t *testing.T, what string, a, b []workRec) {
 // FuzzLabelledOrder checks the labelled event order. Real chains run in the
 // same order with and without a period, virtual chains (one labelled event
 // each, moved by wakes) do the same work at the same places as real ones,
-// and the wheel and the reference heap pop virtual runs identically,
+// and the wheel and the reference model pop virtual runs identically,
 // with equal Steps and Pending after every event.
 func FuzzLabelledOrder(f *testing.F) {
 	for i, d := range []byte{1, 2, 3, 5, 7, 24, 24, 33} {

@@ -8,14 +8,11 @@ import (
 // bucketScript builds, from the handler of one event at time 0, buckets
 // whose pushes arrive out of key order, cancels events in the middle and
 // at the tail of a bucket's list, then links a new event behind the
-// cancelled tail, and finally schedules an event far enough out to grow
-// the wheel while those lists are pending. It returns the dispatch order.
-func bucketScript(heap bool) []int32 {
+// cancelled tail, cancels the second of two events that share a label,
+// and finally schedules an event far enough out to grow the wheel while
+// those lists are pending. It returns the dispatch order.
+func bucketScript(e queue) []int32 {
 	const d = 10
-	var e Engine
-	if heap {
-		e.UseReferenceHeap()
-	}
 	e.SetPeriod(d)
 	var got []int32
 	e.SetHandler(func(_ Kind, arg int32) {
@@ -51,6 +48,10 @@ func bucketScript(heap bool) []int32 {
 			e.Cancel(e.ScheduleLabelled(45, l1, 0, 70))
 			e.ScheduleLabelled(45, l2, 0, 71)
 
+			// Time 50: of two events under one label, cancel the second.
+			e.ScheduleLabelled(50, l1, 0, 80)
+			e.Cancel(e.ScheduleLabelled(50, l1, 0, 81))
+
 			// Grow the wheel (256 slots at first) with the lists pending.
 			e.Schedule(1000, 0, 99)
 		case 21:
@@ -68,15 +69,16 @@ func bucketScript(heap bool) []int32 {
 // node lists: labelled and section-1 events pushed behind larger keys land
 // at their sorted place, ties keep their push order, cancelling in the
 // middle or at the tail leaves a list that later pushes link onto
-// correctly, and growth moves whole lists. The reference heap must
-// dispatch the same order.
+// correctly, Cancel removes the named one of two equal-key events, and
+// growth moves whole lists. The reference model must dispatch the same
+// order.
 func TestWheelBucketListOrder(t *testing.T) {
-	want := "[1 30 31 21 23 22 40 50 52 60 62 64 71 99]"
-	if got := fmt.Sprint(bucketScript(false)); got != want {
+	want := "[1 30 31 21 23 22 40 50 52 60 62 64 71 80 99]"
+	if got := fmt.Sprint(bucketScript(&Engine{})); got != want {
 		t.Errorf("wheel order %s, want %s", got, want)
 	}
-	if got := fmt.Sprint(bucketScript(true)); got != want {
-		t.Errorf("reference heap order %s, want %s", got, want)
+	if got := fmt.Sprint(bucketScript(&refEngine{})); got != want {
+		t.Errorf("reference model order %s, want %s", got, want)
 	}
 }
 
