@@ -197,7 +197,6 @@ func BenchmarkResilience(b *testing.B) {
 			Run: func(cfg chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
 				_, k := triadProg(int64(p.Int("x")), 1)
 				prog := k.Program(omp.StaticBlock{}, 16)
-				prog.WarmLines = cfg.L2.SizeBytes / phys.LineSize
 				m := chip.New(cfg)
 				r, err := m.RunCtx(sc.Context(), prog)
 				if err != nil {
@@ -249,7 +248,6 @@ func BenchmarkResilience(b *testing.B) {
 			once.Do(func() { close(started) })
 			_, k := triadProg(int64(p.Int("x")), 8)
 			prog := k.Program(omp.StaticBlock{}, 64)
-			prog.WarmLines = cfg.L2.SizeBytes / phys.LineSize
 			r, err := chip.New(cfg).RunCtx(sc.Context(), prog)
 			if err != nil {
 				return exp.Result{}, err
@@ -329,9 +327,7 @@ func (a *ablation) report(b *testing.B) {
 
 func (a *ablation) runTriad(cfg chip.Config, offsetWords int64) chip.Result {
 	_, k := triadProg(offsetWords, 1)
-	p := k.Program(omp.StaticBlock{}, 64)
-	p.WarmLines = cfg.L2.SizeBytes / phys.LineSize
-	return a.run(cfg, p)
+	return a.run(cfg, k.Program(omp.StaticBlock{}, 64))
 }
 
 // BenchmarkAblationXORMapping (A1): rerunning the worst-case offset with a
@@ -361,14 +357,12 @@ func BenchmarkAblationMSHR(b *testing.B) {
 		base := machine.MustGet("t2").Config
 		_, k := triadProg(13, 1)
 		p := k.Program(omp.StaticBlock{}, 8)
-		p.WarmLines = base.L2.SizeBytes / phys.LineSize
 		one := a.run(base, p)
 
 		cfg := machine.MustGet("t2").Config
 		cfg.MSHRPerStrand = 4
 		_, k4 := triadProg(13, 1)
 		p4 := k4.Program(omp.StaticBlock{}, 8)
-		p4.WarmLines = cfg.L2.SizeBytes / phys.LineSize
 		four := a.run(cfg, p4)
 
 		b.ReportMetric(one.GBps, "8T-1mshr-GB/s")

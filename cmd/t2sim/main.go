@@ -280,7 +280,6 @@ func (p params) build(cfg chip.Config) (*trace.Program, error) {
 	default:
 		return nil, fmt.Errorf("unknown kernel %q", p.kernel)
 	}
-	prog.WarmLines = cfg.L2.SizeBytes / phys.LineSize
 	return prog, nil
 }
 

@@ -52,7 +52,6 @@ func main() {
 	// and the plain code matches the optimized one there.
 	const simN = 1216
 	m := chip.New(machine.MustGet("t2").Config)
-	warm := machine.MustGet("t2").Config.L2.SizeBytes / phys.LineSize
 
 	spPlain := alloc.NewSpace()
 	plain := jacobi.Spec{
@@ -63,7 +62,6 @@ func main() {
 		Sweeps: 2,
 	}
 	pp := plain.Program(64)
-	pp.WarmLines = warm
 	rPlain := m.Run(pp)
 
 	spOpt := alloc.NewSpace()
@@ -81,7 +79,6 @@ func main() {
 		Sweeps: 2,
 	}
 	po := optimized.Program(64)
-	po.WarmLines = warm
 	rOpt := m.Run(po)
 
 	fmt.Printf("simulated T2, N=%d, 64 threads:\n", simN)

@@ -61,7 +61,6 @@ func main() {
 
 	// ---- simulated performance -----------------------------------------
 	m := chip.New(machine.MustGet("t2").Config)
-	warm := machine.MustGet("t2").Config.L2.SizeBytes / phys.LineSize
 	run := func(layout lbm.Layout, fused bool, threads int) chip.Result {
 		sp := alloc.NewSpace()
 		spec := lbm.TraceSpec{
@@ -72,7 +71,6 @@ func main() {
 			Fused:    fused, Sched: omp.StaticBlock{}, Sweeps: 1,
 		}
 		pr := spec.Program(threads)
-		pr.WarmLines = warm
 		return m.Run(pr)
 	}
 	fmt.Printf("simulated T2, N=%d:\n", simN)

@@ -39,7 +39,6 @@ func measure(prof machine.Profile, offset int64) chip.Result {
 	bases := sp.OffsetBases(streams, n*phys.WordSize, align, offset)
 	k := kernels.LoadSum(bases, n)
 	p := k.Program(omp.StaticBlock{}, threads)
-	p.WarmLines = prof.Config.L2.SizeBytes / phys.LineSize
 	return chip.New(prof.Config).Run(p)
 }
 

@@ -30,7 +30,6 @@ func main() {
 
 	k := kernels.VTriad(naive[0], naive[1], naive[2], naive[3], n)
 	p := k.Program(omp.StaticBlock{}, 64)
-	p.WarmLines = machine.MustGet("t2").Config.L2.SizeBytes / phys.LineSize
 	r := m.Run(p)
 	fmt.Printf("                   measured %.2f GB/s\n\n", r.GBps)
 
@@ -51,7 +50,6 @@ func main() {
 
 	k2 := kernels.VTriad(tuned[0], tuned[1], tuned[2], tuned[3], n)
 	p2 := k2.Program(omp.StaticBlock{}, 64)
-	p2.WarmLines = machine.MustGet("t2").Config.L2.SizeBytes / phys.LineSize
 	r2 := m.Run(p2)
 	fmt.Printf("                   measured %.2f GB/s\n\n", r2.GBps)
 

@@ -20,7 +20,6 @@ func main() {
 	const n = 1 << 18
 	m := chip.New(machine.MustGet("t2").Config)
 	ms := machine.MustGet("t2").Spec()
-	warm := machine.MustGet("t2").Config.L2.SizeBytes / phys.LineSize
 
 	fmt.Println("offset  ctrl-phases  predicted   measured GB/s")
 	fmt.Println("------  -----------  ---------  --------------")
@@ -30,7 +29,6 @@ func main() {
 		bases := sp.Common(3, n+off, phys.WordSize)
 		k := kernels.StreamTriad(bases[0], bases[1], bases[2], n)
 		p := k.Program(omp.StaticBlock{}, 64)
-		p.WarmLines = warm
 		r := m.Run(p)
 		bar := int(r.GBps)
 		fmt.Printf("%6d  A=%d B=%d C=%d  %-9s  %6.2f %s\n",

@@ -135,8 +135,6 @@ func Small() Options {
 	return o
 }
 
-func (o Options) warmLines() int64 { return o.Cfg.L2.SizeBytes / phys.LineSize }
-
 // machineKey caches one reusable chip.Machine per configuration in a
 // worker's scratch; chip.Config is comparable, so the configuration itself
 // is the key.
@@ -162,8 +160,7 @@ type run struct {
 // context (exp.Scratch.Context) rides along so a cancelled or timed-out
 // sweep aborts each in-flight run cooperatively; with a background context
 // this is exactly the fault-free path.
-func runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program, warm int64) (run, error) {
-	p.WarmLines = warm
+func runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program) (run, error) {
 	m := machineFor(sc, cfg)
 	r, err := m.RunCtx(sc.Context(), p)
 	return run{r, m.LastRun()}, err
@@ -235,7 +232,7 @@ func (o Options) Fig2Exp() exp.Experiment {
 			}
 			th := p.Int("threads")
 			off := p.Int64("offset")
-			r, err := runProg(cfg, sc, o.streamProg(sc, kind, off, th), o.warmLines())
+			r, err := runProg(cfg, sc, o.streamProg(sc, kind, off, th))
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -363,7 +360,7 @@ func (o Options) Fig4Exp() exp.Experiment {
 					series = fmt.Sprintf("align8k+%d", off)
 				}
 			}
-			r, err := runProg(cfg, sc, prog, o.warmLines())
+			r, err := runProg(cfg, sc, prog)
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -425,7 +422,7 @@ func (o Options) Fig5Exp(threads int) exp.Experiment {
 				prog = k.Program(omp.StaticBlock{}, threads)
 				series = fmt.Sprintf("%dT non-segmented", threads)
 			}
-			r, err := runProg(cfg, sc, prog, o.warmLines())
+			r, err := runProg(cfg, sc, prog)
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -505,7 +502,7 @@ func (o Options) Fig6Exp() exp.Experiment {
 				spec.Dst = func(i int64) phys.Addr { return dstL.Segs[i].Start }
 				series = fmt.Sprintf("%dT", th)
 			}
-			r, err := runProg(cfg, sc, spec.Program(th), o.warmLines())
+			r, err := runProg(cfg, sc, spec.Program(th))
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -575,7 +572,7 @@ func (o Options) Fig7Exp() exp.Experiment {
 				MaskBase: sp.Malloc(lbm.MaskBytes(n, v.layout)),
 				Fused:    v.fused, Sched: omp.StaticBlock{}, Sweeps: o.LBMSweeps,
 			}
-			r, err := runProg(cfg, sc, spec.Program(v.threads), o.warmLines())
+			r, err := runProg(cfg, sc, spec.Program(v.threads))
 			if err != nil {
 				return exp.Result{}, err
 			}

@@ -36,7 +36,6 @@ func crossvalExp(n int64) exp.Experiment {
 			real := sp.Common(3, ndim, phys.WordSize)
 			k := kernels.StreamTriad(real[0], real[1], real[2], n)
 			prog := k.Program(omp.StaticBlock{}, 64)
-			prog.WarmLines = cfg.L2.SizeBytes / phys.LineSize
 			r := chip.New(cfg).Run(prog)
 			return exp.Result{
 				Series:  "triad/64T",
@@ -103,7 +102,6 @@ func plannerExp(n int64) exp.Experiment {
 			bases := sp.OffsetBases(4, n*phys.WordSize, phys.PageSize, offset)
 			k := kernels.VTriad(bases[0], bases[1], bases[2], bases[3], n)
 			prog := k.Program(omp.StaticBlock{}, 64)
-			prog.WarmLines = cfg.L2.SizeBytes / phys.LineSize
 			r := chip.New(cfg).Run(prog)
 			return exp.Result{Series: p.Str("placement"), X: float64(offset), Y: r.GBps}, nil
 		},

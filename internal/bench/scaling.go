@@ -101,7 +101,7 @@ func (o Options) ScalingExp() exp.Experiment {
 
 			k := kernels.LoadSum(bases, n)
 			prog := k.Program(omp.StaticBlock{}, threads)
-			r, err := runProg(prof.Config, sc, prog, prof.Config.L2.SizeBytes/phys.LineSize)
+			r, err := runProg(prof.Config, sc, prog)
 			if err != nil {
 				return exp.Result{}, err
 			}

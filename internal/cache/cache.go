@@ -6,6 +6,11 @@
 // (Sect. 2.3), and the lattice-Boltzmann kernel collapses when the padded
 // domain edge is a multiple of 64 because power-of-two strides thrash the
 // sets (Sect. 2.4).
+//
+// A miss reports only whether its victim was dirty, not the victim's
+// address: the victim shares its set, and so its bank and memory
+// controller, with the line that evicts it, which is all a writeback
+// needs to know.
 package cache
 
 import (
@@ -44,8 +49,7 @@ func (s Stats) HitRate() float64 {
 // Result reports the outcome of a single line access.
 type Result struct {
 	Hit         bool
-	Victim      phys.Addr // line address of the evicted victim, if any
-	VictimDirty bool      // victim must be written back
+	VictimDirty bool // the evicted victim must be written back
 }
 
 // Banked is a banked, set-associative, write-allocate, write-back cache
@@ -64,7 +68,6 @@ type Banked struct {
 	setsPerBank int
 	setShift    uint
 	tagShift    uint
-	bankInsert  bool // bank bits sit directly above the line offset
 	// Wide-granule indexing: when a field mapping's bank bits sit above
 	// the line offset (a coarse interleave, granule > one line), the set
 	// and tag are taken from the line index with the bank field excised,
@@ -75,7 +78,6 @@ type Banked struct {
 	gBits     uint
 	wideShift uint
 	setBits   uint
-	bankShift uint
 	sets      []setRecord // [set]
 	ptagWords int         // ptag words in use: one per 8 ways
 	wayMask   uint16      // one bit per way
@@ -183,19 +185,13 @@ func New(cfg Config, mapping phys.Mapping) *Banked {
 	}
 	c.initLRU()
 	c.setBits = uint(bits.Len(uint(perBank - 1)))
-	if fs, ok := c.mapped.BankField(); ok {
-		c.bankShift = fs
-		switch {
-		case fs == phys.LineShift:
-			c.bankInsert = true
-		case fs > phys.LineShift:
-			// Coarse interleave: the bank field sits above the line offset.
-			// The default scheme would fold all lines of a granule onto one
-			// (set, tag), so switch to the excised-field indexing.
-			c.wide = true
-			c.gBits = fs - phys.LineShift
-			c.wideShift = fs + uint(bankBits)
-		}
+	if fs, ok := c.mapped.BankField(); ok && fs > phys.LineShift {
+		// Coarse interleave: the bank field sits above the line offset.
+		// The default scheme would fold all lines of a granule onto one
+		// (set, tag), so switch to the excised-field indexing.
+		c.wide = true
+		c.gBits = fs - phys.LineShift
+		c.wideShift = fs + uint(bankBits)
 	}
 	return c
 }
@@ -313,7 +309,6 @@ func (c *Banked) Commit(p Probe, write bool) Result {
 	vbit := uint16(1) << uint(victim)
 	if vm&vbit != 0 && m.dirty&vbit != 0 {
 		res.VictimDirty = true
-		res.Victim = c.reconstruct(setIdx, uint64(m.tags[victim]))
 		c.stats.Writebacks++
 	}
 	m.tags[victim] = uint32(p.tag)
@@ -357,41 +352,6 @@ func (c *Banked) PrefillSequential(base phys.Addr, n int64, write bool) {
 // without perturbing LRU state. Intended for tests and analyzers.
 func (c *Banked) Contains(addr phys.Addr) bool {
 	return c.ProbeLine(addr).Hit()
-}
-
-// reconstruct rebuilds a victim's line address from its set index and tag.
-// It inverts locate: the bank and in-bank set index recover the low fields,
-// the tag supplies the high bits.
-func (c *Banked) reconstruct(setIdx int, tag uint64) phys.Addr {
-	bank := setIdx / c.setsPerBank
-	set := uint64(setIdx % c.setsPerBank)
-	if c.wide {
-		// Invert the excised-field indexing: split the set|tag index back
-		// into the line-within-granule and above-bank fields, then re-insert
-		// the bank field between them.
-		idx := tag<<c.setBits | set
-		within := idx & (1<<c.gBits - 1)
-		above := idx >> c.gBits
-		return phys.Addr(above<<c.wideShift | uint64(bank)<<c.bankShift | within<<phys.LineShift)
-	}
-	addr := tag<<(c.setShift+c.setBits) | set<<c.setShift
-	// Re-insert the bank-selection bits. For field mappings whose bank bits
-	// sit directly above the line offset (the T2), the bank index is the
-	// field value itself; for hashed mappings the bank field is not
-	// address-recoverable, so we search the bank's aliases.
-	if c.bankInsert {
-		return phys.Addr(addr | uint64(bank)<<phys.LineShift)
-	}
-	bankBits := c.setShift - phys.LineShift
-	for b := uint64(0); b < 1<<bankBits; b++ {
-		cand := phys.Addr(addr | b<<phys.LineShift)
-		if c.mapped.Bank(cand) == bank {
-			return cand
-		}
-	}
-	// Unreachable for well-formed mappings; return the bankless address so
-	// traffic accounting still sees a plausible line.
-	return phys.Addr(addr)
 }
 
 // Stats returns the cache's activity counters.

@@ -12,8 +12,8 @@ import (
 // stampRef is the stamp-scan LRU the recency stack replaced, kept as a
 // reference model: every commit stamps its way with the bank's next clock
 // value, and a miss into a full set scans the set's stamps for the
-// smallest. It shares only geometry (locate, reconstruct) with the cache
-// under test, through a Banked it never mutates.
+// smallest. It shares only geometry (locate) with the cache under test,
+// through a Banked it never mutates.
 type stampRef struct {
 	geo          *Banked
 	ways         int
@@ -83,7 +83,6 @@ func (r *stampRef) access(addr phys.Addr, write bool) Result {
 	vbit := uint64(1) << uint(victim)
 	if r.valid[set]&vbit != 0 && r.dirty[set]&vbit != 0 {
 		res.VictimDirty = true
-		res.Victim = r.geo.reconstruct(set, r.tags[base+victim])
 		r.stats.Writebacks++
 	}
 	r.tags[base+victim] = tag

@@ -24,9 +24,7 @@ func runTriad(t *testing.T, offsetWords int64, threads int) chip.Result {
 	bases := sp.Common(3, calN+offsetWords, phys.WordSize)
 	k := kernels.StreamTriad(bases[0], bases[1], bases[2], calN)
 	m := chip.New(t2cfg())
-	p := k.Program(omp.StaticBlock{}, threads)
-	p.WarmLines = t2cfg().L2.SizeBytes / phys.LineSize
-	return m.Run(p)
+	return m.Run(k.Program(omp.StaticBlock{}, threads))
 }
 
 // TestCalibrationReport prints the calibration landscape for manual
@@ -116,7 +114,6 @@ func TestCalibrationCopy(t *testing.T) {
 	k := kernels.StreamCopy(bases[2], bases[0], calN)
 	m := chip.New(t2cfg())
 	p := k.Program(omp.StaticBlock{}, 64)
-	p.WarmLines = t2cfg().L2.SizeBytes / phys.LineSize
 	r := m.Run(p)
 	if r.GBps < 8.0 || r.GBps > 14.0 {
 		t.Errorf("copy reported bandwidth = %.2f GB/s, want ~11", r.GBps)
@@ -135,7 +132,6 @@ func TestCalibrationLoadOnly(t *testing.T) {
 	k := kernels.LoadSum(bases, calN)
 	m := chip.New(t2cfg())
 	p := k.Program(omp.StaticBlock{}, 64)
-	p.WarmLines = t2cfg().L2.SizeBytes / phys.LineSize
 	load := m.Run(p)
 	triad := runTriad(t, 13, 64)
 	if load.ActualGBps <= triad.ActualGBps {

@@ -20,7 +20,9 @@
 //     ownership fill asynchronously, consuming controller read bandwidth.
 //     A full store buffer stalls the strand until the oldest fill lands.
 //   - Dirty evictions become posted writebacks on the controllers'
-//     southbound channels.
+//     southbound channels. A victim shares its L2 set, and so its bank and
+//     controller, with the line that evicts it, so the writeback goes to
+//     the controller of the miss.
 //
 // Aliasing convoys, latency hiding, capacity misses and the bidirectional-
 // transfer overhead all emerge from this loop; nothing is special-cased
@@ -30,6 +32,7 @@ package chip
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -145,15 +148,18 @@ type RunStats struct {
 // reusing one Machine across the points of a sweep costs a reset instead
 // of megabytes of reconstruction. A Machine may be reused freely but not
 // concurrently; sweep harnesses keep one per worker (see exp.Scratch).
+//
+// Every run starts from an L2 filled with dirty lines of an address range
+// no kernel uses, as many as the L2 holds, so a single sweep measures the
+// steady-state capacity-eviction and writeback behaviour a real benchmark
+// reaches after its warm-up iterations.
 type Machine struct {
 	cfg Config
 	rs  *runState
-	// Warm-up L2 image: PrefillSequential over WarmLines is identical for
-	// every run of a machine, so it is replayed once and restored by
-	// memcpy afterwards.
-	warmImg   *cache.Image
-	warmLines int64
-	last      RunStats
+	// Warm-up L2 image: the pre-fill is identical for every run of a
+	// machine, so it is replayed once and restored by memcpy afterwards.
+	warmImg *cache.Image
+	last    RunStats
 }
 
 // New validates the configuration and returns a machine.
@@ -163,6 +169,10 @@ func New(cfg Config) *Machine {
 	}
 	if cfg.Mapping == nil {
 		panic("chip: nil mapping")
+	}
+	if ctls, banks := cfg.Mapping.Controllers(), cfg.Mapping.Banks(); ctls <= 0 || banks%ctls != 0 || bits.OnesCount(uint(banks/ctls)) != 1 {
+		// The run loop takes a miss's controller from its bank with a shift.
+		panic(fmt.Sprintf("chip: mapping %s: %d banks are not %d controllers times a power of two", cfg.Mapping.Name(), banks, ctls))
 	}
 	if cfg.MSHRPerStrand <= 0 {
 		panic("chip: MSHRPerStrand must be >= 1")
@@ -230,6 +240,7 @@ const (
 
 type runState struct {
 	cfg      Config
+	ctlShift uint // a bank's controller is bank >> ctlShift (phys.ControllerOf)
 	eng      sim.Engine
 	l2       *cache.Banked
 	mc       *mem.System
@@ -335,8 +346,9 @@ func (rs *runState) overWindow(s *strand) bool {
 // load performs one demand line read beginning at time t and returns the
 // time the data is back at the strand. The probe carries the single tag
 // lookup (and bank computation) already performed by step's admission
-// check, and ctl the controller that check decoded for a miss; Commit
-// finishes the access without rescanning.
+// check, and ctl the controller of its bank for a miss, which also takes
+// the dirty victim's writeback; Commit finishes the access without
+// rescanning.
 func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe, ctl int) sim.Time {
 	arrive := t + rs.cfg.XbarLatency
 	bankStart, bankDone := rs.banks[p.Bank()].Acquire(arrive, rs.cfg.L2BankService)
@@ -350,7 +362,7 @@ func (rs *runState) load(t sim.Time, line phys.Addr, p cache.Probe, ctl int) sim
 	} else {
 		dataAt = rs.mc.Read(bankDone, ctl)
 		if res.VictimDirty {
-			rs.mc.Write(bankDone, res.Victim)
+			rs.mc.Write(bankDone, ctl)
 		}
 		if rs.waiting > 0 {
 			rs.installed(line, ctl)
@@ -371,7 +383,7 @@ func (rs *runState) store(t sim.Time, line phys.Addr, p cache.Probe, ctl int) (p
 	if !res.Hit {
 		fill = rs.mc.Read(bankDone, ctl)
 		if res.VictimDirty {
-			rs.mc.Write(bankDone, res.Victim)
+			rs.mc.Write(bankDone, ctl)
 		}
 		if rs.waiting > 0 {
 			rs.installed(line, ctl)
@@ -414,8 +426,8 @@ func (rs *runState) step(s *strand) {
 			// One tag-array probe serves both the NACK admission check and,
 			// via Commit inside load/store, the access itself. A strand its
 			// gate has just admitted reuses the miss probe it was NACKed
-			// with (see fireGate), and the controller decoded for a miss
-			// serves the read and the waiter bookkeeping.
+			// with (see fireGate), and the controller of a miss's bank
+			// serves the read, its writeback and the waiter bookkeeping.
 			var probe cache.Probe
 			var ctl int
 			if s.admitted {
@@ -425,7 +437,7 @@ func (rs *runState) step(s *strand) {
 				probe = rs.l2.ProbeLine(line)
 				rs.probes++
 				if !probe.Hit() {
-					ctl = rs.mc.Controller(line)
+					ctl = probe.Bank() >> rs.ctlShift
 					if rs.mc.Full(t, ctl) {
 						s.rCtl, s.rLine, s.rProbe = ctl, line, probe
 						if t == rs.eng.Now() {
@@ -524,23 +536,20 @@ func (m *Machine) validateTeam(prog *trace.Program) {
 	}
 }
 
-// warmL2 pre-fills l2 with dirty lines of an address range no kernel uses,
-// so the first sweep already evicts and writes back at the steady-state
-// rate. The warmed tag store is identical for every run of a machine, so
-// it is simulated once and restored from a snapshot on reuse.
-func (m *Machine) warmL2(l2 *cache.Banked, warmLines int64) {
-	if warmLines <= 0 {
-		return
-	}
-	if m.warmImg != nil && m.warmLines == warmLines {
+// warmL2 fills l2 with dirty lines of an address range no kernel uses, as
+// many as it holds, so the first sweep already evicts and writes back at
+// the steady-state rate. The warmed tag store is identical for every run
+// of a machine, so it is simulated once and restored from a snapshot on
+// reuse.
+func (m *Machine) warmL2(l2 *cache.Banked) {
+	if m.warmImg != nil {
 		l2.Restore(m.warmImg)
 		return
 	}
 	const warmBase phys.Addr = 1 << 40
-	l2.PrefillSequential(warmBase, warmLines, true)
+	l2.PrefillSequential(warmBase, m.cfg.L2.SizeBytes/phys.LineSize, true)
 	l2.ResetStats()
 	m.warmImg = l2.Snapshot()
-	m.warmLines = warmLines
 }
 
 // Run executes prog to completion and reports aggregate performance. It is
@@ -570,8 +579,9 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 	if rs == nil {
 		rs = &runState{
 			cfg:      m.cfg,
+			ctlShift: uint(bits.TrailingZeros(uint(m.cfg.Mapping.Banks() / m.cfg.Mapping.Controllers()))),
 			l2:       cache.New(m.cfg.L2, m.cfg.Mapping),
-			mc:       mem.New(m.cfg.Mem, m.cfg.Mapping),
+			mc:       mem.New(m.cfg.Mem, m.cfg.Mapping.Controllers()),
 			cores:    cpu.New(cpu.Config{Cores: m.cfg.Cores, GroupsPerCore: m.cfg.GroupsPerCore, LSUPipes: 2}),
 			banks:    make([]sim.Cursor, m.cfg.Mapping.Banks()),
 			runAhead: m.cfg.RunAhead,
@@ -611,7 +621,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		rs.window[0] = int32(n) // every strand starts at 0 completed items
 		rs.active = n
 	}
-	m.warmL2(rs.l2, prog.WarmLines)
+	m.warmL2(rs.l2)
 	for len(rs.pool) < n {
 		s := &strand{id: len(rs.pool), sb: make([]sim.Time, m.cfg.StoreBuffer)}
 		if m.cfg.MSHRPerStrand > 1 {

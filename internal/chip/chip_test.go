@@ -341,9 +341,7 @@ func TestRunLoopAllocationsDoNotScaleWithWork(t *testing.T) {
 			for i := range gens {
 				gens[i] = &marching{n: items, addr: phys.Addr(i) << 24}
 			}
-			p := prog(gens...)
-			p.WarmLines = 1024
-			New(t2cfg()).Run(p)
+			New(t2cfg()).Run(prog(gens...))
 		}
 	}
 	const rounds = 5

@@ -35,7 +35,6 @@ func TestResultConservation(t *testing.T) {
 					bases := alloc.NewSpace().Common(3, n+off, phys.WordSize)
 					k := kernels.StreamTriad(bases[0], bases[1], bases[2], n)
 					p := k.Program(omp.StaticBlock{}, threads)
-					p.WarmLines = cfg.L2.SizeBytes / phys.LineSize
 					r := m.Run(p)
 
 					var reads, writes int64

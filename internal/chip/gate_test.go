@@ -51,7 +51,6 @@ func TestNACKPollsAreNotEvents(t *testing.T) {
 		gens[i] = &marching{n: items, addr: phys.Addr(i) << 24}
 	}
 	p := prog(gens...)
-	p.WarmLines = 1024
 	m := New(t2cfg())
 	r := m.Run(p)
 	events := int64(m.LastRun().Events)
@@ -91,7 +90,7 @@ func TestReleasedWaiterReprobesAndHits(t *testing.T) {
 		&scripted{items: []trace.Item{loads(x)}},
 		&scripted{items: []trace.Item{loads(x)}})
 	m := New(t2cfg())
-	if ctl := m.cfg.Mapping.Controller(x); ctl != 0 {
+	if ctl := phys.ControllerOf(m.cfg.Mapping, x); ctl != 0 {
 		t.Fatalf("line X on controller %d, want 0", ctl)
 	}
 	r := m.Run(prog(gens...))

@@ -120,7 +120,6 @@ func goldenResults() map[string]chip.Result {
 			for _, threads := range []int{16, 64} {
 				for _, off := range []int64{0, 32} {
 					p := pg.build(threads, off)
-					p.WarmLines = mc.cfg.L2.SizeBytes / phys.LineSize
 					out[fmt.Sprintf("%s/%s/%dT/off%d", pg.name, mc.name, threads, off)] = m.Run(p)
 				}
 			}

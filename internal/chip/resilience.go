@@ -38,7 +38,7 @@ func (e *CancelError) Unwrap() error { return e.Cause }
 type cancelWatch struct {
 	stop    atomic.Bool
 	firedAt atomic.Int64 // wall clock (unixnano) when cancellation was observed
-	release chan struct{}
+	release func() bool  // deregisters fire from the context
 }
 
 // armCancel wires ctx into eng. It returns nil — and leaves the engine
@@ -51,29 +51,25 @@ func armCancel(ctx context.Context, eng *sim.Engine) *cancelWatch {
 	eng.SetStop(&cw.stop)
 	if ctx.Err() != nil {
 		// Already cancelled: set the flag synchronously so even a run
-		// shorter than the watcher goroutine's first scheduling slice
-		// observes it.
-		cw.firedAt.Store(time.Now().UnixNano())
-		cw.stop.Store(true)
+		// shorter than the goroutine AfterFunc would start observes it.
+		cw.fire()
 		return cw
 	}
-	cw.release = make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cw.firedAt.Store(time.Now().UnixNano())
-			cw.stop.Store(true)
-		case <-cw.release:
-		}
-	}()
+	cw.release = context.AfterFunc(ctx, cw.fire)
 	return cw
 }
 
-// done tears the watcher goroutine down; it must be called exactly once
-// after the run loop returns.
+// fire records the cancellation and raises the stop flag.
+func (cw *cancelWatch) fire() {
+	cw.firedAt.Store(time.Now().UnixNano())
+	cw.stop.Store(true)
+}
+
+// done deregisters the cancellation callback; it must be called exactly
+// once after the run loop returns.
 func (cw *cancelWatch) done() {
 	if cw != nil && cw.release != nil {
-		close(cw.release)
+		cw.release()
 	}
 }
 

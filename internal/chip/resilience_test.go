@@ -33,9 +33,7 @@ func marchingProg(threads, items int) *trace.Program {
 	for i := range gens {
 		gens[i] = &marching{n: items, addr: phys.Addr(i) << 24}
 	}
-	p := prog(gens...)
-	p.WarmLines = 2048
-	return p
+	return prog(gens...)
 }
 
 // TestRunCtxMatchesRun pins the zero-cost contract: a background context

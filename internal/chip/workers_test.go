@@ -22,7 +22,7 @@ import (
 // before, not the configuration paths off the default one.
 
 // triadProgAt builds a STREAM triad program with the given offset and team
-// size, pre-warmed like the figure harnesses.
+// size.
 func triadProgAt(n, off int64, threads int) *trace.Program {
 	return triadProgSched(n, off, threads, omp.StaticBlock{})
 }
@@ -32,9 +32,7 @@ func triadProgSched(n, off int64, threads int, sched omp.Schedule) *trace.Progra
 	sp := alloc.NewSpace()
 	bases := sp.Common(3, n+off, phys.WordSize)
 	k := kernels.StreamTriad(bases[0], bases[1], bases[2], n)
-	p := k.Program(sched, threads)
-	p.WarmLines = (4 << 20) / phys.LineSize
-	return p
+	return k.Program(sched, threads)
 }
 
 // topologies are the machine shapes the worker tests sweep: the paper's
@@ -73,13 +71,13 @@ func demandOf(n int64) (d cpu.Demand) {
 	return
 }
 
-// TestShardedWorkerInvariance: the number of workers a sweep's points are
+// TestWorkerInvariance: the number of workers a sweep's points are
 // split across is pure execution parallelism. Machines running concurrently share
 // no state, so every Result byte — cycles, stalls, per-controller traffic,
 // L2 counters — is the solo run's at 1 to 4 concurrent
 // workers, on every topology. Run under -race this also pins the absence
 // of hidden shared mutable state between machines.
-func TestShardedWorkerInvariance(t *testing.T) {
+func TestWorkerInvariance(t *testing.T) {
 	for name, cfg := range topologies() {
 		t.Run(name, func(t *testing.T) {
 			mk := func() *trace.Program { return marchingProg(16, 120) }
@@ -102,17 +100,13 @@ func TestShardedWorkerInvariance(t *testing.T) {
 // TestShardedBatchingEquivalence: a worker runs its share of a sweep's
 // points as a batch on one reused machine. Every point of the batch must get exactly
 // the Result a freshly built machine gives it, whatever the machine ran
-// before — across team sizes, warm-up sizes and program shapes, in either
-// batch order, on every topology.
+// before — across team sizes and program shapes, in either batch order, on
+// every topology.
 func TestShardedBatchingEquivalence(t *testing.T) {
 	batch := []func() *trace.Program{
 		func() *trace.Program { return marchingProg(16, 120) },
 		func() *trace.Program { return triadProgAt(1<<13, 8, 16) },
-		func() *trace.Program {
-			p := marchingProg(4, 60)
-			p.WarmLines = 0
-			return p
-		},
+		func() *trace.Program { return marchingProg(4, 60) },
 		func() *trace.Program { return triadProgAt(1<<13, 0, 64) },
 	}
 	for name, cfg := range topologies() {

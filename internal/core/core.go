@@ -62,7 +62,7 @@ func Utilization(ms MachineSpec, ss StreamSet, steps int) []float64 {
 	for k := 0; k < steps; k++ {
 		for _, b := range ss.Bases {
 			a := b + phys.Addr(int64(k)*ss.Stride)
-			counts[ms.Mapping.Controller(a)]++
+			counts[phys.ControllerOf(ms.Mapping, a)]++
 			total++
 		}
 	}
@@ -95,7 +95,7 @@ func MeanConcurrency(ms MachineSpec, ss StreamSet, steps int) float64 {
 		}
 		n := 0
 		for _, b := range ss.Bases {
-			c := ms.Mapping.Controller(b + phys.Addr(int64(k)*ss.Stride))
+			c := phys.ControllerOf(ms.Mapping, b+phys.Addr(int64(k)*ss.Stride))
 			if !seen[c] {
 				seen[c] = true
 				n++
@@ -195,7 +195,7 @@ func PlanRows(ms MachineSpec) RowPlan {
 func PhaseSpread(ms MachineSpec, stride int64, n int) int {
 	seen := make(map[int]bool)
 	for i := 0; i < n; i++ {
-		seen[ms.Mapping.Controller(phys.Addr(int64(i)*stride))] = true
+		seen[phys.ControllerOf(ms.Mapping, phys.Addr(int64(i)*stride))] = true
 	}
 	return len(seen)
 }
@@ -225,7 +225,7 @@ func ExplainStreamOffset(ms MachineSpec, n, offsetWords int64) (phases []int, re
 	}
 	phases = make([]int, len(bases))
 	for i, b := range bases {
-		phases[i] = ms.Mapping.Controller(b)
+		phases[i] = phys.ControllerOf(ms.Mapping, b)
 	}
 	return phases, Regime(ms, StreamSet{Bases: bases, Stride: phys.LineSize})
 }

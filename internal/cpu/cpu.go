@@ -114,15 +114,6 @@ func (c *Cores) TotalFPUBusy() int64 {
 	return t
 }
 
-// TotalIssueBusy sums group-issue busy cycles over all groups.
-func (c *Cores) TotalIssueBusy() int64 {
-	var t int64
-	for i := range c.issue {
-		t += c.issue[i].Busy()
-	}
-	return t
-}
-
 // Reset clears all pipeline cursors.
 func (c *Cores) Reset() {
 	for i := range c.issue {

@@ -221,14 +221,29 @@ func TestSegStreamThreadMismatchPanics(t *testing.T) {
 	k.Program(8)
 }
 
+// TestStreamsCount: a line-aligned item touches one line of every
+// stream, so the vector triad's first item reads three lines and writes
+// one, and a two-stream load sum's reads two.
 func TestStreamsCount(t *testing.T) {
-	k := VTriad(0, 1<<20, 2<<20, 3<<20, 100)
-	if k.Streams() != 4 {
-		t.Errorf("vtriad streams %d", k.Streams())
+	cases := []struct {
+		k             Stream
+		reads, writes int
+	}{
+		{VTriad(0, 1<<20, 2<<20, 3<<20, 100), 3, 1},
+		{LoadSum([]phys.Addr{0, 1 << 20}, 100), 2, 0},
 	}
-	l := LoadSum([]phys.Addr{0, 1 << 20}, 100)
-	if l.Streams() != 2 {
-		t.Errorf("loadsum streams %d", l.Streams())
+	for _, c := range cases {
+		var reads, writes int
+		for _, a := range items(c.k.Program(omp.StaticBlock{}, 1).Gens[0])[0].Acc {
+			if a.Write {
+				writes++
+			} else {
+				reads++
+			}
+		}
+		if reads != c.reads || writes != c.writes {
+			t.Errorf("%s: first item reads %d and writes %d lines, want %d and %d", c.k.Name, reads, writes, c.reads, c.writes)
+		}
 	}
 }
 

@@ -89,15 +89,6 @@ func LoadSum(bases []phys.Addr, n int64) Stream {
 	}
 }
 
-// Streams returns the number of concurrent streams (reads plus write).
-func (k *Stream) Streams() int {
-	n := len(k.ReadBases)
-	if k.HasWrite {
-		n++
-	}
-	return n
-}
-
 // Program compiles the kernel into a per-thread work-item program under the
 // given schedule and team size.
 func (k *Stream) Program(sched omp.Schedule, threads int) *trace.Program {
@@ -149,7 +140,6 @@ func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads in
 		asns[s] = sched.Assigner(kc.N, threads)
 	}
 	p.Label = fmt.Sprintf("%s/N=%d/%s/t=%d", kc.Name, kc.N, sched.String(), threads)
-	p.WarmLines = 0
 	for t := 0; t < threads; t++ {
 		g := p.Gens[t].(*streamGen)
 		tr := g.readTr

@@ -111,7 +111,7 @@ func validated() []Profile {
 			if err := cache.Check(p.Config.L2, p.Config.Mapping); err != nil {
 				panic(fmt.Sprintf("machine: profile %s: %v", p.Name, err))
 			}
-			mem.New(p.Config.Mem, p.Config.Mapping)
+			mem.New(p.Config.Mem, p.Config.Mapping.Controllers())
 		}
 	})
 	return registry

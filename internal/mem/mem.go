@@ -1,12 +1,15 @@
 // Package mem models dual-channel FB-DIMM memory controllers — four on
-// the T2, but the controller count is taken from the address mapping, so
-// machine profiles with one, two or eight controllers reuse the same
-// model. FB-DIMM links are unidirectional: reads return on the
-// northbound lanes, writes are pushed on the southbound lanes, so each
-// controller is modeled as two FCFS channel cursors. Writes additionally
-// steal WriteCouple cycles of northbound occupancy (command/turnaround
-// overhead on the shared AMB path) — the model of the paper's Sect. 2.1
-// conjecture that "at least part of the problem is caused by overhead for
+// the T2, but the controller count is a parameter, so machine profiles
+// with one, two or eight controllers reuse the same model. Requests name
+// their controller by index: which controller serves a line is fixed by
+// the line's L2 bank (phys.ControllerOf), not decided here.
+//
+// FB-DIMM links are unidirectional: reads return on the northbound lanes,
+// writes are pushed on the southbound lanes, so each controller is
+// modeled as two FCFS channel cursors. Writes additionally steal
+// WriteCouple cycles of northbound occupancy (command/turnaround overhead
+// on the shared AMB path) — the model of the paper's Sect. 2.1 conjecture
+// that "at least part of the problem is caused by overhead for
 // bidirectional transfers": kernels that mix reads and writebacks pay it,
 // load-only kernels do not.
 package mem
@@ -14,7 +17,6 @@ package mem
 import (
 	"fmt"
 
-	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -59,38 +61,27 @@ type controller struct {
 	stats CtlStats
 }
 
-// System is the set of memory controllers behind the L2. The address
-// mapping is devirtualized at construction time (phys.Resolve), so the
-// per-request controller selection in Controller and Write is an inlined
-// bit extraction for the common field mappings.
+// System is the set of memory controllers behind the L2.
 type System struct {
 	cfg        Config
-	mapped     phys.Resolved
 	ctls       []controller
 	fullThresh int64 // QueueDepth * ReadService
 }
 
-// New builds a controller system with one controller per mapping target.
-func New(cfg Config, mapping phys.Mapping) *System {
+// New builds a system of the given number of controllers.
+func New(cfg Config, controllers int) *System {
 	if cfg.ReadService <= 0 || cfg.WriteService <= 0 || cfg.Latency < 0 || cfg.WriteCouple < 0 || cfg.QueueDepth < 1 {
 		panic(fmt.Sprintf("mem: invalid config %+v", cfg))
 	}
 	return &System{
 		cfg:        cfg,
-		mapped:     phys.Resolve(mapping),
-		ctls:       make([]controller, mapping.Controllers()),
+		ctls:       make([]controller, controllers),
 		fullThresh: cfg.QueueDepth * cfg.ReadService,
 	}
 }
 
 // Config returns the timing parameters.
 func (s *System) Config() Config { return s.cfg }
-
-// Controller returns the controller index serving addr through the
-// devirtualized mapping. Full and Read take this index, so a miss decodes
-// its controller once for the admission check, the read and any waiter
-// bookkeeping.
-func (s *System) Controller(addr phys.Addr) int { return s.mapped.Controller(addr) }
 
 // Full reports whether the northbound queue of controller ctl has no room
 // for another request at time now. Callers must retry later.
@@ -117,12 +108,12 @@ func (s *System) Read(now sim.Time, ctl int) sim.Time {
 	return done + s.cfg.Latency
 }
 
-// Write issues a posted line write (a dirty writeback). Nothing waits for
-// it; it consumes southbound bandwidth and couples WriteCouple cycles onto
-// the northbound channel. The southbound completion time is returned for
-// tests.
-func (s *System) Write(now sim.Time, addr phys.Addr) sim.Time {
-	c := &s.ctls[s.mapped.Controller(addr)]
+// Write issues a posted line write (a dirty writeback) to controller ctl.
+// Nothing waits for it; it consumes southbound bandwidth and couples
+// WriteCouple cycles onto the northbound channel. The southbound
+// completion time is returned for tests.
+func (s *System) Write(now sim.Time, ctl int) sim.Time {
+	c := &s.ctls[ctl]
 	_, done := c.south.Acquire(now, s.cfg.WriteService)
 	if s.cfg.WriteCouple > 0 {
 		c.north.Acquire(now, s.cfg.WriteCouple)
@@ -139,29 +130,6 @@ func (s *System) Stats() []CtlStats {
 		out[i] = s.ctls[i].stats
 	}
 	return out
-}
-
-// BusyCycles returns the summed channel occupancy across controllers.
-func (s *System) BusyCycles() int64 {
-	var t int64
-	for i := range s.ctls {
-		t += s.ctls[i].stats.BusyCycles
-	}
-	return t
-}
-
-// MaxFreeAt returns the latest time any controller channel is still busy.
-func (s *System) MaxFreeAt() sim.Time {
-	var t sim.Time
-	for i := range s.ctls {
-		if f := s.ctls[i].north.FreeAt(); f > t {
-			t = f
-		}
-		if f := s.ctls[i].south.FreeAt(); f > t {
-			t = f
-		}
-	}
-	return t
 }
 
 // Utilization returns each controller's northbound busy fraction over the

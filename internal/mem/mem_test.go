@@ -2,8 +2,6 @@ package mem
 
 import (
 	"testing"
-
-	"repro/internal/phys"
 )
 
 func cfg() Config {
@@ -11,24 +9,24 @@ func cfg() Config {
 }
 
 func TestReadTiming(t *testing.T) {
-	s := New(cfg(), phys.T2())
-	if done := s.Read(0, s.Controller(0)); done != 110 {
+	s := New(cfg(), 4)
+	if done := s.Read(0, 0); done != 110 {
 		t.Errorf("first read done at %d, want service+latency=110", done)
 	}
 	// Second read to the same controller queues behind the first.
-	if done := s.Read(0, s.Controller(0x200)); done != 120 {
+	if done := s.Read(0, 0); done != 120 {
 		t.Errorf("queued read done at %d, want 120", done)
 	}
 	// A different controller is independent.
-	if done := s.Read(0, s.Controller(0x80)); done != 110 {
+	if done := s.Read(0, 1); done != 110 {
 		t.Errorf("other-controller read done at %d, want 110", done)
 	}
 }
 
 func TestWriteIsPostedAndCouples(t *testing.T) {
-	s := New(cfg(), phys.T2())
+	s := New(cfg(), 4)
 	s.Write(0, 0) // occupies southbound, couples 4 cycles northbound
-	if done := s.Read(0, s.Controller(0)); done != 114 {
+	if done := s.Read(0, 0); done != 114 {
 		t.Errorf("read after write done at %d, want couple(4)+service(10)+latency(100)=114", done)
 	}
 	st := s.Stats()
@@ -41,13 +39,13 @@ func TestLoadOnlyAvoidsCoupling(t *testing.T) {
 	// The Sect. 2.1 conjecture: load-dominated kernels avoid bidirectional
 	// overhead. n reads with writes interleaved must take longer than n
 	// reads alone.
-	a := New(cfg(), phys.T2())
-	b := New(cfg(), phys.T2())
+	a := New(cfg(), 4)
+	b := New(cfg(), 4)
 	var lastA, lastB int64
 	for i := 0; i < 10; i++ {
-		lastA = a.Read(0, a.Controller(0))
+		lastA = a.Read(0, 0)
 		b.Write(0, 0)
-		lastB = b.Read(0, b.Controller(0))
+		lastB = b.Read(0, 0)
 	}
 	if lastB <= lastA {
 		t.Errorf("mixed read/write stream (%d) not slower than load-only (%d)", lastB, lastA)
@@ -55,58 +53,61 @@ func TestLoadOnlyAvoidsCoupling(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	s := New(cfg(), phys.T2())
+	s := New(cfg(), 4)
 	for i := 0; i < 4; i++ {
-		s.Read(0, s.Controller(0))
+		s.Read(0, 0)
 	}
-	if !s.Full(0, s.Controller(0)) {
+	if !s.Full(0, 0) {
 		t.Error("queue not full after QueueDepth reads at one instant")
 	}
-	if s.Full(0, s.Controller(0x80)) {
+	if s.Full(0, 1) {
 		t.Error("other controller reported full")
 	}
 	// After the backlog drains, the queue accepts again.
-	if s.Full(39, s.Controller(0)) {
+	if s.Full(39, 0) {
 		t.Error("queue still full after drain")
 	}
-	if s.Full(1<<40, s.Controller(0)) {
+	if s.Full(1<<40, 0) {
 		t.Error("idle queue full")
 	}
 }
 
 func TestUtilizationAndBusy(t *testing.T) {
-	s := New(cfg(), phys.T2())
-	s.Read(0, s.Controller(0))
-	s.Read(0, s.Controller(0))
+	s := New(cfg(), 4)
+	s.Read(0, 0)
+	s.Read(0, 0)
 	u := s.Utilization(100)
 	if u[0] != 0.2 {
 		t.Errorf("controller 0 utilization %f, want 0.2", u[0])
 	}
-	if s.BusyCycles() != 20 {
-		t.Errorf("busy cycles %d", s.BusyCycles())
+	if b := s.Stats()[0].BusyCycles; b != 20 {
+		t.Errorf("busy cycles %d", b)
 	}
-	if s.MaxFreeAt() != 20 {
-		t.Errorf("max free at %d", s.MaxFreeAt())
-	}
-}
-
-func TestControllerSelectionByMapping(t *testing.T) {
-	s := New(cfg(), phys.T2())
-	// 0x000 -> ctl 0, 0x080 -> ctl 1, 0x100 -> ctl 2, 0x180 -> ctl 3.
-	for i, a := range []phys.Addr{0x000, 0x080, 0x100, 0x180} {
-		s.Read(0, s.Controller(a))
-		if got := s.Stats()[i].Reads; got != 1 {
-			t.Errorf("controller %d reads %d after targeted access", i, got)
-		}
+	// Northbound is busy until 20 and a full queue is a backlog of
+	// QueueDepth·ReadService = 40 cycles, so requests are admitted from
+	// 20-40+1 on.
+	if h := s.AdmitAt(0); h != 20-40+1 {
+		t.Errorf("admission horizon %d", h)
 	}
 }
 
 func TestResetClearsState(t *testing.T) {
-	s := New(cfg(), phys.T2())
-	s.Read(0, s.Controller(0))
+	s := New(cfg(), 4)
+	for i := 0; i < 4; i++ {
+		s.Read(0, 0)
+	}
+	s.Write(0, 1)
+	if !s.Full(0, 0) {
+		t.Fatal("queue not full before reset")
+	}
 	s.Reset()
-	if s.BusyCycles() != 0 || s.MaxFreeAt() != 0 {
-		t.Error("reset did not clear controller state")
+	for ctl, st := range s.Stats() {
+		if st != (CtlStats{}) {
+			t.Errorf("controller %d counters %+v after reset", ctl, st)
+		}
+		if s.Full(0, ctl) || s.AdmitAt(ctl) != -40+1 {
+			t.Errorf("controller %d: reset left channel state (admission horizon %d)", ctl, s.AdmitAt(ctl))
+		}
 	}
 }
 
@@ -114,14 +115,14 @@ func TestResetClearsState(t *testing.T) {
 // the queue is full at every time before the horizon and has room from
 // the horizon on, and further traffic only moves the horizon later.
 func TestAdmitAtIsTheFullHorizon(t *testing.T) {
-	s := New(cfg(), phys.T2())
-	ctl := s.Controller(0)
+	s := New(cfg(), 4)
+	ctl := 0
 	prev := s.AdmitAt(ctl)
 	for i := 0; i < 12; i++ {
 		if i%3 == 2 {
 			s.Write(0, 0)
 		} else {
-			s.Read(0, s.Controller(0))
+			s.Read(0, 0)
 		}
 		h := s.AdmitAt(ctl)
 		if h < prev {
@@ -148,7 +149,7 @@ func TestNewRejectsUnboundedQueue(t *testing.T) {
 			}()
 			c := cfg()
 			c.QueueDepth = d
-			New(c, phys.T2())
+			New(c, 4)
 		}()
 	}
 }

@@ -1,6 +1,9 @@
 // Package phys models the physical address space of the simulated machine:
 // address arithmetic, cache-line and page geometry, and the policies that
-// map a physical address to a memory controller and an L2 cache bank.
+// map a physical address to an L2 cache bank. Every bank is attached to
+// one memory controller, consecutive banks in equal groups, so a line's
+// bank fixes its controller (ControllerOf); no mapping decodes the
+// controller on its own.
 //
 // Nothing about the paper's central mechanism is specific to one chip: any
 // machine whose controller is selected by a fixed bit field of the physical
@@ -33,9 +36,6 @@ const (
 // LineOf returns the address of the cache line containing a.
 func LineOf(a Addr) Addr { return a &^ (LineSize - 1) }
 
-// LineIndex returns the global index of the cache line containing a.
-func LineIndex(a Addr) uint64 { return uint64(a) >> LineShift }
-
 // AlignUp rounds a up to the next multiple of align. align must be a
 // power of two; AlignUp panics otherwise because a mis-specified alignment
 // silently destroys every placement experiment built on top of it.
@@ -55,12 +55,11 @@ func IsAligned(a Addr, align int64) bool {
 	return a&Addr(align-1) == 0
 }
 
-// Mapping decides which memory controller and which L2 bank serve a given
-// physical address. Implementations must be pure functions of the address.
+// Mapping decides which L2 bank serves a given physical address, and so
+// (ControllerOf) which memory controller. Implementations must be pure
+// functions of the address, and Banks() must be a multiple of
+// Controllers().
 type Mapping interface {
-	// Controller returns the memory-controller index in [0, Controllers())
-	// for the line containing a.
-	Controller(a Addr) int
 	// Bank returns the global L2 bank index in [0, Banks()) for the line
 	// containing a.
 	Bank(a Addr) int
@@ -69,8 +68,8 @@ type Mapping interface {
 	// Banks returns the number of L2 banks.
 	Banks() int
 	// Period returns the smallest positive byte distance p such that
-	// Controller(a) == Controller(a+p) for all a, i.e. the spatial period
-	// of the controller interleave. 512 bytes on the T2.
+	// ControllerOf(m, a) == ControllerOf(m, a+p) for all a, i.e. the
+	// spatial period of the controller interleave. 512 bytes on the T2.
 	Period() int64
 	// Name identifies the mapping in reports.
 	Name() string
@@ -78,21 +77,20 @@ type Mapping interface {
 
 // Interleave is the parameterized bit-field address interleave: BankBits
 // address bits starting at BankShift pick the bank within a controller,
-// and CtrlBits bits directly above them (at CtrlShift) pick the
-// controller. The global bank index is the whole CtrlBits+BankBits field
-// at BankShift, so consecutive granules of 1<<BankShift bytes are served
-// by consecutive banks and controllers with a period of
+// and CtrlBits bits directly above them pick the controller. The global
+// bank index is the whole CtrlBits+BankBits field at BankShift, so
+// consecutive granules of 1<<BankShift bytes are served by consecutive
+// banks and controllers with a period of
 // granule x banks-per-controller x controllers bytes.
 //
-// Resolve recognises every machine in this family, so the hot paths in
-// cache and mem devirtualize it to two shift/mask extractions. Build
-// instances with NewInterleave, which validates the geometry; the zero
-// value is invalid.
+// Resolve recognises every machine in this family, so the cache's hot
+// path devirtualizes it to one shift/mask extraction. Build instances
+// with NewInterleave, which validates the geometry; the zero value is
+// invalid.
 type Interleave struct {
 	Label     string // mapping name, reported by Name
 	BankShift uint   // log2 of the interleave granule in bytes
 	BankBits  uint   // log2 of banks per controller
-	CtrlShift uint   // bit position of the controller field: BankShift+BankBits
 	CtrlBits  uint   // log2 of controllers
 }
 
@@ -114,13 +112,10 @@ func NewInterleave(label string, granule int64, controllers, banksPerCtrl int) I
 	if label == "" {
 		panic("phys: interleave needs a label")
 	}
-	bankShift := uint(bits.TrailingZeros64(uint64(granule)))
-	bankBits := uint(bits.TrailingZeros64(uint64(banksPerCtrl)))
 	return Interleave{
 		Label:     label,
-		BankShift: bankShift,
-		BankBits:  bankBits,
-		CtrlShift: bankShift + bankBits,
+		BankShift: uint(bits.TrailingZeros64(uint64(granule))),
+		BankBits:  uint(bits.TrailingZeros64(uint64(banksPerCtrl))),
 		CtrlBits:  uint(bits.TrailingZeros64(uint64(controllers))),
 	}
 }
@@ -133,11 +128,6 @@ func T2() Interleave { return NewInterleave("t2", LineSize, 4, 2) }
 // Single returns the degenerate one-controller, one-bank interleave used
 // as the no-interleaving baseline.
 func Single() Interleave { return NewInterleave("single", LineSize, 1, 1) }
-
-// Controller returns the CtrlBits-wide field at CtrlShift.
-func (iv Interleave) Controller(a Addr) int {
-	return int(uint64(a)>>iv.CtrlShift) & (1<<iv.CtrlBits - 1)
-}
 
 // Bank returns the global bank index: the CtrlBits+BankBits-wide field at
 // BankShift, so two granules under one controller are followed by the next
@@ -159,8 +149,8 @@ func (iv Interleave) Period() int64 { return int64(1) << (iv.BankShift + iv.Bank
 // Name returns the label.
 func (iv Interleave) Name() string { return iv.Label }
 
-// XORMapping is an ablation policy: the controller and bank are selected by
-// XOR-folding many address bits, so regular strides no longer alias onto a
+// XORMapping is an ablation policy: the bank, and so the controller, is
+// selected by XOR-folding many address bits, so regular strides no longer alias onto a
 // single controller. It answers the design question "would a hashed
 // interleave have hidden the effects the paper reports?".
 type XORMapping struct{}
@@ -177,10 +167,8 @@ func xorFold(a Addr) uint64 {
 	return x & 7
 }
 
-// Controller returns the upper two bits of the folded line index.
-func (XORMapping) Controller(a Addr) int { return int(xorFold(a) >> 1) }
-
-// Bank returns the folded line index.
+// Bank returns the folded line index; its upper two bits are the
+// controller.
 func (XORMapping) Bank(a Addr) int { return int(xorFold(a)) }
 
 // Controllers returns 4.
@@ -195,18 +183,25 @@ func (XORMapping) Period() int64 { return 0 }
 // Name returns "xor".
 func (XORMapping) Name() string { return "xor" }
 
+// ControllerOf returns the memory-controller index in [0, Controllers())
+// for the line containing a: the controller its bank is attached to. Every
+// controller owns Banks()/Controllers() consecutive banks, so on an
+// Interleave this is the controller field above the bank-within-controller
+// bits, and on the XOR fold the fold's upper two bits.
+func ControllerOf(m Mapping, a Addr) int {
+	return m.Bank(a) / (m.Banks() / m.Controllers())
+}
+
 // Resolved is a devirtualized mapping handle, bound once at model
-// construction time. For an Interleave, Bank and Controller are
-// branch-predictable shift/mask extractions that the compiler inlines into
-// the cache and controller hot loops; for all other mappings (XOR folds and
-// other hashes) they fall back to the Mapping interface.
+// construction time. For an Interleave, Bank is a branch-predictable
+// shift/mask extraction that the compiler inlines into the cache's hot
+// loop; for all other mappings (XOR folds and other hashes) it falls back
+// to the Mapping interface.
 type Resolved struct {
 	m         Mapping
 	fast      bool
 	bankShift uint64
 	bankMask  uint64
-	ctlShift  uint64
-	ctlMask   uint64
 }
 
 // Resolve binds m into a devirtualized handle, reading an Interleave's bit
@@ -221,8 +216,6 @@ func Resolve(m Mapping) Resolved {
 		fast:      true,
 		bankShift: uint64(iv.BankShift),
 		bankMask:  uint64(iv.Banks() - 1),
-		ctlShift:  uint64(iv.CtrlShift),
-		ctlMask:   uint64(iv.Controllers() - 1),
 	}
 }
 
@@ -232,14 +225,6 @@ func (r Resolved) Bank(a Addr) int {
 		return int(uint64(a) >> r.bankShift & r.bankMask)
 	}
 	return r.m.Bank(a)
-}
-
-// Controller returns the memory-controller index for the line containing a.
-func (r Resolved) Controller(a Addr) int {
-	if r.fast {
-		return int(uint64(a) >> r.ctlShift & r.ctlMask)
-	}
-	return r.m.Controller(a)
 }
 
 // BankField returns the bit position of the bank field when the fast path

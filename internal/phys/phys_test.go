@@ -29,13 +29,17 @@ func (legacySingle) Name() string        { return "single" }
 // TestInterleaveReproducesLegacyMappings is the exhaustive equivalence
 // pin for the machine-profile refactor: the parameterized Interleave
 // instances T2() and Single() must agree with the historical hand-written
-// mappings on every method, line by line, over a low window near zero and
-// a high window past bit 40 — several interleave periods each, so every
-// bank/controller phase is covered on both sides of the address space.
+// mappings on every method, and ControllerOf with their Controller, line
+// by line, over a low window near zero and a high window past bit 40 —
+// several interleave periods each, so every bank/controller phase is
+// covered on both sides of the address space.
 func TestInterleaveReproducesLegacyMappings(t *testing.T) {
 	cases := []struct {
 		now Mapping
-		old Mapping
+		old interface {
+			Mapping
+			Controller(Addr) int
+		}
 	}{
 		{T2(), legacyT2{}},
 		{Single(), legacySingle{}},
@@ -54,8 +58,8 @@ func TestInterleaveReproducesLegacyMappings(t *testing.T) {
 		for _, base := range []Addr{0, 1 << 40} {
 			for off := Addr(0); off < Addr(8*c.now.Period()); off += LineSize {
 				a := base + off
-				if got, want := c.now.Controller(a), c.old.Controller(a); got != want {
-					t.Fatalf("%s: Controller(%#x) = %d, legacy %d", c.now.Name(), uint64(a), got, want)
+				if got, want := ControllerOf(c.now, a), c.old.Controller(a); got != want {
+					t.Fatalf("%s: ControllerOf(%#x) = %d, legacy %d", c.now.Name(), uint64(a), got, want)
 				}
 				if got, want := c.now.Bank(a), c.old.Bank(a); got != want {
 					t.Fatalf("%s: Bank(%#x) = %d, legacy %d", c.now.Name(), uint64(a), got, want)
@@ -104,11 +108,42 @@ func TestT2MappingBits(t *testing.T) {
 		{0x1234_0080, 1, 2},
 	}
 	for _, c := range cases {
-		if got := m.Controller(c.addr); got != c.ctl {
-			t.Errorf("Controller(%#x) = %d, want %d", c.addr, got, c.ctl)
+		if got := ControllerOf(m, c.addr); got != c.ctl {
+			t.Errorf("ControllerOf(%#x) = %d, want %d", c.addr, got, c.ctl)
 		}
 		if got := m.Bank(c.addr); got != c.bank {
 			t.Errorf("Bank(%#x) = %d, want %d", c.addr, got, c.bank)
+		}
+	}
+}
+
+// TestControllerSelectionByMapping pins ControllerOf, the one rule from a
+// line's bank to its controller, on the T2 interleave, on the coarse
+// granules and on the hashed fold, whose controller is the fold's upper
+// two bits.
+func TestControllerSelectionByMapping(t *testing.T) {
+	cases := []struct {
+		m     Mapping
+		addrs []Addr // the first line of controllers 0, 1, 2, 3 in turn
+	}{
+		{T2(), []Addr{0x000, 0x080, 0x100, 0x180}},
+		{NewInterleave("t2-wide1k", 1024, 4, 2), []Addr{0x0000, 0x0800, 0x1000, 0x1800}},
+		{NewInterleave("t2-wide4k", 4096, 4, 2), []Addr{0x0000, 0x2000, 0x4000, 0x6000}},
+	}
+	for _, c := range cases {
+		for want, a := range c.addrs {
+			// The whole bank pair of the controller answers the same.
+			for off := Addr(0); off < Addr(c.m.Period()/4); off += LineSize {
+				if got := ControllerOf(c.m, a+off); got != want {
+					t.Fatalf("%s: ControllerOf(%#x) = %d, want %d", c.m.Name(), uint64(a+off), got, want)
+				}
+			}
+		}
+	}
+	x := XORMapping{}
+	for a := Addr(0); a < 1<<20; a += LineSize {
+		if got, want := ControllerOf(x, a), int(xorFold(a)>>1); got != want {
+			t.Fatalf("xor: ControllerOf(%#x) = %d, want the fold's upper bits %d", uint64(a), got, want)
 		}
 	}
 }
@@ -136,7 +171,7 @@ func TestInterleaveGeometry(t *testing.T) {
 		// changes somewhere inside it (unless there is only one controller).
 		for k := int64(0); k < c.period; k += LineSize {
 			a := Addr(k)
-			if c.iv.Controller(a) != c.iv.Controller(a+Addr(c.period)) {
+			if ControllerOf(c.iv, a) != ControllerOf(c.iv, a+Addr(c.period)) {
 				t.Fatalf("%s: controller not periodic at %#x", c.iv.Name(), k)
 			}
 		}
@@ -144,7 +179,7 @@ func TestInterleaveGeometry(t *testing.T) {
 	// A coarse interleave keeps whole granules on one controller.
 	wide := NewInterleave("t2-wide1k", 1024, 4, 2)
 	for k := int64(0); k < 1024; k += LineSize {
-		if wide.Controller(Addr(k)) != wide.Controller(0) || wide.Bank(Addr(k)) != wide.Bank(0) {
+		if ControllerOf(wide, Addr(k)) != ControllerOf(wide, 0) || wide.Bank(Addr(k)) != wide.Bank(0) {
 			t.Fatalf("wide interleave splits a granule at offset %d", k)
 		}
 	}
@@ -183,7 +218,7 @@ func TestT2MappingPeriodProperty(t *testing.T) {
 	m := T2()
 	f := func(a uint32) bool {
 		addr := Addr(a)
-		return m.Controller(addr) == m.Controller(addr+Addr(m.Period())) &&
+		return ControllerOf(m, addr) == ControllerOf(m, addr+Addr(m.Period())) &&
 			m.Bank(addr) == m.Bank(addr+Addr(m.Period()))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -200,7 +235,7 @@ func TestConsecutiveLinesRotateBanks(t *testing.T) {
 		if got, want := m.Bank(a), k%8; got != want {
 			t.Fatalf("line %d: bank %d, want %d", k, got, want)
 		}
-		if got, want := m.Controller(a), (k/2)%4; got != want {
+		if got, want := ControllerOf(m, a), (k/2)%4; got != want {
 			t.Fatalf("line %d: controller %d, want %d", k, got, want)
 		}
 	}
@@ -211,7 +246,7 @@ func TestMappingRangesProperty(t *testing.T) {
 		m := m
 		f := func(a uint64) bool {
 			addr := Addr(a)
-			c := m.Controller(addr)
+			c := ControllerOf(m, addr)
 			b := m.Bank(addr)
 			return c >= 0 && c < m.Controllers() && b >= 0 && b < m.Banks()
 		}
@@ -227,7 +262,7 @@ func TestXORMappingSpreadsPowerOfTwoStrides(t *testing.T) {
 	m := XORMapping{}
 	seen := map[int]bool{}
 	for k := 0; k < 64; k++ {
-		seen[m.Controller(Addr(k*512))] = true
+		seen[ControllerOf(m, Addr(k*512))] = true
 	}
 	if len(seen) != m.Controllers() {
 		t.Errorf("XOR mapping covers %d controllers for 512-byte stride, want %d", len(seen), m.Controllers())
@@ -278,9 +313,6 @@ func TestLineOf(t *testing.T) {
 	if LineOf(0x7f) != 0x40 {
 		t.Errorf("LineOf(0x7f) = %#x", LineOf(0x7f))
 	}
-	if LineIndex(0x80) != 2 {
-		t.Errorf("LineIndex(0x80) = %d", LineIndex(0x80))
-	}
 }
 
 func TestResolveFastPathMatchesInterface(t *testing.T) {
@@ -300,9 +332,6 @@ func TestResolveFastPathMatchesInterface(t *testing.T) {
 				a := base + off
 				if r.Bank(a) != m.Bank(a) {
 					t.Fatalf("%s: Resolved.Bank(%#x) = %d, interface says %d", m.Name(), uint64(a), r.Bank(a), m.Bank(a))
-				}
-				if r.Controller(a) != m.Controller(a) {
-					t.Fatalf("%s: Resolved.Controller(%#x) = %d, interface says %d", m.Name(), uint64(a), r.Controller(a), m.Controller(a))
 				}
 			}
 		}

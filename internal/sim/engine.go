@@ -660,7 +660,6 @@ func (e *Engine) Run() {
 type Cursor struct {
 	free Time
 	busy Time
-	ops  int64
 }
 
 // Acquire reserves the resource for dur cycles for a request arriving at
@@ -676,7 +675,6 @@ func (c *Cursor) Acquire(now Time, dur Time) (start, done Time) {
 	done = start + dur
 	c.free = done
 	c.busy += dur
-	c.ops++
 	return start, done
 }
 
@@ -685,9 +683,6 @@ func (c *Cursor) FreeAt() Time { return c.free }
 
 // Busy returns the total cycles of service the resource has performed.
 func (c *Cursor) Busy() Time { return c.busy }
-
-// Ops returns the number of Acquire calls.
-func (c *Cursor) Ops() int64 { return c.ops }
 
 // Utilization returns busy time as a fraction of the elapsed horizon.
 // It returns 0 for a non-positive horizon.

@@ -196,34 +196,3 @@ func Plot(w io.Writer, title string, series []Series, width, height int) {
 	}
 	fmt.Fprintln(w)
 }
-
-// Markdown emits the series as a markdown table (used by EXPERIMENTS.md
-// generation).
-func Markdown(w io.Writer, xlabel string, series []Series) {
-	if len(series) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "| %s |", xlabel)
-	for _, s := range series {
-		fmt.Fprintf(w, " %s |", s.Name)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "|---|")
-	for range series {
-		fmt.Fprint(w, "---|")
-	}
-	fmt.Fprintln(w)
-	n := series[0].Len()
-	for _, s := range series[1:] {
-		if s.Len() < n {
-			n = s.Len()
-		}
-	}
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(w, "| %g |", series[0].X[i])
-		for _, s := range series {
-			fmt.Fprintf(w, " %.2f |", s.Y[i])
-		}
-		fmt.Fprintln(w)
-	}
-}

@@ -114,11 +114,3 @@ func TestPlotRuns(t *testing.T) {
 		t.Error("empty plot not flagged")
 	}
 }
-
-func TestMarkdown(t *testing.T) {
-	var buf bytes.Buffer
-	Markdown(&buf, "n", []Series{{Name: "a", X: []float64{5}, Y: []float64{1.234}}})
-	if !strings.Contains(buf.String(), "| 5 | 1.23 |") {
-		t.Errorf("markdown %q", buf.String())
-	}
-}

@@ -42,16 +42,12 @@ type Generator interface {
 	Next(it *Item) bool
 }
 
-// Program is a complete parallel kernel instance: one generator per thread.
+// Program is a complete parallel kernel instance: one generator per
+// thread. It carries no warm-up: the machine that runs it fills its L2
+// with unrelated dirty lines first (see chip.Machine).
 type Program struct {
 	Label string
 	Gens  []Generator
-	// WarmLines, if positive, asks the machine to pre-fill the L2 with
-	// that many dirty lines of unrelated data before timing starts, so a
-	// single sweep measures steady-state capacity-eviction and writeback
-	// behaviour (the state a real benchmark reaches after its warm-up
-	// iterations).
-	WarmLines int64
 }
 
 // Threads returns the team size.
