@@ -54,8 +54,11 @@ type simTotals struct {
 
 // run executes the experiment, folds its telemetry into the totals, and
 // returns the sweep's series.
-func (st *simTotals) run(e exp.Experiment) []stats.Series {
-	out := exp.MustRun(e)
+func (st *simTotals) run(b *testing.B, e exp.Experiment) []stats.Series {
+	out, err := exp.Runner{}.Run(e)
+	if err != nil {
+		b.Fatal(err)
+	}
 	st.fold(out)
 	return out.Series()
 }
@@ -98,7 +101,7 @@ func BenchmarkFig2StreamTriadOffsets(b *testing.B) {
 	var st simTotals
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := bench.Fig2FromSeries(st.run(o.Fig2Exp()))
+		r := bench.Fig2FromSeries(st.run(b, o.Fig2Exp()))
 		hi := r.Triad[len(r.Triad)-1]
 		s := stats.Summarize(hi.Y)
 		b.ReportMetric(s.Min, "floor-GB/s")
@@ -115,7 +118,7 @@ func BenchmarkFig4VectorTriadAlignment(b *testing.B) {
 	var st simTotals
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range st.run(o.Fig4Exp()) {
+		for _, s := range st.run(b, o.Fig4Exp()) {
 			switch s.Name {
 			case "align8k":
 				b.ReportMetric(mean(s.Y), "worst-GB/s")
@@ -134,7 +137,7 @@ func BenchmarkFig5SegmentedOverhead(b *testing.B) {
 	var st simTotals
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series := st.run(o.Fig5Exp(64))
+		series := st.run(b, o.Fig5Exp(64))
 		seg, plain := series[0], series[1]
 		n := seg.Len() - 1
 		b.ReportMetric((plain.Y[n]-seg.Y[n])/plain.Y[n]*100, "overhead-%")
@@ -149,7 +152,7 @@ func BenchmarkFig6Jacobi(b *testing.B) {
 	var st simTotals
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range st.run(o.Fig6Exp()) {
+		for _, s := range st.run(b, o.Fig6Exp()) {
 			switch s.Name {
 			case "64T":
 				b.ReportMetric(mean(s.Y), "opt-MLUPs")
@@ -168,7 +171,7 @@ func BenchmarkFig7LBM(b *testing.B) {
 	var st simTotals
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range st.run(o.Fig7Exp()) {
+		for _, s := range st.run(b, o.Fig7Exp()) {
 			if s.Name == "64T IvJK fused" {
 				sm := stats.Summarize(s.Y)
 				b.ReportMetric(sm.Max, "peak-MLUPs")
@@ -410,7 +413,9 @@ func hostArrays(n int64, threads int) (*segarray.Array[float64], *segarray.Array
 	lens := segarray.EqualSegments(n, threads)
 	mk := func() *segarray.Array[float64] {
 		a := segarray.NewArray[float64](segarray.Plan(sp, segarray.Params{ElemSize: 8, SegAlign: 512}, lens))
-		a.Fill(1.5)
+		for it := a.Begin(); it.Valid(); it.Next() {
+			*it.Value() = 1.5
+		}
 		return a
 	}
 	return mk(), mk(), mk(), mk()
@@ -419,12 +424,12 @@ func hostArrays(n int64, threads int) (*segarray.Array[float64], *segarray.Array
 // BenchmarkSegIterHostSegments measures the paper's recommended pattern on
 // real hardware: per-segment plain-slice loops (native speed).
 func BenchmarkSegIterHostSegments(b *testing.B) {
-	const n = 1 << 16
-	a, x, y, z := hostArrays(n, 64)
+	const n, threads = 1 << 16, 64
+	a, x, y, z := hostArrays(n, threads)
 	b.SetBytes(n * 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for s := 0; s < a.NumSegments(); s++ {
+		for s := 0; s < threads; s++ {
 			kernels.VectorTriad(a.Segment(s), x.Segment(s), y.Segment(s), z.Segment(s))
 		}
 	}

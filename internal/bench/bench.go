@@ -246,11 +246,6 @@ func (o Options) Fig2Exp() exp.Experiment {
 	}
 }
 
-// Fig2 regenerates Fig. 2 on the parallel engine.
-func Fig2(o Options) Fig2Result {
-	return Fig2FromSeries(exp.MustRun(o.Fig2Exp()).Series())
-}
-
 // Fig2FromSeries splits the flat series list back into the two panels.
 func Fig2FromSeries(series []stats.Series) Fig2Result {
 	var res Fig2Result
@@ -301,8 +296,8 @@ func (o Options) streamProg(sc *exp.Scratch, kind streamKind, offsetWords int64,
 
 // segTriadLayouts places the four vector-triad arrays as segmented arrays
 // with one page-aligned segment per thread (the paper's framework of
-// Sect. 2.2); array i is displaced by i*offset bytes.
-func segTriadLayouts(sp *alloc.Space, n int64, threads int, offset int64) [4]*segarray.Layout {
+// Sect. 2.2); array i is displaced by offsets[i] bytes.
+func segTriadLayouts(sp *alloc.Space, n int64, threads int, offsets []int64) [4]*segarray.Layout {
 	segLens := segarray.EqualSegments(n, threads)
 	var out [4]*segarray.Layout
 	for i := range out {
@@ -310,7 +305,7 @@ func segTriadLayouts(sp *alloc.Space, n int64, threads int, offset int64) [4]*se
 			ElemSize: phys.WordSize,
 			Align:    phys.PageSize,
 			SegAlign: phys.PageSize,
-			Offset:   int64(i) * offset,
+			Offset:   offsets[i],
 		}, segLens)
 		out[i] = &l
 	}
@@ -352,7 +347,7 @@ func (o Options) Fig4Exp() exp.Experiment {
 				k := kernels.VTriad(bases[0], bases[1], bases[2], bases[3], n)
 				prog = k.Program(omp.StaticBlock{}, threads)
 			} else {
-				ls := segTriadLayouts(sp, n, threads, off)
+				ls := segTriadLayouts(sp, n, threads, []int64{0, off, 2 * off, 3 * off})
 				k := kernels.SegVTriad(ls[0], ls[1], ls[2], ls[3])
 				prog = k.Program(threads)
 				series = "align8k"
@@ -367,11 +362,6 @@ func (o Options) Fig4Exp() exp.Experiment {
 			return measured(exp.Result{Series: series, X: float64(n), Y: r.GBps, Metrics: bwMetrics(r)}, r), nil
 		},
 	}
-}
-
-// Fig4 regenerates Fig. 4 on the parallel engine.
-func Fig4(o Options) []stats.Series {
-	return exp.MustRun(o.Fig4Exp()).Series()
 }
 
 // ---- Fig. 5: segmented iterators vs plain loops -----------------------------
@@ -401,17 +391,7 @@ func (o Options) Fig5Exp(threads int) exp.Experiment {
 				// Segmented: each array is a seg_array with one segment per
 				// thread and planned offsets; the per-segment dispatch costs
 				// extra integer work at every segment entry.
-				segLens := segarray.EqualSegments(n, threads)
-				var ls [4]*segarray.Layout
-				for i := range ls {
-					l := segarray.Plan(sp, segarray.Params{
-						ElemSize: phys.WordSize,
-						Align:    phys.PageSize,
-						SegAlign: phys.PageSize,
-						Offset:   plan.Offsets[i],
-					}, segLens)
-					ls[i] = &l
-				}
+				ls := segTriadLayouts(sp, n, threads, plan.Offsets)
 				k := kernels.SegVTriad(ls[0], ls[1], ls[2], ls[3])
 				k.SegOverhead = 30
 				prog = k.Program(threads)
@@ -429,11 +409,6 @@ func (o Options) Fig5Exp(threads int) exp.Experiment {
 			return measured(exp.Result{Series: series, X: float64(n), Y: r.GBps, Metrics: bwMetrics(r)}, r), nil
 		},
 	}
-}
-
-// Fig5 regenerates Fig. 5 on the parallel engine.
-func Fig5(o Options, threads int) []stats.Series {
-	return exp.MustRun(o.Fig5Exp(threads)).Series()
 }
 
 // ---- Fig. 6: 2D Jacobi ------------------------------------------------------
@@ -511,11 +486,6 @@ func (o Options) Fig6Exp() exp.Experiment {
 	}
 }
 
-// Fig6 regenerates Fig. 6 on the parallel engine.
-func Fig6(o Options) []stats.Series {
-	return exp.MustRun(o.Fig6Exp()).Series()
-}
-
 // ---- Fig. 7: lattice-Boltzmann ----------------------------------------------
 
 // fig7Variant is one curve of Fig. 7.
@@ -579,9 +549,4 @@ func (o Options) Fig7Exp() exp.Experiment {
 			return measured(exp.Result{Series: name, X: float64(n), Y: r.MUPs, Metrics: bwMetrics(r)}, r), nil
 		},
 	}
-}
-
-// Fig7 regenerates Fig. 7 on the parallel engine.
-func Fig7(o Options) []stats.Series {
-	return exp.MustRun(o.Fig7Exp()).Series()
 }

@@ -4,14 +4,26 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/stats"
 )
+
+// outcome runs e on the default runner (GOMAXPROCS workers) and fails the
+// test on a point error.
+func outcome(t *testing.T, e exp.Experiment) exp.Outcome {
+	t.Helper()
+	out, err := exp.Runner{}.Run(e)
+	if err != nil {
+		t.Fatalf("%s: %v", e.Name, err)
+	}
+	return out
+}
 
 // TestFig2Shape regenerates Fig. 2 at test scale and validates the paper's
 // qualitative claims for it.
 func TestFig2Shape(t *testing.T) {
 	o := Small()
-	r := Fig2(o)
+	r := Fig2FromSeries(outcome(t, o.Fig2Exp()).Series())
 	for _, s := range r.Triad {
 		t.Logf("%s: %v", s.Name, s.Y)
 	}
@@ -27,7 +39,7 @@ func TestFig4Shape(t *testing.T) {
 		t.Skip("Fig. 4 sweep is slow; run without -short for the full shape check")
 	}
 	o := Small()
-	series := Fig4(o)
+	series := outcome(t, o.Fig4Exp()).Series()
 	for _, s := range series {
 		sm := stats.Summarize(s.Y)
 		t.Logf("%-12s min %.2f max %.2f mean %.2f", s.Name, sm.Min, sm.Max, sm.Mean)
@@ -40,7 +52,7 @@ func TestFig4Shape(t *testing.T) {
 // TestFig5Shape regenerates Fig. 5 at test scale and validates it.
 func TestFig5Shape(t *testing.T) {
 	o := Small()
-	series := Fig5(o, 64)
+	series := outcome(t, o.Fig5Exp(64)).Series()
 	for _, s := range series {
 		t.Logf("%s: %v", s.Name, s.Y)
 	}
@@ -52,7 +64,7 @@ func TestFig5Shape(t *testing.T) {
 // TestFig6Shape regenerates Fig. 6 at test scale and validates it.
 func TestFig6Shape(t *testing.T) {
 	o := Small()
-	series := Fig6(o)
+	series := outcome(t, o.Fig6Exp()).Series()
 	for _, s := range series {
 		t.Logf("%s: %v", s.Name, s.Y)
 	}
@@ -67,7 +79,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Skip("LBM shape test is slow; run without -short for the full shape check")
 	}
 	o := Small()
-	series := Fig7(o)
+	series := outcome(t, o.Fig7Exp()).Series()
 	for _, s := range series {
 		t.Logf("%s: %v", s.Name, s.Y)
 	}

@@ -54,10 +54,7 @@ func crossvalExp(n int64) exp.Experiment {
 // the predicted controller utilization shares must match the measured
 // ones for the convoy case.
 func TestAnalyzerPredictsSimulator(t *testing.T) {
-	out, err := exp.Run(crossvalExp(1 << 17))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := outcome(t, crossvalExp(1<<17))
 	pts := out.Points
 	if len(pts) != 3 {
 		t.Fatalf("crossval produced %d points, want 3", len(pts))
@@ -112,10 +109,7 @@ func plannerExp(n int64) exp.Experiment {
 // core.PlanArrayOffsets to the vector triad yields at least the predicted
 // improvement class over page-aligned placement.
 func TestPlannerBeatsNaivePlacement(t *testing.T) {
-	out, err := exp.Run(plannerExp(1 << 17))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := outcome(t, plannerExp(1<<17))
 	naive, planned := out.Points[0].Result.Y, out.Points[1].Result.Y
 	if planned < 2.0*naive {
 		t.Errorf("planned placement %.2f GB/s not at least 2x naive %.2f GB/s", planned, naive)

@@ -120,11 +120,6 @@ func (o Options) ScalingExp() exp.Experiment {
 	}
 }
 
-// Scaling regenerates the scaling study on the parallel engine.
-func Scaling(o Options) []stats.Series {
-	return exp.MustRun(o.ScalingExp()).Series()
-}
-
 // CheckScaling encodes the study's qualitative claims:
 //
 //  1. the congruence cliff is present on the paper's machine — planned

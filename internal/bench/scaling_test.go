@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/exp"
 	"repro/internal/machine"
 )
 
@@ -16,7 +15,7 @@ func TestScalingShape(t *testing.T) {
 		t.Skip("scaling sweep spans seven machines; run without -short for the full shape check")
 	}
 	o := Small()
-	series := Scaling(o)
+	series := outcome(t, o.ScalingExp()).Series()
 	for _, s := range series {
 		t.Logf("%s: %v", s.Name, s.Y)
 	}
@@ -34,7 +33,7 @@ func TestScalingPredictionsRankMeasurements(t *testing.T) {
 		t.Skip("scaling sweep spans seven machines; run without -short")
 	}
 	o := Small()
-	out := exp.MustRun(o.ScalingExp())
+	out := outcome(t, o.ScalingExp())
 	type arm struct{ pred, meas float64 }
 	byMachine := map[string]map[string]arm{}
 	for _, pr := range out.Points {

@@ -183,7 +183,11 @@ func New(cfg Config, mapping phys.Mapping) *Banked {
 		wayMask:     uint16(1<<cfg.Ways - 1),
 		lruShift:    4 * uint(cfg.Ways-1),
 	}
-	c.initLRU()
+	// Every set's recency stack starts in its initial order, nibble i
+	// holding way i. Nibbles at and above Ways are never read or moved.
+	for i := range c.sets {
+		c.sets[i].lru = lruInit
+	}
 	c.setBits = uint(bits.Len(uint(perBank - 1)))
 	if fs, ok := c.mapped.BankField(); ok && fs > phys.LineShift {
 		// Coarse interleave: the bank field sits above the line offset.
@@ -382,18 +386,3 @@ func (c *Banked) Restore(img *Image) {
 // ResetStats clears the counters but keeps cache contents — used after
 // warm-up phases so reported statistics cover only the timed region.
 func (c *Banked) ResetStats() { c.stats = Stats{} }
-
-// Reset invalidates the cache and clears counters.
-func (c *Banked) Reset() {
-	clear(c.sets)
-	c.initLRU()
-	c.ResetStats()
-}
-
-// initLRU gives every set's recency stack its initial order, nibble i
-// holding way i. Nibbles at and above Ways are never read or moved.
-func (c *Banked) initLRU() {
-	for i := range c.sets {
-		c.sets[i].lru = lruInit
-	}
-}

@@ -598,8 +598,9 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		}
 		m.rs = rs
 	} else {
+		// The L2 needs no reset: warmL2 below overwrites every set record
+		// and counter.
 		rs.eng.Reset()
-		rs.l2.Reset()
 		rs.mc.Reset()
 		rs.cores.Reset()
 		for i := range rs.banks {

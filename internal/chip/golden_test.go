@@ -68,13 +68,6 @@ var goldenProgs = []struct {
 			Sched: omp.StaticChunk{Size: 1}, Sweeps: 2}
 		return spec.Program(threads)
 	}},
-	{"jacobi3d", func(threads int, off int64) *trace.Program {
-		const n = 18
-		b := alloc.NewSpace().Common(2, n*n*n+off, phys.WordSize)
-		spec := jacobi.Spec3D{N: n, Src: jacobi.PlainRows3D(b[0], n), Dst: jacobi.PlainRows3D(b[1], n),
-			Sched: omp.StaticChunk{Size: 1}, Sweeps: 1, Coalesce: true}
-		return spec.Program(threads)
-	}},
 	{"lbm-ijkv", func(threads int, off int64) *trace.Program {
 		return lbmProg(lbm.IJKv, false, threads, off)
 	}},

@@ -192,7 +192,7 @@ func TestRunnerPanicCapture(t *testing.T) {
 
 // TestRunnerNoRunClosure verifies the nil-closure guard.
 func TestRunnerNoRunClosure(t *testing.T) {
-	if _, err := Run(Experiment{Name: "empty"}); err == nil {
+	if _, err := (Runner{}).Run(Experiment{Name: "empty"}); err == nil {
 		t.Fatal("nil Run closure accepted")
 	}
 }
@@ -203,7 +203,7 @@ func TestRunnerNoRunClosure(t *testing.T) {
 // files byte-stable.
 func TestMachineStampInJSON(t *testing.T) {
 	e := synthetic(nil)
-	plain, err := Run(e)
+	plain, err := Runner{}.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestMachineStampInJSON(t *testing.T) {
 	}
 
 	e.Machine = "mc8"
-	stamped, err := Run(e)
+	stamped, err := Runner{}.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestScratchPoolArenaStateSurvives(t *testing.T) {
 // the byte-identical outcome.
 func TestScratchPoolConcurrentSweeps(t *testing.T) {
 	e := synthetic(nil)
-	want, err := MustRunJSON(e)
+	want, err := runJSON(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestScratchPoolConcurrentSweeps(t *testing.T) {
 	}
 }
 
-// MustRunJSON is a test helper: the canonical JSON of a default-runner
+// runJSON is a test helper: the canonical JSON of a default-runner
 // sweep.
-func MustRunJSON(e Experiment) ([]byte, error) {
-	out, err := Run(e)
+func runJSON(e Experiment) ([]byte, error) {
+	out, err := Runner{}.Run(e)
 	if err != nil {
 		return nil, err
 	}

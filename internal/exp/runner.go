@@ -204,19 +204,3 @@ func describeParams(params map[string]any) string {
 	}
 	return strings.Join(parts, " ")
 }
-
-// Run executes the experiment with the default runner (GOMAXPROCS
-// workers).
-func Run(e Experiment) (Outcome, error) {
-	return Runner{}.Run(e)
-}
-
-// MustRun executes with the default runner and panics on error. The figure
-// harness closures never return errors, so failures here are harness bugs.
-func MustRun(e Experiment) Outcome {
-	o, err := Run(e)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}

@@ -1,40 +1,10 @@
 // Package kernels provides the bandwidth benchmark kernels of Sects. 2.1
 // and 2.2 — the four McCalpin STREAM operations and the Schönauer vector
-// triad — in two forms: real host implementations (used for numerical
-// validation and host-side iterator-overhead measurements) and trace
-// compilers that turn a kernel plus array placement into a per-thread
-// work-item program for the simulated T2.
+// triad — as trace compilers that turn a kernel plus array placement into
+// a per-thread work-item program for the simulated T2. Its one host
+// implementation is VectorTriad, the inner loop of the host-side
+// segmented-iterator benchmarks (BenchmarkSegIterHost*).
 package kernels
-
-import "sync"
-
-// Copy performs the STREAM copy c = a.
-func Copy(c, a []float64) {
-	for i := range c {
-		c[i] = a[i]
-	}
-}
-
-// Scale performs the STREAM scale b = s*c.
-func Scale(b, c []float64, s float64) {
-	for i := range b {
-		b[i] = s * c[i]
-	}
-}
-
-// Add performs the STREAM add c = a + b.
-func Add(c, a, b []float64) {
-	for i := range c {
-		c[i] = a[i] + b[i]
-	}
-}
-
-// Triad performs the STREAM triad a = b + s*c.
-func Triad(a, b, c []float64, s float64) {
-	for i := range a {
-		a[i] = b[i] + s*c[i]
-	}
-}
 
 // VectorTriad performs the Schönauer vector triad a = b + c*d, the
 // three-read-stream kernel of Sect. 2.2.
@@ -42,32 +12,4 @@ func VectorTriad(a, b, c, d []float64) {
 	for i := range a {
 		a[i] = b[i] + c[i]*d[i]
 	}
-}
-
-// Parallel runs body(lo, hi) over [0, n) split into contiguous blocks
-// across the given number of goroutines, mirroring a static OpenMP
-// parallel-for on the host.
-func Parallel(n, threads int, body func(lo, hi int)) {
-	if threads <= 1 || n <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	q, r := n/threads, n%threads
-	lo := 0
-	for t := 0; t < threads; t++ {
-		hi := lo + q
-		if t < r {
-			hi++
-		}
-		if hi > lo {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				body(lo, hi)
-			}(lo, hi)
-		}
-		lo = hi
-	}
-	wg.Wait()
 }

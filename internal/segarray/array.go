@@ -1,65 +1,28 @@
 package segarray
 
-import "fmt"
-
-// Array is a host-side segmented container mirroring a Layout: real Go
-// storage whose segments expose plain slices for native-speed inner loops
-// (the paper's "separate function is called to handle a single segment"),
-// plus a general bidirectional-style iterator whose per-step branch is the
-// overhead the paper measures in Fig. 5.
+// Array is the host-side segmented container of the Fig. 5 iterator
+// benchmarks: real Go storage shaped like a Layout, with one plain slice
+// per segment (Segment) for native-speed inner loops (the paper's
+// "separate function is called to handle a single segment") and a general
+// iterator (Begin) whose per-step segment-boundary branch is the overhead
+// the paper measures.
 type Array[T any] struct {
-	layout Layout
-	segs   [][]T
-	total  int64
+	segs [][]T
 }
 
 // NewArray builds host storage for an existing layout. Segment placement
 // (padding bytes) is reproduced only logically; the host slices are
 // per-segment allocations, which is all the host-side experiments need.
 func NewArray[T any](l Layout) *Array[T] {
-	a := &Array[T]{layout: l, total: l.Total}
-	a.segs = make([][]T, len(l.Segs))
+	a := &Array[T]{segs: make([][]T, len(l.Segs))}
 	for i, s := range l.Segs {
 		a.segs[i] = make([]T, s.Len)
 	}
 	return a
 }
 
-// Layout returns the placement this array mirrors.
-func (a *Array[T]) Layout() *Layout { return &a.layout }
-
-// NumSegments returns the segment count.
-func (a *Array[T]) NumSegments() int { return len(a.segs) }
-
 // Segment returns the s-th segment as a plain slice — the fast path.
 func (a *Array[T]) Segment(s int) []T { return a.segs[s] }
-
-// Len returns the total element count.
-func (a *Array[T]) Len() int64 { return a.total }
-
-// At returns a pointer to element i of segment s.
-func (a *Array[T]) At(s int, i int64) *T { return &a.segs[s][i] }
-
-// Global returns a pointer to the i-th element in global order. O(#segs).
-func (a *Array[T]) Global(i int64) *T {
-	for s := range a.segs {
-		if i < int64(len(a.segs[s])) {
-			return &a.segs[s][i]
-		}
-		i -= int64(len(a.segs[s]))
-	}
-	panic(fmt.Sprintf("segarray: global index %d out of range", i))
-}
-
-// Fill sets every element to v.
-func (a *Array[T]) Fill(v T) {
-	for s := range a.segs {
-		seg := a.segs[s]
-		for i := range seg {
-			seg[i] = v
-		}
-	}
-}
 
 // Iter is the general segmented iterator. Each advance carries the
 // segment-boundary branch that the paper's operator++ discussion warns

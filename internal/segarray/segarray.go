@@ -119,19 +119,6 @@ func (l *Layout) SegAddr(s int, i int64) phys.Addr {
 	return l.Segs[s].Start + phys.Addr(i*l.Params.ElemSize)
 }
 
-// GlobalAddr returns the address of the i-th element in global order
-// (segments concatenated). It is O(#segments); kernels on hot paths should
-// iterate per segment instead.
-func (l *Layout) GlobalAddr(i int64) phys.Addr {
-	for s := range l.Segs {
-		if i < l.Segs[s].Len {
-			return l.SegAddr(s, i)
-		}
-		i -= l.Segs[s].Len
-	}
-	panic(fmt.Sprintf("segarray: global index %d out of range", i))
-}
-
 // Overlaps reports whether any two segments overlap — a placement bug.
 func (l *Layout) Overlaps() bool {
 	for a := range l.Segs {

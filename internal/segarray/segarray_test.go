@@ -101,31 +101,22 @@ func TestEqualSegments(t *testing.T) {
 	}
 }
 
-func TestGlobalAddr(t *testing.T) {
-	sp := alloc.NewSpace()
-	l := Plan(sp, Params{ElemSize: 8, SegAlign: 512}, []int64{5, 5})
-	if l.GlobalAddr(4) != l.SegAddr(0, 4) {
-		t.Error("global index 4 not in segment 0")
-	}
-	if l.GlobalAddr(5) != l.SegAddr(1, 0) {
-		t.Error("global index 5 not at segment 1 start")
-	}
-}
-
 func TestArrayHostStorage(t *testing.T) {
 	sp := alloc.NewSpace()
 	l := Plan(sp, Params{ElemSize: 8, SegAlign: 512, Shift: 128}, []int64{4, 6, 2})
 	a := NewArray[float64](l)
-	if a.Len() != 12 || a.NumSegments() != 3 {
-		t.Fatalf("array shape %d/%d", a.Len(), a.NumSegments())
+	for s, seg := range l.Segs {
+		if got := int64(len(a.Segment(s))); got != seg.Len {
+			t.Fatalf("segment %d holds %d elements, layout says %d", s, got, seg.Len)
+		}
 	}
-	a.Fill(1.5)
-	*a.At(1, 3) = 42
-	if *a.Global(4 + 3) != 42 {
-		t.Error("Global and At disagree")
+	a.Segment(1)[3] = 42
+	it := a.Begin()
+	for i := 0; i < 4+3; i++ {
+		it.Next()
 	}
-	if a.Segment(1)[3] != 42 {
-		t.Error("Segment slice does not alias storage")
+	if *it.Value() != 42 {
+		t.Error("iterator and Segment disagree on global element 7")
 	}
 }
 
@@ -134,7 +125,7 @@ func TestIteratorVisitsAllInOrder(t *testing.T) {
 	l := Plan(sp, Params{ElemSize: 8}, []int64{3, 0, 2, 0, 1})
 	a := NewArray[int](l)
 	n := 0
-	for s := 0; s < a.NumSegments(); s++ {
+	for s := range l.Segs {
 		for i := range a.Segment(s) {
 			a.Segment(s)[i] = n
 			n++
