@@ -51,15 +51,16 @@ func machineFlag(fs *flag.FlagSet) *string {
 		"machine profile to plan for: "+strings.Join(machine.Names(), ", "))
 }
 
-// specFor resolves the profile name into the analyzer's machine
-// description, exiting with the registry's error on an unknown name.
-func specFor(name string) core.MachineSpec {
+// mappingFor resolves the profile name into the address mapping the
+// analyzer plans against, exiting with the registry's error on an
+// unknown name.
+func mappingFor(name string) phys.Mapping {
 	prof, err := machine.Get(name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "placement: %v\n", err)
 		os.Exit(2)
 	}
-	return prof.Spec()
+	return prof.Config.Mapping
 }
 
 func main() {
@@ -72,19 +73,19 @@ func main() {
 		streams := fs.Int("streams", 4, "concurrent streams (reads + writes) of the loop kernel")
 		mn := machineFlag(fs)
 		fs.Parse(os.Args[2:])
-		ms := specFor(*mn)
-		p := core.PlanArrayOffsets(ms, *streams)
+		mp := mappingFor(*mn)
+		p := core.PlanArrayOffsets(mp, *streams)
 		fmt.Printf("per-array byte offsets (after common alignment):\n")
 		for i, o := range p.Offsets {
 			fmt.Printf("  array %d: +%d bytes\n", i, o)
 		}
-		fmt.Printf("predicted controller concurrency: %.2f of %d\n", p.Concurrency, ms.Mapping.Controllers())
+		fmt.Printf("predicted controller concurrency: %.2f of %d\n", p.Concurrency, mp.Controllers())
 	case "rows":
 		fs := flag.NewFlagSet("rows", flag.ExitOnError)
 		mn := machineFlag(fs)
 		fs.Parse(os.Args[2:])
-		ms := specFor(*mn)
-		rp := core.PlanRows(ms)
+		mp := mappingFor(*mn)
+		rp := core.PlanRows(mp)
 		fmt.Printf("row-organized (stencil) placement:\n")
 		fmt.Printf("  segment alignment: %d bytes (the controller interleave period)\n", rp.SegAlign)
 		fmt.Printf("  per-row shift:     %d bytes (one controller step)\n", rp.Shift)
@@ -95,8 +96,8 @@ func main() {
 		off := fs.Int64("offset", 0, "COMMON-block offset in DP words")
 		mn := machineFlag(fs)
 		fs.Parse(os.Args[2:])
-		ms := specFor(*mn)
-		phases, regime := core.ExplainStreamOffset(ms, *n, *off)
+		mp := mappingFor(*mn)
+		phases, regime := core.ExplainStreamOffset(mp, *n, *off)
 		fmt.Printf("STREAM COMMON block, N=%d, offset=%d words:\n", *n, *off)
 		for i, p := range phases {
 			fmt.Printf("  array %c starts on controller %d\n", 'A'+i, p)
@@ -115,14 +116,14 @@ func main() {
 		n := fs.Int("n", 128, "LBM cubic domain edge")
 		mn := machineFlag(fs)
 		fs.Parse(os.Args[2:])
-		ms := specFor(*mn)
+		mp := mappingFor(*mn)
 		p := *n + 2
 		sIJKv := int64(lbm.IJKv.VStride(p)) * phys.WordSize
 		sIvJK := int64(lbm.IvJK.VStride(p)) * phys.WordSize
 		fmt.Printf("D3Q19 stream strides at N=%d (padded edge %d):\n", *n, p)
-		fmt.Printf("  IJKv: %d bytes -> %d controllers covered\n", sIJKv, core.PhaseSpread(ms, sIJKv, lbm.Q))
-		fmt.Printf("  IvJK: %d bytes -> %d controllers covered\n", sIvJK, core.PhaseSpread(ms, sIvJK, lbm.Q))
-		fmt.Printf("advised layout: %s\n", core.AdviseLayout(ms, "IJKv", sIJKv, "IvJK", sIvJK, lbm.Q))
+		fmt.Printf("  IJKv: %d bytes -> %d controllers covered\n", sIJKv, core.PhaseSpread(mp, sIJKv, lbm.Q))
+		fmt.Printf("  IvJK: %d bytes -> %d controllers covered\n", sIvJK, core.PhaseSpread(mp, sIvJK, lbm.Q))
+		fmt.Printf("advised layout: %s\n", core.AdviseLayout(mp, "IJKv", sIJKv, "IvJK", sIvJK, lbm.Q))
 	case "sweep":
 		fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 		n := fs.Int64("n", 1<<25, "STREAM array length in DP words")
@@ -133,7 +134,7 @@ func main() {
 		timeout := fs.Duration("timeout", 0, "wall-clock budget for the sweep; on expiry it aborts cooperatively and the exit code is 3 (0: no deadline)")
 		mn := machineFlag(fs)
 		fs.Parse(os.Args[2:])
-		ms := specFor(*mn)
+		mp := mappingFor(*mn)
 		if *step <= 0 || *max < 0 {
 			fmt.Fprintln(os.Stderr, "placement: sweep needs -step > 0 and -max >= 0")
 			os.Exit(2)
@@ -154,8 +155,8 @@ func main() {
 				off := p.Int64("offset")
 				ndim := *n + off
 				bases := []phys.Addr{0, phys.Addr(ndim * phys.WordSize), phys.Addr(2 * ndim * phys.WordSize)}
-				pred := core.PredictRelativeBandwidth(ms, core.StreamSet{Bases: bases, Stride: phys.LineSize})
-				phases, _ := core.ExplainStreamOffset(ms, *n, off)
+				pred := core.PredictRelativeBandwidth(mp, core.StreamSet{Bases: bases, Stride: phys.LineSize})
+				phases, _ := core.ExplainStreamOffset(mp, *n, off)
 				spread := map[int]bool{}
 				for _, ph := range phases {
 					spread[ph] = true

@@ -242,7 +242,7 @@ func (p params) build(cfg chip.Config) (*trace.Program, error) {
 	case "jacobi":
 		spec := jacobi.Spec{N: p.n, Sched: schedule, Sweeps: p.sweeps}
 		if p.opt {
-			rp := core.PlanRows(core.SpecFor(cfg.Mapping))
+			rp := core.PlanRows(cfg.Mapping)
 			sparams := segarray.Params{ElemSize: phys.WordSize, Align: phys.PageSize,
 				SegAlign: rp.SegAlign, Shift: rp.Shift}
 			rows := make([]int64, p.n)

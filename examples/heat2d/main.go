@@ -20,7 +20,7 @@ import (
 func main() {
 	// ---- host solve on segmented rows -------------------------------
 	const n = 65
-	rp := core.PlanRows(machine.MustGet("t2").Spec())
+	rp := core.PlanRows(machine.MustGet("t2").Config.Mapping)
 	params := segarray.Params{ElemSize: phys.WordSize, Align: phys.PageSize,
 		SegAlign: rp.SegAlign, Shift: rp.Shift}
 	rows := make([]int64, n)

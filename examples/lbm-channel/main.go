@@ -51,13 +51,13 @@ func main() {
 	// distribution functions alias onto one controller, while the IvJK
 	// stride (68 doubles = 544 bytes) walks through all of them.
 	const simN = 66
-	ms := machine.MustGet("t2").Spec()
+	mp := machine.MustGet("t2").Config.Mapping
 	p := simN + 2
 	sIJKv := int64(lbm.IJKv.VStride(p)) * phys.WordSize
 	sIvJK := int64(lbm.IvJK.VStride(p)) * phys.WordSize
 	fmt.Printf("layout advice at N=%d: IJKv spreads %d controllers, IvJK spreads %d -> use %s\n\n",
-		simN, core.PhaseSpread(ms, sIJKv, lbm.Q), core.PhaseSpread(ms, sIvJK, lbm.Q),
-		core.AdviseLayout(ms, "IJKv", sIJKv, "IvJK", sIvJK, lbm.Q))
+		simN, core.PhaseSpread(mp, sIJKv, lbm.Q), core.PhaseSpread(mp, sIvJK, lbm.Q),
+		core.AdviseLayout(mp, "IJKv", sIJKv, "IvJK", sIvJK, lbm.Q))
 
 	// ---- simulated performance -----------------------------------------
 	m := chip.New(machine.MustGet("t2").Config)

@@ -30,9 +30,9 @@ const (
 // measure runs the 8-stream load kernel on prof with all stream bases
 // displaced by i*offset bytes after period alignment.
 func measure(prof machine.Profile, offset int64) chip.Result {
-	ms := prof.Spec()
+	mp := prof.Config.Mapping
 	align := int64(phys.PageSize)
-	if per := ms.Mapping.Period(); per > align {
+	if per := mp.Period(); per > align {
 		align = per
 	}
 	sp := alloc.NewSpace()
@@ -46,18 +46,18 @@ func main() {
 	// Step 1: pick a machine. The registry describes every profile; mc8 is
 	// the 8-controller chip the paper's T2 never was.
 	prof := machine.MustGet("mc8")
-	ms := prof.Spec()
+	mp := prof.Config.Mapping
 	fmt.Printf("machine %q: %s\n", prof.Name, prof.Doc)
 	fmt.Printf("  controllers=%d  banks=%d  interleave period=%d B\n\n",
-		ms.Mapping.Controllers(), ms.Mapping.Banks(), ms.Mapping.Period())
+		mp.Controllers(), mp.Banks(), mp.Period())
 
 	// Step 2: ask the analyzer for offsets. Everything is derived from the
 	// profile's interleave: the step is period/controllers, here 128 B over
 	// a 1 kB period.
-	plan := core.PlanArrayOffsets(ms, streams)
+	plan := core.PlanArrayOffsets(mp, streams)
 	fmt.Printf("planned offsets for %d streams: %v bytes\n", streams, plan.Offsets)
 	fmt.Printf("predicted controller concurrency: %.0f of %d\n\n",
-		plan.Concurrency, ms.Mapping.Controllers())
+		plan.Concurrency, mp.Controllers())
 
 	// Step 3: sweep the cliff across machine profiles. "congruent" places
 	// every stream base congruent mod the period (the paper's worst case);
@@ -66,11 +66,11 @@ func main() {
 		"machine", "MCs", "period", "congruent", "planned", "cliff")
 	for _, name := range []string{"t2-1mc", "t2-2mc", "t2", "mc8", "t2-wide1k", "xor"} {
 		p := machine.MustGet(name)
-		pms := p.Spec()
+		pmp := p.Config.Mapping
 		worst := measure(p, 0)
-		best := measure(p, core.PlanArrayOffsets(pms, streams).Offsets[1])
+		best := measure(p, core.PlanArrayOffsets(pmp, streams).Offsets[1])
 		fmt.Printf("%-10s %5d %9d %9.2f GB/s %9.2f GB/s %7.1fx\n",
-			name, pms.Mapping.Controllers(), pms.Mapping.Period(),
+			name, pmp.Controllers(), pmp.Period(),
 			worst.GBps, best.GBps, best.GBps/worst.GBps)
 	}
 	fmt.Println()

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	const n = 1 << 19 // one vector triad array: 4 MB
-	ms := machine.MustGet("t2").Spec()
+	mp := machine.MustGet("t2").Config.Mapping
 	m := chip.New(machine.MustGet("t2").Config)
 
 	// Step 1: the naive placement — all four arrays page-aligned, as a
@@ -26,7 +26,7 @@ func main() {
 	naive := sp.OffsetBases(4, n*phys.WordSize, phys.PageSize, 0)
 	ss := core.StreamSet{Bases: naive, Stride: phys.LineSize}
 	fmt.Printf("naive placement:   regime=%-8s predicted relative bandwidth %.2f\n",
-		core.Regime(ms, ss), core.PredictRelativeBandwidth(ms, ss))
+		core.Regime(mp, ss), core.PredictRelativeBandwidth(mp, ss))
 
 	k := kernels.VTriad(naive[0], naive[1], naive[2], naive[3], n)
 	p := k.Program(omp.StaticBlock{}, 64)
@@ -34,9 +34,9 @@ func main() {
 	fmt.Printf("                   measured %.2f GB/s\n\n", r.GBps)
 
 	// Step 2: ask the planner for offsets.
-	plan := core.PlanArrayOffsets(ms, 4)
+	plan := core.PlanArrayOffsets(mp, 4)
 	fmt.Printf("planned offsets:   %v bytes (concurrency %.0f/%d)\n",
-		plan.Offsets, plan.Concurrency, ms.Mapping.Controllers())
+		plan.Offsets, plan.Concurrency, mp.Controllers())
 
 	// Step 3: apply and re-measure.
 	sp2 := alloc.NewSpace()
@@ -46,7 +46,7 @@ func main() {
 	}
 	ss2 := core.StreamSet{Bases: tuned, Stride: phys.LineSize}
 	fmt.Printf("tuned placement:   regime=%-8s predicted relative bandwidth %.2f\n",
-		core.Regime(ms, ss2), core.PredictRelativeBandwidth(ms, ss2))
+		core.Regime(mp, ss2), core.PredictRelativeBandwidth(mp, ss2))
 
 	k2 := kernels.VTriad(tuned[0], tuned[1], tuned[2], tuned[3], n)
 	p2 := k2.Program(omp.StaticBlock{}, 64)

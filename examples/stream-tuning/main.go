@@ -19,12 +19,12 @@ import (
 func main() {
 	const n = 1 << 18
 	m := chip.New(machine.MustGet("t2").Config)
-	ms := machine.MustGet("t2").Spec()
+	mp := machine.MustGet("t2").Config.Mapping
 
 	fmt.Println("offset  ctrl-phases  predicted   measured GB/s")
 	fmt.Println("------  -----------  ---------  --------------")
 	for _, off := range []int64{0, 8, 13, 16, 24, 32, 40, 48, 56, 64, 96, 128} {
-		phases, regime := core.ExplainStreamOffset(ms, n, off)
+		phases, regime := core.ExplainStreamOffset(mp, n, off)
 		sp := alloc.NewSpace()
 		bases := sp.Common(3, n+off, phys.WordSize)
 		k := kernels.StreamTriad(bases[0], bases[1], bases[2], n)

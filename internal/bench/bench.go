@@ -111,11 +111,6 @@ func (o Options) WithProfile(p machine.Profile) Options {
 	return o
 }
 
-// spec derives the analyzer's machine description from the configured
-// chip, so planned offsets, row shifts and regime predictions follow the
-// selected profile instead of a hardwired T2.
-func (o Options) spec() core.MachineSpec { return core.SpecFor(o.Cfg.Mapping) }
-
 // Small returns unit-test-scale settings that keep every structural
 // property (congruences mod 512 B, cache pressure ratios).
 func Small() Options {
@@ -372,7 +367,7 @@ func (o Options) Fig4Exp() exp.Experiment {
 // the plain OpenMP version. Offsets are kept optimal in both arms —
 // Fig. 5 isolates iterator overhead, not aliasing.
 func (o Options) Fig5Exp(threads int) exp.Experiment {
-	plan := core.PlanArrayOffsets(o.spec(), 4)
+	plan := core.PlanArrayOffsets(o.Cfg.Mapping, 4)
 	return exp.Experiment{
 		Name:    "fig5",
 		Doc:     "segmented iterator overhead vs plain loops (GB/s)",
@@ -417,7 +412,7 @@ func (o Options) Fig5Exp(threads int) exp.Experiment {
 // optimally aligned segmented solver at several thread counts, plus the
 // plain (unaligned) 64-thread reference.
 func (o Options) Fig6Exp() exp.Experiment {
-	rp := core.PlanRows(o.spec())
+	rp := core.PlanRows(o.Cfg.Mapping)
 	// The plain reference always runs at 64 threads, whether or not 64 is
 	// among the optimized thread counts.
 	optT := map[int]bool{}

@@ -18,7 +18,7 @@ import (
 // analyzer's predicted relative bandwidth alongside the simulator's
 // measurement.
 func crossvalExp(n int64) exp.Experiment {
-	ms := core.SpecFor(phys.T2())
+	mp := phys.T2()
 	return exp.Experiment{
 		Name: "crossval",
 		Doc:  "analyzer-predicted vs simulator-measured bandwidth by offset regime",
@@ -30,7 +30,7 @@ func crossvalExp(n int64) exp.Experiment {
 			off := p.Int64("offset")
 			ndim := n + off
 			bases := []phys.Addr{0, phys.Addr(ndim * phys.WordSize), phys.Addr(2 * ndim * phys.WordSize)}
-			pred := core.PredictRelativeBandwidth(ms, core.StreamSet{Bases: bases, Stride: phys.LineSize})
+			pred := core.PredictRelativeBandwidth(mp, core.StreamSet{Bases: bases, Stride: phys.LineSize})
 
 			sp := alloc.NewSpace()
 			real := sp.Common(3, ndim, phys.WordSize)
@@ -82,7 +82,7 @@ func TestAnalyzerPredictsSimulator(t *testing.T) {
 // plannerExp measures the vector triad under naive page alignment and the
 // planner's per-array offsets as a two-point experiment.
 func plannerExp(n int64) exp.Experiment {
-	plan := core.PlanArrayOffsets(core.SpecFor(phys.T2()), 4)
+	plan := core.PlanArrayOffsets(phys.T2(), 4)
 	return exp.Experiment{
 		Name: "planner",
 		Doc:  "planned vs naive vector-triad placement",

@@ -44,9 +44,9 @@ const scalingStreams = 8
 // the 64 thread phases congruent — the condition under which the paper
 // observes the convoy — on every profile, including the coarse-granule
 // ones whose periods exceed the default chunk.
-func scalingN(base int64, ms core.MachineSpec, threads int64) int64 {
+func scalingN(base int64, mp phys.Mapping, threads int64) int64 {
 	n := base
-	if per := ms.Mapping.Period(); per > 0 {
+	if per := mp.Period(); per > 0 {
 		m := threads * per / phys.WordSize
 		if m > 0 {
 			n = (n + m - 1) / m * m
@@ -85,19 +85,19 @@ func (o Options) ScalingExp() exp.Experiment {
 			if err != nil {
 				return exp.Result{}, err
 			}
-			ms := prof.Spec()
-			n := scalingN(baseN, ms, threads)
+			mp := prof.Config.Mapping
+			n := scalingN(baseN, mp, threads)
 			align := int64(phys.PageSize)
-			if per := ms.Mapping.Period(); per > align {
+			if per := mp.Period(); per > align {
 				align = per
 			}
 			offset := int64(0)
 			if p.Str("placement") == "planned" {
-				offset = core.PlanArrayOffsets(ms, scalingStreams).Offsets[1]
+				offset = core.PlanArrayOffsets(mp, scalingStreams).Offsets[1]
 			}
 			sp := alloc.NewSpace()
 			bases := sp.OffsetBases(scalingStreams, n*phys.WordSize, align, offset)
-			pred := core.PredictRelativeBandwidth(ms, core.StreamSet{Bases: bases, Stride: phys.LineSize})
+			pred := core.PredictRelativeBandwidth(mp, core.StreamSet{Bases: bases, Stride: phys.LineSize})
 
 			k := kernels.LoadSum(bases, n)
 			prog := k.Program(omp.StaticBlock{}, threads)
@@ -107,8 +107,8 @@ func (o Options) ScalingExp() exp.Experiment {
 			}
 			m := bwMetrics(r)
 			m["predicted"] = pred
-			m["controllers"] = float64(ms.Mapping.Controllers())
-			m["period_bytes"] = float64(ms.Mapping.Period())
+			m["controllers"] = float64(mp.Controllers())
+			m["period_bytes"] = float64(mp.Period())
 			m["n"] = float64(n)
 			return measured(exp.Result{
 				Series:  p.Str("placement"),

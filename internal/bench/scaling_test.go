@@ -48,7 +48,7 @@ func TestScalingPredictionsRankMeasurements(t *testing.T) {
 	}
 	for m, arms := range byMachine {
 		c, p := arms["congruent"], arms["planned"]
-		if machine.MustGet(m).Spec().Mapping.Period() > 0 && p.pred < c.pred {
+		if machine.MustGet(m).Config.Mapping.Period() > 0 && p.pred < c.pred {
 			// Hashed mappings have no period, so the planner has nothing to
 			// plan against and its prediction carries no ranking claim there.
 			t.Errorf("%s: planner predicts planned (%.2f) below congruent (%.2f)", m, p.pred, c.pred)
@@ -65,7 +65,7 @@ func TestScalingPredictionsRankMeasurements(t *testing.T) {
 // controllers, or the planned arm understates that profile's ceiling.
 func TestScalingStreamsCoverEveryProfile(t *testing.T) {
 	for _, name := range scalingMachines() {
-		if c := machine.MustGet(name).Spec().Mapping.Controllers(); c > scalingStreams {
+		if c := machine.MustGet(name).Config.Mapping.Controllers(); c > scalingStreams {
 			t.Errorf("%s has %d controllers but the scaling kernel only %d streams", name, c, scalingStreams)
 		}
 	}
@@ -76,9 +76,9 @@ func TestScalingStreamsCoverEveryProfile(t *testing.T) {
 // interleave periods so the study's congruent arm is actually congruent.
 func TestScalingNKeepsThreadsCongruent(t *testing.T) {
 	for _, name := range scalingMachines() {
-		ms := machine.MustGet(name).Spec()
-		n := scalingN(Small().ScalingN, ms, 64)
-		if per := ms.Mapping.Period(); per > 0 {
+		mp := machine.MustGet(name).Config.Mapping
+		n := scalingN(Small().ScalingN, mp, 64)
+		if per := mp.Period(); per > 0 {
 			chunkBytes := n / 64 * 8
 			if chunkBytes%per != 0 {
 				t.Errorf("%s: chunk of %d bytes not a multiple of the %d-byte period", name, chunkBytes, per)

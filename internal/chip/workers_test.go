@@ -97,12 +97,12 @@ func TestWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedBatchingEquivalence: a worker runs its share of a sweep's
+// TestMachineReuseBatch: a worker runs its share of a sweep's
 // points as a batch on one reused machine. Every point of the batch must get exactly
 // the Result a freshly built machine gives it, whatever the machine ran
 // before — across team sizes and program shapes, in either batch order, on
 // every topology.
-func TestShardedBatchingEquivalence(t *testing.T) {
+func TestMachineReuseBatch(t *testing.T) {
 	batch := []func() *trace.Program{
 		func() *trace.Program { return marchingProg(16, 120) },
 		func() *trace.Program { return triadProgAt(1<<13, 8, 16) },
@@ -243,19 +243,32 @@ func TestCheckpointRestoreProperty(t *testing.T) {
 // a machine that has already run other programs must produce, for any
 // program, exactly the Result a freshly built machine produces — including
 // across team-size changes, which exercise the strand pool, and with the
-// warm-image restore path in place of the first run's prefill.
+// warm-image restore path in place of the first run's prefill. After each
+// run the reused machine's whole L2 tag store must equal the fresh
+// machine's too, so a set record the restore left stale shows even where
+// the next program never reads it.
 func TestMachineReuseIsStateless(t *testing.T) {
 	const n = 1 << 13
 	mk := func(off int64, threads int) *trace.Program { return triadProgAt(n, off, threads) }
 
-	fresh16 := New(t2cfg()).Run(mk(8, 16))
 	reused := New(t2cfg())
-	reused.Run(mk(0, 64))
-	reused.Run(mk(24, 32))
-	again16 := reused.Run(mk(8, 16))
-	if !reflect.DeepEqual(fresh16, again16) {
-		t.Errorf("reused machine diverged from fresh machine:\n fresh:  %+v\n reused: %+v", fresh16, again16)
+	check := func(name string, prog func() *trace.Program) {
+		t.Helper()
+		fresh := New(t2cfg())
+		want := fresh.Run(prog())
+		if got := reused.Run(prog()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused machine diverged from fresh machine:\n fresh:  %+v\n reused: %+v", name, want, got)
+		}
+		if !reflect.DeepEqual(reused.rs.l2.Snapshot(), fresh.rs.l2.Snapshot()) {
+			t.Errorf("%s: reused machine's L2 tag store differs from a fresh machine's after the same run", name)
+		}
 	}
+	// Each array of the first triad spans 4,096 consecutive lines, so it
+	// touches every set of the 4,096-set L2; the later, smaller triads
+	// leave some of those sets alone.
+	check("64T over every set", func() *trace.Program { return triadProgAt(1<<15, 0, 64) })
+	check("32T at offset 24", func() *trace.Program { return mk(24, 32) })
+	check("16T at offset 8", func() *trace.Program { return mk(8, 16) })
 
 	// Back-to-back identical runs on one machine must agree too.
 	a := reused.Run(mk(8, 16))

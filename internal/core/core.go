@@ -16,23 +16,11 @@ import (
 	"repro/internal/phys"
 )
 
-// MachineSpec is what the optimizer needs to know about the memory system.
-// The line size is phys.LineSize on every machine.
-type MachineSpec struct {
-	Mapping phys.Mapping
-}
-
-// SpecFor returns the analyzer's view of a machine from its address
-// mapping alone; the machine-profile registry (internal/machine) exposes
-// the same thing per profile via Profile.Spec.
-func SpecFor(m phys.Mapping) MachineSpec {
-	return MachineSpec{Mapping: m}
-}
-
-// Period returns the controller-interleave period in bytes, falling back
-// to one line for hashed mappings with no period.
-func (ms MachineSpec) Period() int64 {
-	if p := ms.Mapping.Period(); p > 0 {
+// period returns the mapping's controller-interleave period in bytes,
+// falling back to one line for hashed mappings with no period. The line
+// size is phys.LineSize on every machine.
+func period(m phys.Mapping) int64 {
+	if p := m.Period(); p > 0 {
 		return p
 	}
 	return phys.LineSize
@@ -50,19 +38,19 @@ type StreamSet struct {
 // Utilization returns the fraction of line accesses each controller
 // receives when the stream set advances steps times. With a periodic
 // mapping the distribution converges within Period/Stride steps.
-func Utilization(ms MachineSpec, ss StreamSet, steps int) []float64 {
+func Utilization(m phys.Mapping, ss StreamSet, steps int) []float64 {
 	if steps <= 0 {
-		steps = int(ms.Period() / phys.LineSize * 2)
+		steps = int(period(m) / phys.LineSize * 2)
 		if steps <= 0 {
 			steps = 16
 		}
 	}
-	counts := make([]int64, ms.Mapping.Controllers())
+	counts := make([]int64, m.Controllers())
 	var total int64
 	for k := 0; k < steps; k++ {
 		for _, b := range ss.Bases {
 			a := b + phys.Addr(int64(k)*ss.Stride)
-			counts[phys.ControllerOf(ms.Mapping, a)]++
+			counts[phys.ControllerOf(m, a)]++
 			total++
 		}
 	}
@@ -80,14 +68,14 @@ func Utilization(ms MachineSpec, ss StreamSet, steps int) []float64 {
 // stream set addresses per step — the quantity that decides between the
 // "one controller at a time" convoy and uniform utilization. It ranges
 // from 1 to min(len(bases), controllers).
-func MeanConcurrency(ms MachineSpec, ss StreamSet, steps int) float64 {
+func MeanConcurrency(m phys.Mapping, ss StreamSet, steps int) float64 {
 	if steps <= 0 {
-		steps = int(ms.Period() / phys.LineSize * 2)
+		steps = int(period(m) / phys.LineSize * 2)
 		if steps <= 0 {
 			steps = 16
 		}
 	}
-	seen := make([]bool, ms.Mapping.Controllers())
+	seen := make([]bool, m.Controllers())
 	var sum float64
 	for k := 0; k < steps; k++ {
 		for i := range seen {
@@ -95,7 +83,7 @@ func MeanConcurrency(ms MachineSpec, ss StreamSet, steps int) float64 {
 		}
 		n := 0
 		for _, b := range ss.Bases {
-			c := phys.ControllerOf(ms.Mapping, b+phys.Addr(int64(k)*ss.Stride))
+			c := phys.ControllerOf(m, b+phys.Addr(int64(k)*ss.Stride))
 			if !seen[c] {
 				seen[c] = true
 				n++
@@ -110,15 +98,15 @@ func MeanConcurrency(ms MachineSpec, ss StreamSet, steps int) float64 {
 // relative to the best achievable on this machine: the mean controller
 // concurrency as a fraction of the controller count. 0.25 on the T2 is
 // the full convoy, 1.0 the uniform optimum.
-func PredictRelativeBandwidth(ms MachineSpec, ss StreamSet) float64 {
-	return MeanConcurrency(ms, ss, 0) / float64(ms.Mapping.Controllers())
+func PredictRelativeBandwidth(m phys.Mapping, ss StreamSet) float64 {
+	return MeanConcurrency(m, ss, 0) / float64(m.Controllers())
 }
 
 // Regime classifies a stream set the way Sect. 2.1 discusses the STREAM
 // offsets: "convoy" (about one controller), "partial", or "uniform".
-func Regime(ms MachineSpec, ss StreamSet) string {
-	c := MeanConcurrency(ms, ss, 0)
-	n := float64(ms.Mapping.Controllers())
+func Regime(m phys.Mapping, ss StreamSet) string {
+	c := MeanConcurrency(m, ss, 0)
+	n := float64(m.Controllers())
 	switch {
 	case c <= 1.25:
 		return "convoy"
@@ -141,11 +129,11 @@ type ArrayPlan struct {
 // i * Period/Controllers bytes, so at every loop step the streams address
 // distinct controllers — the 128/256/384-byte recipe that makes the vector
 // triad flat in Fig. 4.
-func PlanArrayOffsets(ms MachineSpec, streams int) ArrayPlan {
+func PlanArrayOffsets(m phys.Mapping, streams int) ArrayPlan {
 	if streams <= 0 {
 		panic(fmt.Sprintf("core: %d streams", streams))
 	}
-	step := ms.Period() / int64(ms.Mapping.Controllers())
+	step := period(m) / int64(m.Controllers())
 	// Keep offsets line-aligned so element blocks do not straddle lines.
 	if step%phys.LineSize != 0 {
 		step = (step / phys.LineSize) * phys.LineSize
@@ -161,7 +149,7 @@ func PlanArrayOffsets(ms MachineSpec, streams int) ArrayPlan {
 	for i := range bases {
 		bases[i] = phys.Addr(p.Offsets[i])
 	}
-	p.Concurrency = MeanConcurrency(ms, StreamSet{Bases: bases, Stride: phys.LineSize}, 0)
+	p.Concurrency = MeanConcurrency(m, StreamSet{Bases: bases, Stride: phys.LineSize}, 0)
 	return p
 }
 
@@ -179,10 +167,10 @@ type RowPlan struct {
 // PlanRows returns the stencil-row placement of Sect. 2.3, including the
 // "static,1" schedule recommendation: round-robin rows keep the team's
 // working band contiguous so shared source rows stay in the L2.
-func PlanRows(ms MachineSpec) RowPlan {
+func PlanRows(m phys.Mapping) RowPlan {
 	return RowPlan{
-		SegAlign: ms.Period(),
-		Shift:    ms.Period() / int64(ms.Mapping.Controllers()),
+		SegAlign: period(m),
+		Shift:    period(m) / int64(m.Controllers()),
 		Schedule: "static,1",
 	}
 }
@@ -192,10 +180,10 @@ func PlanRows(ms MachineSpec) RowPlan {
 // explains why the IvJK lattice-Boltzmann layout (stride = one padded row)
 // beats IJKv (stride = a whole padded cube): an odd row stride spreads the
 // 19 distribution-function streams over all controllers automatically.
-func PhaseSpread(ms MachineSpec, stride int64, n int) int {
+func PhaseSpread(m phys.Mapping, stride int64, n int) int {
 	seen := make(map[int]bool)
 	for i := 0; i < n; i++ {
-		seen[phys.ControllerOf(ms.Mapping, phys.Addr(int64(i)*stride))] = true
+		seen[phys.ControllerOf(m, phys.Addr(int64(i)*stride))] = true
 	}
 	return len(seen)
 }
@@ -204,9 +192,9 @@ func PhaseSpread(ms MachineSpec, stride int64, n int) int {
 // the controller spread of their stream bundles. strideA and strideB are
 // the byte distances between consecutive streams (e.g. distribution
 // functions) in each layout; the layout with the wider spread wins.
-func AdviseLayout(ms MachineSpec, nameA string, strideA int64, nameB string, strideB int64, streams int) string {
-	a := PhaseSpread(ms, strideA, streams)
-	b := PhaseSpread(ms, strideB, streams)
+func AdviseLayout(m phys.Mapping, nameA string, strideA int64, nameB string, strideB int64, streams int) string {
+	a := PhaseSpread(m, strideA, streams)
+	b := PhaseSpread(m, strideB, streams)
 	if b > a {
 		return nameB
 	}
@@ -216,7 +204,7 @@ func AdviseLayout(ms MachineSpec, nameA string, strideA int64, nameB string, str
 // ExplainStreamOffset reproduces the Sect. 2.1 analysis of the STREAM
 // COMMON-block experiment: for a given word offset it returns the
 // controller phases of the three arrays and the predicted regime.
-func ExplainStreamOffset(ms MachineSpec, n, offsetWords int64) (phases []int, regime string) {
+func ExplainStreamOffset(m phys.Mapping, n, offsetWords int64) (phases []int, regime string) {
 	ndim := n + offsetWords
 	bases := []phys.Addr{
 		0,
@@ -225,7 +213,7 @@ func ExplainStreamOffset(ms MachineSpec, n, offsetWords int64) (phases []int, re
 	}
 	phases = make([]int, len(bases))
 	for i, b := range bases {
-		phases[i] = phys.ControllerOf(ms.Mapping, b)
+		phases[i] = phys.ControllerOf(m, b)
 	}
-	return phases, Regime(ms, StreamSet{Bases: bases, Stride: phys.LineSize})
+	return phases, Regime(m, StreamSet{Bases: bases, Stride: phys.LineSize})
 }

@@ -119,20 +119,6 @@ func (p Point) Int64(name string) int64 {
 	panic(fmt.Sprintf("exp: axis %q is %T, not an integer", name, p.get(name)))
 }
 
-// Float returns the named parameter as a float64 (accepting the integer
-// kinds too).
-func (p Point) Float(name string) float64 {
-	switch v := p.get(name).(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	}
-	panic(fmt.Sprintf("exp: axis %q is %T, not numeric", name, p.get(name)))
-}
-
 // Str returns the named parameter as a string.
 func (p Point) Str(name string) string {
 	if v, ok := p.get(name).(string); ok {

@@ -63,7 +63,7 @@ func TestSpan64(t *testing.T) {
 // missing axis name.
 func TestPointAccessors(t *testing.T) {
 	p := Point{Params: map[string]any{"i": 7, "i64": int64(9), "s": "x"}}
-	if p.Int64("i") != 7 || p.Int("i64") != 9 || p.Float("i") != 7 {
+	if p.Int64("i") != 7 || p.Int("i64") != 9 {
 		t.Error("integer conversions broken")
 	}
 	defer func() {

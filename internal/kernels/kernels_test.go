@@ -1,10 +1,12 @@
 package kernels
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/cpu"
 	"repro/internal/omp"
 	"repro/internal/phys"
 	"repro/internal/segarray"
@@ -173,6 +175,107 @@ func TestSegStreamThreadMismatchPanics(t *testing.T) {
 		}
 	}()
 	k.Program(8)
+}
+
+// segLayouts places arrays of n elements split into threads segments:
+// packed, or page-aligned per segment with a 64-byte shift, each displaced
+// by its own byte offset.
+func segLayouts(n int64, threads int, paged bool, offs ...int64) []*segarray.Layout {
+	sp := alloc.NewSpace()
+	out := make([]*segarray.Layout, len(offs))
+	for i, off := range offs {
+		p := segarray.Params{ElemSize: 8, Offset: off}
+		if paged {
+			p.Align, p.SegAlign, p.Shift = phys.PageSize, phys.PageSize, 64
+		}
+		l := segarray.Plan(sp, p, segarray.EqualSegments(n, threads))
+		out[i] = &l
+	}
+	return out
+}
+
+// FuzzSegStream checks that SegStream.Program, which runs the Stream
+// generator with per-thread bases, yields for every thread exactly the
+// items of the dedicated segmented generator it replaced
+// (segstream_ref_test.go): same accesses, demand, units and bytes, over
+// team sizes, per-array offsets, placements, sweeps, the segment-entry
+// overhead and a load-only kernel.
+func FuzzSegStream(f *testing.F) {
+	f.Add(uint8(8), uint16(1000), uint16(0), uint16(128), uint16(256), uint16(384), true, uint8(1), false, uint8(0))
+	f.Add(uint8(5), uint16(37), uint16(8), uint16(24), uint16(3), uint16(64), false, uint8(3), true, uint8(1))
+	f.Add(uint8(16), uint16(0), uint16(104), uint16(0), uint16(0), uint16(512), true, uint8(2), true, uint8(2))
+	f.Add(uint8(1), uint16(7), uint16(1), uint16(63), uint16(65), uint16(4095), false, uint8(2), false, uint8(2))
+	f.Fuzz(func(t *testing.T, th uint8, extra, o0, o1, o2, o3 uint16, paged bool, sweeps uint8, overhead bool, kind uint8) {
+		threads := 1 + int(th%24)
+		n := int64(threads) + int64(extra%3000)
+		ls := segLayouts(n, threads, paged, int64(o0), int64(o1), int64(o2), int64(o3))
+		var k SegStream
+		switch kind % 3 {
+		case 0:
+			k = SegVTriad(ls[0], ls[1], ls[2], ls[3])
+		case 1:
+			k = SegTriad(ls[0], ls[1], ls[2])
+		default:
+			k = SegStream{Name: "segload", Reads: ls[:2],
+				PerElem: cpu.Demand{MemOps: 2, Flops: 2, IntOps: 1}, RepPerEl: 16}
+		}
+		k.Sweeps = int(sweeps % 4)
+		if overhead {
+			k.SegOverhead = 30
+		}
+		got := k.Program(threads)
+		want := refSegProgram(&k, threads)
+		for g := range want {
+			if a, b := items(got.Gens[g]), items(want[g]); !reflect.DeepEqual(a, b) {
+				t.Fatalf("thread %d of %d (n=%d): %d items, reference %d; first difference %v",
+					g, threads, n, len(a), len(b), firstDiff(a, b))
+			}
+		}
+	})
+}
+
+// firstDiff describes the first item at which two item lists differ.
+func firstDiff(a, b []trace.Item) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return fmt.Sprintf("item %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	return "in length"
+}
+
+// TestSegStreamEmptySegmentIssuesNothing: with fewer elements than
+// threads, the threads past the last element own empty segments and, like
+// a Stream thread with an empty chunk, issue no item — not even a
+// zero-unit one that reads the lines under misaligned segment starts.
+func TestSegStreamEmptySegmentIssuesNothing(t *testing.T) {
+	const n, threads = 5, 8
+	ls := segLayouts(n, threads, true, 8, 24, 40, 56)
+	k := SegVTriad(ls[0], ls[1], ls[2], ls[3])
+	p := k.Program(threads)
+	for g, gen := range p.Gens {
+		its := items(gen)
+		if g < n && len(its) != 1 {
+			t.Errorf("thread %d: %d items, want 1", g, len(its))
+		}
+		if g >= n && len(its) != 0 {
+			t.Errorf("thread %d owns an empty segment but issued %d items: %+v", g, len(its), its)
+		}
+	}
+}
+
+// TestSegStreamUnevenSplitPanics: segments that are not the static
+// floor/ceil split cannot run as one static loop, so Program refuses them.
+func TestSegStreamUnevenSplitPanics(t *testing.T) {
+	sp := alloc.NewSpace()
+	l := segarray.Plan(sp, segarray.Params{ElemSize: 8}, []int64{3, 3, 3, 1})
+	k := SegVTriad(&l, &l, &l, &l)
+	defer func() {
+		if recover() == nil {
+			t.Error("segments 3,3,3,1 did not panic (static split is 3,3,2,2)")
+		}
+	}()
+	k.Program(4)
 }
 
 // TestStreamsCount: a line-aligned item touches one line of every

@@ -2,8 +2,10 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
+	"repro/internal/omp"
 	"repro/internal/phys"
 	"repro/internal/segarray"
 	"repro/internal/trace"
@@ -16,7 +18,9 @@ import (
 // in which alignment, padding, shift and offset take effect per thread —
 // page-aligning all segments locks every thread to the same controller
 // phase (the Fig. 4 worst case), per-array offsets spread them (the Fig. 4
-// optimum).
+// optimum). The loop itself is the plain one: Program runs the Stream
+// generator under omp.StaticBlock, whose split is the segments' own, with
+// each thread's bases moved to its segments.
 type SegStream struct {
 	Name     string
 	Reads    []*segarray.Layout
@@ -31,117 +35,58 @@ type SegStream struct {
 
 // SegVTriad builds the segmented vector triad a = b + c*d.
 func SegVTriad(a, b, c, d *segarray.Layout) SegStream {
-	return SegStream{
-		Name:     "segvtriad",
-		Reads:    []*segarray.Layout{b, c, d},
-		Write:    a,
-		PerElem:  cpu.Demand{MemOps: 4, Flops: 2, IntOps: 1},
-		RepPerEl: 32,
-	}
+	v := VTriad(0, 0, 0, 0, 0)
+	return SegStream{Name: "segvtriad", Reads: []*segarray.Layout{b, c, d}, Write: a,
+		PerElem: v.PerElem, RepPerEl: v.RepPerEl}
 }
 
 // SegTriad builds the segmented STREAM triad a = b + s*c.
 func SegTriad(a, b, c *segarray.Layout) SegStream {
-	return SegStream{
-		Name:     "segtriad",
-		Reads:    []*segarray.Layout{b, c},
-		Write:    a,
-		PerElem:  cpu.Demand{MemOps: 3, Flops: 2, IntOps: 1},
-		RepPerEl: 24,
-	}
+	v := StreamTriad(0, 0, 0, 0)
+	return SegStream{Name: "segtriad", Reads: []*segarray.Layout{b, c}, Write: a,
+		PerElem: v.PerElem, RepPerEl: v.RepPerEl}
 }
 
-// Program compiles the kernel; the team size must equal the segment count.
+// Program compiles the kernel. The team size must equal the segment count,
+// every array must hold the same element count split like
+// segarray.EqualSegments, and all must share one element size. A thread
+// whose segment is empty issues nothing.
 func (k *SegStream) Program(threads int) *trace.Program {
-	check := func(l *segarray.Layout) {
+	ls := k.Reads
+	if k.Write != nil {
+		ls = append(slices.Clip(ls), k.Write)
+	}
+	n, es := ls[0].Total, ls[0].Params.ElemSize
+	split := segarray.EqualSegments(n, threads)
+	for _, l := range ls {
 		if len(l.Segs) != threads {
 			panic(fmt.Sprintf("kernels: %d segments for %d threads", len(l.Segs), threads))
 		}
-	}
-	for _, l := range k.Reads {
-		check(l)
-	}
-	if k.Write != nil {
-		check(k.Write)
-	}
-	sweeps := k.Sweeps
-	if sweeps < 1 {
-		sweeps = 1
-	}
-	p := &trace.Program{Label: fmt.Sprintf("%s/%s/t=%d", k.Name, "segmented", threads)}
-	for t := 0; t < threads; t++ {
-		p.Gens = append(p.Gens, &segStreamGen{k: k, thread: t, sweeps: sweeps,
-			readTr: make([]trace.LineTracker, len(k.Reads))})
-	}
-	return p
-}
-
-type segStreamGen struct {
-	k       *SegStream
-	thread  int
-	sweeps  int
-	sweep   int
-	i       int64
-	started bool
-	fresh   bool
-	readTr  []trace.LineTracker
-	writeTr trace.LineTracker
-}
-
-func (g *segStreamGen) segLen() int64 {
-	if g.k.Write != nil {
-		return g.k.Write.Segs[g.thread].Len
-	}
-	return g.k.Reads[0].Segs[g.thread].Len
-}
-
-func (g *segStreamGen) Next(it *trace.Item) bool {
-	n := g.segLen()
-	if !g.started || g.i >= n {
-		if g.started {
-			g.sweep++
+		if l.Params.ElemSize != es {
+			panic(fmt.Sprintf("kernels: segmented arrays of %d- and %d-byte elements", es, l.Params.ElemSize))
 		}
-		if g.sweep >= g.sweeps {
-			return false
-		}
-		g.started = true
-		g.i = 0
-		g.fresh = true
-		for r := range g.readTr {
-			g.readTr[r].Reset()
-		}
-		g.writeTr.Reset()
-	}
-	block := int64(phys.LineSize) / g.k.Reads[0].Params.ElemSize
-	e := g.i + block
-	if e > n {
-		e = n
-	}
-	elems := e - g.i
-
-	emit := func(l *segarray.Layout, tr *trace.LineTracker, write bool) {
-		first := phys.LineOf(l.SegAddr(g.thread, g.i))
-		last := phys.LineOf(l.SegAddr(g.thread, e-1))
-		for a := first; a <= last; a += phys.LineSize {
-			if tr.Touch(a) {
-				it.Acc = append(it.Acc, trace.Access{Addr: a, Write: write})
+		for t, sg := range l.Segs {
+			if sg.Len != split[t] {
+				panic(fmt.Sprintf("kernels: segment %d holds %d elements, the static split %d", t, sg.Len, split[t]))
 			}
 		}
 	}
-	for r := range g.k.Reads {
-		emit(g.k.Reads[r], &g.readTr[r], false)
+	s := Stream{
+		Name: k.Name, ReadBases: make([]phys.Addr, len(k.Reads)), HasWrite: k.Write != nil,
+		N: n, ElemSize: es, PerElem: k.PerElem, RepPerEl: k.RepPerEl,
+		SegOverhead: k.SegOverhead, Sweeps: k.Sweeps,
 	}
-	if g.k.Write != nil {
-		emit(g.k.Write, &g.writeTr, true)
+	p := s.Program(omp.StaticBlock{}, threads)
+	p.Label = fmt.Sprintf("%s/segmented/t=%d", k.Name, threads)
+	// Thread t's first iteration is lo, the elements of the segments
+	// before its own; shift its bases so that lo lands on its segment.
+	var lo int64
+	for t, g := range p.Gens {
+		b := g.(*streamGen).bases
+		for r, l := range ls {
+			b[r] = l.Segs[t].Start - phys.Addr(lo*es)
+		}
+		lo += split[t]
 	}
-
-	it.Demand = g.k.PerElem.Scale(elems)
-	if g.fresh && g.k.SegOverhead > 0 {
-		it.Demand.IntOps += g.k.SegOverhead
-		g.fresh = false
-	}
-	it.Units = elems
-	it.RepBytes = g.k.RepPerEl * elems
-	g.i = e
-	return true
+	return p
 }

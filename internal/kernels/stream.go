@@ -111,12 +111,13 @@ func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads in
 	if sweeps < 1 {
 		sweeps = 1
 	}
+	nr := len(k.ReadBases)
 	p := prev
 	reuse := p != nil && len(p.Gens) == threads
 	if reuse {
 		for _, g := range p.Gens {
 			sg, ok := g.(*streamGen)
-			if !ok || len(sg.readTr) != len(k.ReadBases) || len(sg.asns) != sweeps {
+			if !ok || len(sg.readTr) != nr || len(sg.asns) != sweeps {
 				reuse = false
 				break
 			}
@@ -124,12 +125,15 @@ func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads in
 	}
 	if !reuse {
 		shared := make([]omp.Assigner, sweeps)
-		p = &trace.Program{Gens: make([]trace.Generator, 0, threads)}
-		for t := 0; t < threads; t++ {
-			p.Gens = append(p.Gens, &streamGen{
-				asns:   shared,
-				readTr: make([]trace.LineTracker, len(k.ReadBases)),
-			})
+		gens := make([]streamGen, threads)
+		trs := make([]trace.LineTracker, threads*nr)
+		bases := make([]phys.Addr, threads*(nr+1))
+		p = &trace.Program{Gens: make([]trace.Generator, threads)}
+		for t := range gens {
+			gens[t].asns = shared
+			gens[t].readTr = trs[t*nr : (t+1)*nr]
+			gens[t].bases = bases[t*(nr+1) : (t+1)*(nr+1)]
+			p.Gens[t] = &gens[t]
 		}
 	}
 	kc := *k
@@ -142,11 +146,13 @@ func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads in
 	p.Label = fmt.Sprintf("%s/N=%d/%s/t=%d", kc.Name, kc.N, sched.String(), threads)
 	for t := 0; t < threads; t++ {
 		g := p.Gens[t].(*streamGen)
-		tr := g.readTr
+		tr, b := g.readTr, g.bases
 		for i := range tr {
 			tr[i].Reset()
 		}
-		*g = streamGen{k: &kc, asns: asns, thread: t, readTr: tr}
+		copy(b, kc.ReadBases)
+		b[nr] = kc.WriteBase
+		*g = streamGen{k: &kc, asns: asns, thread: t, bases: b, readTr: tr}
 	}
 	return p
 }
@@ -154,10 +160,13 @@ func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads in
 // streamGen yields work items of up to one destination line (eight
 // double-precision elements) per call.
 type streamGen struct {
-	k       *Stream
-	asns    []omp.Assigner // one per sweep
-	sweep   int
-	thread  int
+	k      *Stream
+	asns   []omp.Assigner // one per sweep
+	sweep  int
+	thread int
+	// bases holds this thread's read bases, then its write base: the
+	// kernel's own, or per-segment ones set by SegStream.Program.
+	bases   []phys.Addr
 	cur     omp.Chunk
 	has     bool
 	i       int64
@@ -198,11 +207,11 @@ func (g *streamGen) Next(it *trace.Item) bool {
 			}
 		}
 	}
-	for r := range g.k.ReadBases {
-		emit(g.k.ReadBases[r], &g.readTr[r], false)
+	for r := range g.readTr {
+		emit(g.bases[r], &g.readTr[r], false)
 	}
 	if g.k.HasWrite {
-		emit(g.k.WriteBase, &g.writeTr, true)
+		emit(g.bases[len(g.readTr)], &g.writeTr, true)
 	}
 
 	it.Demand = g.k.PerElem.Scale(elems)

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/chip"
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/phys"
 )
@@ -34,11 +33,6 @@ type Profile struct {
 	Doc    string
 	Config chip.Config
 }
-
-// Spec returns the analyzer's view of the machine: the address mapping,
-// from which internal/core derives periods, offsets and placements for
-// this profile.
-func (p Profile) Spec() core.MachineSpec { return core.SpecFor(p.Config.Mapping) }
 
 // config assembles a full machine description around a mapping: the
 // calibrated T2 core array, crossbar and channel timings (DESIGN.md

@@ -120,20 +120,20 @@ func TestEveryProfileRunsEndToEnd(t *testing.T) {
 func TestPlannerIsProfileGeneric(t *testing.T) {
 	const streams = 4
 	for _, p := range Profiles() {
-		ms := p.Spec()
-		if ms.Mapping.Period() <= 0 {
+		mp := p.Config.Mapping
+		if mp.Period() <= 0 {
 			continue // hashed: no period, nothing to plan against
 		}
-		plan := core.PlanArrayOffsets(ms, streams)
+		plan := core.PlanArrayOffsets(mp, streams)
 		want := float64(streams)
-		if c := ms.Mapping.Controllers(); c < streams {
+		if c := mp.Controllers(); c < streams {
 			want = float64(c)
 		}
 		if plan.Concurrency != want {
 			t.Errorf("%s: planned concurrency %.2f, want %.0f", p.Name, plan.Concurrency, want)
 		}
 		// The planner's offsets step by Period/Controllers (line-aligned).
-		step := ms.Period() / int64(ms.Mapping.Controllers())
+		step := mp.Period() / int64(mp.Controllers())
 		if step%phys.LineSize != 0 {
 			step = step / phys.LineSize * phys.LineSize
 			if step == 0 {
@@ -149,16 +149,16 @@ func TestPlannerIsProfileGeneric(t *testing.T) {
 		// controller.
 		bases := make([]phys.Addr, streams)
 		for i := range bases {
-			bases[i] = phys.Addr(int64(i) * ms.Period())
+			bases[i] = phys.Addr(int64(i) * mp.Period())
 		}
-		cc := core.MeanConcurrency(ms, core.StreamSet{Bases: bases, Stride: phys.LineSize}, 0)
+		cc := core.MeanConcurrency(mp, core.StreamSet{Bases: bases, Stride: phys.LineSize}, 0)
 		if cc != 1 {
 			t.Errorf("%s: congruent streams concurrency %.2f, want 1", p.Name, cc)
 		}
 		// Row plans follow the same derivation.
-		rp := core.PlanRows(ms)
-		if rp.SegAlign != ms.Period() || rp.Shift != ms.Period()/int64(ms.Mapping.Controllers()) {
-			t.Errorf("%s: row plan %+v inconsistent with period %d", p.Name, rp, ms.Period())
+		rp := core.PlanRows(mp)
+		if rp.SegAlign != mp.Period() || rp.Shift != mp.Period()/int64(mp.Controllers()) {
+			t.Errorf("%s: row plan %+v inconsistent with period %d", p.Name, rp, mp.Period())
 		}
 	}
 }
