@@ -1,11 +1,6 @@
 GO ?= go
 
-# The bench targets pipe go test into benchjson; pipefail makes a failing
-# benchmark run fail the target instead of vanishing into the pipe.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -c
-
-.PHONY: ci fmt vet build test test-race test-full bench bench-smoke bench-diff daemon-smoke golden figures clean
+.PHONY: ci fmt vet build test test-race test-full daemon-smoke golden figures clean
 
 # ci is the tier the workflow runs: formatting, static checks, build, and
 # the fast test tier (slow shape sweeps are skipped under -short).
@@ -35,40 +30,6 @@ test-race:
 # simulated sweeps on one core).
 test-full:
 	$(GO) test ./...
-
-# bench runs the figure benchmarks and records the perf trajectory
-# (ns/op, allocs/op, simulated cycles and accesses per second) as
-# canonical JSON in BENCH_perf.json. Three iterations per benchmark:
-# ns/op is still the per-iteration mean, but shared-runner noise
-# averages out instead of landing verbatim in the committed trajectory.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 3x -benchmem . \
-		| $(GO) run ./cmd/benchjson -out BENCH_perf.json
-
-# bench-diff measures a fresh perf trajectory and compares it against the
-# committed BENCH_perf.json: more than a 20% drop in accesses/s or any
-# growth in allocs/op fails, with a per-benchmark delta table on failure.
-# BenchmarkDaemonHit puts the t2simd hit path's allocations under the same
-# gate.
-# CI runs it as a blocking step — the committed baseline plus benchdiff's
-# added/removed tolerance make it safe to gate on; the 20% budget absorbs
-# shared-runner noise. BenchmarkResilience is deliberately not in the
-# pattern: its allocation counts depend on where in the sweep the
-# mid-run cancel lands, so gating it would be flaky — it still records
-# its robustness metrics in BENCH_perf.json via `make bench`, where the
-# added/removed tolerance keeps the asymmetry harmless.
-bench-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation|BenchmarkDaemon' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/benchjson -out BENCH_perf.fresh.json
-	$(GO) run ./cmd/benchdiff -base BENCH_perf.json -fresh BENCH_perf.fresh.json
-	rm -f BENCH_perf.fresh.json
-
-# bench-smoke is the CI tier: one short benchmark iteration through the
-# same JSON pipeline, to catch benchmark and tooling build rot.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig5SegmentedOverhead' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/benchjson -out BENCH_smoke.json
-	rm -f BENCH_smoke.json
 
 # daemon-smoke boots the t2simd service daemon end to end: submit a small
 # fig2 sweep twice over HTTP, assert the repeat is a cache hit and that

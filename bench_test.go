@@ -26,23 +26,22 @@ import (
 // The benchmarks regenerate each figure of the paper at test scale and
 // report the figure's headline metric. Run the cmd/figures binary with
 // -scale full for the paper-scale sweeps recorded in EXPERIMENTS.md. The
-// figure benchmarks reset the timer after building their options, so
-// allocs/op counts the sweeps alone and a 1x run (make bench-diff) is
-// comparable with the 3x baseline (make bench).
+// figure benchmarks reset the timer after building their options, so the
+// timings and allocs/op count the sweeps alone. The deterministic work of
+// the figure, ablation and daemon benchmarks (engine events, tag probes,
+// gate work and allocations) is pinned by the work ledger
+// (ledger_test.go); timing verdicts belong to the benchmark module's
+// paired runs (benchmark/README.md).
 
 func mean(ys []float64) float64 { return stats.Summarize(ys).Mean }
 
 // simTotals accumulates a sweep's simulation telemetry across benchmark
 // iterations and reports it in units that survive hardware changes:
 // simulated cycles and simulated L2 line accesses retired per wallclock
-// second, and the engine events each iteration dispatched and L2 tag
-// lookups it made (events/op and probes/op, deterministic counts that
-// cmd/benchdiff gates with zero tolerance).
+// second.
 type simTotals struct {
 	cycles   int64
 	accesses int64
-	events   int64
-	probes   int64
 
 	// Robustness telemetry (exp.Outcome's resilience counters). Zero on
 	// every fault-free sweep, so the figure benchmarks report nothing new;
@@ -68,8 +67,6 @@ func (st *simTotals) fold(out exp.Outcome) {
 	c, a := out.Totals()
 	st.cycles += c
 	st.accesses += a
-	st.events += out.Events()
-	st.probes += out.Probes()
 	st.pointErrors += out.PointErrors
 	if out.CancelLatencyMS > st.cancelMS {
 		st.cancelMS = out.CancelLatencyMS
@@ -83,8 +80,6 @@ func (st *simTotals) report(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.cycles)/secs, "simcycles/s")
 	b.ReportMetric(float64(st.accesses)/secs, "accesses/s")
-	b.ReportMetric(float64(st.events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(st.probes)/float64(b.N), "probes/op")
 	if st.pointErrors > 0 || st.cancelMS > 0 {
 		// Robustness telemetry, per iteration (deterministic counts): how
 		// much recovery machinery the sweep actually exercised. Fault-free
@@ -200,16 +195,13 @@ func BenchmarkResilience(b *testing.B) {
 			Run: func(cfg chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
 				_, k := triadProg(int64(p.Int("x")), 1)
 				prog := k.Program(omp.StaticBlock{}, 16)
-				m := chip.New(cfg)
-				r, err := m.RunCtx(sc.Context(), prog)
+				r, err := chip.New(cfg).RunCtx(sc.Context(), prog)
 				if err != nil {
 					return exp.Result{}, err
 				}
 				res := exp.Result{Series: "triad", X: float64(p.Int("x")), Y: r.GBps}
 				res.Cycles = r.Cycles
 				res.Accesses = r.L2.Hits + r.L2.Misses
-				res.Events = int64(m.LastRun().Events)
-				res.Probes = int64(m.LastRun().Probes)
 				return res, nil
 			},
 		}
@@ -269,14 +261,16 @@ func BenchmarkResilience(b *testing.B) {
 
 // ---- daemon -------------------------------------------------------------------
 
-// BenchmarkDaemonHit serves one cached small sweep through the t2simd
-// handler, in process and without sockets, so allocs/op counts the hit
-// path alone (request decode, resolution memo, cache lookup and response).
-// One op is hitsPerOp hits: one more allocation per hit then adds 64 to
-// allocs/op, past cmd/benchdiff's slack, so make bench-diff fails on any
-// growth of the hit path.
-func BenchmarkDaemonHit(b *testing.B) {
-	const hitsPerOp = 64
+// hitsPerOp is how many cached requests one daemon op serves: one more
+// allocation per hit then adds 64 allocations per op, past the work
+// ledger's slack.
+const hitsPerOp = 64
+
+// daemonHits serves one cached small sweep through the t2simd handler, in
+// process and without sockets, and returns one op of the hit path:
+// hitsPerOp requests, each a request decode, resolution memo, cache lookup
+// and response.
+func daemonHits(tb testing.TB) func() {
 	h := service.New(service.Config{Jobs: 2}).Handler()
 	const body = `{"figure":"fig5","scale":"small"}`
 	serve := func() *httptest.ResponseRecorder {
@@ -285,16 +279,24 @@ func BenchmarkDaemonHit(b *testing.B) {
 		return rr
 	}
 	if rr := serve(); rr.Code != http.StatusOK {
-		b.Fatalf("warm-up request: %d %s", rr.Code, rr.Body.String())
+		tb.Fatalf("warm-up request: %d %s", rr.Code, rr.Body.String())
 	}
+	return func() {
+		for k := 0; k < hitsPerOp; k++ {
+			if rr := serve(); rr.Header().Get("X-T2simd-Cache") != "hit" {
+				tb.Fatalf("request %d: %d, cache %q, want a hit", k, rr.Code, rr.Header().Get("X-T2simd-Cache"))
+			}
+		}
+	}
+}
+
+// BenchmarkDaemonHit times the t2simd hit path, hitsPerOp hits per op.
+func BenchmarkDaemonHit(b *testing.B) {
+	op := daemonHits(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < hitsPerOp; k++ {
-			if rr := serve(); rr.Header().Get("X-T2simd-Cache") != "hit" {
-				b.Fatalf("request %d: %d, cache %q, want a hit", i*hitsPerOp+k, rr.Code, rr.Header().Get("X-T2simd-Cache"))
-			}
-		}
+		op()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hitsPerOp), "ns/hit")
 }
@@ -310,100 +312,98 @@ func triadProg(offsetWords int64, sweeps int) (*alloc.Space, kernels.Stream) {
 	return sp, k
 }
 
-// ablation runs the programs of an ablation benchmark and counts the
-// engine events they dispatch and the tag probes they make, for the
-// events/op and probes/op metrics.
-type ablation struct{ events, probes uint64 }
-
-func (a *ablation) run(cfg chip.Config, p *trace.Program) chip.Result {
+// runOn runs p on a fresh machine and adds the run's execution counters
+// to w.
+func runOn(w *chip.RunStats, cfg chip.Config, p *trace.Program) chip.Result {
 	m := chip.New(cfg)
 	r := m.Run(p)
-	a.events += m.LastRun().Events
-	a.probes += m.LastRun().Probes
+	w.Add(m.LastRun())
 	return r
 }
 
-func (a *ablation) report(b *testing.B) {
-	b.ReportMetric(float64(a.events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(a.probes)/float64(b.N), "probes/op")
-}
-
-func (a *ablation) runTriad(cfg chip.Config, offsetWords int64) chip.Result {
+func triadOn(w *chip.RunStats, cfg chip.Config, offsetWords int64) chip.Result {
 	_, k := triadProg(offsetWords, 1)
-	return a.run(cfg, k.Program(omp.StaticBlock{}, 64))
+	return runOn(w, cfg, k.Program(omp.StaticBlock{}, 64))
 }
 
-// BenchmarkAblationXORMapping (A1): rerunning the worst-case offset with a
-// hashed controller interleave removes the aliasing entirely — the design
+// ablationXOR (A1): rerunning the worst-case offset with a hashed
+// controller interleave removes the aliasing entirely — the design
 // question "would a hashed mapping have hidden the paper's effect?".
+func ablationXOR(w *chip.RunStats) (t2, xor chip.Result) {
+	t2 = triadOn(w, machine.MustGet("t2").Config, 0)
+	cfg := machine.MustGet("t2").Config
+	cfg.Mapping = phys.XORMapping{}
+	return t2, triadOn(w, cfg, 0)
+}
+
+// ablationMSHR (A2): with more outstanding misses per strand, fewer
+// threads are needed to hide latency — 8 threads with 4 MSHRs approach
+// what 32 single-MSHR threads deliver (Sect. 1's motivation for running
+// many threads per core).
+func ablationMSHR(w *chip.RunStats) (one, four chip.Result) {
+	_, k := triadProg(13, 1)
+	one = runOn(w, machine.MustGet("t2").Config, k.Program(omp.StaticBlock{}, 8))
+	cfg := machine.MustGet("t2").Config
+	cfg.MSHRPerStrand = 4
+	_, k4 := triadProg(13, 1)
+	return one, runOn(w, cfg, k4.Program(omp.StaticBlock{}, 8))
+}
+
+// ablationTurnaround (A3): the bidirectional-transfer conjecture of Sect.
+// 2.1 — removing the write-to-read channel coupling lifts read+write
+// kernels but leaves load-only kernels unchanged.
+func ablationTurnaround(w *chip.RunStats) (with, without chip.Result) {
+	with = triadOn(w, machine.MustGet("t2").Config, 16)
+	cfg := machine.MustGet("t2").Config
+	cfg.Mem.WriteCouple = 0
+	return with, triadOn(w, cfg, 16)
+}
+
+// ablationRunAhead (A4): the aliasing convoy requires strand phase
+// coherence; widening the run-ahead window dissolves it and the
+// worst-case offset recovers almost full bandwidth.
+func ablationRunAhead(w *chip.RunStats) (coupled, free chip.Result) {
+	coupled = triadOn(w, machine.MustGet("t2").Config, 0)
+	cfg := machine.MustGet("t2").Config
+	cfg.RunAhead = 0
+	return coupled, triadOn(w, cfg, 0)
+}
+
 func BenchmarkAblationXORMapping(b *testing.B) {
-	var a ablation
+	var w chip.RunStats
 	for i := 0; i < b.N; i++ {
-		t2 := a.runTriad(machine.MustGet("t2").Config, 0)
-		cfg := machine.MustGet("t2").Config
-		cfg.Mapping = phys.XORMapping{}
-		xor := a.runTriad(cfg, 0)
+		t2, xor := ablationXOR(&w)
 		b.ReportMetric(t2.GBps, "t2-GB/s")
 		b.ReportMetric(xor.GBps, "xor-GB/s")
 		b.ReportMetric(xor.GBps/t2.GBps, "xor/t2")
 	}
-	a.report(b)
 }
 
-// BenchmarkAblationMSHR (A2): with more outstanding misses per strand,
-// fewer threads are needed to hide latency — 8 threads with 4 MSHRs
-// approach what 32 single-MSHR threads deliver (Sect. 1's motivation for
-// running many threads per core).
 func BenchmarkAblationMSHR(b *testing.B) {
-	var a ablation
+	var w chip.RunStats
 	for i := 0; i < b.N; i++ {
-		base := machine.MustGet("t2").Config
-		_, k := triadProg(13, 1)
-		p := k.Program(omp.StaticBlock{}, 8)
-		one := a.run(base, p)
-
-		cfg := machine.MustGet("t2").Config
-		cfg.MSHRPerStrand = 4
-		_, k4 := triadProg(13, 1)
-		p4 := k4.Program(omp.StaticBlock{}, 8)
-		four := a.run(cfg, p4)
-
+		one, four := ablationMSHR(&w)
 		b.ReportMetric(one.GBps, "8T-1mshr-GB/s")
 		b.ReportMetric(four.GBps, "8T-4mshr-GB/s")
 	}
-	a.report(b)
 }
 
-// BenchmarkAblationTurnaround (A3): the bidirectional-transfer conjecture
-// of Sect. 2.1 — removing the write-to-read channel coupling lifts
-// read+write kernels but leaves load-only kernels unchanged.
 func BenchmarkAblationTurnaround(b *testing.B) {
-	var a ablation
+	var w chip.RunStats
 	for i := 0; i < b.N; i++ {
-		with := a.runTriad(machine.MustGet("t2").Config, 16)
-		cfg := machine.MustGet("t2").Config
-		cfg.Mem.WriteCouple = 0
-		without := a.runTriad(cfg, 16)
+		with, without := ablationTurnaround(&w)
 		b.ReportMetric(with.GBps, "coupled-GB/s")
 		b.ReportMetric(without.GBps, "uncoupled-GB/s")
 	}
-	a.report(b)
 }
 
-// BenchmarkAblationRunAhead (A4): the aliasing convoy requires strand
-// phase coherence; widening the run-ahead window dissolves it and the
-// worst-case offset recovers almost full bandwidth.
 func BenchmarkAblationRunAhead(b *testing.B) {
-	var a ablation
+	var w chip.RunStats
 	for i := 0; i < b.N; i++ {
-		coupled := a.runTriad(machine.MustGet("t2").Config, 0)
-		cfg := machine.MustGet("t2").Config
-		cfg.RunAhead = 0
-		free := a.runTriad(cfg, 0)
+		coupled, free := ablationRunAhead(&w)
 		b.ReportMetric(coupled.GBps, "window2-GB/s")
 		b.ReportMetric(free.GBps, "unbounded-GB/s")
 	}
-	a.report(b)
 }
 
 // ---- host-level Fig. 5: real iterator overhead --------------------------------

@@ -160,8 +160,8 @@ func main() {
 			fail(1)
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s, %d engine events, %d tag probes ==\n",
-			f.Title, prof.Name, len(outcome.Points), runner.Workers(len(outcome.Points)), elapsed.Round(time.Millisecond), outcome.Events(), outcome.Probes())
+		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s, %s ==\n",
+			f.Title, prof.Name, len(outcome.Points), runner.Workers(len(outcome.Points)), elapsed.Round(time.Millisecond), outcome.Work())
 		series := outcome.Series()
 
 		csvPath := filepath.Join(*out, f.Name+".csv")

@@ -7,9 +7,9 @@
 // the paper's evaluation.
 //
 // The implementation lives under internal/; entry points are the binaries
-// in cmd/ (t2sim, figures, placement, benchjson, benchdiff, and the
-// t2simd service daemon), the runnable examples under examples/, and the
-// benchmarks in bench_test.go. Every figure sweep runs as a declarative
+// in cmd/ (t2sim, figures, placement, and the t2simd service daemon), the
+// runnable examples under examples/, the benchmarks in bench_test.go, and
+// the work ledger in ledger_test.go. Every figure sweep runs as a declarative
 // experiment on the internal/exp worker pool, so regeneration
 // parallelizes across GOMAXPROCS with byte-identical output; each point
 // runs on the one sequential timing engine in internal/chip, and the
@@ -26,11 +26,10 @@
 //	0  success (for t2simd: clean shutdown, including a drain that had to
 //	   cancel in-flight work at the deadline — graceful degradation is
 //	   success)
-//	1  runtime failure (simulation error, shape-check FAIL, gated
-//	   regression, unwritable output)
+//	1  runtime failure (simulation error, shape-check FAIL, unwritable
+//	   output)
 //	2  usage or flag misuse
-//	3  wall-clock budget expired (-timeout) — for benchdiff, a missing
-//	   trajectory input instead (4: a corrupt one); it has no timeout
+//	3  wall-clock budget expired (-timeout)
 //
 // The t2simd daemon maps the same classes onto HTTP statuses instead of
 // exit codes, per request: 400 validation (the class exit code 2 covers),

@@ -139,6 +139,28 @@ func (r Result) Balance() float64 {
 type RunStats struct {
 	Events uint64 // engine events dispatched
 	Probes uint64 // L2 tag lookups made by the run loop
+
+	// The admission gates' share of that work (gate.go).
+	GateFires  uint64 // gate events dispatched, won or lost
+	Admissions uint64 // waiters a gate let in
+	Lookahead  uint64 // NACKs at a lookahead time, each a real retry event
+	Released   uint64 // waiters whose line another strand's miss installed
+}
+
+// String formats the counters for a CLI header line.
+func (s RunStats) String() string {
+	return fmt.Sprintf("%d engine events, %d tag probes, %d gate fires, %d admissions, %d lookahead retries, %d waiters released",
+		s.Events, s.Probes, s.GateFires, s.Admissions, s.Lookahead, s.Released)
+}
+
+// Add accumulates o into s.
+func (s *RunStats) Add(o RunStats) {
+	s.Events += o.Events
+	s.Probes += o.Probes
+	s.GateFires += o.GateFires
+	s.Admissions += o.Admissions
+	s.Lookahead += o.Lookahead
+	s.Released += o.Released
 }
 
 // Machine runs programs on a Config. A Machine carries no observable state
@@ -221,11 +243,12 @@ type strand struct {
 	// label its polls carry, but only virtually: it sits in its
 	// controller's gate (gate.go), and its lost polls are counted when it
 	// leaves. waitFrom is -1 outside a wait; wPrev and wNext link the
-	// waiters of one phase.
+	// waiters of one phase, lPrev and lNext those of one line slot.
 	waitFrom     sim.Time
 	label        sim.Label
 	phase        int
 	wPrev, wNext *strand
+	lPrev, lNext *strand
 }
 
 // The typed event kinds of the run loop. evStep resumes strand arg: every
@@ -255,7 +278,7 @@ type runState struct {
 	repBytes int64
 	finish   sim.Time
 	running  int
-	probes   uint64
+	work     RunStats // every counter but Events, which the engine keeps
 
 	loadStall    int64
 	storeStall   int64
@@ -435,7 +458,7 @@ func (rs *runState) step(s *strand) {
 				probe, ctl = s.rProbe, s.rCtl
 			} else {
 				probe = rs.l2.ProbeLine(line)
-				rs.probes++
+				rs.work.Probes++
 				if !probe.Hit() {
 					ctl = probe.Bank() >> rs.ctlShift
 					if rs.mc.Full(t, ctl) {
@@ -449,6 +472,7 @@ func (rs *runState) step(s *strand) {
 						// current event, so it stays a real event.
 						rs.retryStall += rs.cfg.RetryDelay
 						rs.retries++
+						rs.work.Lookahead++
 						rs.eng.Schedule(t+rs.cfg.RetryDelay, evStep, int32(s.id))
 						return
 					}
@@ -614,7 +638,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		rs.waiting = 0
 		rs.units, rs.repBytes, rs.finish = 0, 0, 0
 		rs.loadStall, rs.storeStall, rs.computeStall = 0, 0, 0
-		rs.retryStall, rs.retries, rs.probes = 0, 0, 0
+		rs.retryStall, rs.retries, rs.work = 0, 0, RunStats{}
 		rs.active, rs.minItems = 0, 0
 	}
 	rs.running = n
@@ -639,7 +663,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		s.core, s.group = m.cfg.Place(t)
 		s.item.Reset()
 		s.active, s.accIdx, s.items, s.parked = false, 0, 0, false
-		s.waitFrom, s.wPrev, s.wNext, s.admitted = -1, nil, nil, false
+		s.waitFrom, s.wPrev, s.wNext, s.lPrev, s.lNext, s.admitted = -1, nil, nil, nil, nil, false
 		clear(s.sb)
 		s.sbPos = 0
 		clear(s.slots)
@@ -666,7 +690,8 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 		}
 	}
 	cw.done()
-	m.last = RunStats{Events: rs.eng.Steps(), Probes: rs.probes}
+	m.last = rs.work
+	m.last.Events = rs.eng.Steps()
 	if cancelErr == nil && rs.running != 0 {
 		panic("chip: deadlock — strands left running with no events")
 	}

@@ -30,16 +30,17 @@ import (
 // one phase poll at the same ticks, and for a horizon h the phases poll in
 // cyclic order from h mod RetryDelay. So arming looks at one bucket, not
 // at every waiter. A bucket is a list threaded through the strands, so
-// waiting allocates nothing.
+// waiting allocates nothing. A second set of lists, by hashed line, lets an
+// install find the waiters on its line without walking the phases.
 
 // gate is one memory controller's admission arbiter.
 type gate struct {
 	n      int       // waiters
 	phases []*strand // first waiter of each phase
 	occ    []uint64  // bit p set while phase p has a waiter
-	// lines counts the waiters per hashed line, so that an install whose
-	// line no waiter wants skips the waiter scan.
-	lines  [1 << lineSlotBits]uint16
+	// byLine chains the waiters by hashed line, so that an install visits
+	// only the waiters whose line shares its slot.
+	byLine [1 << lineSlotBits]*strand
 	armed  bool
 	w      *strand // the waiter whose poll the armed gate is
 	at     sim.Time
@@ -70,7 +71,7 @@ func newGates(controllers int, period int64) []gate {
 func (g *gate) reset() {
 	clear(g.phases)
 	clear(g.occ)
-	clear(g.lines[:])
+	clear(g.byLine[:])
 	g.n, g.armed, g.w = 0, false, nil
 }
 
@@ -84,7 +85,12 @@ func (g *gate) add(s *strand) {
 	g.phases[p] = s
 	g.occ[p>>6] |= 1 << uint(p&63)
 	g.n++
-	g.lines[lineSlot(s.rLine)]++
+	l := lineSlot(s.rLine)
+	s.lPrev, s.lNext = nil, g.byLine[l]
+	if s.lNext != nil {
+		s.lNext.lPrev = s
+	}
+	g.byLine[l] = s
 }
 
 func (g *gate) remove(s *strand) {
@@ -100,9 +106,16 @@ func (g *gate) remove(s *strand) {
 	if s.wNext != nil {
 		s.wNext.wPrev = s.wPrev
 	}
-	s.wPrev, s.wNext = nil, nil
+	if s.lPrev != nil {
+		s.lPrev.lNext = s.lNext
+	} else {
+		g.byLine[lineSlot(s.rLine)] = s.lNext
+	}
+	if s.lNext != nil {
+		s.lNext.lPrev = s.lPrev
+	}
+	s.wPrev, s.wNext, s.lPrev, s.lNext = nil, nil, nil, nil
 	g.n--
-	g.lines[lineSlot(s.rLine)]--
 }
 
 // nextPhase returns the first non-empty phase at or cyclically after
@@ -193,9 +206,11 @@ func (rs *runState) fireGate(ctl int) {
 	g := &rs.gates[ctl]
 	w := g.w
 	g.armed, g.w = false, nil
+	rs.work.GateFires++
 	if !rs.mc.Full(rs.eng.Now(), ctl) {
 		g.remove(w)
 		rs.waiting--
+		rs.work.Admissions++
 		w.admitted = true
 		rs.step(w)
 	}
@@ -211,25 +226,21 @@ func (rs *runState) fireGate(ctl int) {
 // line again and hits.
 func (rs *runState) installed(line phys.Addr, ctl int) {
 	g := &rs.gates[ctl]
-	if g.lines[lineSlot(line)] == 0 {
-		return
-	}
 	moved := false
-	for p := range g.phases {
-		for w, next := g.phases[p], (*strand)(nil); w != nil; w = next {
-			next = w.wNext
-			if w.rLine != line {
-				continue
-			}
-			g.remove(w)
-			rs.waiting--
-			at := rs.eng.NextTick(w.waitFrom, rs.eng.Now(), w.label)
-			rs.eng.ScheduleLabelled(at, w.label, evStep, int32(w.id))
-			if g.armed && g.w == w {
-				rs.eng.Cancel(g.ticket)
-				g.armed, g.w = false, nil
-				moved = true
-			}
+	for w, next := g.byLine[lineSlot(line)], (*strand)(nil); w != nil; w = next {
+		next = w.lNext
+		if w.rLine != line {
+			continue
+		}
+		g.remove(w)
+		rs.waiting--
+		rs.work.Released++
+		at := rs.eng.NextTick(w.waitFrom, rs.eng.Now(), w.label)
+		rs.eng.ScheduleLabelled(at, w.label, evStep, int32(w.id))
+		if g.armed && g.w == w {
+			rs.eng.Cancel(g.ticket)
+			g.armed, g.w = false, nil
+			moved = true
 		}
 	}
 	if moved && g.n > 0 {

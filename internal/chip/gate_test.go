@@ -107,3 +107,41 @@ func TestReleasedWaiterReprobesAndHits(t *testing.T) {
 		t.Errorf("%d probes for %d accesses: the released waiter did not probe again", p, fillers+2)
 	}
 }
+
+// TestInstallReleasesOnlyItsLine: an install visits the waiters whose line
+// shares its slot of the gate's line hash, and releases only those that
+// wait for the installed line itself. Twelve strands saturate controller
+// 0, then A and C load line X and B loads line Y, a different line on the
+// same controller and in the same slot. One of the three is admitted
+// first. If it is A or C, its miss installs X and releases the other X
+// waiter but not B. If it is B, its install releases nobody, and a later
+// X install releases one X waiter. Either way exactly one waiter is
+// released, and the released one hits.
+func TestInstallReleasesOnlyItsLine(t *testing.T) {
+	const fillers = 12
+	const x phys.Addr = 1 << 30
+	m := New(t2cfg())
+	mp := m.cfg.Mapping
+	y := x
+	for {
+		y += phys.LineSize
+		if phys.ControllerOf(mp, y) == 0 && lineSlot(phys.LineOf(y)) == lineSlot(phys.LineOf(x)) {
+			break
+		}
+	}
+	var gens []trace.Generator
+	for i := 0; i < fillers; i++ {
+		gens = append(gens, &scripted{items: []trace.Item{loads(phys.Addr(i+1) << 20)}})
+	}
+	gens = append(gens,
+		&scripted{items: []trace.Item{loads(x)}},
+		&scripted{items: []trace.Item{loads(y)}},
+		&scripted{items: []trace.Item{loads(x)}})
+	r := m.Run(prog(gens...))
+	if got := m.LastRun().Released; got != 1 {
+		t.Errorf("%d waiters released, want 1: only the second X waiter", got)
+	}
+	if r.L2.Misses != fillers+2 || r.L2.Hits != 1 {
+		t.Errorf("L2 %+v, want %d misses and the released X waiter's hit", r.L2, fillers+2)
+	}
+}

@@ -165,10 +165,10 @@ func TestMachineReuseOffDefaultPaths(t *testing.T) {
 	}
 }
 
-// TestShardedRunAheadCoupling: with the run-ahead window enabled a fast
+// TestRunAheadCouplingEveryTopology: with the run-ahead window enabled a fast
 // strand is throttled to a slow strand's pace, on every topology, so the
 // bounded run takes strictly longer than the unbounded one.
-func TestShardedRunAheadCoupling(t *testing.T) {
+func TestRunAheadCouplingEveryTopology(t *testing.T) {
 	mk := func() *trace.Program {
 		fast := &marching{n: 200, addr: 0}
 		slow := &scripted{}

@@ -175,11 +175,9 @@ type Result struct {
 	// simulated accesses per second).
 	Cycles   int64 `json:"-"`
 	Accesses int64 `json:"-"`
-	// Events counts the engine events the point dispatched and Probes
-	// the L2 tag lookups its run loop made: deterministic measures of the
-	// simulator's work.
-	Events int64 `json:"-"`
-	Probes int64 `json:"-"`
+	// Run holds the point's execution counters (engine events, tag
+	// probes, gate work): deterministic measures of the simulator's work.
+	Run chip.RunStats `json:"-"`
 
 	// FFCycles and FFJumps are always zero: every point is simulated event
 	// by event. They remain only because the repository benchmark
@@ -310,22 +308,13 @@ func (o Outcome) Totals() (cycles, accesses int64) {
 	return cycles, accesses
 }
 
-// Events sums the engine events dispatched over every point.
-func (o Outcome) Events() int64 {
-	var n int64
+// Work sums the execution counters over every point.
+func (o Outcome) Work() chip.RunStats {
+	var w chip.RunStats
 	for _, pr := range o.Points {
-		n += pr.Result.Events
+		w.Add(pr.Result.Run)
 	}
-	return n
-}
-
-// Probes sums the L2 tag lookups made over every point.
-func (o Outcome) Probes() int64 {
-	var n int64
-	for _, pr := range o.Points {
-		n += pr.Result.Probes
-	}
-	return n
+	return w
 }
 
 // JSON marshals the outcome canonically (indented, map keys sorted by
