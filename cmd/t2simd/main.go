@@ -1,12 +1,13 @@
 // Command t2simd is the simulation-as-a-service daemon: a long-running
 // HTTP server that executes figure sweeps (the same declarative
-// experiments cmd/figures runs) on a bounded pool of reusable simulator
-// arenas, with robustness as the headline contract. Determinism is the
-// lever: every sweep has a canonical fingerprint, so results are
-// perfectly cacheable (checksummed LRU result cache), concurrent
-// duplicates coalesce to one execution (singleflight), and a response is
-// byte-identical to the BENCH_<fig>.json cmd/figures would write for the
-// same sweep.
+// experiments cmd/figures runs) on the same worker pool, with robustness
+// as the headline contract. Determinism is the lever: every sweep has a
+// canonical fingerprint, so results are perfectly cacheable (checksummed
+// LRU result cache), concurrent duplicates coalesce to one execution
+// (singleflight), and a response is byte-identical to the
+// BENCH_<fig>.json cmd/figures would write for the same sweep. Each sweep
+// builds its machines afresh, which is cheap: a machine restores its
+// warmed L2 from one image per cache geometry per process.
 //
 // Overload behavior is explicit rather than emergent: a bounded admission
 // queue with depth and age limits sheds with 429/503 + Retry-After when

@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -166,21 +167,20 @@ func (s *RunStats) Add(o RunStats) {
 // Machine runs programs on a Config. A Machine carries no observable state
 // between runs — every Run produces the result a freshly built machine
 // would — but it retains its substrate allocations (tag arrays, cursors,
-// event wheel, strand records) and a snapshot of the warmed-up L2, so
-// reusing one Machine across the points of a sweep costs a reset instead
-// of megabytes of reconstruction. A Machine may be reused freely but not
-// concurrently; sweep harnesses keep one per worker (see exp.Scratch).
+// event wheel, strand records), so reusing one Machine across the points
+// of a sweep costs a reset instead of megabytes of reconstruction. A
+// Machine may be reused freely but not concurrently; sweep harnesses keep
+// one per worker (see exp.Scratch).
 //
 // Every run starts from an L2 filled with dirty lines of an address range
 // no kernel uses, as many as the L2 holds, so a single sweep measures the
 // steady-state capacity-eviction and writeback behaviour a real benchmark
-// reaches after its warm-up iterations.
+// reaches after its warm-up iterations. That image is shared by every
+// machine of the same L2 geometry (see warmL2).
 type Machine struct {
-	cfg Config
-	rs  *runState
-	// Warm-up L2 image: the pre-fill is identical for every run of a
-	// machine, so it is replayed once and restored by memcpy afterwards.
-	warmImg *cache.Image
+	cfg     Config
+	rs      *runState
+	warmImg *cache.Image // its geometry's shared warm-up image, looked up on the first run
 	last    RunStats
 }
 
@@ -560,20 +560,41 @@ func (m *Machine) validateTeam(prog *trace.Program) {
 	}
 }
 
+// warmKey is an L2 geometry: the warmed tag store depends on nothing else.
+// Mappings are comparable values, as they are in machine keys elsewhere.
+type warmKey struct {
+	l2 cache.Config
+	m  phys.Mapping
+}
+
+// warmImage is one geometry's warmed L2, built once and then read-only.
+type warmImage struct {
+	once sync.Once
+	img  *cache.Image
+}
+
+// warmImages holds a *warmImage per warmKey for the whole process, about
+// 393 KB per geometry.
+var warmImages sync.Map
+
 // warmL2 fills l2 with dirty lines of an address range no kernel uses, as
 // many as it holds, so the first sweep already evicts and writes back at
-// the steady-state rate. The warmed tag store is identical for every run
-// of a machine, so it is simulated once and restored from a snapshot on
-// reuse.
+// the steady-state rate. The prefill runs once per geometry per process,
+// in the first machine of that geometry; every run of every machine then
+// restores the shared image by memcpy.
 func (m *Machine) warmL2(l2 *cache.Banked) {
-	if m.warmImg != nil {
-		l2.Restore(m.warmImg)
-		return
+	if m.warmImg == nil {
+		v, _ := warmImages.LoadOrStore(warmKey{m.cfg.L2, m.cfg.Mapping}, new(warmImage))
+		w := v.(*warmImage)
+		w.once.Do(func() {
+			const warmBase phys.Addr = 1 << 40
+			l2.PrefillSequential(warmBase, m.cfg.L2.SizeBytes/phys.LineSize, true)
+			l2.ResetStats()
+			w.img = l2.Snapshot()
+		})
+		m.warmImg = w.img
 	}
-	const warmBase phys.Addr = 1 << 40
-	l2.PrefillSequential(warmBase, m.cfg.L2.SizeBytes/phys.LineSize, true)
-	l2.ResetStats()
-	m.warmImg = l2.Snapshot()
+	l2.Restore(m.warmImg)
 }
 
 // Run executes prog to completion and reports aggregate performance. It is

@@ -20,13 +20,10 @@ import (
 // Each point runs once: a point is a pure function of its parameters, so a
 // point that fails once would fail every further attempt.
 //
-// Pool, when set, supplies the workers' Scratch arenas from a shared
-// bounded free list instead of building one per worker per sweep, so a
-// long-running caller (the t2simd service) reuses cached machines across
-// sweeps. Nil keeps the one-shot behavior.
+// Every sweep gives each worker a fresh Scratch; a machine built in it is
+// cheap, as chip shares one warmed L2 image per cache geometry.
 type Runner struct {
 	Jobs int
-	Pool *ScratchPool
 }
 
 // PointError is one point's failure: which experiment and point, the
@@ -96,14 +93,8 @@ func (r Runner) RunContext(ctx context.Context, e Experiment) (Outcome, error) {
 		go func() {
 			defer wg.Done()
 			// Per-worker arena: cached machines/programs are never shared
-			// between concurrent workers. With a pool the arena is checked
-			// out for this sweep only and returned (context cleared) after.
-			sc := &Scratch{}
-			if r.Pool != nil {
-				sc = r.Pool.Get()
-				defer r.Pool.Put(sc)
-			}
-			sc.Ctx = ctx
+			// between concurrent workers.
+			sc := &Scratch{Ctx: ctx}
 			for i := range work {
 				if ctx.Err() != nil {
 					continue // drain without evaluating

@@ -7,7 +7,7 @@
 // deterministic, so equal fingerprints mean byte-identical results),
 // serves repeats from a checksummed LRU result cache, coalesces
 // concurrent duplicates through a singleflight group, and executes the
-// rest on a bounded pool of reusable exp.Scratch arenas behind admission
+// rest on an exp.Runner with fresh per-worker arenas behind admission
 // control — a bounded queue that sheds with 429/503 + Retry-After instead
 // of melting down, per-request deadlines threaded into the engines'
 // cooperative cancellation, and a SIGTERM drain that finishes or cancels

@@ -102,14 +102,12 @@ var (
 )
 
 // Server is the simulation service: one instance owns the resolution
-// memo, the result cache, the singleflight group, the admission queue and
-// the scratch pool, and serves the HTTP surface via Handler. Create with
-// New.
+// memo, the result cache, the singleflight group and the admission queue,
+// and serves the HTTP surface via Handler. Create with New.
 type Server struct {
 	cfg    Config
 	cache  *Cache
 	flight flightGroup
-	pool   *exp.ScratchPool
 	sem    chan struct{}
 
 	// memo holds every valid request's resolution by its normalized
@@ -136,7 +134,6 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:        cfg,
 		cache:      NewCache(cfg.CacheBytes),
-		pool:       exp.NewScratchPool(cfg.MaxConcurrent * cfg.Jobs),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
 		memo:       map[resolveKey]*Resolved{},
 		drainCh:    make(chan struct{}),
@@ -298,7 +295,7 @@ func (s *Server) admitAndRun(res *Resolved) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(s.base, res.Timeout)
 	defer cancel()
 
-	runner := exp.Runner{Jobs: res.Jobs, Pool: s.pool}
+	runner := exp.Runner{Jobs: res.Jobs}
 	s.m.executions.Add(1)
 	out, err := runner.RunContext(ctx, res.Figure.Exp)
 	s.m.pointErrors.Add(out.PointErrors)
