@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/phys"
 )
@@ -337,19 +336,25 @@ func (c *Banked) Access(addr phys.Addr, write bool) Result {
 	return c.Commit(c.ProbeLine(addr), write)
 }
 
-// PrefillSequential installs n consecutive lines starting at base, marking
-// them dirty if write is set. It is exactly equivalent to calling
-// Access(base+i*LineSize, write) for i in [0, n) — provided none of those
-// lines is already cached, which makes every lookup a guaranteed miss and
-// the hit scan provably dead, so it is skipped. Intended for warm-up
-// pre-fill of a freshly built cache, the one caller that satisfies the
-// precondition by construction.
-func (c *Banked) PrefillSequential(base phys.Addr, n int64, write bool) {
-	for i := int64(0); i < n; i++ {
-		line := phys.LineOf(base + phys.Addr(i)*phys.LineSize)
-		bank, setIdx, tag := c.locate(line)
-		c.Commit(Probe{tag: tag, set: int32(setIdx), way: -1, bank: int16(bank)}, write)
+// Warm fills the cache with dirty lines, leaving every tag, recency stack
+// and valid and dirty mask exactly as installing SizeBytes of consecutive
+// lines from base, one by one with Access(line, true), would leave an empty
+// cache; base must be aligned to SizeBytes/Ways. locate is a bijection
+// from a line to its (bank, set, tag), and the tag is the line's top bits,
+// so such a range gives every set the tags t0 ... t0+Ways-1, in that order,
+// where t0 is base's tag: every set record ends equal. Warm builds set 0
+// through Commit's miss path, copies it to every other set and clears the
+// counters.
+func (c *Banked) Warm(base phys.Addr) {
+	_, _, t0 := c.locate(phys.LineOf(base))
+	c.sets[0] = setRecord{setMeta: setMeta{lru: lruInit}}
+	for w := range c.cfg.Ways {
+		c.Commit(Probe{tag: t0 + uint64(w), way: -1}, true)
 	}
+	for n := 1; n < len(c.sets); n *= 2 {
+		copy(c.sets[n:], c.sets[:n])
+	}
+	c.ResetStats()
 }
 
 // Contains reports whether the line holding addr is currently cached,
@@ -360,28 +365,6 @@ func (c *Banked) Contains(addr phys.Addr) bool {
 
 // Stats returns the cache's activity counters.
 func (c *Banked) Stats() Stats { return c.stats }
-
-// Image is a snapshot of the tag store (not the counters), used to restore
-// a warmed-up cache without replaying the warm-up access sequence.
-type Image struct {
-	sets []setRecord
-}
-
-// Snapshot captures the current tag-store contents.
-func (c *Banked) Snapshot() *Image {
-	return &Image{sets: slices.Clone(c.sets)}
-}
-
-// Restore overwrites the tag store with a snapshot taken from a cache of
-// identical geometry and clears the counters, exactly reproducing the
-// state Snapshot saw after a ResetStats. It panics on geometry mismatch.
-func (c *Banked) Restore(img *Image) {
-	if len(img.sets) != len(c.sets) {
-		panic(fmt.Sprintf("cache: restoring %d-set image into %d-set cache", len(img.sets), len(c.sets)))
-	}
-	copy(c.sets, img.sets)
-	c.ResetStats()
-}
 
 // ResetStats clears the counters but keeps cache contents — used after
 // warm-up phases so reported statistics cover only the timed region.

@@ -97,22 +97,6 @@ func (r *stampRef) access(addr phys.Addr, write bool) Result {
 	return res
 }
 
-// snapshot returns a restore function for the reference's current tag
-// store, stamps and clocks; the restore also clears the counters.
-func (r *stampRef) snapshot() func() {
-	tags, used := append([]uint64(nil), r.tags...), append([]uint64(nil), r.used...)
-	valid, dirty := append([]uint64(nil), r.valid...), append([]uint64(nil), r.dirty...)
-	clocks := append([]uint64(nil), r.clocks...)
-	return func() {
-		copy(r.tags, tags)
-		copy(r.used, used)
-		copy(r.valid, valid)
-		copy(r.dirty, dirty)
-		copy(r.clocks, clocks)
-		r.stats = Stats{}
-	}
-}
-
 // lruWays are the associativities the differential tests cover: 1 and 16
 // are the stack's edges, 3 and 12 leave a partial ptag word.
 var lruWays = []int{1, 2, 3, 4, 8, 12, 16}
@@ -126,9 +110,8 @@ func lruConfig(ways int, m phys.Mapping, setsPerBank int) Config {
 
 // compareLRU drives the cache and the stamp-scan reference with the same
 // stream: ops[i] selects a line (low bits) and a write (top bit), probe[i]
-// a line whose residency both must agree on. After a third of the stream
-// both are snapshotted, after half they are restored, and the rest of the
-// stream replays from the snapshot point. It returns the first mismatch.
+// a line whose residency both must agree on. It returns the first
+// mismatch.
 func compareLRU(cfg Config, m phys.Mapping, ops, probe []uint16) error {
 	c := New(cfg, m)
 	ref := newStampRef(cfg, m)
@@ -136,30 +119,19 @@ func compareLRU(cfg Config, m phys.Mapping, ops, probe []uint16) error {
 	span := uint64(3 * cfg.SizeBytes / phys.LineSize)
 	addr := func(x uint16) phys.Addr { return phys.Addr(uint64(x&0x7fff)%span) * 64 }
 
-	snapAt, restoreAt := len(ops)/3, len(ops)/2
-	var img *Image
-	var refRestore func()
-	for step, i := 0, 0; i < len(ops); step, i = step+1, i+1 {
-		if step == snapAt && img == nil {
-			img, refRestore = c.Snapshot(), ref.snapshot()
-		}
-		if step == restoreAt && img != nil {
-			c.Restore(img)
-			refRestore()
-			i = snapAt
-		}
+	for i := range ops {
 		a, w := addr(ops[i]), ops[i]&0x8000 != 0
 		if got, want := c.Access(a, w), ref.access(a, w); got != want {
-			return fmt.Errorf("step %d access %#x write %v: got %+v, reference %+v", step, a, w, got, want)
+			return fmt.Errorf("step %d access %#x write %v: got %+v, reference %+v", i, a, w, got, want)
 		}
 		if i < len(probe) {
 			pa := addr(probe[i])
 			if got, want := c.Contains(pa), ref.contains(pa); got != want {
-				return fmt.Errorf("step %d: Contains(%#x) = %v, reference %v", step, pa, got, want)
+				return fmt.Errorf("step %d: Contains(%#x) = %v, reference %v", i, pa, got, want)
 			}
 		}
 		if got, want := c.Stats(), ref.stats; got != want {
-			return fmt.Errorf("step %d: stats %+v, reference %+v", step, got, want)
+			return fmt.Errorf("step %d: stats %+v, reference %+v", i, got, want)
 		}
 	}
 	return nil
@@ -167,9 +139,9 @@ func compareLRU(cfg Config, m phys.Mapping, ops, probe []uint16) error {
 
 // TestRecencyLRUMatchesStampScan is the differential test of the recency
 // stack against the stamp scan it replaced: seeded random streams of hits,
-// misses and dirty writes, with a mid-stream Snapshot/Restore, must give
-// equal Results, residency and counters for every covered associativity,
-// on the line-granule T2 mapping, a coarse interleave and one bank.
+// misses and dirty writes must give equal Results, residency and counters
+// for every covered associativity, on the line-granule T2 mapping, a
+// coarse interleave and one bank.
 func TestRecencyLRUMatchesStampScan(t *testing.T) {
 	mappings := []phys.Mapping{phys.T2(), phys.NewInterleave("t2-wide1k", 1024, 4, 2), phys.Single()}
 	for _, ways := range lruWays {

@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -175,13 +174,13 @@ func (s *RunStats) Add(o RunStats) {
 // Every run starts from an L2 filled with dirty lines of an address range
 // no kernel uses, as many as the L2 holds, so a single sweep measures the
 // steady-state capacity-eviction and writeback behaviour a real benchmark
-// reaches after its warm-up iterations. That image is shared by every
-// machine of the same L2 geometry (see warmL2).
+// reaches after its warm-up iterations. Every set of that L2 holds the
+// same record, which cache.Banked.Warm writes directly at the start of
+// each run.
 type Machine struct {
-	cfg     Config
-	rs      *runState
-	warmImg *cache.Image // its geometry's shared warm-up image, looked up on the first run
-	last    RunStats
+	cfg  Config
+	rs   *runState
+	last RunStats
 }
 
 // New validates the configuration and returns a machine.
@@ -261,6 +260,8 @@ const (
 	evGate sim.Kind = 2
 )
 
+// runState is a machine's run loop: its substrates and buffers, built on
+// its first run and kept for the next, and the tallies of the current run.
 type runState struct {
 	cfg      Config
 	ctlShift uint // a bank's controller is bank >> ctlShift (phys.ControllerOf)
@@ -270,14 +271,29 @@ type runState struct {
 	cores    *cpu.Cores
 	banks    []sim.Cursor
 	gates    []gate
-	waiting  int // strands waiting in gates
 	strands  []*strand
 	pool     []*strand // grown to the largest team seen, reused across runs
 	handler  sim.Handler
+
+	// Run-ahead window state. Because item counts only increase by one and
+	// the window bounds every running strand's count to
+	// [minItems, minItems+runAhead], a ring of runAhead+1 frequency buckets
+	// (indexed by count mod window size) tracks the team minimum in O(1)
+	// per completion instead of an O(threads) rescan.
+	runAhead int64
+	window   []int32 // window[v % len]: running strands with exactly v items
+	parked   []*strand
+
+	tally
+}
+
+// tally is what one run counts; reset zeroes it.
+type tally struct {
 	units    int64
 	repBytes int64
 	finish   sim.Time
-	running  int
+	running  int      // strands not yet retired
+	waiting  int      // strands waiting in gates
 	work     RunStats // every counter but Events, which the engine keeps
 
 	loadStall    int64
@@ -286,16 +302,74 @@ type runState struct {
 	retryStall   int64
 	retries      int64
 
-	// Run-ahead window state. Because item counts only increase by one and
-	// the window bounds every active strand's count to
-	// [minItems, minItems+runAhead], a ring of runAhead+1 frequency buckets
-	// (indexed by count mod window size) tracks the team minimum in O(1)
-	// per completion instead of an O(threads) rescan.
-	runAhead int64
-	window   []int32 // window[v % len]: active strands with exactly v items
-	active   int     // strands not yet retired
-	minItems int64   // min over active strands; -1 once all retired
-	parked   []*strand
+	minItems int64 // min over running strands; -1 once all retired
+}
+
+// warmBase is where the L2's warm-up range starts: 1 TB, above every
+// address a kernel uses, and aligned for cache.Banked.Warm.
+const warmBase phys.Addr = 1 << 40
+
+// newRunState allocates the run loop of a machine of cfg.
+func newRunState(cfg Config) *runState {
+	rs := &runState{
+		cfg:      cfg,
+		ctlShift: uint(bits.TrailingZeros(uint(cfg.Mapping.Banks() / cfg.Mapping.Controllers()))),
+		l2:       cache.New(cfg.L2, cfg.Mapping),
+		mc:       mem.New(cfg.Mem, cfg.Mapping.Controllers()),
+		cores:    cpu.New(cpu.Config{Cores: cfg.Cores, GroupsPerCore: cfg.GroupsPerCore, LSUPipes: 2}),
+		banks:    make([]sim.Cursor, cfg.Mapping.Banks()),
+		runAhead: cfg.RunAhead,
+	}
+	if rs.runAhead > 0 {
+		rs.window = make([]int32, rs.runAhead+1)
+	}
+	rs.handler = func(k sim.Kind, arg int32) {
+		if k == evGate {
+			rs.fireGate(int(arg))
+			return
+		}
+		rs.step(rs.strands[arg])
+	}
+	return rs
+}
+
+// reset readies the run loop for prog: every substrate in its initial
+// state, the L2 warm, the tallies zero, and one strand per thread with an
+// empty item and store buffer, scheduled at cycle 0.
+func (rs *runState) reset(prog *trace.Program) {
+	n := len(prog.Gens)
+	rs.eng.Reset()
+	rs.mc.Reset()
+	rs.cores.Reset()
+	clear(rs.banks)
+	for i := range rs.gates {
+		rs.gates[i].reset()
+	}
+	rs.l2.Warm(warmBase)
+	clear(rs.window)
+	if rs.runAhead > 0 {
+		rs.window[0] = int32(n) // every strand starts at 0 completed items
+	}
+	rs.parked = rs.parked[:0]
+	rs.tally = tally{running: n}
+	for len(rs.pool) < n {
+		s := &strand{id: len(rs.pool), sb: make([]sim.Time, rs.cfg.StoreBuffer)}
+		if rs.cfg.MSHRPerStrand > 1 {
+			s.slots = make([]sim.Time, rs.cfg.MSHRPerStrand)
+		}
+		rs.pool = append(rs.pool, s)
+	}
+	rs.strands = rs.pool[:n]
+	rs.eng.SetHandler(rs.handler)
+	rs.eng.SetPeriod(rs.cfg.RetryDelay)
+	for t, s := range rs.strands {
+		clear(s.sb)
+		clear(s.slots)
+		core, group := rs.cfg.Place(t)
+		*s = strand{id: s.id, gen: prog.Gens[t], core: core, group: group,
+			item: trace.Item{Acc: s.item.Acc[:0]}, slots: s.slots, sb: s.sb, waitFrom: -1}
+		rs.eng.Schedule(0, evStep, int32(t))
+	}
 }
 
 // bumpItems records an item completion and wakes parked strands when the
@@ -320,7 +394,6 @@ func (rs *runState) retire(s *strand) {
 		return
 	}
 	rs.window[s.items%int64(len(rs.window))]--
-	rs.active--
 	if s.items == rs.minItems {
 		rs.advanceMin()
 	}
@@ -329,7 +402,7 @@ func (rs *runState) retire(s *strand) {
 // advanceMin slides minItems forward to the next occupied bucket (at most
 // runAhead steps away) and wakes parked strands on any change.
 func (rs *runState) advanceMin() {
-	if rs.active == 0 {
+	if rs.running == 0 {
 		if rs.minItems != -1 {
 			rs.minItems = -1
 			rs.wakeParked()
@@ -560,43 +633,6 @@ func (m *Machine) validateTeam(prog *trace.Program) {
 	}
 }
 
-// warmKey is an L2 geometry: the warmed tag store depends on nothing else.
-// Mappings are comparable values, as they are in machine keys elsewhere.
-type warmKey struct {
-	l2 cache.Config
-	m  phys.Mapping
-}
-
-// warmImage is one geometry's warmed L2, built once and then read-only.
-type warmImage struct {
-	once sync.Once
-	img  *cache.Image
-}
-
-// warmImages holds a *warmImage per warmKey for the whole process, about
-// 393 KB per geometry.
-var warmImages sync.Map
-
-// warmL2 fills l2 with dirty lines of an address range no kernel uses, as
-// many as it holds, so the first sweep already evicts and writes back at
-// the steady-state rate. The prefill runs once per geometry per process,
-// in the first machine of that geometry; every run of every machine then
-// restores the shared image by memcpy.
-func (m *Machine) warmL2(l2 *cache.Banked) {
-	if m.warmImg == nil {
-		v, _ := warmImages.LoadOrStore(warmKey{m.cfg.L2, m.cfg.Mapping}, new(warmImage))
-		w := v.(*warmImage)
-		w.once.Do(func() {
-			const warmBase phys.Addr = 1 << 40
-			l2.PrefillSequential(warmBase, m.cfg.L2.SizeBytes/phys.LineSize, true)
-			l2.ResetStats()
-			w.img = l2.Snapshot()
-		})
-		m.warmImg = w.img
-	}
-	l2.Restore(m.warmImg)
-}
-
 // Run executes prog to completion and reports aggregate performance. It is
 // RunCtx without a cancellation source; since a background run cannot be
 // cancelled, it cannot fail.
@@ -619,77 +655,13 @@ func (m *Machine) Run(prog *trace.Program) Result {
 // takes the same path as Run.
 func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, error) {
 	m.validateTeam(prog)
-	n := len(prog.Gens)
+	if m.rs == nil {
+		// Built on the first run, not in New: the machine registry builds
+		// a machine per profile only to validate it.
+		m.rs = newRunState(m.cfg)
+	}
 	rs := m.rs
-	if rs == nil {
-		rs = &runState{
-			cfg:      m.cfg,
-			ctlShift: uint(bits.TrailingZeros(uint(m.cfg.Mapping.Banks() / m.cfg.Mapping.Controllers()))),
-			l2:       cache.New(m.cfg.L2, m.cfg.Mapping),
-			mc:       mem.New(m.cfg.Mem, m.cfg.Mapping.Controllers()),
-			cores:    cpu.New(cpu.Config{Cores: m.cfg.Cores, GroupsPerCore: m.cfg.GroupsPerCore, LSUPipes: 2}),
-			banks:    make([]sim.Cursor, m.cfg.Mapping.Banks()),
-			runAhead: m.cfg.RunAhead,
-		}
-		if rs.runAhead > 0 {
-			rs.window = make([]int32, rs.runAhead+1)
-		}
-		rs.handler = func(k sim.Kind, arg int32) {
-			if k == evGate {
-				rs.fireGate(int(arg))
-				return
-			}
-			rs.step(rs.strands[arg])
-		}
-		m.rs = rs
-	} else {
-		// The L2 needs no reset: warmL2 below overwrites every set record
-		// and counter.
-		rs.eng.Reset()
-		rs.mc.Reset()
-		rs.cores.Reset()
-		for i := range rs.banks {
-			rs.banks[i].Reset()
-		}
-		clear(rs.window)
-		rs.parked = rs.parked[:0]
-		for i := range rs.gates {
-			rs.gates[i].reset()
-		}
-		rs.waiting = 0
-		rs.units, rs.repBytes, rs.finish = 0, 0, 0
-		rs.loadStall, rs.storeStall, rs.computeStall = 0, 0, 0
-		rs.retryStall, rs.retries, rs.work = 0, 0, RunStats{}
-		rs.active, rs.minItems = 0, 0
-	}
-	rs.running = n
-	if rs.runAhead > 0 {
-		rs.window[0] = int32(n) // every strand starts at 0 completed items
-		rs.active = n
-	}
-	m.warmL2(rs.l2)
-	for len(rs.pool) < n {
-		s := &strand{id: len(rs.pool), sb: make([]sim.Time, m.cfg.StoreBuffer)}
-		if m.cfg.MSHRPerStrand > 1 {
-			s.slots = make([]sim.Time, m.cfg.MSHRPerStrand)
-		}
-		rs.pool = append(rs.pool, s)
-	}
-	rs.strands = rs.pool[:n]
-	rs.eng.SetHandler(rs.handler)
-	rs.eng.SetPeriod(m.cfg.RetryDelay)
-	for t := 0; t < n; t++ {
-		s := rs.strands[t]
-		s.gen = prog.Gens[t]
-		s.core, s.group = m.cfg.Place(t)
-		s.item.Reset()
-		s.active, s.accIdx, s.items, s.parked = false, 0, 0, false
-		s.waitFrom, s.wPrev, s.wNext, s.lPrev, s.lNext, s.admitted = -1, nil, nil, nil, nil, false
-		clear(s.sb)
-		s.sbPos = 0
-		clear(s.slots)
-		rs.eng.Schedule(0, evStep, int32(t))
-	}
+	rs.reset(prog)
 	cw := armCancel(ctx, &rs.eng)
 	rs.eng.Run()
 	var cancelErr *CancelError
@@ -729,7 +701,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *trace.Program) (Result, erro
 	}
 	res := Result{
 		Label:    prog.Label,
-		Threads:  n,
+		Threads:  len(prog.Gens),
 		Cycles:   cycles,
 		Seconds:  secs,
 		Units:    rs.units,

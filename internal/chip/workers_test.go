@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/kernels"
 	"repro/internal/omp"
@@ -195,58 +194,13 @@ func TestRunAheadCouplingEveryTopology(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreProperty is the property test behind the warm-L2
-// image every run restores instead of replaying the warm-up. For random
-// access streams on every topology's L2 geometry, a cache driven through
-// snapshot, divergence and restore must then behave exactly like a twin
-// that never diverged and only had its counters cleared: zero counters,
-// and the same hit/miss and victim outcomes on every later access.
-func TestCheckpointRestoreProperty(t *testing.T) {
-	for name, cfg := range topologies() {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 4; seed++ {
-				rng := seed
-				next := func() phys.Addr {
-					rng = rng*6364136223846793005 + 1442695040888963407
-					return phys.Addr((rng >> 20) % (1 << 24) &^ (phys.LineSize - 1))
-				}
-				twin := cache.New(cfg.L2, cfg.Mapping)
-				sub := cache.New(cfg.L2, cfg.Mapping)
-				for i := 0; i < 20000; i++ {
-					a, w := next(), i%3 == 0
-					twin.Access(a, w)
-					sub.Access(a, w)
-				}
-				img := sub.Snapshot()
-				save := rng
-				for i := 0; i < 5000; i++ {
-					sub.Access(next(), i%2 == 0)
-				}
-				sub.Restore(img)
-				twin.ResetStats()
-				rng = save
-				if g, w := sub.Stats(), twin.Stats(); g != w {
-					t.Fatalf("seed %d: counters after restore %+v, want %+v", seed, g, w)
-				}
-				for i := 0; i < 20000; i++ {
-					a, w := next(), i%5 == 0
-					if g, want := sub.Access(a, w), twin.Access(a, w); g != want {
-						t.Fatalf("seed %d access %d (%#x): restored cache %+v, twin %+v", seed, i, a, g, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestMachineReuseIsStateless pins the reuse contract behind exp.Scratch:
 // a machine that has already run other programs must produce, for any
 // program, exactly the Result a freshly built machine produces — including
-// across team-size changes, which exercise the strand pool, and with the
-// warm-image restore path in place of the first run's prefill. After each
-// run the reused machine's whole L2 tag store must equal the fresh
-// machine's too, so a set record the restore left stale shows even where
-// the next program never reads it.
+// across team-size changes, which exercise the strand pool. After each run
+// the reused machine's whole L2, tag store and counters, must equal the
+// fresh machine's too, so a set record the warm-up left stale shows even
+// where the next program never reads it.
 func TestMachineReuseIsStateless(t *testing.T) {
 	const n = 1 << 13
 	mk := func(off int64, threads int) *trace.Program { return triadProgAt(n, off, threads) }
@@ -259,8 +213,8 @@ func TestMachineReuseIsStateless(t *testing.T) {
 		if got := reused.Run(prog()); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reused machine diverged from fresh machine:\n fresh:  %+v\n reused: %+v", name, want, got)
 		}
-		if !reflect.DeepEqual(reused.rs.l2.Snapshot(), fresh.rs.l2.Snapshot()) {
-			t.Errorf("%s: reused machine's L2 tag store differs from a fresh machine's after the same run", name)
+		if !reflect.DeepEqual(*reused.rs.l2, *fresh.rs.l2) {
+			t.Errorf("%s: reused machine's L2 differs from a fresh machine's after the same run", name)
 		}
 	}
 	// Each array of the first triad spans 4,096 consecutive lines, so it

@@ -116,13 +116,7 @@ func (c *Cores) TotalFPUBusy() int64 {
 
 // Reset clears all pipeline cursors.
 func (c *Cores) Reset() {
-	for i := range c.issue {
-		c.issue[i].Reset()
-	}
-	for i := range c.fpu {
-		c.fpu[i].Reset()
-	}
-	for i := range c.lsu {
-		c.lsu[i].Reset()
-	}
+	clear(c.issue)
+	clear(c.fpu)
+	clear(c.lsu)
 }

@@ -21,7 +21,7 @@ import (
 // point that fails once would fail every further attempt.
 //
 // Every sweep gives each worker a fresh Scratch; a machine built in it is
-// cheap, as chip shares one warmed L2 image per cache geometry.
+// cheap, as chip writes each run's warm L2 directly (cache.Banked.Warm).
 type Runner struct {
 	Jobs int
 }

@@ -148,8 +148,4 @@ func (s *System) Utilization(horizon sim.Time) []float64 {
 }
 
 // Reset clears all controller state and counters.
-func (s *System) Reset() {
-	for i := range s.ctls {
-		s.ctls[i] = controller{}
-	}
-}
+func (s *System) Reset() { clear(s.ctls) }

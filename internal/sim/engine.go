@@ -692,6 +692,3 @@ func (c *Cursor) Utilization(horizon Time) float64 {
 	}
 	return float64(c.busy) / float64(horizon)
 }
-
-// Reset returns the cursor to its initial idle state.
-func (c *Cursor) Reset() { *c = Cursor{} }
