@@ -34,10 +34,11 @@ test-full:
 # daemon-smoke boots the t2simd service daemon end to end: submit a small
 # fig2 sweep twice over HTTP, assert the repeat is a cache hit and that
 # both responses are byte-identical to the BENCH_fig2.json cmd/figures
-# writes for the same sweep; submit the small scaling sweep on t2 and on
-# xor and assert the second is a hit under the same fingerprint with the
-# bytes of BENCH_scaling.json; then SIGTERM and assert a clean drain
-# (exit 0). This is the daemon's headline contract executed for real —
+# writes for the same sweep; submit cold small fig5 and scaling sweeps at
+# once, so two sweeps share the daemon's point pool, and compare both with
+# cmd/figures' BENCH_fig5.json and BENCH_scaling.json; submit scaling on
+# xor and assert it is a hit under the same fingerprint with the same
+# bytes; then SIGTERM and assert a clean drain (exit 0). This is the daemon's headline contract executed for real —
 # listener, cache, fingerprint and signal path included.
 daemon-smoke:
 	./scripts/daemon_smoke.sh

@@ -142,14 +142,23 @@ func main() {
 		return o.Machine == "" || name == "scaling"
 	}
 
-	runner := exp.Runner{Jobs: *jobs}
-	failed := false
+	// Every selected figure goes to one pool at once, in registry order:
+	// the pool starts a figure's points once the figures before it have
+	// started theirs, so no worker idles at a figure boundary. Each figure
+	// is written, plotted and checked in the same order as it completes.
+	start := time.Now()
+	pool := exp.NewPool(*jobs)
+	var todo []bench.Figure
+	var batches []*exp.Batch
 	for _, f := range figures {
-		if *fig != "all" && !selected[f.Name] {
-			continue
+		if *fig == "all" || selected[f.Name] {
+			todo = append(todo, f)
+			batches = append(batches, pool.Submit(ctx, f.Exp, 0))
 		}
-		start := time.Now()
-		outcome, err := runner.RunContext(ctx, f.Exp)
+	}
+	failed := false
+	for i, f := range todo {
+		outcome, err := batches[i].Wait()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", f.Name, err)
 			if errors.Is(err, context.DeadlineExceeded) {
@@ -159,9 +168,10 @@ func main() {
 			}
 			fail(1)
 		}
-		elapsed := time.Since(start)
-		fmt.Printf("== %s [machine %s] — %d points, %d jobs, %s, %s ==\n",
-			f.Title, prof.Name, len(outcome.Points), runner.Workers(len(outcome.Points)), elapsed.Round(time.Millisecond), outcome.Work())
+		n := len(outcome.Points)
+		fmt.Printf("== %s [machine %s] — %d points, %d jobs, done at %s, slowest point %s, %s ==\n",
+			f.Title, prof.Name, n, min(pool.Workers(), n), time.Since(start).Round(time.Millisecond),
+			outcome.Slowest(), outcome.Work())
 		series := outcome.Series()
 
 		csvPath := filepath.Join(*out, f.Name+".csv")

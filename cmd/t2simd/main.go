@@ -5,9 +5,9 @@
 // canonical fingerprint, so results are perfectly cacheable (checksummed
 // LRU result cache), concurrent duplicates coalesce to one execution
 // (singleflight), and a response is byte-identical to the
-// BENCH_<fig>.json cmd/figures would write for the same sweep. Each sweep
-// builds its machines afresh, which is cheap: a machine restores its
-// warmed L2 from one image per cache geometry per process.
+// BENCH_<fig>.json cmd/figures would write for the same sweep. The points
+// of every executing sweep share one pool of -jobs workers, oldest sweep
+// first, so no core idles while a sweep has points left to start.
 //
 // Overload behavior is explicit rather than emergent: a bounded admission
 // queue with depth and age limits sheds with 429/503 + Retry-After when
@@ -64,7 +64,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "requests allowed to wait for an executor before 429 shedding (0: default 16)")
 	queueWait := flag.Duration("queue-wait", 0, "max queue age before 503 shedding (0: default 10s)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache payload budget in bytes (0: default 64 MiB)")
-	jobs := flag.Int("jobs", 0, "sweep-pool workers per executing sweep (0: GOMAXPROCS/max-concurrent)")
+	jobs := flag.Int("jobs", 0, "point workers shared by every executing sweep (0: GOMAXPROCS)")
 	maxTimeout := flag.Duration("max-timeout", 0, "ceiling and default for per-request execution deadlines (0: default 5m)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on shed responses (0: default 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, how long in-flight sweeps may run before being cancelled")

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/chip"
 	"repro/internal/stats"
@@ -258,6 +259,11 @@ type PointResult struct {
 	Index  int            `json:"index"`
 	Params map[string]any `json:"params"`
 	Result Result         `json:"result"`
+
+	// Wall is the host time the point's Run closure took, as the pool's
+	// worker measured it. It is execution bookkeeping, not a result, so it
+	// is left out of the JSON like Result's telemetry.
+	Wall time.Duration `json:"-"`
 }
 
 // Outcome is a completed sweep in deterministic point order.
@@ -315,6 +321,22 @@ func (o Outcome) Work() chip.RunStats {
 		w.Add(pr.Result.Run)
 	}
 	return w
+}
+
+// Slowest describes the point whose Run closure took the longest host
+// time: that time and the point's parameters, or "" for an outcome
+// without points. The earliest point in grid order wins a tie.
+func (o Outcome) Slowest() string {
+	var slow *PointResult
+	for i := range o.Points {
+		if slow == nil || o.Points[i].Wall > slow.Wall {
+			slow = &o.Points[i]
+		}
+	}
+	if slow == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s (%s)", slow.Wall.Round(time.Microsecond), describeParams(slow.Params))
 }
 
 // JSON marshals the outcome canonically (indented, map keys sorted by

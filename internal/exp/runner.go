@@ -4,24 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chip"
 )
 
-// Runner executes experiments on a pool of Jobs worker goroutines.
-// Jobs <= 0 means GOMAXPROCS. Results are always collected in grid order,
-// so the worker count never changes the outcome, only the wall time.
-// Each point runs once: a point is a pure function of its parameters, so a
-// point that fails once would fail every further attempt.
+// Runner executes one experiment at a time on a private Pool of Jobs
+// workers; Jobs <= 0 means GOMAXPROCS. Results are always collected in
+// grid order, so the worker count never changes the outcome, only the
+// wall time. Each point runs once: a point is a pure function of its
+// parameters, so a point that fails once would fail every further attempt.
 //
 // Every sweep gives each worker a fresh Scratch; a machine built in it is
 // cheap, as chip writes each run's warm L2 directly (cache.Banked.Warm).
+// To run several sweeps on one set of workers, submit them to one Pool.
 type Runner struct {
 	Jobs int
 }
@@ -46,100 +45,19 @@ func (e *PointError) Error() string {
 
 func (e *PointError) Unwrap() error { return e.Err }
 
-// Workers returns how many worker goroutines a sweep of points points
-// runs on: Jobs, with Jobs <= 0 meaning GOMAXPROCS, capped at the point
-// count so no worker starts idle.
-func (r Runner) Workers(points int) int {
-	jobs := r.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	return min(jobs, points)
-}
-
 // Run evaluates every kept point of the experiment and returns the
-// outcome in deterministic grid order. A panic inside the Run closure is
-// captured as a PointError rather than tearing down the pool. If any
-// points fail, the returned error wraps the lowest-indexed PointError (so
-// error messages are deterministic) and the outcome holds only the points
-// that succeeded.
+// outcome in deterministic grid order, as Batch.Wait describes.
 func (r Runner) Run(e Experiment) (Outcome, error) {
 	return r.RunContext(context.Background(), e)
 }
 
 // RunContext is Run under a context: the context is exposed to every
 // point's closure via Scratch.Context, unstarted points are abandoned the
-// moment it is cancelled, and the partial outcome — the points that
-// completed before the abort, at their original indices — is returned
-// with an error wrapping the cancellation cause. A background context
-// adds nothing to the fault-free path.
+// moment it is cancelled, and the partial outcome is returned with an
+// error wrapping the cancellation cause (Batch.Wait). A background
+// context adds nothing to the fault-free path.
 func (r Runner) RunContext(ctx context.Context, e Experiment) (Outcome, error) {
-	if e.Run == nil {
-		return Outcome{}, fmt.Errorf("exp: experiment %q has no Run closure", e.Name)
-	}
-	pts := e.Points()
-	jobs := r.Workers(len(pts))
-
-	results := make([]Result, len(pts))
-	done := make([]bool, len(pts))
-	var (
-		mu   sync.Mutex
-		errs []*PointError
-	)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker arena: cached machines/programs are never shared
-			// between concurrent workers.
-			sc := &Scratch{Ctx: ctx}
-			for i := range work {
-				if ctx.Err() != nil {
-					continue // drain without evaluating
-				}
-				res, perr := runPoint(e, pts[i], sc)
-				mu.Lock()
-				if perr != nil {
-					errs = append(errs, perr)
-				} else {
-					results[i], done[i] = res, true
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i := range pts {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	out := Outcome{Experiment: e.Name, Doc: e.Doc, Machine: e.Machine}
-	for i, p := range pts {
-		if done[i] {
-			out.Points = append(out.Points, PointResult{Index: i, Params: p.Params, Result: results[i]})
-		}
-	}
-	out.PointErrors = int64(len(errs))
-	if err := ctx.Err(); err != nil {
-		out.Cancelled = true
-		out.noteCancelLatency(errs)
-		return out, fmt.Errorf("exp: %s: cancelled after %d of %d points: %w",
-			e.Name, len(out.Points), len(pts), cause(ctx))
-	}
-	if len(errs) > 0 {
-		out.noteCancelLatency(errs)
-		sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
-		return out, fmt.Errorf("%w (%d of %d points failed)", errs[0], len(errs), len(pts))
-	}
-	return out, nil
+	return NewPool(r.Jobs).Submit(ctx, e, 0).Wait()
 }
 
 // runPoint evaluates one point, converting a panic in the closure into a

@@ -150,23 +150,19 @@ func TestScratchContextDefault(t *testing.T) {
 	}
 }
 
-// TestRunnerWorkers pins the worker count a sweep runs on, which the
-// figures CLI prints: Jobs <= 0 resolves to GOMAXPROCS, and no sweep
-// starts more workers than it has points.
-func TestRunnerWorkers(t *testing.T) {
+// TestPoolWorkers pins the worker limit of a pool, which the figures CLI
+// prints: jobs <= 0 resolves to GOMAXPROCS. A batch starts no more
+// workers than it has points (Submit), so the limit is an upper bound.
+func TestPoolWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	for _, c := range []struct {
-		jobs, points, want int
-	}{
-		{0, 1000, procs},
-		{-3, 1000, procs},
-		{0, 1, 1},
-		{64, 8, 8},
-		{2, 8, 2},
-		{4, 0, 0},
+	for _, c := range []struct{ jobs, want int }{
+		{0, procs},
+		{-3, procs},
+		{1, 1},
+		{64, 64},
 	} {
-		if got := (Runner{Jobs: c.jobs}).Workers(c.points); got != c.want {
-			t.Errorf("Runner{Jobs: %d}.Workers(%d) = %d, want %d", c.jobs, c.points, got, c.want)
+		if got := NewPool(c.jobs).Workers(); got != c.want {
+			t.Errorf("NewPool(%d).Workers() = %d, want %d", c.jobs, got, c.want)
 		}
 	}
 }

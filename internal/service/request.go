@@ -7,9 +7,10 @@
 // deterministic, so equal fingerprints mean byte-identical results),
 // serves repeats from a checksummed LRU result cache, coalesces
 // concurrent duplicates through a singleflight group, and executes the
-// rest on an exp.Runner with fresh per-worker arenas behind admission
-// control — a bounded queue that sheds with 429/503 + Retry-After instead
-// of melting down, per-request deadlines threaded into the engines'
+// rest behind admission control on one exp.Pool per server, whose workers
+// serve the points of every executing sweep, oldest sweep first. Around
+// it: a bounded queue that sheds with 429/503 + Retry-After instead of
+// melting down, per-request deadlines threaded into the engines'
 // cooperative cancellation, and a SIGTERM drain that finishes or cancels
 // in-flight work within a deadline. See DESIGN.md Sect. 14.
 package service
@@ -36,8 +37,9 @@ type SweepRequest struct {
 	Scale string `json:"scale,omitempty"`
 	// Machine names a machine profile; empty means the default (t2).
 	Machine string `json:"machine,omitempty"`
-	// Jobs caps the sweep-pool worker goroutines for this request; 0 or
-	// negative accepts the server's budget. Execution-only.
+	// Jobs caps how many of this sweep's points run at once on the
+	// server's shared point pool; 0 or negative, or more than the pool's
+	// workers, means the pool's size. Execution-only.
 	Jobs int `json:"jobs,omitempty"`
 	// TimeoutMS bounds the request's execution in wall-clock milliseconds;
 	// 0 accepts the server's ceiling. Execution-only.
@@ -63,8 +65,9 @@ type Resolved struct {
 	// normalized grid point. Requests that compute the same result share
 	// it, whichever profile they name. See fingerprint.go.
 	Key string
-	// Jobs is the resolved sweep-pool worker count; Timeout the resolved
-	// execution deadline. Both are execution budget, absent from Key.
+	// Jobs is the resolved cap on the sweep's points in flight; Timeout
+	// the resolved execution deadline. Both are execution budget, absent
+	// from Key.
 	Jobs    int
 	Timeout time.Duration
 }
@@ -85,8 +88,8 @@ func (req SweepRequest) normalized() SweepRequest {
 }
 
 // budget resolves a normalized request's execution budget: jobs is the
-// server's sweep-pool budget (the request can lower it, never raise it);
-// maxTimeout is the server's deadline ceiling (likewise).
+// server's point-pool size (the request can lower its cap, never raise
+// it); maxTimeout is the server's deadline ceiling (likewise).
 func budget(req SweepRequest, jobs int, maxTimeout time.Duration) (int, time.Duration, error) {
 	if req.Jobs > 0 && req.Jobs < jobs {
 		jobs = req.Jobs

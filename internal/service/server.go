@@ -33,9 +33,10 @@ type Config struct {
 	QueueWait time.Duration
 	// CacheBytes is the result cache's payload budget. Default 64 MiB.
 	CacheBytes int64
-	// Jobs is the sweep-pool worker count per executing sweep. Default
-	// GOMAXPROCS/MaxConcurrent, at least 1 — sweep-level and request-level
-	// parallelism share one core budget instead of oversubscribing.
+	// Jobs is the number of point workers shared by every executing
+	// sweep: the server's one exp.Pool serves the sweeps' points oldest
+	// sweep first, so a lone sweep gets every worker and a second one
+	// fills the workers the first leaves idle. Default GOMAXPROCS.
 	Jobs int
 	// MaxTimeout is the ceiling (and default) for per-request execution
 	// deadlines. Default 5m.
@@ -66,10 +67,7 @@ func (c Config) withDefaults() Config {
 		c.CacheBytes = 64 << 20
 	}
 	if c.Jobs <= 0 {
-		c.Jobs = runtime.GOMAXPROCS(0) / c.MaxConcurrent
-		if c.Jobs < 1 {
-			c.Jobs = 1
-		}
+		c.Jobs = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
@@ -102,13 +100,18 @@ var (
 )
 
 // Server is the simulation service: one instance owns the resolution
-// memo, the result cache, the singleflight group and the admission queue,
-// and serves the HTTP surface via Handler. Create with New.
+// memo, the result cache, the singleflight group, the admission queue and
+// the point pool, and serves the HTTP surface via Handler. Create with
+// New.
 type Server struct {
 	cfg    Config
 	cache  *Cache
 	flight flightGroup
 	sem    chan struct{}
+	// pool runs the points of every executing sweep on Config.Jobs
+	// workers. Its workers exit whenever it is idle, so a dropped server
+	// leaves no goroutine or machine behind.
+	pool *exp.Pool
 
 	// memo holds every valid request's resolution by its normalized
 	// (figure, scale, machine), with the budget of the request that first
@@ -135,6 +138,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		cache:      NewCache(cfg.CacheBytes),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
+		pool:       exp.NewPool(cfg.Jobs),
 		memo:       map[resolveKey]*Resolved{},
 		drainCh:    make(chan struct{}),
 		base:       base,
@@ -295,9 +299,8 @@ func (s *Server) admitAndRun(res *Resolved) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(s.base, res.Timeout)
 	defer cancel()
 
-	runner := exp.Runner{Jobs: res.Jobs}
 	s.m.executions.Add(1)
-	out, err := runner.RunContext(ctx, res.Figure.Exp)
+	out, err := s.pool.Submit(ctx, res.Figure.Exp, res.Jobs).Wait()
 	s.m.pointErrors.Add(out.PointErrors)
 	if err != nil {
 		s.m.execErrors.Add(1)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -765,4 +766,44 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestPoolSizeDefaultsToGOMAXPROCS: by default the server's one point pool
+// has a worker per core, shared by every executing sweep, instead of
+// GOMAXPROCS/MaxConcurrent workers per sweep.
+func TestPoolSizeDefaultsToGOMAXPROCS(t *testing.T) {
+	s := New(Config{MaxConcurrent: 4})
+	if got, want := s.pool.Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default pool has %d workers, want GOMAXPROCS = %d", got, want)
+	}
+	if got := New(Config{Jobs: 3}).pool.Workers(); got != 3 {
+		t.Errorf("Config{Jobs: 3} pool has %d workers", got)
+	}
+}
+
+// TestServersLeaveNoIdleWorkers: a server whose sweeps have finished holds
+// no pool worker, so servers started one after another (as the benchmark's
+// daemon passes do) do not pile up idle workers and the machines cached in
+// their arenas.
+func TestServersLeaveNoIdleWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for round := 0; round < 3; round++ {
+		reg := unitRegistry(2, func(_ chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
+			time.Sleep(time.Millisecond)
+			return exp.Result{Series: "s", X: float64(p.Int("k")), Y: 1}, nil
+		})
+		h := New(Config{Registry: reg, Jobs: 2}).Handler()
+		var wg sync.WaitGroup
+		for _, body := range []string{`{"figure":"unit0"}`, `{"figure":"unit1"}`} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rr := postSweep(h, nil, body); rr.Code != http.StatusOK {
+					t.Errorf("%s: %d %s", body, rr.Code, rr.Body.String())
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	waitFor(t, "pool workers to exit", func() bool { return runtime.NumGoroutine() <= base })
 }
