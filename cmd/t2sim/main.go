@@ -4,7 +4,13 @@
 // utilization and the strand time breakdown. With -sweep it becomes a
 // declarative one-axis experiment on the internal/exp worker pool: the
 // named parameter is swept across lo..hi and every point is simulated in
-// parallel, with a table and optionally a JSON trajectory as output.
+// parallel on its worker's reused machine, as figure points are, with a
+// table and optionally a JSON trajectory as output.
+//
+// The flags map onto a bench.Kernel, the program builder the figures use,
+// so a flag set that names a figure point (say -kernel jacobi -n 128
+// -threads 64 -opt, a small-scale Fig. 6 point) simulates exactly that
+// point.
 //
 // Examples:
 //
@@ -28,7 +34,8 @@
 //	0  run or sweep completed
 //	1  runtime failure: simulation error, unwritable -json output
 //	2  flag misuse: unknown kernel, machine, schedule, layout or sweep
-//	   axis, or a numeric flag (or a -sweep range end) out of range
+//	   axis, a sweep over an axis the kernel does not read, or a numeric
+//	   flag (or a -sweep range end) out of range
 //	3  -timeout expired before the run or sweep finished
 package main
 
@@ -38,53 +45,92 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
-	"repro/internal/alloc"
+	"repro/internal/bench"
 	"repro/internal/chip"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/jacobi"
-	"repro/internal/kernels"
-	"repro/internal/lbm"
 	"repro/internal/machine"
-	"repro/internal/omp"
-	"repro/internal/phys"
-	"repro/internal/segarray"
-	"repro/internal/trace"
 )
 
-// params carries every knob a single simulation point needs; the sweep
+// params carries every knob a single simulation point needs: the kernel
+// and its placement, and the strand model's ablation knobs. The sweep
 // axis overrides one field per point.
 type params struct {
-	kernel      string
-	n           int64
-	threads     int
-	offset      int64
-	arrayOffset int64
-	sweeps      int
-	sched       string
-	layout      string
-	fused       bool
-	opt         bool
-	mshr        int
-	runAhead    int64
+	bench.Kernel
+	mshr     int
+	runAhead int64
 }
 
 // with returns p with the sweep axis set to v.
 func (p params) with(axis string, v int64) params {
 	switch axis {
 	case "offset":
-		p.offset = v
+		p.Offset = v
 	case "arrayoffset":
-		p.arrayOffset = v
+		p.ArrayOffset = v
 	case "n":
-		p.n = v
+		p.N = v
 	case "threads":
-		p.threads = int(v)
+		p.Threads = int(v)
 	}
 	return p
+}
+
+// config is the profile's machine with the point's strand knobs.
+func (p params) config(prof machine.Profile) chip.Config {
+	cfg := prof.Config
+	cfg.MSHRPerStrand = p.mshr
+	cfg.RunAhead = p.runAhead
+	return cfg
+}
+
+// run simulates the point on the worker's machine for cfg.
+func (p params) run(cfg chip.Config, sc *exp.Scratch) (chip.Result, error) {
+	prog, err := p.Program(cfg.Mapping)
+	if err != nil {
+		return chip.Result{}, err
+	}
+	return sc.Machine(cfg).RunCtx(sc.Context(), prog)
+}
+
+// command is a parsed command line.
+type command struct {
+	params
+	machine string
+	sweep   string
+	jobs    int
+	jsonOut string
+	timeout time.Duration
+}
+
+// parse defines t2sim's flags on fs and parses args with them.
+func parse(fs *flag.FlagSet, args []string) (command, error) {
+	var c command
+	p := &c.params
+	fs.StringVar(&p.Name, "kernel", "triad", "kernel: copy, scale, add, triad, vtriad, loadsum, jacobi, lbm")
+	fs.Int64Var(&p.N, "n", 1<<19, "problem size (elements; grid edge for jacobi/lbm)")
+	fs.IntVar(&p.Threads, "threads", 64, "software threads (1 up to the profile's hardware strands)")
+	fs.Int64Var(&p.Offset, "offset", 0, "STREAM COMMON-block offset in DP words")
+	fs.Int64Var(&p.ArrayOffset, "arrayoffset", 0, "per-array byte offset (array i shifted by i*offset)")
+	fs.IntVar(&p.Sweeps, "sweeps", 1, "passes over the data")
+	fs.StringVar(&p.Sched, "sched", "static", "schedule: static, static1, dynamic, guided")
+	fs.StringVar(&c.machine, "machine", machine.DefaultName,
+		"machine profile (see internal/machine, or `figures -list`): "+strings.Join(machine.Names(), ", "))
+	fs.StringVar(&p.Layout, "layout", "IvJK", "LBM layout: IJKv or IvJK")
+	fs.BoolVar(&p.Fused, "fused", false, "LBM: coalesce the outer loop pair")
+	fs.BoolVar(&p.Planned, "opt", false, "jacobi: apply the planner's row placement (512B align, 128B shift)")
+	fs.IntVar(&p.mshr, "mshr", 1, "outstanding load misses per strand (ablation)")
+	fs.Int64Var(&p.runAhead, "runahead", 2, "strand run-ahead window in items; 0 = unbounded")
+	fs.StringVar(&c.sweep, "sweep", "", "sweep one parameter: {offset|arrayoffset|n|threads}=lo:hi:step (hi inclusive)")
+	fs.IntVar(&c.jobs, "jobs", 0, "worker goroutines for -sweep (<=0: GOMAXPROCS)")
+	fs.StringVar(&c.jsonOut, "json", "", "with -sweep: write the JSON trajectory to this file ('-' for stdout)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "wall-clock budget for the run or sweep; on expiry the simulation aborts cooperatively and the exit code is 3 (0: no deadline)")
+	err := fs.Parse(args)
+	return c, err
 }
 
 // sweepSpec is a parsed -sweep flag: axis=lo:hi:step, hi inclusive.
@@ -102,6 +148,10 @@ func validate(p params, maxThreads int, sw *sweepSpec) error {
 	if sw == nil {
 		return checkPoint(p, maxThreads)
 	}
+	if ks, ok := readBy[sw.axis]; ok && !slices.Contains(ks, p.Name) {
+		return fmt.Errorf("-sweep %s: kernel %q does not read %s (only %s do)",
+			sw.flag, p.Name, sw.axis, strings.Join(ks, ", "))
+	}
 	for _, v := range []int64{sw.lo, sw.lo + (sw.hi-sw.lo)/sw.step*sw.step} {
 		if err := checkPoint(p.with(sw.axis, v), maxThreads); err != nil {
 			return fmt.Errorf("-sweep %s: %w", sw.flag, err)
@@ -110,75 +160,60 @@ func validate(p params, maxThreads int, sw *sweepSpec) error {
 	return nil
 }
 
+// readBy names the kernels that read a sweep axis, for the axes that not
+// every kernel reads.
+var readBy = map[string][]string{
+	"offset":      {"copy", "scale", "add", "triad"},
+	"arrayoffset": {"vtriad", "loadsum"},
+}
+
 // checkPoint holds the bounds of one simulation point: -threads within
 // [1, maxThreads], -n, -mshr and -sweeps at least 1, -runahead at least 0.
 func checkPoint(p params, maxThreads int) error {
 	switch {
-	case p.threads < 1 || p.threads > maxThreads:
-		return fmt.Errorf("-threads %d outside [1, %d], the machine's hardware strands", p.threads, maxThreads)
-	case p.n < 1:
-		return fmt.Errorf("-n %d must be at least 1", p.n)
+	case p.Threads < 1 || p.Threads > maxThreads:
+		return fmt.Errorf("-threads %d outside [1, %d], the machine's hardware strands", p.Threads, maxThreads)
+	case p.N < 1:
+		return fmt.Errorf("-n %d must be at least 1", p.N)
 	case p.mshr < 1:
 		return fmt.Errorf("-mshr %d must be at least 1", p.mshr)
 	case p.runAhead < 0:
 		return fmt.Errorf("-runahead %d must be at least 0", p.runAhead)
-	case p.sweeps < 1:
-		return fmt.Errorf("-sweeps %d must be at least 1", p.sweeps)
+	case p.Sweeps < 1:
+		return fmt.Errorf("-sweeps %d must be at least 1", p.Sweeps)
 	}
 	return nil
 }
 
 func main() {
-	var p params
-	flag.StringVar(&p.kernel, "kernel", "triad", "kernel: copy, scale, add, triad, vtriad, loadsum, jacobi, lbm")
-	flag.Int64Var(&p.n, "n", 1<<19, "problem size (elements; grid edge for jacobi/lbm)")
-	flag.IntVar(&p.threads, "threads", 64, "software threads (1 up to the profile's hardware strands)")
-	flag.Int64Var(&p.offset, "offset", 0, "STREAM COMMON-block offset in DP words")
-	flag.Int64Var(&p.arrayOffset, "arrayoffset", 0, "per-array byte offset (array i shifted by i*offset)")
-	flag.IntVar(&p.sweeps, "sweeps", 1, "passes over the data")
-	flag.StringVar(&p.sched, "sched", "static", "schedule: static, static1, dynamic, guided")
-	machineName := flag.String("machine", machine.DefaultName,
-		"machine profile (see internal/machine, or `figures -list`): "+strings.Join(machine.Names(), ", "))
-	flag.StringVar(&p.layout, "layout", "IvJK", "LBM layout: IJKv or IvJK")
-	flag.BoolVar(&p.fused, "fused", false, "LBM: coalesce the outer loop pair")
-	flag.BoolVar(&p.opt, "opt", false, "jacobi: apply the planner's row placement (512B align, 128B shift)")
-	flag.IntVar(&p.mshr, "mshr", 1, "outstanding load misses per strand (ablation)")
-	flag.Int64Var(&p.runAhead, "runahead", 2, "strand run-ahead window in items; 0 = unbounded")
-	sweep := flag.String("sweep", "", "sweep one parameter: {offset|arrayoffset|n|threads}=lo:hi:step (hi inclusive)")
-	jobs := flag.Int("jobs", 0, "worker goroutines for -sweep (<=0: GOMAXPROCS)")
-	jsonOut := flag.String("json", "", "with -sweep: write the JSON trajectory to this file ('-' for stdout)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run or sweep; on expiry the simulation aborts cooperatively and the exit code is 3 (0: no deadline)")
-	flag.Parse()
-
-	prof, err := machine.Get(*machineName)
+	c, _ := parse(flag.CommandLine, os.Args[1:]) // flag.CommandLine exits on a parse error
+	prof, err := machine.Get(c.machine)
 	if err != nil {
 		fail("%v", err)
 	}
 	var sw *sweepSpec
-	if *sweep != "" {
-		if sw, err = parseSweep(*sweep); err != nil {
+	if c.sweep != "" {
+		if sw, err = parseSweep(c.sweep); err != nil {
 			fail("%v", err)
 		}
 	}
-	if err := validate(p, prof.Config.MaxThreads(), sw); err != nil {
+	if err := validate(c.params, prof.Config.MaxThreads(), sw); err != nil {
 		fail("%v", err)
 	}
-	cfg := prof.Config
-	cfg.MSHRPerStrand = p.mshr
-	cfg.RunAhead = p.runAhead
+	cfg := c.config(prof)
 
 	ctx := context.Background()
-	if *timeout > 0 {
+	if c.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
 
 	if sw == nil {
-		runSingle(ctx, prof, cfg, p)
+		runSingle(ctx, prof, cfg, c.params)
 		return
 	}
-	runSweep(ctx, prof, cfg, p, sw, *jobs, *jsonOut)
+	runSweep(ctx, prof, cfg, c.params, sw, c.jobs, c.jsonOut)
 }
 
 // failTimeout reports a run cut short by -timeout; exit code 3 separates
@@ -188,104 +223,9 @@ func failTimeout(err error) {
 	os.Exit(3)
 }
 
-// schedule resolves the schedule name; jacobi -opt forces static1 as the
-// planner prescribes.
-func (p params) schedule() (omp.Schedule, error) {
-	switch p.sched {
-	case "static":
-		return omp.StaticBlock{}, nil
-	case "static1":
-		return omp.StaticChunk{Size: 1}, nil
-	case "dynamic":
-		return omp.Dynamic{Size: 1}, nil
-	case "guided":
-		return omp.Guided{Min: 1}, nil
-	}
-	return nil, fmt.Errorf("unknown schedule %q", p.sched)
-}
-
-// build constructs the trace program for one parameter point.
-func (p params) build(cfg chip.Config) (*trace.Program, error) {
-	schedule, err := p.schedule()
-	if err != nil {
-		return nil, err
-	}
-	sp := alloc.NewSpace()
-	var prog *trace.Program
-
-	switch p.kernel {
-	case "copy", "scale", "add", "triad":
-		bases := sp.Common(3, p.n+p.offset, phys.WordSize)
-		var k kernels.Stream
-		switch p.kernel {
-		case "copy":
-			k = kernels.StreamCopy(bases[2], bases[0], p.n)
-		case "scale":
-			k = kernels.StreamScale(bases[1], bases[2], p.n)
-		case "add":
-			k = kernels.StreamAdd(bases[2], bases[0], bases[1], p.n)
-		case "triad":
-			k = kernels.StreamTriad(bases[0], bases[1], bases[2], p.n)
-		}
-		k.Sweeps = p.sweeps
-		prog = k.Program(schedule, p.threads)
-	case "vtriad":
-		bases := sp.OffsetBases(4, p.n*phys.WordSize, phys.PageSize, p.arrayOffset)
-		k := kernels.VTriad(bases[0], bases[1], bases[2], bases[3], p.n)
-		k.Sweeps = p.sweeps
-		prog = k.Program(schedule, p.threads)
-	case "loadsum":
-		bases := sp.OffsetBases(4, p.n*phys.WordSize, phys.PageSize, p.arrayOffset)
-		k := kernels.LoadSum(bases, p.n)
-		k.Sweeps = p.sweeps
-		prog = k.Program(schedule, p.threads)
-	case "jacobi":
-		spec := jacobi.Spec{N: p.n, Sched: schedule, Sweeps: p.sweeps}
-		if p.opt {
-			rp := core.PlanRows(cfg.Mapping)
-			sparams := segarray.Params{ElemSize: phys.WordSize, Align: phys.PageSize,
-				SegAlign: rp.SegAlign, Shift: rp.Shift}
-			rows := make([]int64, p.n)
-			for i := range rows {
-				rows[i] = p.n
-			}
-			srcL := segarray.Plan(sp, sparams, rows)
-			dstL := segarray.Plan(sp, sparams, rows)
-			spec.Src = func(i int64) phys.Addr { return srcL.Segs[i].Start }
-			spec.Dst = func(i int64) phys.Addr { return dstL.Segs[i].Start }
-			spec.Sched = omp.StaticChunk{Size: 1}
-		} else {
-			spec.Src = jacobi.PlainRows(sp.Malloc(p.n*p.n*phys.WordSize), p.n)
-			spec.Dst = jacobi.PlainRows(sp.Malloc(p.n*p.n*phys.WordSize), p.n)
-		}
-		prog = spec.Program(p.threads)
-	case "lbm":
-		var layout lbm.Layout
-		switch p.layout {
-		case "IJKv":
-			layout = lbm.IJKv
-		case "IvJK":
-			layout = lbm.IvJK
-		default:
-			return nil, fmt.Errorf("unknown layout %q", p.layout)
-		}
-		spec := lbm.TraceSpec{
-			N: p.n, Layout: layout,
-			OldBase:  sp.Malloc(lbm.GridBytes(p.n, layout)),
-			NewBase:  sp.Malloc(lbm.GridBytes(p.n, layout)),
-			MaskBase: sp.Malloc(lbm.MaskBytes(p.n, layout)),
-			Fused:    p.fused, Sched: schedule, Sweeps: p.sweeps,
-		}
-		prog = spec.Program(p.threads)
-	default:
-		return nil, fmt.Errorf("unknown kernel %q", p.kernel)
-	}
-	return prog, nil
-}
-
 // runSingle simulates one point and prints the detailed report.
 func runSingle(ctx context.Context, prof machine.Profile, cfg chip.Config, p params) {
-	prog, err := p.build(cfg)
+	prog, err := p.Program(cfg.Mapping)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -352,24 +292,20 @@ func parseSweep(spec string) (*sweepSpec, error) {
 func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base params, sw *sweepSpec, jobs int, jsonOut string) {
 	axis := sw.axis
 	e := exp.Experiment{
-		Name:    "t2sim/" + base.kernel,
-		Doc:     fmt.Sprintf("%s sweep over %s", base.kernel, axis),
+		Name:    "t2sim/" + base.Name,
+		Doc:     fmt.Sprintf("%s sweep over %s", base.Name, axis),
 		Machine: machine.Tag(prof.Name),
 		Cfg:     cfg,
 		Grid:    exp.Grid{exp.Span64(axis, sw.lo, sw.hi+1, sw.step)},
 		Run: func(cfg chip.Config, pt exp.Point, sc *exp.Scratch) (exp.Result, error) {
 			v := pt.Int64(axis)
 			p := base.with(axis, v)
-			prog, err := p.build(cfg)
-			if err != nil {
-				return exp.Result{}, err
-			}
-			r, err := chip.New(cfg).RunCtx(sc.Context(), prog)
+			r, err := p.run(cfg, sc)
 			if err != nil {
 				return exp.Result{}, err
 			}
 			return exp.Result{
-				Series: fmt.Sprintf("%s/%dT", p.kernel, p.threads),
+				Series: fmt.Sprintf("%s/%dT", p.Name, p.Threads),
 				X:      float64(v),
 				Y:      r.GBps,
 				Metrics: map[string]float64{
@@ -383,7 +319,7 @@ func runSweep(ctx context.Context, prof machine.Profile, cfg chip.Config, base p
 	// Validate the point builder against the first axis value before
 	// fanning out: an unknown kernel/schedule/layout is flag misuse (2),
 	// not a per-point runtime failure.
-	if _, err := base.with(axis, sw.lo).build(cfg); err != nil {
+	if _, err := base.with(axis, sw.lo).Program(cfg.Mapping); err != nil {
 		fail("%v", err)
 	}
 

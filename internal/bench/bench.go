@@ -4,10 +4,12 @@
 // wins, by what factor, with which periodicity — as testable predicates.
 //
 // Every figure is a declarative exp.Experiment: a parameter grid plus a
-// closure evaluating one grid point on one freshly built machine. The
-// exp worker pool fans the points out across GOMAXPROCS goroutines and
+// closure evaluating one grid point on its worker's machine. The exp
+// worker pool fans the points out across GOMAXPROCS goroutines and
 // reassembles them in deterministic grid order, so regenerating a figure
-// with -jobs N is bit-identical to -jobs 1. See DESIGN.md Sect. 5 for the
+// with -jobs N is bit-identical to -jobs 1. Kernel is the one program
+// builder for every kernel cmd/t2sim names; the figure points it can
+// express are built with it. See DESIGN.md Sect. 5 for the
 // scale reductions and EXPERIMENTS.md for regenerated results.
 package bench
 
@@ -19,9 +21,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/jacobi"
 	"repro/internal/kernels"
-	"repro/internal/lbm"
 	"repro/internal/machine"
 	"repro/internal/omp"
 	"repro/internal/phys"
@@ -130,19 +130,6 @@ func Small() Options {
 	return o
 }
 
-// machineKey caches one reusable chip.Machine per configuration in a
-// worker's scratch; chip.Config is comparable, so the configuration itself
-// is the key.
-type machineKey struct{ cfg chip.Config }
-
-// machineFor returns the worker's reusable machine for cfg, building it on
-// the worker's first point. Machines reset completely between runs, so the
-// cached machine produces byte-identical results to a fresh one (pinned by
-// the chip reuse tests and the jobs=1-vs-N determinism regression).
-func machineFor(sc *exp.Scratch, cfg chip.Config) *chip.Machine {
-	return sc.Get(machineKey{cfg}, func() any { return chip.New(cfg) }).(*chip.Machine)
-}
-
 // run is one simulated program: what it simulated, and how much engine
 // work that took.
 type run struct {
@@ -156,9 +143,19 @@ type run struct {
 // sweep aborts each in-flight run cooperatively; with a background context
 // this is exactly the fault-free path.
 func runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program) (run, error) {
-	m := machineFor(sc, cfg)
+	m := sc.Machine(cfg)
 	r, err := m.RunCtx(sc.Context(), p)
 	return run{r, m.LastRun()}, err
+}
+
+// runKernel builds k for the point's configuration and runs it as runProg
+// does.
+func runKernel(cfg chip.Config, sc *exp.Scratch, k Kernel) (run, error) {
+	p, err := k.Program(cfg.Mapping)
+	if err != nil {
+		return run{}, err
+	}
+	return runProg(cfg, sc, p)
 }
 
 // bwMetrics exposes the secondary metrics every bandwidth trajectory
@@ -220,13 +217,11 @@ func (o Options) Fig2Exp() exp.Experiment {
 			return triadT[p.Int("threads")]
 		},
 		Run: func(cfg chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
-			kind := kernelTriad
-			if p.Str("kernel") == "copy" {
-				kind = kernelCopy
-			}
 			th := p.Int("threads")
 			off := p.Int64("offset")
-			r, err := runProg(cfg, sc, o.streamProg(sc, kind, off, th))
+			k := Kernel{Name: p.Str("kernel"), N: o.StreamN, Threads: th, Offset: off,
+				Sweeps: o.StreamSweeps, Sched: "static"}
+			r, err := runKernel(cfg, sc, k)
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -251,39 +246,6 @@ func Fig2FromSeries(series []stats.Series) Fig2Result {
 		}
 	}
 	return res
-}
-
-type streamKind int
-
-const (
-	kernelCopy streamKind = iota
-	kernelTriad
-)
-
-// streamProgKey caches one recyclable program per (kernel, team) shape in
-// a worker's scratch; only the stream bases change across offsets, so
-// ProgramInto rebuilds the cached program in place.
-type streamProgKey struct {
-	kind    streamKind
-	threads int
-}
-
-type progHolder struct{ p *trace.Program }
-
-func (o Options) streamProg(sc *exp.Scratch, kind streamKind, offsetWords int64, threads int) *trace.Program {
-	sp := alloc.NewSpace()
-	bases := sp.Common(3, o.StreamN+offsetWords, phys.WordSize)
-	var k kernels.Stream
-	switch kind {
-	case kernelCopy:
-		k = kernels.StreamCopy(bases[2], bases[0], o.StreamN)
-	case kernelTriad:
-		k = kernels.StreamTriad(bases[0], bases[1], bases[2], o.StreamN)
-	}
-	k.Sweeps = o.StreamSweeps
-	h := sc.Get(streamProgKey{kind, threads}, func() any { return &progHolder{} }).(*progHolder)
-	h.p = k.ProgramInto(h.p, omp.StaticBlock{}, threads)
-	return h.p
 }
 
 // ---- Fig. 4: vector triad vs N under placement policies --------------------
@@ -378,25 +340,23 @@ func (o Options) Fig5Exp(threads int) exp.Experiment {
 		},
 		Run: func(cfg chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
 			n := p.Int64("n")
-			sp := alloc.NewSpace()
-			var prog *trace.Program
+			var r run
+			var err error
 			var series string
 			if p.Str("impl") == "seg" {
 				// Segmented: each array is a seg_array with one segment per
 				// thread and planned offsets; the per-segment dispatch costs
 				// extra integer work at every segment entry.
-				ls := segTriadLayouts(sp, n, threads, plan.Offsets)
+				ls := segTriadLayouts(alloc.NewSpace(), n, threads, plan.Offsets)
 				k := kernels.SegVTriad(ls[0], ls[1], ls[2], ls[3])
 				k.SegOverhead = 30
-				prog = k.Program(threads)
+				r, err = runProg(cfg, sc, k.Program(threads))
 				series = fmt.Sprintf("%dT segmented optimal", threads)
 			} else {
-				bases := sp.OffsetBases(4, n*phys.WordSize, phys.PageSize, 128)
-				k := kernels.VTriad(bases[0], bases[1], bases[2], bases[3], n)
-				prog = k.Program(omp.StaticBlock{}, threads)
+				r, err = runKernel(cfg, sc, Kernel{Name: "vtriad", N: n, Threads: threads,
+					ArrayOffset: 128, Sched: "static"})
 				series = fmt.Sprintf("%dT non-segmented", threads)
 			}
-			r, err := runProg(cfg, sc, prog)
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -411,7 +371,6 @@ func (o Options) Fig5Exp(threads int) exp.Experiment {
 // optimally aligned segmented solver at several thread counts, plus the
 // plain (unaligned) 64-thread reference.
 func (o Options) Fig6Exp() exp.Experiment {
-	rp := core.PlanRows(o.Cfg.Mapping)
 	// The plain reference always runs at 64 threads, whether or not 64 is
 	// among the optimized thread counts.
 	optT := map[int]bool{}
@@ -441,37 +400,13 @@ func (o Options) Fig6Exp() exp.Experiment {
 		Run: func(cfg chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
 			n := p.Int64("n")
 			th := p.Int("threads")
-			sp := alloc.NewSpace()
-			spec := jacobi.Spec{
-				N:      n,
-				Sched:  omp.StaticChunk{Size: 1},
-				Sweeps: o.JacobiSweeps,
+			planned := p.Str("placement") == "opt"
+			series := fmt.Sprintf("%dT", th)
+			if !planned {
+				series += " plain"
 			}
-			var series string
-			if p.Str("placement") == "plain" {
-				src := sp.Malloc(n * n * phys.WordSize)
-				dst := sp.Malloc(n * n * phys.WordSize)
-				spec.Src = jacobi.PlainRows(src, n)
-				spec.Dst = jacobi.PlainRows(dst, n)
-				series = fmt.Sprintf("%dT plain", th)
-			} else {
-				params := segarray.Params{
-					ElemSize: phys.WordSize,
-					Align:    phys.PageSize,
-					SegAlign: rp.SegAlign,
-					Shift:    rp.Shift,
-				}
-				rows := make([]int64, n)
-				for i := range rows {
-					rows[i] = n
-				}
-				srcL := segarray.Plan(sp, params, rows)
-				dstL := segarray.Plan(sp, params, rows)
-				spec.Src = func(i int64) phys.Addr { return srcL.Segs[i].Start }
-				spec.Dst = func(i int64) phys.Addr { return dstL.Segs[i].Start }
-				series = fmt.Sprintf("%dT", th)
-			}
-			r, err := runProg(cfg, sc, spec.Program(th))
+			r, err := runKernel(cfg, sc, Kernel{Name: "jacobi", N: n, Threads: th,
+				Sweeps: o.JacobiSweeps, Sched: "static1", Planned: planned})
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -482,21 +417,18 @@ func (o Options) Fig6Exp() exp.Experiment {
 
 // ---- Fig. 7: lattice-Boltzmann ----------------------------------------------
 
-// fig7Variant is one curve of Fig. 7.
+// fig7Variant is one curve of Fig. 7: its name and the LBM kernel it
+// runs, whose domain edge and sweep count each point sets.
 type fig7Variant struct {
-	name    string
-	layout  lbm.Layout
-	fused   bool
-	threads int
+	name string
+	k    Kernel
 }
 
-// fig7Variants maps the Fig. 7 curve names to their layout, fusion and
-// thread-count settings.
 var fig7Variants = []fig7Variant{
-	{"64T IJKv", lbm.IJKv, false, 64},
-	{"64T IvJK", lbm.IvJK, false, 64},
-	{"64T IvJK fused", lbm.IvJK, true, 64},
-	{"32T IvJK fused", lbm.IvJK, true, 32},
+	{"64T IJKv", Kernel{Name: "lbm", Threads: 64, Sched: "static", Layout: "IJKv"}},
+	{"64T IvJK", Kernel{Name: "lbm", Threads: 64, Sched: "static", Layout: "IvJK"}},
+	{"64T IvJK fused", Kernel{Name: "lbm", Threads: 64, Sched: "static", Layout: "IvJK", Fused: true}},
+	{"32T IvJK fused", Kernel{Name: "lbm", Threads: 32, Sched: "static", Layout: "IvJK", Fused: true}},
 }
 
 // Fig7Exp declares Fig. 7: LBM MLUPs/s versus cubic domain size for the
@@ -518,25 +450,18 @@ func (o Options) Fig7Exp() exp.Experiment {
 		},
 		Run: func(cfg chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
 			name := p.Str("variant")
-			var v *fig7Variant
-			for i := range fig7Variants {
-				if fig7Variants[i].name == name {
-					v = &fig7Variants[i]
+			var k Kernel
+			for _, v := range fig7Variants {
+				if v.name == name {
+					k = v.k
 				}
 			}
-			if v == nil {
+			if k.Name == "" {
 				return exp.Result{}, fmt.Errorf("unknown fig7 variant %q", name)
 			}
 			n := p.Int64("n")
-			sp := alloc.NewSpace()
-			spec := lbm.TraceSpec{
-				N: n, Layout: v.layout,
-				OldBase:  sp.Malloc(lbm.GridBytes(n, v.layout)),
-				NewBase:  sp.Malloc(lbm.GridBytes(n, v.layout)),
-				MaskBase: sp.Malloc(lbm.MaskBytes(n, v.layout)),
-				Fused:    v.fused, Sched: omp.StaticBlock{}, Sweeps: o.LBMSweeps,
-			}
-			r, err := runProg(cfg, sc, spec.Program(v.threads))
+			k.N, k.Sweeps = n, o.LBMSweeps
+			r, err := runKernel(cfg, sc, k)
 			if err != nil {
 				return exp.Result{}, err
 			}

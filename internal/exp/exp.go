@@ -1,7 +1,7 @@
 // Package exp is the declarative parallel experiment engine behind every
 // figure harness and CLI sweep: an Experiment names a parameter grid and a
-// Run closure mapping one grid point to one measured Result; the Runner
-// fans the points out across a worker pool and collects the results in
+// Run closure mapping one grid point to one measured Result; a Pool fans
+// the points out across its workers and collects the results in
 // deterministic grid order, so jobs=1 and jobs=N produce byte-identical
 // output. Outcomes convert to stats.Series for the existing CSV/plot
 // pipeline and marshal to canonical JSON for machine-readable trajectories
@@ -189,25 +189,23 @@ type Result struct {
 }
 
 // Scratch is a per-worker reuse arena. Every point a worker evaluates
-// receives the same Scratch, so expensive point-invariant state — a
-// chip.Machine with its tag arrays and event wheel, a recycled
-// trace.Program — is built once per worker instead of once per point.
-// Workers never share a Scratch, so cached values need no locking; and
-// because cached state must never leak one point's results into another,
-// anything stored here must be reset-on-reuse by construction (a
-// chip.Machine) or rebuilt field-by-field per point (kernels.ProgramInto).
-// The jobs=1-vs-N determinism tests hold that bargain in place.
+// receives the same Scratch, so the point-invariant state of a
+// chip.Machine — its tag arrays, event wheel and strand pool — is built
+// once per worker and configuration instead of once per point. Workers
+// never share a Scratch, so it needs no locking; and a machine resets
+// completely between runs, so no point's results leak into another. The
+// jobs=1-vs-N determinism tests hold that bargain in place.
 type Scratch struct {
-	vals map[any]any
+	machines map[chip.Config]*chip.Machine
 
-	// Ctx is the sweep's context, set by the runner so point closures can
+	// Ctx is the sweep's context, set by the pool so point closures can
 	// thread cancellation into chip.Machine.RunCtx. Closures should read it
 	// through Context, which never returns nil.
 	Ctx context.Context
 }
 
 // Context returns the sweep's context, or context.Background for a
-// Scratch built outside a runner (tests, bespoke harness loops).
+// Scratch built outside a pool (tests, bespoke harness loops).
 func (s *Scratch) Context() context.Context {
 	if s.Ctx == nil {
 		return context.Background()
@@ -215,19 +213,17 @@ func (s *Scratch) Context() context.Context {
 	return s.Ctx
 }
 
-// Get returns the value cached under key, building and caching it on first
-// use. Keys follow the context.Context convention: define an unexported
-// key type per cached thing so packages cannot collide.
-func (s *Scratch) Get(key any, build func() any) any {
-	if s.vals == nil {
-		s.vals = map[any]any{}
+// Machine returns the worker's machine for cfg, building it on first use.
+func (s *Scratch) Machine(cfg chip.Config) *chip.Machine {
+	m, ok := s.machines[cfg]
+	if !ok {
+		if s.machines == nil {
+			s.machines = map[chip.Config]*chip.Machine{}
+		}
+		m = chip.New(cfg)
+		s.machines[cfg] = m
 	}
-	if v, ok := s.vals[key]; ok {
-		return v
-	}
-	v := build()
-	s.vals[key] = v
-	return v
+	return m
 }
 
 // Experiment is a declarative sweep: a parameter grid, an optional keep

@@ -322,38 +322,3 @@ func items(g trace.Generator) []trace.Item {
 		out = append(out, cp)
 	}
 }
-
-// TestProgramIntoRecyclesBuffers pins the scratch-pool contract: rebuilding
-// a program into a previous one must reuse the generator records and
-// produce exactly the item stream of a freshly built program.
-func TestProgramIntoRecyclesBuffers(t *testing.T) {
-	build := func(prev *trace.Program, off int64) *trace.Program {
-		sp := alloc.NewSpace()
-		const n = 1 << 12
-		bases := sp.Common(3, n+off, phys.WordSize)
-		k := StreamTriad(bases[0], bases[1], bases[2], n)
-		return k.ProgramInto(prev, omp.StaticBlock{}, 8)
-	}
-	scratch := build(nil, 0)
-	// Consume part of the program, then rebuild with a different offset.
-	var it trace.Item
-	for i := 0; i < 100; i++ {
-		it.Reset()
-		scratch.Gens[3].Next(&it)
-	}
-	recycled := build(scratch, 24)
-	if recycled != scratch {
-		t.Fatal("ProgramInto did not recycle the shape-compatible program")
-	}
-	fresh := build(nil, 24)
-	for g := range fresh.Gens {
-		got := items(recycled.Gens[g])
-		want := items(fresh.Gens[g])
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("recycled generator %d produced a different item stream", g)
-		}
-	}
-	if fresh.Label != recycled.Label {
-		t.Errorf("labels differ: %q vs %q", recycled.Label, fresh.Label)
-	}
-}

@@ -90,20 +90,9 @@ func LoadSum(bases []phys.Addr, n int64) Stream {
 }
 
 // Program compiles the kernel into a per-thread work-item program under the
-// given schedule and team size.
+// given schedule and team size. The kernel value is copied, so the caller
+// may mutate k afterwards without disturbing the compiled program.
 func (k *Stream) Program(sched omp.Schedule, threads int) *trace.Program {
-	return k.ProgramInto(nil, sched, threads)
-}
-
-// ProgramInto compiles the kernel like Program, but recycles the program,
-// generator and tracker buffers of prev — a program previously built by
-// this method (or Program) for the same thread count and stream shape.
-// Sweep harnesses hand the same scratch program to every point of an
-// offset sweep, turning per-point program construction into a handful of
-// field writes. A nil or shape-incompatible prev falls back to fresh
-// allocation. The kernel value is copied, so the caller may mutate k
-// afterwards without disturbing the compiled program.
-func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads int) *trace.Program {
 	if threads <= 0 {
 		panic(fmt.Sprintf("kernels: %d threads", threads))
 	}
@@ -111,48 +100,27 @@ func (k *Stream) ProgramInto(prev *trace.Program, sched omp.Schedule, threads in
 	if sweeps < 1 {
 		sweeps = 1
 	}
-	nr := len(k.ReadBases)
-	p := prev
-	reuse := p != nil && len(p.Gens) == threads
-	if reuse {
-		for _, g := range p.Gens {
-			sg, ok := g.(*streamGen)
-			if !ok || len(sg.readTr) != nr || len(sg.asns) != sweeps {
-				reuse = false
-				break
-			}
-		}
-	}
-	if !reuse {
-		shared := make([]omp.Assigner, sweeps)
-		gens := make([]streamGen, threads)
-		trs := make([]trace.LineTracker, threads*nr)
-		bases := make([]phys.Addr, threads*(nr+1))
-		p = &trace.Program{Gens: make([]trace.Generator, threads)}
-		for t := range gens {
-			gens[t].asns = shared
-			gens[t].readTr = trs[t*nr : (t+1)*nr]
-			gens[t].bases = bases[t*(nr+1) : (t+1)*(nr+1)]
-			p.Gens[t] = &gens[t]
-		}
-	}
 	kc := *k
+	nr := len(kc.ReadBases)
 	// One shared assigner per sweep so that self-scheduling policies keep
 	// their work-queue semantics across the team.
-	asns := p.Gens[0].(*streamGen).asns
+	asns := make([]omp.Assigner, sweeps)
 	for s := range asns {
 		asns[s] = sched.Assigner(kc.N, threads)
 	}
-	p.Label = fmt.Sprintf("%s/N=%d/%s/t=%d", kc.Name, kc.N, sched.String(), threads)
-	for t := 0; t < threads; t++ {
-		g := p.Gens[t].(*streamGen)
-		tr, b := g.readTr, g.bases
-		for i := range tr {
-			tr[i].Reset()
-		}
+	gens := make([]streamGen, threads)
+	trs := make([]trace.LineTracker, threads*nr)
+	bases := make([]phys.Addr, threads*(nr+1))
+	p := &trace.Program{
+		Label: fmt.Sprintf("%s/N=%d/%s/t=%d", kc.Name, kc.N, sched.String(), threads),
+		Gens:  make([]trace.Generator, threads),
+	}
+	for t := range gens {
+		b := bases[t*(nr+1) : (t+1)*(nr+1)]
 		copy(b, kc.ReadBases)
 		b[nr] = kc.WriteBase
-		*g = streamGen{k: &kc, asns: asns, thread: t, bases: b, readTr: tr}
+		gens[t] = streamGen{k: &kc, asns: asns, thread: t, bases: b, readTr: trs[t*nr : (t+1)*nr]}
+		p.Gens[t] = &gens[t]
 	}
 	return p
 }
