@@ -34,8 +34,9 @@
 //	0  run or sweep completed
 //	1  runtime failure: simulation error, unwritable -json output
 //	2  flag misuse: unknown kernel, machine, schedule, layout or sweep
-//	   axis, a sweep over an axis the kernel does not read, or a numeric
-//	   flag (or a -sweep range end) out of range
+//	   axis; -offset, -arrayoffset, -opt, -layout or -fused given, or
+//	   -offset or -arrayoffset swept, for a kernel that does not read it;
+//	   or a numeric flag (or a -sweep range end) out of range
 //	3  -timeout expired before the run or sweep finished
 package main
 
@@ -58,11 +59,13 @@ import (
 
 // params carries every knob a single simulation point needs: the kernel
 // and its placement, and the strand model's ablation knobs. The sweep
-// axis overrides one field per point.
+// axis overrides one field per point. set names the flags given on the
+// command line, so validate can refuse those the kernel would ignore.
 type params struct {
 	bench.Kernel
 	mshr     int
 	runAhead int64
+	set      []string
 }
 
 // with returns p with the sweep axis set to v.
@@ -130,6 +133,7 @@ func parse(fs *flag.FlagSet, args []string) (command, error) {
 	fs.StringVar(&c.jsonOut, "json", "", "with -sweep: write the JSON trajectory to this file ('-' for stdout)")
 	fs.DurationVar(&c.timeout, "timeout", 0, "wall-clock budget for the run or sweep; on expiry the simulation aborts cooperatively and the exit code is 3 (0: no deadline)")
 	err := fs.Parse(args)
+	fs.Visit(func(f *flag.Flag) { p.set = append(p.set, f.Name) })
 	return c, err
 }
 
@@ -140,17 +144,22 @@ type sweepSpec struct {
 	lo, hi, step int64
 }
 
-// validate rejects numeric flags the simulator cannot run, before anything
-// runs. With a sweep it checks the range's low and high grid points; every
+// validate rejects, before anything runs, a flag given or an axis swept
+// that the kernel does not read, and numeric flags the simulator cannot
+// run. With a sweep it checks the range's low and high grid points; every
 // bound in checkPoint limits one knob from one side, so the two ends bound
 // the whole grid.
 func validate(p params, maxThreads int, sw *sweepSpec) error {
+	for _, name := range p.set {
+		if err := reads(p.Name, name); err != nil {
+			return fmt.Errorf("-%s: %w", name, err)
+		}
+	}
 	if sw == nil {
 		return checkPoint(p, maxThreads)
 	}
-	if ks, ok := readBy[sw.axis]; ok && !slices.Contains(ks, p.Name) {
-		return fmt.Errorf("-sweep %s: kernel %q does not read %s (only %s do)",
-			sw.flag, p.Name, sw.axis, strings.Join(ks, ", "))
+	if err := reads(p.Name, sw.axis); err != nil {
+		return fmt.Errorf("-sweep %s: %w", sw.flag, err)
 	}
 	for _, v := range []int64{sw.lo, sw.lo + (sw.hi-sw.lo)/sw.step*sw.step} {
 		if err := checkPoint(p.with(sw.axis, v), maxThreads); err != nil {
@@ -160,11 +169,22 @@ func validate(p params, maxThreads int, sw *sweepSpec) error {
 	return nil
 }
 
-// readBy names the kernels that read a sweep axis, for the axes that not
-// every kernel reads.
+// readBy names the kernels that read a knob, for the knobs that not every
+// kernel reads.
 var readBy = map[string][]string{
 	"offset":      {"copy", "scale", "add", "triad"},
 	"arrayoffset": {"vtriad", "loadsum"},
+	"opt":         {"jacobi"},
+	"layout":      {"lbm"},
+	"fused":       {"lbm"},
+}
+
+// reads refuses a knob that kernel does not read.
+func reads(kernel, knob string) error {
+	if ks, ok := readBy[knob]; ok && !slices.Contains(ks, kernel) {
+		return fmt.Errorf("kernel %q does not read %s (only %s do)", kernel, knob, strings.Join(ks, ", "))
+	}
+	return nil
 }
 
 // checkPoint holds the bounds of one simulation point: -threads within

@@ -61,6 +61,17 @@ func TestValidate(t *testing.T) {
 		{"arrayoffset sweep of lbm", func(p *params) { p.Name = "lbm" }, "arrayoffset=0:128:64", "does not read arrayoffset"},
 		{"arrayoffset sweep of triad", func(*params) {}, "arrayoffset=0:128:64", "does not read arrayoffset"},
 		{"n sweep of lbm", func(p *params) { p.Name = "lbm" }, "n=16:32:16", ""},
+		// So may a flag be given only to the kernels that read it, for a
+		// single run as for a sweep.
+		{"offset given to triad", func(p *params) { p.set = []string{"kernel", "n", "offset"} }, "", ""},
+		{"offset given to vtriad", func(p *params) { p.Name, p.set = "vtriad", []string{"offset"} }, "", "-offset: kernel \"vtriad\" does not read offset"},
+		{"arrayoffset given to lbm", func(p *params) { p.Name, p.set = "lbm", []string{"arrayoffset"} }, "", "does not read arrayoffset"},
+		{"opt given to jacobi", func(p *params) { p.Name, p.set = "jacobi", []string{"opt", "threads"} }, "", ""},
+		{"opt given to triad", func(p *params) { p.set = []string{"opt"} }, "", "does not read opt"},
+		{"layout and fused given to lbm", func(p *params) { p.Name, p.set = "lbm", []string{"layout", "fused"} }, "", ""},
+		{"layout given to triad", func(p *params) { p.set = []string{"layout"} }, "", "does not read layout"},
+		{"fused given to jacobi", func(p *params) { p.Name, p.set = "jacobi", []string{"fused"} }, "", "does not read fused"},
+		{"opt given to a threads sweep of lbm", func(p *params) { p.Name, p.set = "lbm", []string{"opt"} }, "threads=8:64:8", "does not read opt"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -95,7 +106,9 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 	for _, args := range []string{"-threads 0", "-threads 65", "-n -5", "-mshr 0",
 		"-runahead -1", "-sweeps 0", "-sweep threads=32:128:32",
-		"-kernel vtriad -sweep offset=0:64:32", "-kernel lbm -sweep arrayoffset=0:128:64"} {
+		"-kernel vtriad -sweep offset=0:64:32", "-kernel lbm -sweep arrayoffset=0:128:64",
+		"-kernel vtriad -offset 8", "-kernel triad -opt -fused -layout IJKv",
+		"-kernel jacobi -layout IJKv", "-kernel lbm -opt -sweep n=16:32:16"} {
 		cmd := exec.Command(os.Args[0], "-test.run", "^TestBadFlagsExitTwo$")
 		cmd.Env = append(os.Environ(), "T2SIM_RUN_MAIN=1", "T2SIM_ARGS="+args)
 		var stderr strings.Builder

@@ -3,8 +3,8 @@
 // experiments cmd/figures runs) on the same worker pool, with robustness
 // as the headline contract. Determinism is the lever: every sweep has a
 // canonical fingerprint, so results are perfectly cacheable (checksummed
-// LRU result cache), concurrent duplicates coalesce to one execution
-// (singleflight), and a response is byte-identical to the
+// LRU result cache), concurrent duplicates coalesce to one execution (an
+// in-flight entry in the same cache), and a response is byte-identical to the
 // BENCH_<fig>.json cmd/figures would write for the same sweep. The points
 // of every executing sweep share one pool of -jobs workers, oldest sweep
 // first, so no core idles while a sweep has points left to start.

@@ -41,11 +41,10 @@ type Options struct {
 	Machine string
 
 	// Fig. 2
-	StreamN      int64
-	OffsetMax    int64
-	OffsetStep   int64
-	Fig2Threads  []int
-	StreamSweeps int
+	StreamN     int64
+	OffsetMax   int64
+	OffsetStep  int64
+	Fig2Threads []int
 
 	// Fig. 4
 	TriadN    int64 // window base
@@ -58,11 +57,9 @@ type Options struct {
 	// Fig. 6
 	JacobiNs      []int64
 	JacobiThreads []int
-	JacobiSweeps  int
 
 	// Fig. 7
-	LBMNs     []int64
-	LBMSweeps int
+	LBMNs []int64
 
 	// Controller-scaling study (BENCH_scaling)
 	ScalingN int64
@@ -76,12 +73,11 @@ type Options struct {
 // hours.
 func Default() Options {
 	return Options{
-		Cfg:          machine.MustGet(machine.DefaultName).Config,
-		StreamN:      1 << 18,
-		OffsetMax:    256,
-		OffsetStep:   2,
-		Fig2Threads:  []int{8, 16, 32, 64},
-		StreamSweeps: 1,
+		Cfg:         machine.MustGet(machine.DefaultName).Config,
+		StreamN:     1 << 18,
+		OffsetMax:   256,
+		OffsetStep:  2,
+		Fig2Threads: []int{8, 16, 32, 64},
 
 		TriadN:    1 << 19,
 		TriadLen:  128,
@@ -91,10 +87,8 @@ func Default() Options {
 
 		JacobiNs:      []int64{200, 400, 600, 800, 1000, 1200, 1216, 1280, 1600, 2000},
 		JacobiThreads: []int{8, 16, 32, 64},
-		JacobiSweeps:  1,
 
-		LBMNs:     []int64{64, 72, 96, 126, 128, 160, 192},
-		LBMSweeps: 1,
+		LBMNs: []int64{64, 72, 96, 126, 128, 160, 192},
 
 		ScalingN: 1 << 17,
 	}
@@ -124,7 +118,6 @@ func Small() Options {
 	o.Fig5Ns = []int64{128, 2048, 1 << 15, 1 << 17}
 	o.JacobiNs = []int64{128, 192, 256, 320}
 	o.JacobiThreads = []int{8, 64}
-	o.JacobiSweeps = 1
 	o.LBMNs = []int64{48, 62, 64, 72}
 	o.ScalingN = 1 << 15
 	return o
@@ -220,7 +213,7 @@ func (o Options) Fig2Exp() exp.Experiment {
 			th := p.Int("threads")
 			off := p.Int64("offset")
 			k := Kernel{Name: p.Str("kernel"), N: o.StreamN, Threads: th, Offset: off,
-				Sweeps: o.StreamSweeps, Sched: "static"}
+				Sweeps: 1, Sched: "static"}
 			r, err := runKernel(cfg, sc, k)
 			if err != nil {
 				return exp.Result{}, err
@@ -406,7 +399,7 @@ func (o Options) Fig6Exp() exp.Experiment {
 				series += " plain"
 			}
 			r, err := runKernel(cfg, sc, Kernel{Name: "jacobi", N: n, Threads: th,
-				Sweeps: o.JacobiSweeps, Sched: "static1", Planned: planned})
+				Sweeps: 1, Sched: "static1", Planned: planned})
 			if err != nil {
 				return exp.Result{}, err
 			}
@@ -460,7 +453,7 @@ func (o Options) Fig7Exp() exp.Experiment {
 				return exp.Result{}, fmt.Errorf("unknown fig7 variant %q", name)
 			}
 			n := p.Int64("n")
-			k.N, k.Sweeps = n, o.LBMSweeps
+			k.N, k.Sweeps = n, 1
 			r, err := runKernel(cfg, sc, k)
 			if err != nil {
 				return exp.Result{}, err

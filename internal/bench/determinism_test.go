@@ -28,7 +28,6 @@ func profileTestOptions(p machine.Profile) Options {
 	o.OffsetMax = 64
 	o.OffsetStep = 32
 	o.Fig2Threads = []int{16}
-	o.StreamSweeps = 1
 	o.TriadN = 1 << 11
 	o.TriadLen = 8
 	o.TriadStep = 4

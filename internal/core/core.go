@@ -35,35 +35,6 @@ type StreamSet struct {
 	Stride int64 // bytes advanced per step; typically the line size
 }
 
-// Utilization returns the fraction of line accesses each controller
-// receives when the stream set advances steps times. With a periodic
-// mapping the distribution converges within Period/Stride steps.
-func Utilization(m phys.Mapping, ss StreamSet, steps int) []float64 {
-	if steps <= 0 {
-		steps = int(period(m) / phys.LineSize * 2)
-		if steps <= 0 {
-			steps = 16
-		}
-	}
-	counts := make([]int64, m.Controllers())
-	var total int64
-	for k := 0; k < steps; k++ {
-		for _, b := range ss.Bases {
-			a := b + phys.Addr(int64(k)*ss.Stride)
-			counts[phys.ControllerOf(m, a)]++
-			total++
-		}
-	}
-	out := make([]float64, len(counts))
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
-}
-
 // MeanConcurrency returns the average number of distinct controllers the
 // stream set addresses per step — the quantity that decides between the
 // "one controller at a time" convoy and uniform utilization. It ranges

@@ -55,7 +55,7 @@ func TestCachePutCopiesPayload(t *testing.T) {
 func TestCacheCorruptionRejected(t *testing.T) {
 	c := NewCache(100)
 	c.Put("k", []byte("pristine"))
-	c.items["k"].Value.(*centry).payload[0] ^= 0xFF
+	c.items["k"].payload[0] ^= 0xFF
 
 	if got, ok := c.Get("k"); ok {
 		t.Fatalf("corrupt entry served: %q", got)

@@ -15,8 +15,8 @@ import (
 // The simulator is deterministic — a grid point's result is a pure
 // function of (machine configuration, program, placement) — so two
 // requests with equal fingerprints are guaranteed byte-identical
-// responses, which is what makes the result cache and the singleflight
-// group safe rather than merely probabilistic.
+// responses, which is what makes the result cache and its coalescing of
+// in-flight duplicates safe rather than merely probabilistic.
 //
 // The key hashes what the sweep computes, not what the request named:
 //

@@ -5,11 +5,11 @@
 // resolves it against the same internal/bench registry the CLIs use,
 // fingerprints the resolved sweep canonically (the simulator is
 // deterministic, so equal fingerprints mean byte-identical results),
-// serves repeats from a checksummed LRU result cache, coalesces
-// concurrent duplicates through a singleflight group, and executes the
-// rest behind admission control on one exp.Pool per server, whose workers
-// serve the points of every executing sweep, oldest sweep first. Around
-// it: a bounded queue that sheds with 429/503 + Retry-After instead of
+// and keeps one table per fingerprint: a checksummed LRU result cache
+// whose in-flight entries coalesce concurrent duplicates into one
+// execution. Each new sweep executes behind admission control on one
+// exp.Pool per server, whose workers serve the points of every executing
+// sweep, oldest sweep first. Around it: a bounded queue that sheds with 429/503 + Retry-After instead of
 // melting down, per-request deadlines threaded into the engines'
 // cooperative cancellation, and a SIGTERM drain that finishes or cancels
 // in-flight work within a deadline. See DESIGN.md Sect. 14.
@@ -51,14 +51,12 @@ type SweepRequest struct {
 // sweeps. The default is bench.Figures.
 type Registry func(bench.Options) []bench.Figure
 
-// Resolved is a validated, normalized sweep ready to execute: the profile
-// and scaled options it runs on, the figure experiment, the canonical
+// Resolved is a validated, normalized sweep ready to execute: the figure
+// experiment (built on the request's profile and scale), the canonical
 // fingerprint addressing its result, and the execution budget.
 type Resolved struct {
-	Req     SweepRequest // normalized: defaults filled
-	Profile machine.Profile
-	Options bench.Options
-	Figure  bench.Figure
+	Req    SweepRequest // normalized: defaults filled
+	Figure bench.Figure
 	// Key is the canonical content address of this sweep's result: a
 	// stable hash over what the sweep computes — the figure, the scale,
 	// the experiment's machine stamp and chip configuration, and every
@@ -159,8 +157,6 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 
 	r := &Resolved{
 		Req:     req,
-		Profile: prof,
-		Options: o,
 		Figure:  *fig,
 		Jobs:    jobs,
 		Timeout: timeout,

@@ -43,10 +43,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RetryAfter is the hint stamped into shed responses. Default 1s.
 	RetryAfter time.Duration
-	// DrainGrace bounds the wait for cancelled in-flight sweeps to
-	// actually halt after the drain deadline fires; engine cancellation is
-	// cooperative and fast, so this is a backstop. Default 10s.
-	DrainGrace time.Duration
 	// Registry resolves figure experiments; nil means bench.Figures. Tests
 	// substitute synthetic experiments here.
 	Registry Registry
@@ -75,14 +71,16 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 10 * time.Second
-	}
 	if c.Registry == nil {
 		c.Registry = bench.Figures
 	}
 	return c
 }
+
+// drainGrace bounds the wait for cancelled in-flight sweeps to actually
+// halt after the drain deadline fires; engine cancellation is cooperative
+// and fast, so this is a backstop.
+const drainGrace = 10 * time.Second
 
 // Shedding and lifecycle error classes; statusOf maps them (and the
 // cancellation causes) onto the HTTP contract.
@@ -100,14 +98,16 @@ var (
 )
 
 // Server is the simulation service: one instance owns the resolution
-// memo, the result cache, the singleflight group, the admission queue and
-// the point pool, and serves the HTTP surface via Handler. Create with
-// New.
+// memo, the result cache (which also coalesces in-flight sweeps), the
+// admission queue and the point pool, and serves the HTTP surface via
+// Handler. Create with New.
 type Server struct {
-	cfg    Config
-	cache  *Cache
-	flight flightGroup
-	sem    chan struct{}
+	cfg   Config
+	cache *Cache
+	// run is admitAndRun, bound once in New: a method value made per
+	// request would allocate on the hit path.
+	run func(*Resolved) ([]byte, error)
+	sem chan struct{}
 	// pool runs the points of every executing sweep on Config.Jobs
 	// workers. Its workers exit whenever it is idle, so a dropped server
 	// leaves no goroutine or machine behind.
@@ -134,7 +134,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	base, cancel := context.WithCancelCause(context.Background())
-	return &Server{
+	s := &Server{
 		cfg:        cfg,
 		cache:      NewCache(cfg.CacheBytes),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
@@ -144,6 +144,8 @@ func New(cfg Config) *Server {
 		base:       base,
 		baseCancel: cancel,
 	}
+	s.run = s.admitAndRun
+	return s
 }
 
 // Handler returns the HTTP surface:
@@ -181,8 +183,8 @@ func (s *Server) Handler() http.Handler {
 const statusClientClosedRequest = 499
 
 // handleSweep is the request pipeline: parse → resolve (memo, else
-// Resolve+fingerprint) → cache → singleflight(admission → execute → cache
-// fill) → respond.
+// Resolve+fingerprint) → cache (hit, join the in-flight execution, or
+// lead one: admission → execute → cache fill) → respond.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	defer func() {
@@ -211,14 +213,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if b, ok := s.cache.Get(res.Key); ok {
-		s.serve(w, res.Key, "hit", b)
-		return
-	}
-
-	b, shared, err := s.flight.Do(r.Context(), res.Key, func() ([]byte, error) {
-		return s.admitAndRun(res)
-	})
+	b, state, err := s.cache.Do(r.Context(), res, s.run)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client went away; the execution (if any) continues for
@@ -230,9 +225,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, code, class, err.Error())
 		return
 	}
-	state := "miss"
-	if shared {
-		state = "coalesced"
+	if state == "coalesced" {
 		s.m.coalesced.Add(1)
 	}
 	s.serve(w, res.Key, state, b)
@@ -243,12 +236,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 type resolveKey struct{ figure, scale, machine string }
 
 // resolve is Resolve with the request-independent part memoized: the
-// profile, options, figure and key of a normalized (figure, scale,
-// machine) are resolved once per server, so a repeat skips building the
-// registry, expanding the grid and hashing it. The budget (Jobs, Timeout,
-// Req.Jobs, Req.TimeoutMS) is still computed per request. Errors and
-// panics are never memoized, so the memo holds at most one entry per
-// valid triple.
+// figure and key of a normalized (figure, scale, machine) are resolved
+// once per server, so a repeat skips building the registry, expanding the
+// grid and hashing it. The budget (Jobs, Timeout, Req.Jobs,
+// Req.TimeoutMS) is still computed per request. Errors and panics are
+// never memoized, so the memo holds at most one entry per valid triple.
 func (s *Server) resolve(req SweepRequest) (*Resolved, error) {
 	req = req.normalized()
 	k := resolveKey{req.Figure, req.Scale, req.Machine}
@@ -277,16 +269,10 @@ func (s *Server) resolve(req SweepRequest) (*Resolved, error) {
 
 // admitAndRun is the leader's path: pass admission control, then execute
 // the sweep under the request deadline (parented on the server's
-// lifecycle context, so a drain deadline cancels it cooperatively) and
-// fill the cache. Runs detached from any single client connection.
+// lifecycle context, so a drain deadline cancels it cooperatively). The
+// cache runs it detached from any single client connection and fills
+// itself with the result.
 func (s *Server) admitAndRun(res *Resolved) ([]byte, error) {
-	// Re-check the cache: between this request's miss and it becoming the
-	// flight leader, a previous leader may have finished and filled the
-	// entry — serving it here closes the window where a duplicate would
-	// re-execute.
-	if b, ok := s.cache.getNoMiss(res.Key); ok {
-		return b, nil
-	}
 	release, err := s.admit()
 	if err != nil {
 		return nil, err
@@ -314,10 +300,8 @@ func (s *Server) admitAndRun(res *Resolved) ([]byte, error) {
 	b, err := out.JSON()
 	if err != nil {
 		s.m.execErrors.Add(1)
-		return nil, err
 	}
-	s.cache.Put(res.Key, b)
-	return b, nil
+	return b, err
 }
 
 // admit is the admission gate: refuse instantly when draining or when
@@ -419,7 +403,7 @@ func (s *Server) Drain(deadline time.Duration) (clean bool) {
 	}
 	s.m.drainCancels.Add(s.inflight.Load())
 	s.baseCancel(fmt.Errorf("%w: drain deadline (%s) reached, cancelling in-flight sweeps", ErrDraining, deadline))
-	s.awaitIdle(s.cfg.DrainGrace)
+	s.awaitIdle(drainGrace)
 	return false
 }
 

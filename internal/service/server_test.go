@@ -24,7 +24,7 @@ import (
 // ("unit0".."unitN-1") sharing one Run closure — distinct fingerprints
 // (distinct figure names) backed by identical, test-controlled behavior.
 // Distinct figures are what admission tests need: identical requests
-// would coalesce in the singleflight group and never reach the queue.
+// would coalesce onto one in-flight cache entry and never reach the queue.
 func unitRegistry(n int, run func(chip.Config, exp.Point, *exp.Scratch) (exp.Result, error)) Registry {
 	return func(o bench.Options) []bench.Figure {
 		figs := make([]bench.Figure, n)
@@ -489,7 +489,7 @@ func TestCacheCorruptionIsNeverServed(t *testing.T) {
 	// Damage the stored copy; the bytes served above are a different
 	// slice (Put stores a copy).
 	s.cache.mu.Lock()
-	s.cache.items[first.Header().Get("X-T2simd-Fingerprint")].Value.(*centry).payload[0] ^= 0xFF
+	s.cache.items[first.Header().Get("X-T2simd-Fingerprint")].payload[0] ^= 0xFF
 	s.cache.mu.Unlock()
 
 	second := postSweep(h, nil, body)
@@ -515,6 +515,134 @@ func TestCacheCorruptionIsNeverServed(t *testing.T) {
 	}
 	if !bytes.Equal(third.Body.Bytes(), first.Body.Bytes()) {
 		t.Error("post-recompute hit served different bytes")
+	}
+}
+
+// duplicates posts body from n clients at once, holds the execution until
+// every client has joined the one cache entry (the leader and each
+// follower count one miss), then releases it and returns every response.
+// A waiter the cache never releases fails the test instead of hanging it.
+func duplicates(t *testing.T, s *Server, body string, n int, release chan struct{}) []*httptest.ResponseRecorder {
+	t.Helper()
+	h := s.Handler()
+	rrs := make([]*httptest.ResponseRecorder, n)
+	var wg sync.WaitGroup
+	for i := range rrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rrs[i] = postSweep(h, nil, body)
+		}()
+	}
+	waitFor(t, "every duplicate to join", func() bool { return s.cache.Stats().Misses == int64(n) })
+	close(release)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a waiter was never released")
+	}
+	return rrs
+}
+
+// TestLeaderErrorIsNotCached: concurrent duplicates of a sweep whose one
+// execution fails all get its 500, and the failure leaves no entry — the
+// next request is a miss that executes again and succeeds.
+func TestLeaderErrorIsNotCached(t *testing.T) {
+	release := make(chan struct{})
+	var runs atomic.Int64
+	s := New(Config{
+		Registry: unitRegistry(1, func(_ chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
+			if runs.Add(1) > 1 {
+				return exp.Result{Series: "s", X: 1, Y: 1}, nil
+			}
+			select {
+			case <-release:
+			case <-sc.Context().Done():
+				return exp.Result{}, sc.Context().Err()
+			}
+			return exp.Result{}, fmt.Errorf("point failed")
+		}),
+	})
+	const clients = 6
+	for i, rr := range duplicates(t, s, `{"figure":"unit0"}`, clients, release) {
+		var e map[string]string
+		if rr.Code != http.StatusInternalServerError {
+			t.Errorf("client %d: %d %s, want 500", i, rr.Code, rr.Body.String())
+		} else if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e["class"] != "internal" {
+			t.Errorf("client %d: body %s, want class internal", i, rr.Body.String())
+		}
+	}
+	if got := s.m.executions.Load(); got != 1 {
+		t.Errorf("executions = %d, want 1 (duplicates must share the failing execution)", got)
+	}
+	if got := s.cache.Stats().Entries; got != 0 {
+		t.Errorf("cache holds %d entries after a failed sweep, want 0", got)
+	}
+
+	next := postSweep(s.Handler(), nil, `{"figure":"unit0"}`)
+	if got := next.Header().Get("X-T2simd-Cache"); next.Code != http.StatusOK || got != "miss" {
+		t.Errorf("request after the failure: %d cache=%q, want 200 miss", next.Code, got)
+	}
+	if got := s.m.executions.Load(); got != 2 {
+		t.Errorf("executions = %d, want 2 (the failure must not be served again)", got)
+	}
+}
+
+// TestOversizeSweepCoalescesUncached: with a cache budget below the
+// payload, concurrent duplicates still share one execution and get its
+// bytes, but nothing is cached — the next request is a miss.
+func TestOversizeSweepCoalescesUncached(t *testing.T) {
+	release := make(chan struct{})
+	var runs atomic.Int64
+	s := New(Config{
+		CacheBytes: 1,
+		Registry: unitRegistry(1, func(_ chip.Config, p exp.Point, sc *exp.Scratch) (exp.Result, error) {
+			if runs.Add(1) == 1 {
+				select {
+				case <-release:
+				case <-sc.Context().Done():
+					return exp.Result{}, sc.Context().Err()
+				}
+			}
+			return exp.Result{Series: "s", X: 1, Y: 1}, nil
+		}),
+	})
+	const clients = 6
+	rrs := duplicates(t, s, `{"figure":"unit0"}`, clients, release)
+	states := map[string]int{}
+	for i, rr := range rrs {
+		if rr.Code != http.StatusOK {
+			t.Fatalf("client %d: %d %s, want 200", i, rr.Code, rr.Body.String())
+		}
+		if !bytes.Equal(rr.Body.Bytes(), rrs[0].Body.Bytes()) {
+			t.Errorf("client %d received different bytes", i)
+		}
+		states[rr.Header().Get("X-T2simd-Cache")]++
+	}
+	if states["miss"] != 1 || states["coalesced"] != clients-1 {
+		t.Errorf("cache states %v, want one miss and %d coalesced", states, clients-1)
+	}
+	if got := s.m.coalesced.Load(); got != clients-1 {
+		t.Errorf("coalesced = %d, want %d", got, clients-1)
+	}
+	if got := s.cache.Stats().Entries; got != 0 {
+		t.Errorf("cache holds %d entries, want 0 (payload exceeds the budget)", got)
+	}
+
+	next := postSweep(s.Handler(), nil, `{"figure":"unit0"}`)
+	if got := next.Header().Get("X-T2simd-Cache"); next.Code != http.StatusOK || got != "miss" {
+		t.Errorf("request after the oversize sweep: %d cache=%q, want 200 miss", next.Code, got)
+	}
+	if !bytes.Equal(next.Body.Bytes(), rrs[0].Body.Bytes()) {
+		t.Error("re-executed sweep served different bytes")
+	}
+	if got := runs.Load(); got != 2 {
+		t.Errorf("run closure executed %d times, want 2", got)
 	}
 }
 
